@@ -3,107 +3,27 @@ with multiplicities in Bargmann-Fock space.
 
 The atom algebra (core), closed-form overlap kernels (kernels), disc geometry
 (geometry), truncated-space spectral experiments (numerics) and divisor
-families (generators) are importable directly from the package root.
+families (generators) are importable directly from the package root: each
+module's public names are the ones listed in its __all__.
 """
 
 __version__ = "0.1.0"
 
-from .core import (
-    Atom,
-    BasisCoefficients,
-    FockFunction,
-    FockParams,
-    ParameterMismatchError,
-    atom_eval,
-    basis_eval,
-    basis_function,
-    compose_phase,
-    displaced_basis,
-    from_basis_coeffs,
-)
-from .generators import generate_covering_rings, generate_disjoint_rings, generate_lattice
-from .geometry import (
-    Divisor,
-    GeometryVerdicts,
-    ShrunkCoverResult,
-    Window,
-    coverage_defect,
-    disc_radius,
-    max_overlap,
-    overlap_count_at,
-    pairwise_disjoint,
-    rescale_to_unit_alpha,
-    theorem_verdicts,
-)
-from .kernels import (
-    DuplicateLabelError,
-    GramMatrix,
-    atom_pair_inner,
-    default_oracle_radius,
-    displacement_element,
-    gram_matrix,
-    quadrature_inner_oracle,
-)
-from .numerics import (
-    AnalysisMatrix,
-    InfeasibleExperimentError,
-    InterpolationSolution,
-    MeasurementVector,
-    SpectralSummary,
-    analysis_matrix,
-    frame_bounds,
-    hole_mass_experiment,
-    measurements,
-    min_norm_interpolate,
-    riesz_bounds,
-)
+from . import core, generators, geometry, kernels, numerics
+from .core import *  # noqa: F401,F403
+from .generators import *  # noqa: F401,F403
+from .geometry import *  # noqa: F401,F403
+from .kernels import *  # noqa: F401,F403
+from .numerics import *  # noqa: F401,F403
 from .reports import SchemaError, canonical_json, load_divisor, save_divisor
 
 __all__ = [
     "__version__",
-    "Atom",
-    "BasisCoefficients",
-    "FockFunction",
-    "FockParams",
-    "ParameterMismatchError",
-    "atom_eval",
-    "basis_eval",
-    "basis_function",
-    "compose_phase",
-    "displaced_basis",
-    "from_basis_coeffs",
-    "DuplicateLabelError",
-    "GramMatrix",
-    "atom_pair_inner",
-    "default_oracle_radius",
-    "displacement_element",
-    "gram_matrix",
-    "quadrature_inner_oracle",
-    "Divisor",
-    "GeometryVerdicts",
-    "ShrunkCoverResult",
-    "Window",
-    "coverage_defect",
-    "disc_radius",
-    "max_overlap",
-    "overlap_count_at",
-    "pairwise_disjoint",
-    "rescale_to_unit_alpha",
-    "theorem_verdicts",
-    "AnalysisMatrix",
-    "InfeasibleExperimentError",
-    "InterpolationSolution",
-    "MeasurementVector",
-    "SpectralSummary",
-    "analysis_matrix",
-    "frame_bounds",
-    "hole_mass_experiment",
-    "measurements",
-    "min_norm_interpolate",
-    "riesz_bounds",
-    "generate_covering_rings",
-    "generate_disjoint_rings",
-    "generate_lattice",
+    *core.__all__,
+    *kernels.__all__,
+    *geometry.__all__,
+    *numerics.__all__,
+    *generators.__all__,
     "SchemaError",
     "canonical_json",
     "load_divisor",

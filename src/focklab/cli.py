@@ -21,14 +21,15 @@ from .geometry import GeometryVerdicts, Window, theorem_verdicts
 from .kernels import gram_matrix
 from .numerics import (
     MeasurementVector,
+    _riesz_summary,
     analysis_matrix,
     frame_bounds,
     hole_mass_experiment,
     min_norm_interpolate,
-    riesz_bounds,
 )
 from .reports import (
     SchemaError,
+    _require_number,
     canonical_json,
     complex_payload,
     divisor_payload,
@@ -187,8 +188,8 @@ def _cmd_gram(args) -> dict:
     if not labels:
         raise ValueError("divisor must be nonempty")
     gram = gram_matrix(labels, divisor.params)
-    summary = riesz_bounds(gram)
     eigenvalues = np.linalg.eigvalsh(gram.entries)
+    summary = _riesz_summary(eigenvalues, gram.digest())
     return {
         "tool": _tool_payload(),
         "command": "gram",
@@ -222,10 +223,8 @@ def _load_values(path, labels) -> MeasurementVector:
     for i, item in enumerate(raw):
         if not isinstance(item, dict) or set(item) != {"re", "im"}:
             raise SchemaError(f"values[{i}]: expected an object with exactly the fields re, im")
-        re, im = item["re"], item["im"]
-        for name, part in (("re", re), ("im", im)):
-            if isinstance(part, bool) or not isinstance(part, (int, float)):
-                raise SchemaError(f"values[{i}].{name}: expected a number")
+        re = _require_number(item["re"], f"values[{i}].re")
+        im = _require_number(item["im"], f"values[{i}].im")
         out.append(complex(re, im))
     return MeasurementVector(tuple(labels), np.array(out, dtype=complex))
 

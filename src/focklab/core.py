@@ -8,7 +8,9 @@ from the atom data alone, with no series truncation anywhere.
 
 from __future__ import annotations
 
+import hashlib
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +45,16 @@ class FockParams:
         if not (math.isfinite(alpha) and alpha > 0):
             raise ValueError(f"alpha must be a positive finite real, got {self.alpha!r}")
         object.__setattr__(self, "alpha", alpha)
+
+
+def label_digest(params: FockParams, pairs) -> str:
+    """Short stable fingerprint of alpha and (point, integer) pairs, used for
+    report provenance by divisors and Gram matrices alike."""
+    h = hashlib.sha256()
+    h.update(struct.pack("<d", params.alpha))
+    for lam, n in pairs:
+        h.update(struct.pack("<ddq", lam.real, lam.imag, n))
+    return h.hexdigest()[:12]
 
 
 @dataclass(frozen=True)
@@ -105,17 +117,30 @@ def atom_eval(atom: Atom, zeta, params: FockParams):
     return complex(out) if scalar else out
 
 
-def compose_phase(w, z, params: FockParams) -> tuple[complex, complex]:
+def scalar_math(fn, *args) -> np.ndarray:
+    """Apply a `math` function elementwise, exactly as scalar Python does;
+    numpy's own exp, log, atan2 and power round some arguments differently
+    from the C library, and differently on different CPUs."""
+    return np.asarray(np.frompyfunc(fn, len(args), 1)(*args), dtype=float)
+
+
+def compose_phase(w, z, params: FockParams):
     """Phase and shift of the composition T_w T_z = phase * T_{w+z}.
 
     The phase is exp(-1j*alpha*Im(conj(z)*w)).  The exponent is kept as a real
     angle and turned into cos/sin separately, so the returned factor is
     unimodular to rounding.  Every module must take its signs from here.
+    `w` and `z` may be scalars or broadcastable ndarrays; scalar inputs give
+    complex scalars.
     """
-    w = complex(w)
-    z = complex(z)
-    angle = -params.alpha * (z.conjugate() * w).imag
-    return complex(math.cos(angle), math.sin(angle)), w + z
+    ww, zz = np.asarray(w, dtype=complex), np.asarray(z, dtype=complex)
+    # Im(conj(z)*w) in the operation order of a scalar complex product
+    angle = -params.alpha * (zz.real * ww.imag + -zz.imag * ww.real)
+    phase = scalar_math(math.cos, angle) + 1j * scalar_math(math.sin, angle)
+    shift = ww + zz
+    if phase.ndim == 0:
+        return complex(phase), complex(shift)
+    return phase, shift
 
 
 @dataclass(frozen=True)
@@ -161,6 +186,14 @@ class FockFunction:
 
     __rmul__ = __mul__
 
+    def atom_labels(self) -> list[tuple[complex, int]]:
+        """Atom labels (lam, k) in atom order."""
+        return [(a.lam, a.k) for a in self.atoms]
+
+    def atom_coeffs(self) -> np.ndarray:
+        """Atom coefficients in atom order."""
+        return np.array([a.coeff for a in self.atoms], dtype=complex)
+
     def _check_params(self, other: "FockFunction"):
         if self.params.alpha != other.params.alpha:
             raise ParameterMismatchError(
@@ -189,15 +222,10 @@ class FockFunction:
         """Inner product by bilinear expansion over atom pairs."""
         self._check_params(other)
         # imported here because kernels itself imports this module
-        from .kernels import atom_pair_inner
+        from .kernels import overlap_matrix
 
-        acc = 0.0 + 0.0j
-        for a in self.atoms:
-            for b in other.atoms:
-                acc += a.coeff * b.coeff.conjugate() * atom_pair_inner(
-                    a.lam, a.k, b.lam, b.k, self.params
-                )
-        return acc
+        overlaps = overlap_matrix(other.atom_labels(), self.atom_labels(), self.params)
+        return complex(np.vdot(other.atom_coeffs(), overlaps @ self.atom_coeffs()))
 
     def norm(self) -> float:
         """Hilbert norm; zero for the empty function."""
@@ -207,14 +235,10 @@ class FockFunction:
         """Project onto span(e_0..e_{n_max}) and report the truncation defect."""
         if n_max < 0:
             raise ValueError("n_max must be >= 0")
-        from .kernels import displacement_element
+        from .kernels import overlap_matrix
 
-        coeffs = np.zeros(n_max + 1, dtype=complex)
-        for n in range(n_max + 1):
-            c = 0.0 + 0.0j
-            for a in self.atoms:
-                c += a.coeff * displacement_element(a.lam, n, a.k, self.params)
-            coeffs[n] = c
+        basis = [(0.0, n) for n in range(n_max + 1)]
+        coeffs = overlap_matrix(basis, self.atom_labels(), self.params) @ self.atom_coeffs()
         defect = self.inner(self).real - float(np.sum(np.abs(coeffs) ** 2))
         return BasisCoefficients(self.params, coeffs, defect)
 

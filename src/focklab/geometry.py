@@ -8,14 +8,12 @@ disc, so every verdict is an on-window estimate, never a proof.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FockParams
+from .core import FockParams, label_digest
 
 __all__ = [
     "Divisor",
@@ -63,11 +61,7 @@ class Divisor:
 
     def digest(self) -> str:
         """Short stable fingerprint of (alpha, entries) for report provenance."""
-        h = hashlib.sha256()
-        h.update(struct.pack("<d", self.params.alpha))
-        for lam, m in self.entries:
-            h.update(struct.pack("<ddq", lam.real, lam.imag, m))
-        return h.hexdigest()[:12]
+        return label_digest(self.params, self.entries)
 
 
 @dataclass(frozen=True)

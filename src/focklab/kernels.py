@@ -1,25 +1,26 @@
-"""Displacement matrix elements, Gram matrices and the quadrature oracle.
+"""Atom overlaps, Gram matrices and the quadrature oracle.
 
-The closed form implemented here was derived from the Taylor expansion of a
-displaced basis state and is treated as a hypothesis until the brute-force
-quadrature oracle confirms it; the test suite pins that agreement.
+`overlap_matrix` is the one overlap path: inner products, basis projections,
+measurements, Gram and analysis matrices are all cross-overlaps given by one
+Laguerre closed form (Cahill & Glauber, Phys. Rev. 177, 1857, 1969).  The
+brute-force quadrature oracle is independent of it; the tests pin the two.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .core import FockFunction, FockParams, ParameterMismatchError, compose_phase
+from .core import label_digest, scalar_math
 
 __all__ = [
     "GramMatrix",
     "DuplicateLabelError",
+    "overlap_matrix",
     "displacement_element",
     "atom_pair_inner",
     "gram_matrix",
@@ -32,14 +33,68 @@ class DuplicateLabelError(ValueError):
     """An atom family contained the same (point, degree) label twice."""
 
 
-def _genlaguerre(n: int, m: int, x: float) -> float:
-    # three-term recurrence in the degree; stable for the moderate degrees in scope
-    if n == 0:
-        return 1.0
-    prev, cur = 1.0, 1.0 + m - x
-    for i in range(1, n):
-        prev, cur = cur, ((2 * i + 1 + m - x) * cur - (i + m) * prev) / (i + 1)
-    return cur
+def overlap_matrix(rows, cols, params: FockParams) -> np.ndarray:
+    """Matrix of <T_{lam_q} e_{k_q}, T_{mu_p} e_{j_p}> for row labels
+    (mu_p, j_p) and column labels (lam_q, k_q); labels may repeat and either
+    family may be empty.
+
+    An entry is phase * <T_z e_k, e_j> with (phase, z) = compose_phase(-mu,
+    lam) and the closed form of displacement_element, bit-identical to scalar
+    Python floats: functions come from scalar_math and complex products keep
+    CPython's operation order.  One strip per distinct row point keeps the
+    temporaries at the largest multiplicity times the number of columns.
+    """
+    rows = [(complex(mu), int(j)) for mu, j in rows]
+    cols = [(complex(lam), int(k)) for lam, k in cols]
+    out = np.zeros((len(rows), len(cols)), dtype=complex)
+    if not rows or not cols:
+        return out
+    degrees = [j for _, j in rows] + [k for _, k in cols]
+    if min(degrees) < 0:
+        raise ValueError("basis indices must be >= 0")
+    log_fact = np.array([math.lgamma(n + 1) for n in range(max(degrees) + 1)])
+    lam, k = np.array([lam for lam, _ in cols]), np.array([k for _, k in cols])
+    strips: dict[complex, list[int]] = {}
+    for p, (mu, _) in enumerate(rows):
+        strips.setdefault(mu, []).append(p)
+    for mu, index in strips.items():
+        phase, z = compose_phase(-mu, lam, params)
+        j = np.array([rows[p][1] for p in index])[:, None]
+        re, im = _displacement_strip(z, j, k, log_fact, params.alpha)
+        out.real[index] = phase.real * re - phase.imag * im
+        out.imag[index] = phase.real * im + phase.imag * re
+    return out
+
+
+def _displacement_strip(z, j, k, log_fact, alpha):
+    # real and imaginary parts of <T_z e_k, e_j> for z, k of shape (n,), j of shape (r, 1)
+    lo, d = np.minimum(j, k), np.abs(j - k)
+    sa = math.sqrt(alpha)
+
+    def square(v):  # Python's float ** 2 is the C library's pow
+        return scalar_math(math.pow, v, 2.0)
+
+    x = alpha * (square(z.real) + square(z.imag))
+    # w = sa*conj(z) if j >= k, else -sa*z with the opposite real part; the zero
+    # term signs a zero Im w as CPython does, which decides the atan2 branch
+    wr, wi = sa * z.real, -(sa * z.imag) + 0.0 * z.real
+    r2 = square(wr) + square(wi)
+    at_zero = r2 == 0
+    log_w = 0.5 * scalar_math(math.log, np.where(at_zero, 1.0, r2))
+    arg_w = np.where(j >= k, scalar_math(math.atan2, wi, wr), scalar_math(math.atan2, wi, -wr))
+    # three-term recurrence in the degree; each element stops at its own lo
+    prev, cur = np.ones(lo.shape), 1.0 + d - x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, int(lo.max())):
+            nxt = ((2 * i + 1 + d - x) * cur - (i + d) * prev) / (i + 1)
+            active = i < lo
+            prev, cur = np.where(active, cur, prev), np.where(active, nxt, cur)
+    log_mag = -0.5 * x + 0.5 * (log_fact[lo] - log_fact[lo + d]) + d * log_w
+    value = np.where(lo > 0, cur, 1.0) * scalar_math(math.exp, log_mag)
+    angle = d * arg_w
+    re = np.where(at_zero, (j == k) * 1.0, value * scalar_math(math.cos, angle))
+    im = np.where(at_zero, 0.0, value * scalar_math(math.sin, angle))
+    return re, im
 
 
 def displacement_element(z, j: int, k: int, params: FockParams) -> complex:
@@ -55,23 +110,7 @@ def displacement_element(z, j: int, k: int, params: FockParams) -> complex:
     the log domain and the unit phase (w/|w|)^d separately, so large degree
     gaps cannot overflow.
     """
-    if j < 0 or k < 0:
-        raise ValueError("basis indices must be >= 0")
-    z = complex(z)
-    if z == 0:
-        return 1.0 + 0.0j if j == k else 0.0 + 0.0j
-    a = params.alpha
-    x = a * (z.real**2 + z.imag**2)
-    lo, hi = (j, k) if j <= k else (k, j)
-    d = hi - lo
-    sa = math.sqrt(a)
-    w = sa * z.conjugate() if j >= k else -sa * z
-    log_mag = -0.5 * x + 0.5 * (math.lgamma(lo + 1) - math.lgamma(hi + 1))
-    if d:
-        log_mag += d * 0.5 * math.log(w.real**2 + w.imag**2)
-    angle = d * math.atan2(w.imag, w.real)
-    value = _genlaguerre(lo, d, x) * math.exp(log_mag)
-    return value * complex(math.cos(angle), math.sin(angle))
+    return complex(overlap_matrix([(0.0, j)], [(z, k)], params)[0, 0])
 
 
 def atom_pair_inner(lam, k: int, mu, j: int, params: FockParams) -> complex:
@@ -80,8 +119,7 @@ def atom_pair_inner(lam, k: int, mu, j: int, params: FockParams) -> complex:
     Uses T_{-mu} T_lam = phase * T_{lam-mu} with the shared phase convention
     from compose_phase, so all modules agree on signs.
     """
-    phase, shift = compose_phase(-complex(mu), complex(lam), params)
-    return phase * displacement_element(shift, j, k, params)
+    return complex(overlap_matrix([(mu, j)], [(lam, k)], params)[0, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,11 +136,7 @@ class GramMatrix:
 
     def digest(self) -> str:
         """Short stable fingerprint of (alpha, labels) for report provenance."""
-        h = hashlib.sha256()
-        h.update(struct.pack("<d", self.params.alpha))
-        for lam, k in self.labels:
-            h.update(struct.pack("<ddq", lam.real, lam.imag, k))
-        return h.hexdigest()[:12]
+        return label_digest(self.params, self.labels)
 
 
 def gram_matrix(family, params: FockParams) -> GramMatrix:
@@ -116,12 +150,7 @@ def gram_matrix(family, params: FockParams) -> GramMatrix:
         raise ValueError("atom family must be nonempty")
     if len(set(labels)) != len(labels):
         raise DuplicateLabelError("atom family labels must be distinct")
-    n = len(labels)
-    g = np.empty((n, n), dtype=complex)
-    for p, (lam_p, k_p) in enumerate(labels):
-        for q, (lam_q, k_q) in enumerate(labels):
-            g[p, q] = atom_pair_inner(lam_q, k_q, lam_p, k_p, params)
-    return GramMatrix(params, labels, g)
+    return GramMatrix(params, labels, overlap_matrix(labels, labels, params))
 
 
 @lru_cache(maxsize=64)

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Atom, FockFunction, FockParams, ParameterMismatchError, basis_function
+from .core import Atom, FockFunction, FockParams, ParameterMismatchError
 from .geometry import Divisor, Window
-from .kernels import GramMatrix, atom_pair_inner, displacement_element, gram_matrix, quadrature_inner_oracle
+from .kernels import GramMatrix, gram_matrix, overlap_matrix
 
 __all__ = [
     "MeasurementVector",
@@ -104,12 +104,13 @@ def measurements(f: FockFunction, divisor: Divisor) -> MeasurementVector:
     if f.params.alpha != divisor.params.alpha:
         raise ParameterMismatchError("function and divisor must share alpha")
     labels = divisor.atom_labels()
+    overlaps = overlap_matrix(labels, f.atom_labels(), f.params)
+    # summed atom by atom with the scalar complex product, not by BLAS, so the
+    # values (which data files and reports carry) do not depend on the machine
     values = np.zeros(len(labels), dtype=complex)
-    for i, (lam, k) in enumerate(labels):
-        acc = 0.0 + 0.0j
-        for a in f.atoms:
-            acc += a.coeff * atom_pair_inner(a.lam, a.k, lam, k, f.params)
-        values[i] = acc
+    for c, column in zip(f.atom_coeffs(), overlaps.T):
+        values.real += c.real * column.real - c.imag * column.imag
+        values.imag += c.real * column.imag + c.imag * column.real
     return MeasurementVector(tuple(labels), values)
 
 
@@ -118,11 +119,8 @@ def analysis_matrix(divisor: Divisor, degree: int) -> AnalysisMatrix:
     if degree < 0:
         raise ValueError("degree must be >= 0")
     labels = divisor.atom_labels()
-    entries = np.empty((len(labels), degree + 1), dtype=complex)
-    for i, (lam, k) in enumerate(labels):
-        for n in range(degree + 1):
-            # <e_n, T_lam e_k> = conj(<T_lam e_k, e_n>)
-            entries[i, n] = displacement_element(lam, n, k, divisor.params).conjugate()
+    basis = [(0.0, n) for n in range(degree + 1)]
+    entries = overlap_matrix(labels, basis, divisor.params)
     return AnalysisMatrix(divisor.params, tuple(labels), degree, entries, divisor.digest())
 
 
@@ -145,11 +143,15 @@ def frame_bounds(matrix: AnalysisMatrix) -> SpectralSummary:
 
 def riesz_bounds(gram: GramMatrix) -> SpectralSummary:
     """Extreme eigenvalues and condition number of an atom Gram matrix."""
-    w = np.linalg.eigvalsh(gram.entries)
+    return _riesz_summary(np.linalg.eigvalsh(gram.entries), gram.digest())
+
+
+def _riesz_summary(w: np.ndarray, digest: str) -> SpectralSummary:
+    # w is the ascending spectrum from eigvalsh
     smin = float(w[0])
     smax = float(w[-1])
     ratio = math.inf if smin <= 0 else smax / smin
-    return SpectralSummary(smin, smax, ratio, None, gram.digest())
+    return SpectralSummary(smin, smax, ratio, None, digest)
 
 
 def min_norm_interpolate(
@@ -192,15 +194,23 @@ def min_norm_interpolate(
 
 
 def _window_masses(degree: int, window: Window, params: FockParams) -> np.ndarray:
-    """Weighted window mass of each e_n, n = 0..degree, by quadrature."""
-    n_r = max(96, degree + 32)
-    masses = np.empty(degree + 1)
-    for n in range(degree + 1):
-        e_n = basis_function(n, params)
-        masses[n] = quadrature_inner_oracle(
-            e_n, e_n, radius=window.radius, n_r=n_r, n_theta=64
-        ).real
-    return masses
+    """Weighted window mass of each e_n, n = 0..degree: the regularized
+    incomplete gamma P(n+1, x), x = alpha*R^2, which is the chance that a
+    Poisson(x) count exceeds n.  Each Poisson term is formed on its own in the
+    log domain and the tails are summed from the top down, which keeps tiny
+    masses accurate; for x > degree + 1 the masses are at least about one
+    half and are one minus the lower sums, so no array grows with x.
+    """
+    x = params.alpha * window.radius**2
+
+    def poisson(counts):
+        log_fact = np.array([math.lgamma(n + 1) for n in counts])
+        return np.exp(-x + counts * math.log(x) - log_fact)
+
+    if x > degree + 1:
+        return 1.0 - np.cumsum(poisson(np.arange(degree + 1)))
+    top = degree + 1 + math.ceil(12 * math.sqrt(x) + 40)
+    return np.cumsum(poisson(np.arange(top, 0, -1)))[::-1][: degree + 1]
 
 
 def hole_mass_experiment(divisor: Divisor, degree: int, window: Window) -> float:

@@ -1,17 +1,21 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre
 
 from focklab import (
+    Atom,
     DuplicateLabelError,
+    FockFunction,
     FockParams,
     atom_pair_inner,
     basis_function,
     displaced_basis,
     displacement_element,
     gram_matrix,
+    overlap_matrix,
     quadrature_inner_oracle,
 )
 
@@ -177,3 +181,134 @@ class TestQuadratureOracle:
         e0 = basis_function(0, P1)
         with pytest.raises(ValueError):
             quadrature_inner_oracle(e0, e0, radius=8.0, n_r=4, n_theta=128)
+
+
+def scipy_overlap(mu, j, lam, k, alpha):
+    """<T_lam e_k, T_mu e_j> from scipy's Laguerre values and the composition law."""
+    z = lam - mu
+    x = alpha * abs(z) ** 2
+    lo, hi = min(j, k), max(j, k)
+    w = math.sqrt(alpha) * z.conjugate() if j >= k else -math.sqrt(alpha) * z
+    phase = complex(math.cos(alpha * (lam.conjugate() * mu).imag),
+                    math.sin(alpha * (lam.conjugate() * mu).imag))
+    return (
+        phase
+        * math.exp(-x / 2)
+        * math.sqrt(math.factorial(lo) / math.factorial(hi))
+        * w ** (hi - lo)
+        * eval_genlaguerre(lo, hi - lo, x)
+    )
+
+
+def scalar_overlap(mu, j, lam, k, alpha):
+    """The same closed form in plain Python floats and the math module."""
+    mu, lam = complex(mu), complex(lam)
+    angle = -alpha * (lam.conjugate() * -mu).imag
+    phase, z = complex(math.cos(angle), math.sin(angle)), -mu + lam
+    if z == 0:
+        return phase * (1.0 if j == k else 0.0)
+    x = alpha * (z.real**2 + z.imag**2)
+    lo, hi = min(j, k), max(j, k)
+    d = hi - lo
+    sa = math.sqrt(alpha)
+    w = sa * z.conjugate() if j >= k else -sa * z
+    lag, prev = (1.0, 1.0) if lo == 0 else (1.0 + d - x, 1.0)
+    for i in range(1, lo):
+        prev, lag = lag, ((2 * i + 1 + d - x) * lag - (i + d) * prev) / (i + 1)
+    log_mag = -0.5 * x + 0.5 * (math.lgamma(lo + 1) - math.lgamma(hi + 1))
+    if d:
+        log_mag += d * 0.5 * math.log(w.real**2 + w.imag**2)
+    angle = d * math.atan2(w.imag, w.real)
+    return phase * (lag * math.exp(log_mag) * complex(math.cos(angle), math.sin(angle)))
+
+
+def random_labels(rng, n, spread=2.5, max_k=12):
+    # a few shared points, so strips hold several degrees
+    points = [complex(rng.uniform(-spread, spread), rng.uniform(-spread, spread)) for _ in range(4)]
+    return [(points[int(rng.integers(0, 4))], int(rng.integers(0, max_k + 1))) for _ in range(n)]
+
+
+class TestOverlapMatrix:
+    def test_against_scipy_laguerre(self):
+        rng = np.random.default_rng(40)
+        for alpha in (0.5, 1.0, 2.0):
+            params = FockParams(alpha)
+            rows, cols = random_labels(rng, 9), random_labels(rng, 11)
+            got = overlap_matrix(rows, cols, params)
+            assert got.shape == (9, 11)
+            for p, (mu, j) in enumerate(rows):
+                for q, (lam, k) in enumerate(cols):
+                    ref = scipy_overlap(mu, j, lam, k, alpha)
+                    assert abs(got[p, q] - ref) <= 1e-12 * (1 + abs(ref))
+
+    def test_one_entry_views(self):
+        rng = np.random.default_rng(41)
+        rows, cols = random_labels(rng, 5), random_labels(rng, 5)
+        got = overlap_matrix(rows, cols, P1)
+        for p, (mu, j) in enumerate(rows):
+            for q, (lam, k) in enumerate(cols):
+                assert atom_pair_inner(lam, k, mu, j, P1) == got[p, q]
+        basis = [(0.0, n) for n in range(6)]
+        got = overlap_matrix(basis, cols, P1)
+        for n in range(6):
+            for q, (lam, k) in enumerate(cols):
+                assert displacement_element(lam, n, k, P1) == got[n, q]
+
+    def test_bit_identical_to_scalar_python(self):
+        # axis points and coincident points exercise the signed-zero and z = 0 cases
+        rng = np.random.default_rng(43)
+        for alpha in (0.5, 1.0, 2.0):
+            params = FockParams(alpha)
+            rows = random_labels(rng, 10) + [(0.0, 3), (2.0, 1), (-1.5, 2), (1.5j, 0), (-2j, 4)]
+            cols = random_labels(rng, 10) + [(0.0, 1), (-1.0, 3), (2.0, 0), (-0.5j, 2), (1j, 5)]
+            got = overlap_matrix(rows, cols, params)
+            for p, (mu, j) in enumerate(rows):
+                for q, (lam, k) in enumerate(cols):
+                    assert got[p, q] == scalar_overlap(mu, j, lam, k, alpha)
+
+    def test_coincident_points_give_kronecker_delta(self):
+        for lam in (0.0, 1.5 - 0.5j, -3j):
+            rows = [(lam, j) for j in range(8)]
+            cols = [(lam, k) for k in range(6)]
+            got = overlap_matrix(rows, cols, FockParams(2.0))
+            assert np.max(np.abs(got - np.eye(8, 6))) <= 1e-15
+
+    def test_empty_families(self):
+        labels = [(0.5, 1), (1j, 0)]
+        for rows, cols, shape in (([], labels, (0, 2)), (labels, [], (2, 0)), ([], [], (0, 0))):
+            got = overlap_matrix(rows, cols, P1)
+            assert got.shape == shape
+            assert got.dtype == complex
+
+    def test_duplicate_atoms_in_inner(self):
+        atom = Atom(1.0 - 0.5j, 2, 0.5 + 1j)
+        doubled = FockFunction(P1, (atom, atom))
+        g = FockFunction(P1, (Atom(0.3j, 1, 1.0), Atom(0.3j, 1, -2j), Atom(-1.0, 0, 0.7)))
+        expected = 2 * displaced_basis(atom.lam, atom.k, P1, atom.coeff).inner(g.merged())
+        assert abs(doubled.inner(g) - expected) <= 1e-14
+        assert abs(doubled.norm() - 2 * abs(atom.coeff)) <= 1e-14
+        rows = overlap_matrix([(0.3j, 1), (0.3j, 1)], [(atom.lam, atom.k)], P1)
+        assert rows[0, 0] == rows[1, 0]
+
+    def test_large_degree_gaps_stay_finite(self):
+        # columns of the unitary T_z in the basis: unit norm up to the truncated tail
+        basis = [(0.0, j) for j in range(801)]
+        for k in (0, 250, 500):
+            column = overlap_matrix(basis, [(1.5 - 1j, k)], P1)[:, 0]
+            assert np.all(np.isfinite(column))
+            assert abs(np.sum(np.abs(column) ** 2) - 1.0) <= 1e-10
+        far = overlap_matrix([(0.0, 0), (0.0, 500)], [(0.0, 500), (40.0, 0), (0.5j, 0)], P1)
+        assert np.all(np.isfinite(far))
+        assert far[0, 0] == 0 and far[1, 0] == 1
+
+    def test_no_runtime_warnings(self):
+        rows = [(0.0, j) for j in range(0, 501, 50)] + [(2 + 1j, 3), (2 + 1j, 0)]
+        cols = [(0.0, 500), (2 + 1j, 0), (2 + 1j, 3), (60.0, 40), (1e-200, 2)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = overlap_matrix(rows, cols, P1)
+        assert np.all(np.isfinite(got))
+
+    def test_negative_indices_rejected(self):
+        with pytest.raises(ValueError):
+            overlap_matrix([(0.0, 0)], [(1.0, -1)], P1)

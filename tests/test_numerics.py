@@ -249,3 +249,56 @@ class TestHoleMass:
         # assert a conservative suppression factor
         assert baseline > 0.99
         assert value <= baseline * 1e-12
+
+
+class TestWindowMasses:
+    @pytest.mark.parametrize(
+        "degree,x",
+        [
+            (60, 1e-4),  # x << 1: masses fall to ~1e-299
+            (145, 0.5),
+            (90, 9.0),
+            (90, 90.0),  # x near the degree
+            (120, 100.0),
+            (40, 45.0),  # x above the degree: one minus the lower sums
+            (40, 400.0),  # x >> degree
+        ],
+    )
+    def test_against_incomplete_gamma(self, degree, x):
+        from focklab.numerics import _window_masses
+
+        radius = math.sqrt(x)
+        got = _window_masses(degree, Window(radius, radius / 20), P1)
+        ref = gammainc(np.arange(1, degree + 2), x)
+        assert got.shape == ref.shape
+        kept = ref >= 1e-300
+        if x < 1:
+            assert ref[kept].min() < 1e-290
+        assert np.all(np.abs(got[kept] - ref[kept]) <= 1e-12 * ref[kept])
+
+    def test_alpha_enters_through_alpha_r_squared(self):
+        from focklab.numerics import _window_masses
+
+        a = _window_masses(30, Window(2.0, 0.1), FockParams(2.0))
+        b = _window_masses(30, Window(math.sqrt(8.0), 0.1), P1)
+        assert np.allclose(a, b, rtol=1e-13, atol=0)
+
+
+def test_measurements_sum_atoms_in_order_with_scalar_products():
+    # the values are bit-identical to a plain Python sum over the atoms
+    from focklab import Atom, FockFunction, atom_pair_inner
+
+    rng = np.random.default_rng(44)
+    divisor, _ = generate_lattice(1.0, 1.5, 2, 4.0)
+    atoms = tuple(
+        Atom(complex(rng.uniform(-3, 3), rng.uniform(-3, 3)), int(rng.integers(0, 4)),
+             complex(rng.standard_normal(), rng.standard_normal()))
+        for _ in range(9)
+    )
+    f = FockFunction(P1, atoms)
+    got = measurements(f, divisor).values
+    for i, (lam, k) in enumerate(divisor.atom_labels()):
+        acc = 0j
+        for a in atoms:
+            acc += a.coeff * atom_pair_inner(a.lam, a.k, lam, k, P1)
+        assert got[i] == acc

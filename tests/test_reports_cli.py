@@ -1,6 +1,8 @@
 import json
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -202,3 +204,76 @@ class TestCliSurface:
         csv_file = tmp_path / "defects_c0.5.csv"
         assert csv_file.exists()
         assert csv_file.read_text().splitlines()[0] == "re,im"
+
+
+class TestReportProvenance:
+    def test_digests_pinned(self):
+        # pinned literals: report bytes must not drift
+        from focklab import gram_matrix
+
+        p1, p125 = FockParams(1.0), FockParams(1.25)
+        assert gram_matrix([(0.0, 0), (1.0 + 1j, 2)], p1).digest() == "047580af90b6"
+        gram = gram_matrix([(0.5 - 0.25j, 0), (0.5 - 0.25j, 1), (-3.0, 0)], p125)
+        assert gram.digest() == "022631596b72"
+        assert Divisor(p125, ((0.5 + 0.25j, 2), (-1.0, 1))).digest() == "1c16207ce028"
+        assert Divisor(p1, ((0.0, 1),)).digest() == "a037f5595df3"
+
+    def test_gram_command_decomposes_once(self, tmp_path, monkeypatch, capsys):
+        from focklab import cli, gram_matrix, riesz_bounds
+
+        path = tmp_path / "three.json"
+        divisor = Divisor(FockParams(1.0), ((0.0, 2), (1.5 - 0.5j, 1)))
+        save_divisor(divisor, path)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a):
+            calls.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        assert cli.main(["gram", str(path)]) == 0
+        assert calls == [(3, 3)]
+        spectrum = json.loads(capsys.readouterr().out)["spectrum"]
+        monkeypatch.undo()
+        gram = gram_matrix(divisor.atom_labels(), divisor.params)
+        summary = riesz_bounds(gram)
+        expected = json.loads(canonical_json({
+            "size": 3,
+            "eigenvalues": [float(w) for w in np.linalg.eigvalsh(gram.entries)],
+            "smin": summary.smin,
+            "smax": summary.smax,
+            "condition": summary.ratio,
+            "divisor_digest": summary.divisor_digest,
+        }))
+        assert spectrum == expected
+
+
+class TestValuesFile:
+    @pytest.fixture()
+    def divisor_path(self, tmp_path):
+        path = tmp_path / "two.json"
+        path.write_text('{"alpha": 1, "points": [{"re": 0, "im": 0, "mult": 2}]}')
+        return path
+
+    @pytest.mark.parametrize(
+        "values,field",
+        [
+            ('[{"re": NaN, "im": 0}, {"re": 1, "im": 0}]', r"values\[0\]\.re"),
+            ('[{"re": 1, "im": 0}, {"re": 0, "im": Infinity}]', r"values\[1\]\.im"),
+            ('[{"re": -Infinity, "im": 0}, {"re": 1, "im": 0}]', r"values\[0\]\.re"),
+            ('[{"re": 1, "im": "x"}, {"re": 1, "im": 0}]', r"values\[0\]\.im"),
+        ],
+        ids=["nan-re", "infinity-im", "minus-infinity-re", "string-im"],
+    )
+    def test_bad_numbers_are_schema_errors(self, divisor_path, tmp_path, values, field, capsys):
+        from focklab import cli
+
+        values_path = tmp_path / "vals.json"
+        values_path.write_text(f'{{"values": {values}}}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["interpolate", str(divisor_path), str(values_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert re.search(f"schema error: {field}: ", err)
