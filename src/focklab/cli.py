@@ -84,7 +84,7 @@ def _verdicts_payload(verdicts: GeometryVerdicts) -> dict:
                 "c": result.c,
                 "holds": result.holds,
                 "uncovered_count": int(result.uncovered.size),
-                "uncovered": [complex_payload(z) for z in result.uncovered],
+                "uncovered": result.uncovered,
             }
             for result in verdicts.shrunk_cover_by_c
         ],

@@ -64,6 +64,13 @@ class Divisor:
         return label_digest(self.params, self.entries)
 
 
+# Most grid cells a Window's probe square may have (sides of at most 2047
+# points).  A check holds the square's complex grid (16 bytes a cell, 64 MiB
+# at the budget) plus one boolean or count grid per verdict, so this bounds
+# the memory of every geometric check before numpy is asked for any of it.
+MAX_GRID_CELLS = 2**22
+
+
 @dataclass(frozen=True)
 class Window:
     """Grid-probed disc standing in for the plane in geometric checks."""
@@ -76,14 +83,27 @@ class Window:
             raise ValueError("window radius must be positive")
         if not (0 < self.grid_step <= self.radius / 10):
             raise ValueError("grid_step must satisfy 0 < grid_step <= radius/10")
+        half = self.radius / self.grid_step + 1e-9
+        if not half < MAX_GRID_CELLS or (2 * math.floor(half) + 1) ** 2 > MAX_GRID_CELLS:
+            raise ValueError(
+                f"grid_step {self.grid_step} on a window of radius {self.radius} "
+                f"needs more than {MAX_GRID_CELLS} grid cells"
+            )
+
+    def _square(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The square grid of pitch grid_step around the window, its moduli,
+        and the mask of its points in the disc |z| <= radius."""
+        n = int(math.floor(self.radius / self.grid_step + 1e-9))
+        axis = self.grid_step * np.arange(-n, n + 1)
+        z = axis[None, :] + 1j * axis[:, None]
+        modulus = np.abs(z)
+        return z, modulus, modulus <= self.radius * (1 + 1e-12)
 
     def grid(self) -> np.ndarray:
         """Complex points of the square grid of pitch grid_step, clipped to
         the disc |z| <= radius; deterministic row-major order."""
-        n = int(math.floor(self.radius / self.grid_step + 1e-9))
-        axis = self.grid_step * np.arange(-n, n + 1)
-        z = (axis[None, :] + 1j * axis[:, None]).ravel()
-        return z[np.abs(z) <= self.radius * (1 + 1e-12)]
+        z, _, inside = self._square()
+        return z[inside]
 
 
 def disc_radius(mult: int, params: FockParams, c: float, sign: int) -> float | None:
@@ -114,18 +134,70 @@ def overlap_count_at(divisor: Divisor, z) -> int:
     return count
 
 
+def _index_span(centre: float, reach: float, step: float, n: int) -> slice:
+    """Indices of the grid axis step*(-n..n) within reach of centre, widened
+    by one index on each side."""
+    lo = (centre - reach) / step + n - 1
+    hi = (centre + reach) / step + n + 2
+    return slice(int(min(max(lo, 0.0), 2 * n + 1)), int(min(max(hi, 0.0), 2 * n + 1)))
+
+
+def _disc_sweep(divisor: Divisor, window: Window, checks):
+    """Decide several disc checks in one pass over the divisor entries.
+
+    checks[k] = (dtype, thresholds): thresholds[e] is the squared radius of
+    the open disc of entry e in check k, or None to leave the entry out.  A
+    bool grid marks the points in some disc, an integer grid counts the
+    discs.  Each entry computes |z - lam|^2 once, on the index box of its
+    largest disc, widened by one index a side so that rounding cannot leave
+    out a point in the disc, and every check compares against it: each grid
+    value equals the full-grid rule d2 < r^2 bit for bit.  Returns the square
+    grid, its moduli, its window mask and one grid per check.
+    """
+    z, modulus, inside = window._square()
+    n = (z.shape[0] - 1) // 2
+    grids = [np.zeros(z.shape, dtype) for dtype, _ in checks]
+    for e, (lam, _) in enumerate(divisor.entries):
+        wanted = [(grid, t[e]) for grid, (_, t) in zip(grids, checks) if t[e] is not None]
+        # a non-finite centre has d2 inf or nan, inside no disc
+        if not wanted or not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
+            continue
+        reach = math.sqrt(max(t for _, t in wanted))
+        box = (
+            _index_span(lam.imag, reach, window.grid_step, n),
+            _index_span(lam.real, reach, window.grid_step, n),
+        )
+        d2 = np.abs(z[box] - lam) ** 2
+        for grid, t in wanted:
+            grid[box] += d2 < t  # logical or on bool grids
+    return z, modulus, inside, grids
+
+
+def _overlap_check(divisor: Divisor):
+    """Sweep check counting the open discs D(lam, sqrt(m/alpha)) at each point."""
+    inv_alpha = 1.0 / divisor.params.alpha
+    return int, [m * inv_alpha for _, m in divisor.entries]
+
+
+def _squared_radii(divisor: Divisor, c: float, sign: int) -> list[float | None]:
+    """Per entry r*r for the disc_radius r, or None where the disc is absent."""
+    radii = [disc_radius(m, divisor.params, c, sign) for _, m in divisor.entries]
+    return [r * r if r is not None and r > 0 else None for r in radii]
+
+
+def _require_hole(hole_radius: float, window: Window) -> None:
+    if not (0 <= hole_radius < window.radius):
+        raise ValueError("hole_radius must satisfy 0 <= hole_radius < window radius")
+
+
 def max_overlap(divisor: Divisor, window: Window) -> int:
     """Window maximum of the disc-overlap count.
 
     A lower estimate of the plane-wide supremum in the finite overlap
     condition, since only grid points inside the window are probed.
     """
-    z = window.grid()
-    counts = np.zeros(z.shape, dtype=int)
-    inv_alpha = 1.0 / divisor.params.alpha
-    for lam, m in divisor.entries:
-        counts += np.abs(z - lam) ** 2 < m * inv_alpha
-    return int(counts.max()) if counts.size else 0
+    _, _, inside, (counts,) = _disc_sweep(divisor, window, [_overlap_check(divisor)])
+    return int(counts[inside].max())
 
 
 def coverage_defect(
@@ -141,17 +213,14 @@ def coverage_defect(
     radius are skipped.  An empty result means the divisor covers the probed
     annulus at this C.  Points are reported verbatim, in grid order.
     """
-    if not (0 <= hole_radius < window.radius):
-        raise ValueError("hole_radius must satisfy 0 <= hole_radius < window radius")
-    z = window.grid()
-    z = z[np.abs(z) >= hole_radius]
-    covered = np.zeros(z.shape, dtype=bool)
-    for lam, m in divisor.entries:
-        r = disc_radius(m, divisor.params, c, sign)
-        if r is None or r <= 0:
-            continue
-        covered |= np.abs(z - lam) ** 2 < r * r
-    return z[~covered]
+    _require_hole(hole_radius, window)
+    checks = [(bool, _squared_radii(divisor, c, sign))]
+    z, modulus, inside, (covered,) = _disc_sweep(divisor, window, checks)
+    return z[inside & (modulus >= hole_radius) & ~covered]
+
+
+# Row blocks of pairwise_disjoint hold at most this many distances at once.
+_PAIR_BLOCK = 2**18
 
 
 def pairwise_disjoint(
@@ -162,15 +231,22 @@ def pairwise_disjoint(
     Open discs: boundary tangency counts as disjoint.  Returns the flag and
     the first violating point pair in entry order, or None.
     """
-    kept = []
-    for lam, m in divisor.entries:
-        r = disc_radius(m, divisor.params, c, sign)
-        if r is not None:
-            kept.append((lam, r))
-    for i in range(len(kept)):
-        lam_i, r_i = kept[i]
-        for j in range(i + 1, len(kept)):
-            lam_j, r_j = kept[j]
+    kept = [(lam, disc_radius(m, divisor.params, c, sign)) for lam, m in divisor.entries]
+    kept = [(lam, r) for lam, r in kept if r is not None]
+    if len(kept) < 2:
+        return True, None
+    lams = np.array([lam for lam, _ in kept])
+    radii = np.array([r for _, r in kept])
+    # numpy screens the pairs with a relative margin far above its rounding
+    # difference from the scalar rule, which alone decides each candidate
+    rows = max(1, _PAIR_BLOCK // len(kept))
+    for i0 in range(0, len(kept) - 1, rows):
+        i1 = min(i0 + rows, len(kept) - 1)
+        reach = (radii[i0:i1, None] + radii[None, i0 + 1 :]) * (1 + 1e-9)
+        near = np.abs(lams[i0:i1, None] - lams[None, i0 + 1 :]) < reach
+        near &= np.arange(i0 + 1, len(kept))[None, :] > np.arange(i0, i1)[:, None]
+        for i, j in zip(*np.nonzero(near)):
+            (lam_i, r_i), (lam_j, r_j) = kept[i0 + i], kept[i0 + 1 + j]
             if abs(lam_i - lam_j) < r_i + r_j:
                 return False, (lam_i, lam_j)
     return True, None
@@ -230,32 +306,30 @@ def theorem_verdicts(
     if any(c <= 0 for c in cs) or sorted(cs) != cs:
         raise ValueError("c_list must be positive and ascending")
 
-    bound = max_overlap(divisor, window)
+    _require_hole(hole_radius, window)
 
-    padded_witness = None
-    for c in cs:
-        if coverage_defect(divisor, c, +1, window, 0.0).size == 0:
-            padded_witness = c
-            break
+    checks = [_overlap_check(divisor)]
+    checks += [(bool, _squared_radii(divisor, c, +1)) for c in cs]
+    checks += [(bool, _squared_radii(divisor, c, -1)) for c in cs]
+    checks.append((bool, _squared_radii(divisor, 0.0, +1)))
+    z, modulus, inside, grids = _disc_sweep(divisor, window, checks)
+    counts, bare = grids[0], grids[-1]
+    padded, shrunk = grids[1 : len(cs) + 1], grids[len(cs) + 1 : -1]
+    annulus = inside & (modulus >= hole_radius)
 
+    bound = int(counts[inside].max())
+    padded_witness = next(
+        (c for c, covered in zip(cs, padded) if not (inside & ~covered).any()), None
+    )
     shrunk_results = []
-    for c in cs:
-        uncov = coverage_defect(divisor, c, -1, window, hole_radius)
+    for c, covered in zip(cs, shrunk):
+        uncov = z[annulus & ~covered]
         shrunk_results.append(ShrunkCoverResult(c, holds=uncov.size == 0, uncovered=uncov))
     shrunk_cover = tuple(shrunk_results)
 
-    shrunk_disjoint_witness = None
-    for c in cs:
-        if pairwise_disjoint(divisor, c, -1)[0]:
-            shrunk_disjoint_witness = c
-            break
-    padded_disjoint_witness = None
-    for c in cs:
-        if pairwise_disjoint(divisor, c, +1)[0]:
-            padded_disjoint_witness = c
-            break
-
-    bare_cover = coverage_defect(divisor, 0.0, +1, window, hole_radius).size == 0
+    shrunk_disjoint_witness = next((c for c in cs if pairwise_disjoint(divisor, c, -1)[0]), None)
+    padded_disjoint_witness = next((c for c in cs if pairwise_disjoint(divisor, c, +1)[0]), None)
+    bare_cover = not (annulus & ~bare).any()
 
     windowed = sum(1 for lam, _ in divisor.entries if abs(lam) <= window.radius)
     if windowed < 2:

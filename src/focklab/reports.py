@@ -40,6 +40,13 @@ def format_float(value: float) -> str:
     return format(float(value), ".12g")
 
 
+def _point_rows(points: np.ndarray, row: str, sep: str) -> str:
+    """Each complex point through row, a template whose two %.12g fields take
+    its real and imaginary parts (as format_float writes them), joined by sep."""
+    parts = np.column_stack((points.real, points.imag)).ravel().tolist()
+    return sep.join([row] * points.size) % tuple(parts)
+
+
 def _write_canonical(obj, out: list[str]) -> None:
     if obj is None:
         out.append("null")
@@ -66,6 +73,13 @@ def _write_canonical(obj, out: list[str]) -> None:
             out.append(":")
             _write_canonical(val, out)
         out.append("}")
+    elif (
+        isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "c"
+        and np.isfinite(obj).all()
+    ):
+        # point lists, in one formatting pass; non-finite ones take the
+        # element path below, which writes null
+        out.append("[" + _point_rows(obj, '{"re":%.12g,"im":%.12g}', ",") + "]")
     elif isinstance(obj, (list, tuple, np.ndarray)):
         out.append("[")
         for i, val in enumerate(obj):
@@ -173,8 +187,5 @@ def write_sweep_csv(path, rows) -> None:
 
 def write_points_csv(path, points) -> None:
     """Point list (defects and the like) as CSV with header re,im."""
-    lines = ["re,im"]
-    for z in points:
-        z = complex(z)
-        lines.append(f"{format_float(z.real)},{format_float(z.imag)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    z = np.asarray(points if isinstance(points, np.ndarray) else list(points), dtype=complex)
+    Path(path).write_text("re,im\n" + _point_rows(z, "%.12g,%.12g\n", ""))

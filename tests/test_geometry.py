@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from focklab import geometry
 from focklab import (
     Divisor,
     FockParams,
@@ -257,3 +258,183 @@ class TestRescaling:
             assert original.padded_disjoint_holds == rescaled.padded_disjoint_holds
             assert original.bare_cover_holds == rescaled.bare_cover_holds
             assert original.exclusivity_consistent == rescaled.exclusivity_consistent
+
+
+def reference_grid(window):
+    """The full probe grid as a flat row-major array, clipped to the disc."""
+    n = int(math.floor(window.radius / window.grid_step + 1e-9))
+    axis = window.grid_step * np.arange(-n, n + 1)
+    z = (axis[None, :] + 1j * axis[:, None]).ravel()
+    return z[np.abs(z) <= window.radius * (1 + 1e-12)]
+
+
+def reference_max_overlap(divisor, window):
+    """Every entry tested against every grid point."""
+    z = reference_grid(window)
+    counts = np.zeros(z.shape, dtype=int)
+    inv_alpha = 1.0 / divisor.params.alpha
+    for lam, m in divisor.entries:
+        counts += np.abs(z - lam) ** 2 < m * inv_alpha
+    return int(counts.max())
+
+
+def reference_coverage_defect(divisor, c, sign, window, hole_radius=0.0):
+    """Every entry tested against every grid point of the annulus."""
+    z = reference_grid(window)
+    z = z[np.abs(z) >= hole_radius]
+    covered = np.zeros(z.shape, dtype=bool)
+    for lam, m in divisor.entries:
+        r = disc_radius(m, divisor.params, c, sign)
+        if r is None or r <= 0:
+            continue
+        covered |= np.abs(z - lam) ** 2 < r * r
+    return z[~covered]
+
+
+def reference_pairwise_disjoint(divisor, c, sign):
+    """Every pair of kept entries tested in (i, j) order by the scalar rule."""
+    kept = [
+        (lam, disc_radius(m, divisor.params, c, sign))
+        for lam, m in divisor.entries
+        if disc_radius(m, divisor.params, c, sign) is not None
+    ]
+    for i, (lam_i, r_i) in enumerate(kept):
+        for lam_j, r_j in kept[i + 1 :]:
+            if abs(lam_i - lam_j) < r_i + r_j:
+                return False, (lam_i, lam_j)
+    return True, None
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def sweep_cases():
+    """(name, divisor, window, c_list, hole_radius) covering the sweep's edges."""
+    rng = np.random.default_rng(31)
+    off_grid = Divisor(
+        P1,
+        tuple(
+            (complex(rng.uniform(-4, 4), rng.uniform(-4, 4)), int(m))
+            for m in rng.integers(1, 6, 12)
+        ),
+    )
+    outside = Divisor(
+        P1,
+        (
+            (5.3 + 0.37j, 4),  # partly outside the square
+            (-4.95 - 4.9j, 2),  # over a corner
+            (0.2 - 5.6j, 1),  # mult 1: excluded from every shrunk check below
+            (40.0 + 40.0j, 9),  # wholly outside
+            (-9.0 + 1.0j, 30),  # centre outside, disc reaching in
+            (0.013 + 0.027j, 1),
+        ),
+    )
+    alpha2, _ = generate_lattice(2.0, 0.7, 2, 4.0)
+    covering, _ = generate_covering_rings(1.0, 1.0, 6.0)
+    disjoint, _ = generate_disjoint_rings(1.0, 1.0, 10.0)
+    cs = [0.25, 0.5, 1.0]
+    return [
+        ("lattice 0.05", unit_lattice(), Window(5.0, 0.05), cs, 0.0),
+        ("lattice 0.02", unit_lattice(3.0), Window(3.0, 0.02), cs, 0.0),
+        ("lattice hole", unit_lattice(), Window(5.0, 0.05), cs, 1.5),
+        ("alpha 2", alpha2, Window(4.5, 0.03), [0.2, 0.5, 1.1], 0.4),
+        ("covering rings", covering, Window(6.0, 0.05), [0.25, 0.5, 1.0, 1.5], 0.0),
+        ("disjoint rings", disjoint, Window(12.0, 0.12), cs, 2.0),
+        ("off-grid centres", off_grid, Window(4.0, 0.037), [0.3, 0.9, 1.7], 0.6),
+        ("discs outside", outside, Window(5.0, 0.05), [0.5, 1.2, 2.5], 0.0),
+    ]
+
+
+@pytest.mark.parametrize("case", sweep_cases(), ids=lambda case: case[0])
+class TestSweepMatchesFullGrid:
+    """The box-culled sweep against the full-grid rule, bit for bit."""
+
+    def test_grid(self, case):
+        _, _, window, _, _ = case
+        assert same_bits(window.grid(), reference_grid(window))
+
+    def test_max_overlap(self, case):
+        _, divisor, window, _, _ = case
+        assert max_overlap(divisor, window) == reference_max_overlap(divisor, window)
+
+    def test_coverage_defect(self, case):
+        _, divisor, window, c_list, hole = case
+        for c in [0.0, *c_list]:
+            for sign in (+1, -1):
+                got = coverage_defect(divisor, c, sign, window, hole)
+                assert same_bits(got, reference_coverage_defect(divisor, c, sign, window, hole))
+
+    def test_theorem_verdicts(self, case):
+        _, divisor, window, c_list, hole = case
+        v = theorem_verdicts(divisor, window, c_list, hole)
+        assert v.finite_overlap_bound == reference_max_overlap(divisor, window)
+        padded = [
+            c for c in c_list if reference_coverage_defect(divisor, c, +1, window).size == 0
+        ]
+        assert v.padded_cover_witness_c == (padded[0] if padded else None)
+        assert v.padded_cover_holds == bool(padded)
+        for c, result in zip(c_list, v.shrunk_cover_by_c):
+            expected = reference_coverage_defect(divisor, c, -1, window, hole)
+            assert result.c == c
+            assert result.holds == (expected.size == 0)
+            assert same_bits(result.uncovered, expected)
+        bare = reference_coverage_defect(divisor, 0.0, +1, window, hole)
+        assert v.bare_cover_holds == (bare.size == 0)
+        for sign, holds, witness in (
+            (-1, v.shrunk_disjoint_holds, v.shrunk_disjoint_witness_c),
+            (+1, v.padded_disjoint_holds, v.padded_disjoint_witness_c),
+        ):
+            ok = [c for c in c_list if reference_pairwise_disjoint(divisor, c, sign)[0]]
+            assert witness == (ok[0] if ok else None)
+            assert holds == bool(ok)
+
+    def test_pairwise_disjoint(self, case):
+        _, divisor, _, c_list, _ = case
+        for c in [0.0, *c_list]:
+            for sign in (+1, -1):
+                got = pairwise_disjoint(divisor, c, sign)
+                assert got == reference_pairwise_disjoint(divisor, c, sign)
+
+
+class TestSweepEdges:
+    def test_boundary_points_are_probed(self):
+        # step 0.05 puts grid points exactly on the unit circles of the
+        # lattice, where the open-disc rule must leave them uncovered
+        grid = Window(5.0, 0.05).grid()
+        assert 1.0 in grid and 1j in grid
+        uncovered = coverage_defect(Divisor(P1, ((0.0, 1),)), 0.0, +1, Window(5.0, 0.05))
+        assert 1.0 in uncovered and -1j in uncovered
+
+    def test_shrunk_exclusion_only(self):
+        # m <= alpha*C^2 drops every entry, so nothing is covered
+        X = Divisor(P1, ((0.0, 1), (1.0, 1)))
+        window = Window(2.0, 0.1)
+        assert same_bits(coverage_defect(X, 1.0, -1, window), window.grid())
+
+    def test_tangency_and_first_pair(self):
+        X = Divisor(P1, ((0.0, 1), (4.0, 1), (8.0, 1), (11.0, 1), (13.5, 1)))
+        # radius 2: 0-4 and 4-8 are tangent, 8-11 is the first overlap
+        assert pairwise_disjoint(X, 1.0, +1) == (False, (8.0 + 0j, 11.0 + 0j))
+        # radius 1.25: 11-13.5 is tangent
+        assert pairwise_disjoint(X, 0.25, +1) == (True, None)
+
+    @pytest.mark.parametrize("block", [geometry._PAIR_BLOCK, 300])
+    def test_pairwise_blocks_match_scalar_rule(self, block, monkeypatch):
+        # radii near tangency, over one or many row blocks
+        monkeypatch.setattr(geometry, "_PAIR_BLOCK", block)
+        divisor, _ = generate_disjoint_rings(1.0, 0.3, 60.0)
+        for c in (0.3, 0.31, 0.35, 0.5, 1.0):
+            for sign in (+1, -1):
+                assert pairwise_disjoint(divisor, c, sign) == reference_pairwise_disjoint(
+                    divisor, c, sign
+                )
+
+    def test_oversized_grid_refused(self):
+        with pytest.raises(ValueError, match="grid cells"):
+            Window(5.0, 1e-6)
+        with pytest.raises(ValueError, match="grid cells"):
+            Window(1e300, 1e-300)
+        Window(1023.0, 1.0)  # 2047 x 2047 points, inside the budget
+        with pytest.raises(ValueError, match="grid cells"):
+            Window(1024.0, 1.0)

@@ -7,8 +7,17 @@ import warnings
 import numpy as np
 import pytest
 
-from focklab import Divisor, FockParams, SchemaError, canonical_json, load_divisor, save_divisor
-from focklab.reports import format_float, write_points_csv, write_sweep_csv
+from focklab import (
+    Divisor,
+    FockParams,
+    SchemaError,
+    Window,
+    canonical_json,
+    cli,
+    load_divisor,
+    save_divisor,
+)
+from focklab.reports import complex_payload, format_float, write_points_csv, write_sweep_csv
 
 
 def run_cli(*args, cwd=None):
@@ -87,6 +96,65 @@ class TestCsvWriters:
         path = tmp_path / "pts.csv"
         write_points_csv(path, [1 + 2j, 0.25 - 0.5j])
         assert path.read_text() == "re,im\n1,2\n0.25,-0.5\n"
+
+
+class TestPointLists:
+    """Point lists are written in one pass, with the bytes of the per-value rule."""
+
+    @staticmethod
+    def points():
+        rng = np.random.default_rng(9)
+        z = rng.standard_normal(400) * 10.0 ** rng.integers(-12, 14, 400)
+        z = z + 1j * np.round(rng.uniform(-20, 20, 400) / 0.02) * 0.02
+        return np.concatenate([z, [0j, complex(-0.0, 0.0), 5e-324 - 1e300j]])
+
+    def test_json_matches_per_value_payload(self):
+        z = self.points()
+        expected = canonical_json({"u": [complex_payload(p) for p in z]})
+        assert canonical_json({"u": z}) == expected
+        assert canonical_json({"u": z[:0]}) == '{"u":[]}'
+
+    def test_json_nonfinite_points_become_null(self):
+        z = np.array([1 + 2j, complex(float("inf"), 0.5), complex(0.0, float("nan"))])
+        assert canonical_json(z) == (
+            '[{"re":1,"im":2},{"re":null,"im":0.5},{"re":0,"im":null}]'
+        )
+
+    def test_csv_matches_per_value_rule(self, tmp_path):
+        z = np.concatenate([self.points(), [complex(float("inf"), float("nan"))]])
+        path = tmp_path / "pts.csv"
+        write_points_csv(path, z)
+        rows = [f"{format_float(p.real)},{format_float(p.imag)}" for p in z]
+        assert path.read_text() == "\n".join(["re,im", *rows]) + "\n"
+        write_points_csv(path, z[:0])
+        assert path.read_text() == "re,im\n"
+
+
+class TestOversizedGrid:
+    """A probe grid over the cell budget is refused before any grid is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_grid(self, monkeypatch):
+        def refuse(window):
+            raise AssertionError(f"grid built for {window}")
+
+        monkeypatch.setattr(Window, "_square", refuse)
+
+    def test_check_geometry(self, tmp_path, capsys):
+        path = tmp_path / "one.json"
+        save_divisor(Divisor(FockParams(1.0), ((0.0, 1),)), path)
+        code = cli.main(["check-geometry", str(path), "--window", "5", "--grid-step", "1e-6"])
+        assert code == 3
+        assert "grid cells" in capsys.readouterr().err
+
+    def test_generate_covering_rings(self, tmp_path, capsys):
+        out = tmp_path / "cov.json"
+        code = cli.main(
+            ["generate", "covering-rings", "--c", "1e-9", "--window", "4", "--out", str(out)]
+        )
+        assert code == 3
+        assert "grid cells" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCliSurface:
