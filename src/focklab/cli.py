@@ -156,9 +156,11 @@ def _cmd_check_geometry(args) -> dict:
 def _cmd_frame_bounds(args) -> dict:
     divisor = load_divisor(args.divisor)
     degrees = _parse_sweep(args.degree_sweep) if args.degree_sweep else [args.degree]
+    # every degree's matrix is a column prefix of the largest one
+    matrix = analysis_matrix(divisor, max(degrees))
     summaries = []
     for degree in degrees:
-        summary = frame_bounds(analysis_matrix(divisor, degree))
+        summary = frame_bounds(matrix.prefix(degree))
         summaries.append(
             {
                 "degree": summary.degree,

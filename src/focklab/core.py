@@ -246,13 +246,20 @@ class FockFunction:
         """Grid maximum of |f(z)| * exp(-alpha*|z|^2/2) over the square
         |Re z|, |Im z| <= radius.
 
-        A plain grid scan: a supporting estimate, not a certified bound.
+        A plain grid scan: a supporting estimate, not a certified bound.  A
+        square of more than geometry.MAX_GRID_CELLS points is refused before
+        any of it is allocated.
         """
         if step <= 0:
             raise ValueError("step must be positive")
         if radius < 0:
             raise ValueError("radius must be nonnegative")
-        n = int(math.floor(radius / step + 1e-12))
+        # imported here because geometry itself imports this module
+        from .geometry import _refuse_oversized_square
+
+        half = radius / step + 1e-12
+        _refuse_oversized_square(half, f"step {step} on a square of radius {radius}")
+        n = int(math.floor(half))
         axis = step * np.arange(-n, n + 1)
         x = axis[None, :]
         y = axis[:, None]

@@ -71,6 +71,13 @@ class Divisor:
 MAX_GRID_CELLS = 2**22
 
 
+def _refuse_oversized_square(half: float, what: str) -> None:
+    """Raise ValueError when a square of 2*floor(half) + 1 points a side
+    would exceed MAX_GRID_CELLS; `what` names the request in the message."""
+    if not half < MAX_GRID_CELLS or (2 * math.floor(half) + 1) ** 2 > MAX_GRID_CELLS:
+        raise ValueError(f"{what} needs more than {MAX_GRID_CELLS} grid cells")
+
+
 @dataclass(frozen=True)
 class Window:
     """Grid-probed disc standing in for the plane in geometric checks."""
@@ -83,12 +90,10 @@ class Window:
             raise ValueError("window radius must be positive")
         if not (0 < self.grid_step <= self.radius / 10):
             raise ValueError("grid_step must satisfy 0 < grid_step <= radius/10")
-        half = self.radius / self.grid_step + 1e-9
-        if not half < MAX_GRID_CELLS or (2 * math.floor(half) + 1) ** 2 > MAX_GRID_CELLS:
-            raise ValueError(
-                f"grid_step {self.grid_step} on a window of radius {self.radius} "
-                f"needs more than {MAX_GRID_CELLS} grid cells"
-            )
+        _refuse_oversized_square(
+            self.radius / self.grid_step + 1e-9,
+            f"grid_step {self.grid_step} on a window of radius {self.radius}",
+        )
 
     def _square(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The square grid of pitch grid_step around the window, its moduli,

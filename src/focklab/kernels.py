@@ -43,6 +43,20 @@ def overlap_matrix(rows, cols, params: FockParams) -> np.ndarray:
     Python floats: functions come from scalar_math and complex products keep
     CPython's operation order.  One strip per distinct row point keeps the
     temporaries at the largest multiplicity times the number of columns.
+    Within a strip, every factor that depends on the column point alone (the
+    composition phase, x = alpha*|z|^2, log|w| and both branches of arg w) is
+    evaluated once per distinct column point and gathered per column.
+
+    When the two families are equal, each strip computes only the columns at
+    its own point and at points whose strips come earlier (first appearance in
+    the row order), and fills the transposed entries from the same values:
+    <T_mu e_j, T_lam e_k> has the modulus and cosine part of its mirror, the
+    sine part negated and the phase of the opposite composition, which gives
+    the entry the bits a direct evaluation would.  On labels grouped by point,
+    the computed blocks hold the whole lower triangle.  The mirror identity
+    needs arg w of the two directions to be opposite, which an imaginary part
+    of -0.0 breaks (pi on both sides of a real-axis pair), so a family with
+    such a point is computed in full.
     """
     rows = [(complex(mu), int(j)) for mu, j in rows]
     cols = [(complex(lam), int(k)) for lam, k in cols]
@@ -54,34 +68,71 @@ def overlap_matrix(rows, cols, params: FockParams) -> np.ndarray:
         raise ValueError("basis indices must be >= 0")
     log_fact = np.array([math.lgamma(n + 1) for n in range(max(degrees) + 1)])
     lam, k = np.array([lam for lam, _ in cols]), np.array([k for _, k in cols])
+    # distinct column points told apart by their bits: a signed zero can move
+    # the phase and the atan2 branch
+    _, first, point_of = np.unique(
+        lam.view(np.int64).reshape(-1, 2), axis=0, return_index=True, return_inverse=True
+    )
+    points, point_of = lam[first], point_of.ravel()
     strips: dict[complex, list[int]] = {}
     for p, (mu, _) in enumerate(rows):
         strips.setdefault(mu, []).append(p)
-    for mu, index in strips.items():
-        phase, z = compose_phase(-mu, lam, params)
+    hermitian = rows == cols and not np.any(np.signbit(lam.imag) & (lam.imag == 0))
+    if hermitian:
+        strip_of = np.empty(len(rows), dtype=int)
+        for s, index in enumerate(strips.values()):
+            strip_of[index] = s
+    for s, (mu, index) in enumerate(strips.items()):
         j = np.array([rows[p][1] for p in index])[:, None]
-        re, im = _displacement_strip(z, j, k, log_fact, params.alpha)
-        out.real[index] = phase.real * re - phase.imag * im
-        out.imag[index] = phase.real * im + phase.imag * re
+        sel = np.flatnonzero(strip_of <= s) if hermitian else np.arange(len(cols))
+        phase, *factors = [f[point_of[sel]] for f in _point_factors(mu, points, params)]
+        re, im = _displacement_strip(j, k[sel], factors, log_fact)
+        out[np.ix_(index, sel)] = _rotate(phase, re, im)
+        if hermitian:
+            # the transposed entries at the earlier points' rows
+            mirror, at_zero = strip_of[sel] < s, factors[-1]
+            back, _ = compose_phase(-points, mu, params)
+            im = np.where(at_zero[mirror], im[:, mirror], -im[:, mirror])
+            block = _rotate(back[point_of[sel[mirror]]], re[:, mirror], im)
+            out[np.ix_(sel[mirror], index)] = block.T
     return out
 
 
-def _displacement_strip(z, j, k, log_fact, alpha):
-    # real and imaginary parts of <T_z e_k, e_j> for z, k of shape (n,), j of shape (r, 1)
-    lo, d = np.minimum(j, k), np.abs(j - k)
-    sa = math.sqrt(alpha)
+def _rotate(phase, re, im):
+    # phase * (re + i im) in the operation order of a scalar complex product
+    out = np.empty(re.shape, dtype=complex)
+    out.real = phase.real * re - phase.imag * im
+    out.imag = phase.real * im + phase.imag * re
+    return out
 
-    def square(v):  # Python's float ** 2 is the C library's pow
-        return scalar_math(math.pow, v, 2.0)
 
-    x = alpha * (square(z.real) + square(z.imag))
+def _square(v):  # Python's float ** 2 is the C library's pow
+    return scalar_math(math.pow, v, 2.0)
+
+
+def _point_factors(mu, points, params: FockParams):
+    """Column-point factors of the strip at row point mu: the composition
+    phase, x = alpha*|z|^2, log|w|, arg w for j >= k and for j < k, and the
+    mask of z == 0, where z = points - mu."""
+    phase, z = compose_phase(-mu, points, params)
+    sa = math.sqrt(params.alpha)
+    x = params.alpha * (_square(z.real) + _square(z.imag))
     # w = sa*conj(z) if j >= k, else -sa*z with the opposite real part; the zero
     # term signs a zero Im w as CPython does, which decides the atan2 branch
     wr, wi = sa * z.real, -(sa * z.imag) + 0.0 * z.real
-    r2 = square(wr) + square(wi)
+    r2 = _square(wr) + _square(wi)
     at_zero = r2 == 0
     log_w = 0.5 * scalar_math(math.log, np.where(at_zero, 1.0, r2))
-    arg_w = np.where(j >= k, scalar_math(math.atan2, wi, wr), scalar_math(math.atan2, wi, -wr))
+    arg_ge = scalar_math(math.atan2, wi, wr)
+    arg_lt = scalar_math(math.atan2, wi, -wr)
+    return phase, x, log_w, arg_ge, arg_lt, at_zero
+
+
+def _displacement_strip(j, k, factors, log_fact):
+    # real and imaginary parts of <T_z e_k, e_j> for k of shape (n,), j of
+    # shape (r, 1), and the per-column factors of _point_factors after the phase
+    x, log_w, arg_ge, arg_lt, at_zero = factors
+    lo, d = np.minimum(j, k), np.abs(j - k)
     # three-term recurrence in the degree; each element stops at its own lo
     prev, cur = np.ones(lo.shape), 1.0 + d - x
     with np.errstate(over="ignore", invalid="ignore"):
@@ -91,7 +142,7 @@ def _displacement_strip(z, j, k, log_fact, alpha):
             prev, cur = np.where(active, cur, prev), np.where(active, nxt, cur)
     log_mag = -0.5 * x + 0.5 * (log_fact[lo] - log_fact[lo + d]) + d * log_w
     value = np.where(lo > 0, cur, 1.0) * scalar_math(math.exp, log_mag)
-    angle = d * arg_w
+    angle = d * np.where(j >= k, arg_ge, arg_lt)
     re = np.where(at_zero, (j == k) * 1.0, value * scalar_math(math.cos, angle))
     im = np.where(at_zero, 0.0, value * scalar_math(math.sin, angle))
     return re, im
@@ -142,8 +193,9 @@ class GramMatrix:
 def gram_matrix(family, params: FockParams) -> GramMatrix:
     """Assemble the Gram matrix of the atoms T_lam e_k named by `family`.
 
-    Entries are evaluated independently, so the result cannot depend on any
-    assembly order.
+    One equal-family overlap_matrix call: each point's strip evaluates the
+    columns of its own and earlier points, and the remaining entries are
+    mirrored from those with the bits a direct evaluation would give.
     """
     labels = tuple((complex(lam), int(k)) for lam, k in family)
     if not labels:

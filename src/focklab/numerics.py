@@ -69,6 +69,16 @@ class AnalysisMatrix:
     entries: np.ndarray
     divisor_digest: str
 
+    def prefix(self, degree: int) -> "AnalysisMatrix":
+        """The analysis map on span(e_0..e_degree): the first degree + 1
+        columns, equal to analysis_matrix(divisor, degree) entry for entry."""
+        if degree < 0:
+            raise ValueError("degree must be >= 0")
+        if degree > self.degree:
+            raise ValueError(f"degree must be <= {self.degree}")
+        entries = self.entries[:, : degree + 1]
+        return AnalysisMatrix(self.params, self.labels, degree, entries, self.divisor_digest)
+
 
 @dataclass(frozen=True)
 class SpectralSummary:

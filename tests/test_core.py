@@ -309,6 +309,24 @@ class TestSupNormEstimate:
         assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
 
 
+    def test_coarse_and_degenerate_squares(self):
+        f = displaced_basis(0.5, 1, P1)
+        origin = abs(f.evaluate(0.0))
+        assert f.sup_norm_estimate(0.0, 0.1) == origin
+        assert f.sup_norm_estimate(1.0, 5.0) == origin
+
+    def test_oversized_square_refused_before_evaluation(self, monkeypatch):
+        def refuse(self, zeta):
+            raise AssertionError(f"evaluated on {np.shape(zeta)}")
+
+        monkeypatch.setattr(FockFunction, "evaluate", refuse)
+        f = basis_function(0, P1)
+        # sides of 2049 and 2051 points: 4,198,401 and 4,206,601 cells > 2**22
+        for radius, step in ((1.0, 1 / 1024), (1025.0, 1.0), (1e300, 1e-300)):
+            with pytest.raises(ValueError, match="grid cells"):
+                f.sup_norm_estimate(radius, step)
+
+
 class TestMerging:
     def test_duplicates_summed_and_zeros_dropped(self):
         f = FockFunction(

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre
 
 from focklab import (
@@ -261,6 +263,8 @@ class TestOverlapMatrix:
             params = FockParams(alpha)
             rows = random_labels(rng, 10) + [(0.0, 3), (2.0, 1), (-1.5, 2), (1.5j, 0), (-2j, 4)]
             cols = random_labels(rng, 10) + [(0.0, 1), (-1.0, 3), (2.0, 0), (-0.5j, 2), (1j, 5)]
+            # the point -1.0 again, with a zero sign that picks the other atan2 branch
+            cols.append((complex(-1.0, -0.0), 1))
             got = overlap_matrix(rows, cols, params)
             for p, (mu, j) in enumerate(rows):
                 for q, (lam, k) in enumerate(cols):
@@ -312,3 +316,52 @@ class TestOverlapMatrix:
     def test_negative_indices_rejected(self):
         with pytest.raises(ValueError):
             overlap_matrix([(0.0, 0)], [(1.0, -1)], P1)
+
+
+# axis coordinates of both zero signs (an imaginary part of -0.0 makes the
+# kernel compute the family in full), far points whose overlaps underflow to
+# signed zeros, and arbitrary finite coordinates
+_coordinate = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -1.5, 30.0, -30.0]), st.floats(-4.0, 4.0)
+)
+
+
+@st.composite
+def equal_families(draw):
+    """(labels, alpha) with shared points, repeated labels and interleaved
+    point order; distinct points differ in value, so value-equal points are
+    bit-equal."""
+    points = list(dict.fromkeys(draw(st.lists(st.builds(complex, _coordinate, _coordinate),
+                                              min_size=1, max_size=5))))
+    picks = st.tuples(st.integers(0, len(points) - 1), st.integers(0, 10))
+    labels = [(points[i], k) for i, k in draw(st.lists(picks, min_size=2, max_size=14))]
+    return labels, draw(st.sampled_from([0.5, 1.0, 2.0]))
+
+
+def _row_by_row(labels, params):
+    # a single row never equals the family, so nothing is mirrored
+    return np.vstack([overlap_matrix([row], labels, params) for row in labels])
+
+
+class TestHermitianHalfFill:
+    @settings(max_examples=150, deadline=None)
+    @given(equal_families())
+    # a real-axis pair with a -0.0 imaginary part, and two points so close
+    # that their overlaps take the z = 0 branch of the closed form
+    @example(([(complex(-1.5, -0.0), 0), (0j, 1)], 0.5))
+    @example(([(1 + 0j, 0), (1 + 1e-200j, 0), (1 + 0j, 1), (1 + 1e-200j, 2)], 1.0))
+    def test_bits_equal_row_by_row_reference(self, family):
+        labels, alpha = family
+        params = FockParams(alpha)
+        # interleaved as drawn, then grouped by point in order of first
+        # appearance, where the computed blocks hold the lower triangle
+        first = {lam: i for i, (lam, _) in reversed(list(enumerate(labels)))}
+        grouped = sorted(labels, key=lambda label: first[label[0]])
+        for family_order in (labels, grouped):
+            got = overlap_matrix(family_order, family_order, params)
+            reference = _row_by_row(family_order, params)
+            assert np.array_equal(got.view(np.int64), reference.view(np.int64))
+        # a -0.0 imaginary part has the family computed in full, and then the
+        # atan2 branch of the closed form can break the symmetry by rounding
+        if not any(lam.imag == 0 and math.copysign(1.0, lam.imag) < 0 for lam, _ in labels):
+            assert np.array_equal(got, got.conj().T)

@@ -16,6 +16,7 @@ from focklab import (
     displaced_basis,
     frame_bounds,
     from_basis_coeffs,
+    generate_covering_rings,
     generate_disjoint_rings,
     generate_lattice,
     gram_matrix,
@@ -77,6 +78,34 @@ class TestAnalysisMatrix:
         matrix = analysis_matrix(divisor, 30)
         row_sums = np.sum(np.abs(matrix.entries) ** 2, axis=1)
         assert np.all(row_sums <= 1 + 1e-8)
+
+
+class TestAnalysisPrefix:
+    @pytest.mark.parametrize(
+        "generate",
+        [lambda: generate_covering_rings(1.0, 1.0, 10.0), lambda: generate_lattice(1.0, 1.0, 3, 3.0)],
+        ids=["covering-rings", "lattice"],
+    )
+    def test_prefixes_equal_fresh_builds_bitwise(self, generate):
+        divisor, _ = generate()
+        full = analysis_matrix(divisor, 120)
+        for degree in range(10, 121, 10):
+            prefix, fresh = full.prefix(degree), analysis_matrix(divisor, degree)
+            assert prefix.entries.shape == fresh.entries.shape
+            assert np.array_equal(prefix.entries.view(np.int64), fresh.entries.view(np.int64))
+            assert (prefix.labels, prefix.degree, prefix.divisor_digest) == (
+                fresh.labels, fresh.degree, fresh.divisor_digest,
+            )
+            assert frame_bounds(prefix) == frame_bounds(fresh)
+
+    def test_degree_outside_the_matrix_rejected(self):
+        matrix = analysis_matrix(Divisor(P1, ((0.5j, 2),)), 6)
+        assert matrix.prefix(0).entries.shape == (2, 1)
+        assert matrix.prefix(6).entries.shape == (2, 7)
+        with pytest.raises(ValueError, match="degree must be >= 0"):
+            matrix.prefix(-1)
+        with pytest.raises(ValueError, match="degree must be <= 6"):
+            matrix.prefix(7)
 
 
 class TestFrameBounds:

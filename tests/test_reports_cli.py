@@ -12,8 +12,12 @@ from focklab import (
     FockParams,
     SchemaError,
     Window,
+    analysis_matrix,
     canonical_json,
     cli,
+    frame_bounds,
+    generate_covering_rings,
+    generate_lattice,
     load_divisor,
     save_divisor,
 )
@@ -315,6 +319,42 @@ class TestReportProvenance:
             "divisor_digest": summary.divisor_digest,
         }))
         assert spectrum == expected
+
+
+class TestFrameBoundsSweep:
+    def test_negative_degree_refused_before_csv(self, tmp_path, capsys):
+        path, csv_path = tmp_path / "lat.json", tmp_path / "sweep.csv"
+        save_divisor(generate_lattice(1.0, 1.0, 1, 3.0)[0], path)
+        argv = ["frame-bounds", str(path), "--degree-sweep=-10:20:10", "--csv", str(csv_path)]
+        assert cli.main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "precondition error: degree must be >= 0\n"
+        assert not csv_path.exists()
+
+    @pytest.mark.parametrize(
+        "generate",
+        [lambda: generate_covering_rings(1.0, 1.0, 8.0), lambda: generate_lattice(1.0, 1.0, 3, 3.0)],
+        ids=["covering-rings", "lattice"],
+    )
+    def test_summaries_equal_fresh_frame_bounds(self, generate, tmp_path, capsys):
+        path = tmp_path / "divisor.json"
+        save_divisor(generate()[0], path)
+        assert cli.main(["frame-bounds", str(path), "--degree-sweep", "10:120:10"]) == 0
+        summaries = json.loads(capsys.readouterr().out)["summaries"]
+        divisor = load_divisor(path)
+        expected = []
+        for degree in range(10, 121, 10):
+            summary = frame_bounds(analysis_matrix(divisor, degree))
+            expected.append({
+                "degree": summary.degree,
+                "smin": summary.smin,
+                "smax": summary.smax,
+                "ratio": summary.ratio,
+                "rank_deficient": summary.rank_deficient,
+                "divisor_digest": summary.divisor_digest,
+            })
+        assert summaries == json.loads(canonical_json(expected))
 
 
 class TestValuesFile:
