@@ -57,6 +57,21 @@ def label_digest(params: FockParams, pairs) -> str:
     return h.hexdigest()[:12]
 
 
+# Most cells of a probe square (sides of at most 2047 points).  Its complex grid
+# takes 16 bytes a cell and a geometric check adds three small-integer grids,
+# however many C it tests, so this bounds every grid before numpy allocates it.
+MAX_GRID_CELLS = 2**22
+
+
+def square_axis(half: float, step: float, what: str) -> np.ndarray:
+    """Axis step*(-n..n), n = floor(half), of a square grid; a square above
+    MAX_GRID_CELLS is refused with a ValueError naming `what`."""
+    if not half < MAX_GRID_CELLS or (2 * math.floor(half) + 1) ** 2 > MAX_GRID_CELLS:
+        raise ValueError(f"{what} needs more than {MAX_GRID_CELLS} grid cells")
+    n = math.floor(half)
+    return step * np.arange(-n, n + 1)
+
+
 @dataclass(frozen=True)
 class Atom:
     """One term coeff * (degree-k basis state displaced to lam).
@@ -247,20 +262,15 @@ class FockFunction:
         |Re z|, |Im z| <= radius.
 
         A plain grid scan: a supporting estimate, not a certified bound.  A
-        square of more than geometry.MAX_GRID_CELLS points is refused before
-        any of it is allocated.
+        square of more than MAX_GRID_CELLS points is refused before any of it
+        is allocated.
         """
         if step <= 0:
             raise ValueError("step must be positive")
         if radius < 0:
             raise ValueError("radius must be nonnegative")
-        # imported here because geometry itself imports this module
-        from .geometry import _refuse_oversized_square
-
-        half = radius / step + 1e-12
-        _refuse_oversized_square(half, f"step {step} on a square of radius {radius}")
-        n = int(math.floor(half))
-        axis = step * np.arange(-n, n + 1)
+        what = f"step {step} on a square of radius {radius}"
+        axis = square_axis(radius / step + 1e-12, step, what)
         x = axis[None, :]
         y = axis[:, None]
         z = x + 1j * y

@@ -21,14 +21,24 @@ __all__ = [
 ]
 
 
+def _require_positive(**values: float) -> None:
+    for name, value in values.items():
+        if not value > 0:
+            raise ValueError(f"{name} must be positive")
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+
+
 def generate_lattice(
     alpha: float, spacing: float, mult: int, radius: float
 ) -> tuple[Divisor, dict]:
     """Square lattice spacing*(p + iq) clipped to |point| <= radius."""
-    if spacing <= 0:
-        raise ValueError("spacing must be positive")
+    _require_positive(spacing=spacing)
     if mult < 1:
         raise ValueError("mult must be >= 1")
+    # a radius <= 0 leaves the origin or nothing
+    if not math.isfinite(radius):
+        raise ValueError("radius must be finite")
     params = FockParams(alpha)
     n = int(math.floor(radius / spacing + 1e-9))
     points = []
@@ -58,9 +68,7 @@ def _ring_points(rho: float, count: int) -> list[complex]:
     ]
 
 
-def generate_covering_rings(
-    alpha: float, c: float, radius: float, *, contract_grid_step: float | None = None
-) -> tuple[Divisor, dict]:
+def generate_covering_rings(alpha: float, c: float, radius: float) -> tuple[Divisor, dict]:
     """Concentric rings whose C-shrunk discs cover the disc |z| <= radius.
 
     Schedule: the target disc radius grows linearly with the ring radius,
@@ -71,10 +79,7 @@ def generate_covering_rings(
     bound along the family.  The output is validated against its coverage
     contract on a probe grid before being returned.
     """
-    if c <= 0:
-        raise ValueError("c must be positive")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    _require_positive(c=c, radius=radius)
     params = FockParams(alpha)
     unit = 1.0 / math.sqrt(alpha)
     growth, base, margin, spacing_frac = 0.3, 1.0, 1.08, 0.75
@@ -96,7 +101,7 @@ def generate_covering_rings(
         rho += spacing_frac * target
 
     divisor = Divisor(params, tuple(entries))
-    step = contract_grid_step if contract_grid_step is not None else min(radius / 40, 0.5 * unit, c)
+    step = min(radius / 40, 0.5 * unit, c)
     window = Window(radius, step)
     defect = coverage_defect(divisor, c, -1, window, 0.0)
     if defect.size:
@@ -123,10 +128,7 @@ def generate_disjoint_rings(alpha: float, c: float, radius: float) -> tuple[Divi
     Ring gaps exceed the sum of adjacent padded radii and in-ring chords
     exceed twice the padded radius, which is verified before returning.
     """
-    if c <= 0:
-        raise ValueError("c must be positive")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    _require_positive(c=c, radius=radius)
     params = FockParams(alpha)
     gap = 0.5 / math.sqrt(alpha)
 

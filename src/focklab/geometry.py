@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FockParams, label_digest
+from .core import MAX_GRID_CELLS  # noqa: F401  (the budget stays importable here)
+from .core import FockParams, label_digest, square_axis
 
 __all__ = [
     "Divisor",
@@ -46,12 +47,6 @@ class Divisor:
             raise ValueError("divisor points must be pairwise distinct")
         object.__setattr__(self, "entries", entries)
 
-    def points(self) -> np.ndarray:
-        return np.array([lam for lam, _ in self.entries], dtype=complex)
-
-    def mults(self) -> np.ndarray:
-        return np.array([m for _, m in self.entries], dtype=int)
-
     def total_multiplicity(self) -> int:
         return int(sum(m for _, m in self.entries))
 
@@ -62,20 +57,6 @@ class Divisor:
     def digest(self) -> str:
         """Short stable fingerprint of (alpha, entries) for report provenance."""
         return label_digest(self.params, self.entries)
-
-
-# Most grid cells a Window's probe square may have (sides of at most 2047
-# points).  A check holds the square's complex grid (16 bytes a cell, 64 MiB
-# at the budget) plus one boolean or count grid per verdict, so this bounds
-# the memory of every geometric check before numpy is asked for any of it.
-MAX_GRID_CELLS = 2**22
-
-
-def _refuse_oversized_square(half: float, what: str) -> None:
-    """Raise ValueError when a square of 2*floor(half) + 1 points a side
-    would exceed MAX_GRID_CELLS; `what` names the request in the message."""
-    if not half < MAX_GRID_CELLS or (2 * math.floor(half) + 1) ** 2 > MAX_GRID_CELLS:
-        raise ValueError(f"{what} needs more than {MAX_GRID_CELLS} grid cells")
 
 
 @dataclass(frozen=True)
@@ -90,16 +71,16 @@ class Window:
             raise ValueError("window radius must be positive")
         if not (0 < self.grid_step <= self.radius / 10):
             raise ValueError("grid_step must satisfy 0 < grid_step <= radius/10")
-        _refuse_oversized_square(
-            self.radius / self.grid_step + 1e-9,
-            f"grid_step {self.grid_step} on a window of radius {self.radius}",
-        )
+        self._axis()  # refuses an oversized square at construction
+
+    def _axis(self) -> np.ndarray:
+        what = f"grid_step {self.grid_step} on a window of radius {self.radius}"
+        return square_axis(self.radius / self.grid_step + 1e-9, self.grid_step, what)
 
     def _square(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The square grid of pitch grid_step around the window, its moduli,
         and the mask of its points in the disc |z| <= radius."""
-        n = int(math.floor(self.radius / self.grid_step + 1e-9))
-        axis = self.grid_step * np.arange(-n, n + 1)
+        axis = self._axis()
         z = axis[None, :] + 1j * axis[:, None]
         modulus = np.abs(z)
         return z, modulus, modulus <= self.radius * (1 + 1e-12)
@@ -147,47 +128,55 @@ def _index_span(centre: float, reach: float, step: float, n: int) -> slice:
     return slice(int(min(max(lo, 0.0), 2 * n + 1)), int(min(max(hi, 0.0), 2 * n + 1)))
 
 
-def _disc_sweep(divisor: Divisor, window: Window, checks):
-    """Decide several disc checks in one pass over the divisor entries.
+def _disc_sweep(divisor: Divisor, window: Window, families):
+    """Count the discs of several families in one pass over the divisor.
 
-    checks[k] = (dtype, thresholds): thresholds[e] is the squared radius of
-    the open disc of entry e in check k, or None to leave the entry out.  A
-    bool grid marks the points in some disc, an integer grid counts the
-    discs.  Each entry computes |z - lam|^2 once, on the index box of its
+    families[k] = (comb, radii): radii[e] lists the squared radii of entry e's
+    open discs in family k, and comb (np.add or np.maximum) folds over entries
+    how many of an entry's discs hold a point, into one small unsigned grid
+    per family.  Each entry computes |z - lam|^2 once, on the index box of its
     largest disc, widened by one index a side so that rounding cannot leave
-    out a point in the disc, and every check compares against it: each grid
-    value equals the full-grid rule d2 < r^2 bit for bit.  Returns the square
-    grid, its moduli, its window mask and one grid per check.
+    out a point in the disc, and tests each disc by the full-grid rule
+    d2 < r^2, bit for bit.  Returns the square grid, its moduli, its window
+    mask and the family grids.
     """
     z, modulus, inside = window._square()
     n = (z.shape[0] - 1) // 2
-    grids = [np.zeros(z.shape, dtype) for dtype, _ in checks]
+    grids = [
+        np.zeros(z.shape, np.min_scalar_type(comb.reduce([len(t) for t in radii], initial=0)))
+        for comb, radii in families
+    ]
     for e, (lam, _) in enumerate(divisor.entries):
-        wanted = [(grid, t[e]) for grid, (_, t) in zip(grids, checks) if t[e] is not None]
+        wanted = [(g, comb, radii[e]) for g, (comb, radii) in zip(grids, families) if radii[e]]
         # a non-finite centre has d2 inf or nan, inside no disc
         if not wanted or not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
             continue
-        reach = math.sqrt(max(t for _, t in wanted))
+        reach = math.sqrt(max(max(discs) for _, _, discs in wanted))
         box = (
             _index_span(lam.imag, reach, window.grid_step, n),
             _index_span(lam.real, reach, window.grid_step, n),
         )
         d2 = np.abs(z[box] - lam) ** 2
-        for grid, t in wanted:
-            grid[box] += d2 < t  # logical or on bool grids
+        for grid, comb, discs in wanted:
+            held = np.zeros(d2.shape, grid.dtype)
+            for t in discs:
+                held += d2 < t
+            view = grid[box]
+            comb(view, held, out=view)
     return z, modulus, inside, grids
 
 
-def _overlap_check(divisor: Divisor):
-    """Sweep check counting the open discs D(lam, sqrt(m/alpha)) at each point."""
+def _overlap_family(divisor: Divisor):
+    """The discs D(lam, sqrt(m/alpha)), summed over entries: the overlap count."""
     inv_alpha = 1.0 / divisor.params.alpha
-    return int, [m * inv_alpha for _, m in divisor.entries]
+    return np.add, [[m * inv_alpha] for _, m in divisor.entries]
 
 
-def _squared_radii(divisor: Divisor, c: float, sign: int) -> list[float | None]:
-    """Per entry r*r for the disc_radius r, or None where the disc is absent."""
-    radii = [disc_radius(m, divisor.params, c, sign) for _, m in divisor.entries]
-    return [r * r if r is not None and r > 0 else None for r in radii]
+def _nested_family(divisor: Divisor, cs, sign: int):
+    """Each entry's padded (+1) or shrunk (-1) discs at every C of cs, as r*r
+    of the disc_radius r, maximised over entries; absent discs left out."""
+    radii = [[disc_radius(m, divisor.params, c, sign) for c in cs] for _, m in divisor.entries]
+    return np.maximum, [[r * r for r in discs if r is not None and r > 0] for discs in radii]
 
 
 def _require_hole(hole_radius: float, window: Window) -> None:
@@ -201,7 +190,7 @@ def max_overlap(divisor: Divisor, window: Window) -> int:
     A lower estimate of the plane-wide supremum in the finite overlap
     condition, since only grid points inside the window are probed.
     """
-    _, _, inside, (counts,) = _disc_sweep(divisor, window, [_overlap_check(divisor)])
+    _, _, inside, (counts,) = _disc_sweep(divisor, window, [_overlap_family(divisor)])
     return int(counts[inside].max())
 
 
@@ -219,9 +208,8 @@ def coverage_defect(
     annulus at this C.  Points are reported verbatim, in grid order.
     """
     _require_hole(hole_radius, window)
-    checks = [(bool, _squared_radii(divisor, c, sign))]
-    z, modulus, inside, (covered,) = _disc_sweep(divisor, window, checks)
-    return z[inside & (modulus >= hole_radius) & ~covered]
+    z, modulus, inside, (held,) = _disc_sweep(divisor, window, [_nested_family(divisor, [c], sign)])
+    return z[inside & (modulus >= hole_radius) & (held == 0)]
 
 
 # Row blocks of pairwise_disjoint hold at most this many distances at once.
@@ -302,46 +290,46 @@ def theorem_verdicts(
     """Assemble all window verdicts for the divisor.
 
     Existential quantifiers over C > 0 are probed on the finite ascending
-    c_list; universal ones are recorded per tested C.  Deterministic: the same
-    inputs always produce identical verdicts.
+    c_list of positive finite values; universal ones are recorded per tested
+    C.  One sweep builds three level grids however long c_list is.
+    Deterministic: the same inputs always produce identical verdicts.
     """
     cs = [float(c) for c in c_list]
     if not cs:
         raise ValueError("c_list must be nonempty")
+    if not all(math.isfinite(c) for c in cs):
+        raise ValueError("c_list must be finite")
     if any(c <= 0 for c in cs) or sorted(cs) != cs:
         raise ValueError("c_list must be positive and ascending")
 
     _require_hole(hole_radius, window)
 
-    checks = [_overlap_check(divisor)]
-    checks += [(bool, _squared_radii(divisor, c, +1)) for c in cs]
-    checks += [(bool, _squared_radii(divisor, c, -1)) for c in cs]
-    checks.append((bool, _squared_radii(divisor, 0.0, +1)))
-    z, modulus, inside, grids = _disc_sweep(divisor, window, checks)
-    counts, bare = grids[0], grids[-1]
-    padded, shrunk = grids[1 : len(cs) + 1], grids[len(cs) + 1 : -1]
+    # cs is finite and ascending, so each entry's discs are nested (padded
+    # radii grow with C, shrunk ones shrink and, once absent, stay absent):
+    # at cs[i] the padded discs cover a point where padded >= len(cs) - i,
+    # the shrunk ones where shrunk > i.
+    families = [
+        _overlap_family(divisor),
+        _nested_family(divisor, [0.0, *cs], +1),
+        _nested_family(divisor, cs, -1),
+    ]
+    z, modulus, inside, (counts, padded, shrunk) = _disc_sweep(divisor, window, families)
     annulus = inside & (modulus >= hole_radius)
 
     bound = int(counts[inside].max())
-    padded_witness = next(
-        (c for c, covered in zip(cs, padded) if not (inside & ~covered).any()), None
-    )
-    shrunk_results = []
-    for c, covered in zip(cs, shrunk):
-        uncov = z[annulus & ~covered]
-        shrunk_results.append(ShrunkCoverResult(c, holds=uncov.size == 0, uncovered=uncov))
-    shrunk_cover = tuple(shrunk_results)
+    least = int(padded[inside].min())
+    padded_witness = cs[max(len(cs) - least, 0)] if least else None
+    uncovered = [z[annulus & (shrunk <= i)] for i in range(len(cs))]
+    shrunk_cover = tuple(ShrunkCoverResult(c, u.size == 0, u) for c, u in zip(cs, uncovered))
 
     shrunk_disjoint_witness = next((c for c in cs if pairwise_disjoint(divisor, c, -1)[0]), None)
-    padded_disjoint_witness = next((c for c in cs if pairwise_disjoint(divisor, c, +1)[0]), None)
-    bare_cover = not (annulus & ~bare).any()
+    # the +C discs only grow with C: if any tested C keeps them disjoint, cs[0] does
+    padded_disjoint_witness = cs[0] if pairwise_disjoint(divisor, cs[0], +1)[0] else None
+    bare_cover = not (annulus & (padded <= len(cs))).any()
 
     windowed = sum(1 for lam, _ in divisor.entries if abs(lam) <= window.radius)
-    if windowed < 2:
-        exclusive = True
-    else:
-        all_shrunk = all(r.holds for r in shrunk_cover)
-        exclusive = not (all_shrunk and padded_disjoint_witness is not None)
+    all_shrunk = all(r.holds for r in shrunk_cover)
+    exclusive = windowed < 2 or not (all_shrunk and padded_disjoint_witness is not None)
 
     return GeometryVerdicts(
         finite_overlap_bound=bound,

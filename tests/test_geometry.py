@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from focklab import geometry
 from focklab import (
@@ -198,6 +201,27 @@ class TestTheoremVerdicts:
             theorem_verdicts(unit_lattice(3.0), Window(3.0, 0.1), [])
         with pytest.raises(ValueError):
             theorem_verdicts(unit_lattice(3.0), Window(3.0, 0.1), [1.0, 0.5])
+        for c_list in ([math.nan], [0.5, math.inf], [0.5, math.nan, 1.0]):
+            with pytest.raises(ValueError):
+                theorem_verdicts(unit_lattice(3.0), Window(3.0, 0.1), c_list)
+
+    def test_memory_flat_in_c_list_length(self):
+        # the shrunk discs cover at every C, so no uncovered list grows with C
+        divisor, _ = generate_covering_rings(1.0, 1.0, 6.0)
+        window = Window(6.0, 0.02)
+
+        def peak(c_list):
+            tracemalloc.start()
+            try:
+                verdicts = theorem_verdicts(divisor, window, c_list)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert all(r.holds for r in verdicts.shrunk_cover_by_c)
+            return peak
+
+        many = [0.025 * (i + 1) for i in range(40)]
+        assert peak(many) <= 1.5 * peak([0.5, 1.0])
 
 
 class TestExclusivity:
@@ -309,6 +333,31 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def assert_verdicts_match_reference(divisor, window, c_list, hole):
+    """theorem_verdicts against the per-C full-grid and scalar pair rules."""
+    v = theorem_verdicts(divisor, window, c_list, hole)
+    assert v.finite_overlap_bound == reference_max_overlap(divisor, window)
+    padded = [
+        c for c in c_list if reference_coverage_defect(divisor, c, +1, window).size == 0
+    ]
+    assert v.padded_cover_witness_c == (padded[0] if padded else None)
+    assert v.padded_cover_holds == bool(padded)
+    for c, result in zip(c_list, v.shrunk_cover_by_c):
+        expected = reference_coverage_defect(divisor, c, -1, window, hole)
+        assert result.c == c
+        assert result.holds == (expected.size == 0)
+        assert same_bits(result.uncovered, expected)
+    bare = reference_coverage_defect(divisor, 0.0, +1, window, hole)
+    assert v.bare_cover_holds == (bare.size == 0)
+    for sign, holds, witness in (
+        (-1, v.shrunk_disjoint_holds, v.shrunk_disjoint_witness_c),
+        (+1, v.padded_disjoint_holds, v.padded_disjoint_witness_c),
+    ):
+        ok = [c for c in c_list if reference_pairwise_disjoint(divisor, c, sign)[0]]
+        assert witness == (ok[0] if ok else None)
+        assert holds == bool(ok)
+
+
 def sweep_cases():
     """(name, divisor, window, c_list, hole_radius) covering the sweep's edges."""
     rng = np.random.default_rng(31)
@@ -367,27 +416,7 @@ class TestSweepMatchesFullGrid:
 
     def test_theorem_verdicts(self, case):
         _, divisor, window, c_list, hole = case
-        v = theorem_verdicts(divisor, window, c_list, hole)
-        assert v.finite_overlap_bound == reference_max_overlap(divisor, window)
-        padded = [
-            c for c in c_list if reference_coverage_defect(divisor, c, +1, window).size == 0
-        ]
-        assert v.padded_cover_witness_c == (padded[0] if padded else None)
-        assert v.padded_cover_holds == bool(padded)
-        for c, result in zip(c_list, v.shrunk_cover_by_c):
-            expected = reference_coverage_defect(divisor, c, -1, window, hole)
-            assert result.c == c
-            assert result.holds == (expected.size == 0)
-            assert same_bits(result.uncovered, expected)
-        bare = reference_coverage_defect(divisor, 0.0, +1, window, hole)
-        assert v.bare_cover_holds == (bare.size == 0)
-        for sign, holds, witness in (
-            (-1, v.shrunk_disjoint_holds, v.shrunk_disjoint_witness_c),
-            (+1, v.padded_disjoint_holds, v.padded_disjoint_witness_c),
-        ):
-            ok = [c for c in c_list if reference_pairwise_disjoint(divisor, c, sign)[0]]
-            assert witness == (ok[0] if ok else None)
-            assert holds == bool(ok)
+        assert_verdicts_match_reference(divisor, window, c_list, hole)
 
     def test_pairwise_disjoint(self, case):
         _, divisor, _, c_list, _ = case
@@ -435,6 +464,42 @@ class TestSweepEdges:
             Window(5.0, 1e-6)
         with pytest.raises(ValueError, match="grid cells"):
             Window(1e300, 1e-300)
+        assert geometry.MAX_GRID_CELLS == 2**22
         Window(1023.0, 1.0)  # 2047 x 2047 points, inside the budget
         with pytest.raises(ValueError, match="grid cells"):
             Window(1024.0, 1.0)
+
+
+# grid-aligned coordinates put disc boundaries on probe points
+_coordinate = st.one_of(st.sampled_from([0.0, 1.0, -1.5]), st.floats(-3.5, 3.5))
+# repeated values, and Cs large enough that shrunk discs of small m vanish
+_c_value = st.one_of(st.sampled_from([0.25, 0.5, 1.0, 1.5]), st.floats(0.01, 3.0))
+
+
+@st.composite
+def verdict_cases(draw):
+    """(divisor, c_list, hole_radius) on the window of radius 4, step 0.1."""
+    points = draw(
+        st.lists(st.builds(complex, _coordinate, _coordinate), min_size=1, max_size=8, unique=True)
+    )
+    mults = draw(st.lists(st.integers(1, 9), min_size=len(points), max_size=len(points)))
+    alpha = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    c_list = sorted(draw(st.lists(_c_value, min_size=1, max_size=12)))
+    hole = draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0)))
+    return Divisor(FockParams(alpha), tuple(zip(points, mults))), c_list, hole
+
+
+class TestNestedLevels:
+    """One level grid per disc family against the per-C rules, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(verdict_cases())
+    # m = 1 and 2 lose their shrunk discs from C = 0.71 and 1.0 on, m = 9
+    # keeps its own through every C; one C repeated
+    @example((Divisor(FockParams(2.0), ((0.3 + 0.2j, 1), (1.0, 2), (-1.5 - 1.5j, 9))),
+              [0.5, 0.5, 0.8, 1.0, 1.9], 0.7))
+    # padded discs disjoint at the least C only
+    @example((Divisor(FockParams(1.0), ((-3.0 + 1j, 1), (3.0 + 1j, 1))), [0.5, 2.5], 0.0))
+    def test_theorem_verdicts(self, case):
+        divisor, c_list, hole = case
+        assert_verdicts_match_reference(divisor, Window(4.0, 0.1), c_list, hole)

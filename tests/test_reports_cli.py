@@ -21,6 +21,7 @@ from focklab import (
     load_divisor,
     save_divisor,
 )
+from focklab import generators
 from focklab.reports import complex_payload, format_float, write_points_csv, write_sweep_csv
 
 
@@ -158,6 +159,40 @@ class TestOversizedGrid:
         )
         assert code == 3
         assert "grid cells" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestNonFiniteInputs:
+    """A non-finite C, window or spacing is refused with exit code 3."""
+
+    def test_check_geometry_c_list(self, tmp_path, capsys):
+        path = tmp_path / "one.json"
+        save_divisor(Divisor(FockParams(1.0), ((0.0, 1),)), path)
+        code = cli.main(["check-geometry", str(path), "--window", "5", "--c-list", "nan"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "c_list must be finite" in captured.err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["covering-rings", "--c", "inf", "--window", "4"],
+            ["covering-rings", "--window", "inf"],
+            ["disjoint-rings", "--c", "inf", "--window", "4"],
+            ["disjoint-rings", "--window", "inf"],  # its ring loop would never end
+            ["lattice", "--window", "inf"],
+            ["lattice", "--spacing", "inf", "--window", "4"],
+        ],
+    )
+    def test_generate(self, args, tmp_path, capsys, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("rings laid out for a refused input")
+
+        monkeypatch.setattr(generators, "_ring_points", refuse)
+        out = tmp_path / "div.json"
+        assert cli.main(["generate", *args, "--out", str(out)]) == 3
+        assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
 
