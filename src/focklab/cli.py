@@ -8,9 +8,7 @@ Every subcommand prints one canonical JSON report to stdout.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -20,21 +18,20 @@ from .generators import generate_covering_rings, generate_disjoint_rings, genera
 from .geometry import GeometryVerdicts, Window, theorem_verdicts
 from .kernels import gram_matrix
 from .numerics import (
-    MeasurementVector,
-    _riesz_summary,
     analysis_matrix,
+    eigenvalue_bounds,
     frame_bounds,
     hole_mass_experiment,
     min_norm_interpolate,
 )
 from .reports import (
     SchemaError,
-    _require_number,
     canonical_json,
     complex_payload,
     divisor_payload,
     format_float,
     load_divisor,
+    load_values,
     save_divisor,
     write_points_csv,
     write_sweep_csv,
@@ -44,9 +41,8 @@ EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_PRECONDITION = 3
 
-
-def _tool_payload() -> dict:
-    return {"name": "focklab", "version": __version__}
+# the head of every report
+TOOL = {"name": "focklab", "version": __version__}
 
 
 def _parse_c_list(text: str) -> list[float]:
@@ -114,8 +110,6 @@ def _cmd_generate(args) -> dict:
         divisor, meta = generate_disjoint_rings(args.alpha, args.c, args.window)
     save_divisor(divisor, args.out)
     return {
-        "tool": _tool_payload(),
-        "command": "generate",
         "inputs": {
             "family": args.family,
             "alpha": args.alpha,
@@ -140,8 +134,6 @@ def _cmd_check_geometry(args) -> dict:
                 f"{args.defects_csv}_c{format_float(result.c)}.csv", result.uncovered
             )
     return {
-        "tool": _tool_payload(),
-        "command": "check-geometry",
         "inputs": {
             "divisor": divisor_payload(divisor),
             "window_radius": window.radius,
@@ -177,8 +169,6 @@ def _cmd_frame_bounds(args) -> dict:
             [(s["degree"], s["smin"], s["smax"], s["ratio"]) for s in summaries],
         )
     return {
-        "tool": _tool_payload(),
-        "command": "frame-bounds",
         "inputs": {"divisor": divisor_payload(divisor), "degrees": degrees},
         "summaries": summaries,
     }
@@ -191,53 +181,25 @@ def _cmd_gram(args) -> dict:
         raise ValueError("divisor must be nonempty")
     gram = gram_matrix(labels, divisor.params)
     eigenvalues = np.linalg.eigvalsh(gram.entries)
-    summary = _riesz_summary(eigenvalues, gram.digest())
+    smin, smax, condition = eigenvalue_bounds(eigenvalues)
     return {
-        "tool": _tool_payload(),
-        "command": "gram",
         "inputs": {"divisor": divisor_payload(divisor)},
         "spectrum": {
             "size": len(labels),
             "eigenvalues": [float(w) for w in eigenvalues],
-            "smin": summary.smin,
-            "smax": summary.smax,
-            "condition": summary.ratio,
-            "divisor_digest": summary.divisor_digest,
+            "smin": smin,
+            "smax": smax,
+            "condition": condition,
+            "divisor_digest": gram.digest(),
         },
     }
 
 
-def _load_values(path, labels) -> MeasurementVector:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(doc, dict) or set(doc) != {"values"}:
-        raise SchemaError("top level: expected an object with exactly the field values")
-    raw = doc["values"]
-    if not isinstance(raw, list):
-        raise SchemaError("values: expected a list")
-    if len(raw) != len(labels):
-        raise SchemaError(
-            f"values: expected {len(labels)} entries (one per divisor label), got {len(raw)}"
-        )
-    out = []
-    for i, item in enumerate(raw):
-        if not isinstance(item, dict) or set(item) != {"re", "im"}:
-            raise SchemaError(f"values[{i}]: expected an object with exactly the fields re, im")
-        re = _require_number(item["re"], f"values[{i}].re")
-        im = _require_number(item["im"], f"values[{i}].im")
-        out.append(complex(re, im))
-    return MeasurementVector(tuple(labels), np.array(out, dtype=complex))
-
-
 def _cmd_interpolate(args) -> dict:
     divisor = load_divisor(args.divisor)
-    data = _load_values(args.values, divisor.atom_labels())
+    data = load_values(args.values, divisor.atom_labels())
     solution = min_norm_interpolate(divisor, data, rcond=args.rcond)
     payload = {
-        "tool": _tool_payload(),
-        "command": "interpolate",
         "inputs": {
             "divisor": divisor_payload(divisor),
             "values": [complex_payload(v) for v in data.values],
@@ -268,8 +230,6 @@ def _cmd_uniqueness(args) -> dict:
     window = Window(args.window, args.window / 100)
     value = hole_mass_experiment(divisor, args.degree, window)
     return {
-        "tool": _tool_payload(),
-        "command": "uniqueness",
         "inputs": {
             "divisor": divisor_payload(divisor),
             "degree": args.degree,
@@ -338,7 +298,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        payload = args.func(args)
+        payload = {"tool": TOOL, "command": args.command, **args.func(args)}
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -8,6 +8,7 @@ disc, so every verdict is an on-window estimate, never a proof.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -322,7 +323,10 @@ def theorem_verdicts(
     uncovered = [z[annulus & (shrunk <= i)] for i in range(len(cs))]
     shrunk_cover = tuple(ShrunkCoverResult(c, u.size == 0, u) for c, u in zip(cs, uncovered))
 
-    shrunk_disjoint_witness = next((c for c in cs if pairwise_disjoint(divisor, c, -1)[0]), None)
+    # the -C discs only shrink with C, and an entry absent at some C stays
+    # absent, so the first C that keeps them disjoint is found by bisection
+    first = bisect.bisect_left(cs, True, key=lambda c: pairwise_disjoint(divisor, c, -1)[0])
+    shrunk_disjoint_witness = cs[first] if first < len(cs) else None
     # the +C discs only grow with C: if any tested C keeps them disjoint, cs[0] does
     padded_disjoint_witness = cs[0] if pairwise_disjoint(divisor, cs[0], +1)[0] else None
     bare_cover = not (annulus & (padded <= len(cs))).any()

@@ -41,22 +41,25 @@ def overlap_matrix(rows, cols, params: FockParams) -> np.ndarray:
     An entry is phase * <T_z e_k, e_j> with (phase, z) = compose_phase(-mu,
     lam) and the closed form of displacement_element, bit-identical to scalar
     Python floats: functions come from scalar_math and complex products keep
-    CPython's operation order.  One strip per distinct row point keeps the
+    CPython's operation order.  Row and column points are told apart by their
+    bits, not their values (a signed zero can move the phase and the atan2
+    branch), each family's through one table of its distinct points in bit
+    order.  One strip per distinct row point, in that order, keeps the
     temporaries at the largest multiplicity times the number of columns.
     Within a strip, every factor that depends on the column point alone (the
     composition phase, x = alpha*|z|^2, log|w| and both branches of arg w) is
     evaluated once per distinct column point and gathered per column.
 
-    When the two families are equal, each strip computes only the columns at
-    its own point and at points whose strips come earlier (first appearance in
-    the row order), and fills the transposed entries from the same values:
-    <T_mu e_j, T_lam e_k> has the modulus and cosine part of its mirror, the
-    sine part negated and the phase of the opposite composition, which gives
-    the entry the bits a direct evaluation would.  On labels grouped by point,
-    the computed blocks hold the whole lower triangle.  The mirror identity
-    needs arg w of the two directions to be opposite, which an imaginary part
-    of -0.0 breaks (pi on both sides of a real-axis pair), so a family with
-    such a point is computed in full.
+    When the two label arrays are bitwise equal, each strip computes only the
+    columns at its own point and at points earlier in bit order, and fills the
+    transposed entries from the same values: <T_mu e_j, T_lam e_k> has the
+    modulus and cosine part of its mirror, the sine part negated and the
+    phase of the opposite composition, which gives the entry the bits a
+    direct evaluation would.  On labels sorted in bit order, the computed
+    blocks hold the whole lower triangle.  The mirror identity needs arg w of
+    the two directions to be opposite, which an imaginary part of -0.0 breaks
+    (pi on both sides of a real-axis pair), so a family with such a point is
+    computed in full.
     """
     rows = [(complex(mu), int(j)) for mu, j in rows]
     cols = [(complex(lam), int(k)) for lam, k in cols]
@@ -67,35 +70,35 @@ def overlap_matrix(rows, cols, params: FockParams) -> np.ndarray:
     if min(degrees) < 0:
         raise ValueError("basis indices must be >= 0")
     log_fact = np.array([math.lgamma(n + 1) for n in range(max(degrees) + 1)])
+    mu, j = np.array([mu for mu, _ in rows]), np.array([j for _, j in rows])
     lam, k = np.array([lam for lam, _ in cols]), np.array([k for _, k in cols])
-    # distinct column points told apart by their bits: a signed zero can move
-    # the phase and the atan2 branch
-    _, first, point_of = np.unique(
-        lam.view(np.int64).reshape(-1, 2), axis=0, return_index=True, return_inverse=True
-    )
-    points, point_of = lam[first], point_of.ravel()
-    strips: dict[complex, list[int]] = {}
-    for p, (mu, _) in enumerate(rows):
-        strips.setdefault(mu, []).append(p)
-    hermitian = rows == cols and not np.any(np.signbit(lam.imag) & (lam.imag == 0))
-    if hermitian:
-        strip_of = np.empty(len(rows), dtype=int)
-        for s, index in enumerate(strips.values()):
-            strip_of[index] = s
-    for s, (mu, index) in enumerate(strips.items()):
-        j = np.array([rows[p][1] for p in index])[:, None]
-        sel = np.flatnonzero(strip_of <= s) if hermitian else np.arange(len(cols))
-        phase, *factors = [f[point_of[sel]] for f in _point_factors(mu, points, params)]
-        re, im = _displacement_strip(j, k[sel], factors, log_fact)
+    (row_points, row_of), (points, point_of) = _point_table(mu), _point_table(lam)
+    equal = np.array_equal(mu.view(np.int64), lam.view(np.int64)) and np.array_equal(j, k)
+    hermitian = equal and not np.any(np.signbit(lam.imag) & (lam.imag == 0))
+    for s, point in enumerate(row_points):
+        index = np.flatnonzero(row_of == s)
+        sel = np.flatnonzero(point_of <= s) if hermitian else np.arange(len(cols))
+        reach = points[: s + 1] if hermitian else points
+        phase, *factors = [f[point_of[sel]] for f in _point_factors(point, reach, params)]
+        re, im = _displacement_strip(j[index, None], k[sel], factors, log_fact)
         out[np.ix_(index, sel)] = _rotate(phase, re, im)
         if hermitian:
             # the transposed entries at the earlier points' rows
-            mirror, at_zero = strip_of[sel] < s, factors[-1]
-            back, _ = compose_phase(-points, mu, params)
+            mirror, at_zero = point_of[sel] < s, factors[-1]
+            back, _ = compose_phase(-points[:s], point, params)
             im = np.where(at_zero[mirror], im[:, mirror], -im[:, mirror])
             block = _rotate(back[point_of[sel[mirror]]], re[:, mirror], im)
             out[np.ix_(sel[mirror], index)] = block.T
     return out
+
+
+def _point_table(z):
+    # the distinct points of z told apart by their bits, in bit order, and
+    # the index of each entry's point
+    _, first, point_of = np.unique(
+        z.view(np.int64).reshape(-1, 2), axis=0, return_index=True, return_inverse=True
+    )
+    return z[first], point_of.ravel()
 
 
 def _rotate(phase, re, im):

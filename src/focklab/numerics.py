@@ -30,6 +30,7 @@ __all__ = [
     "frame_bounds",
     "min_norm_interpolate",
     "riesz_bounds",
+    "eigenvalue_bounds",
     "hole_mass_experiment",
 ]
 
@@ -153,15 +154,15 @@ def frame_bounds(matrix: AnalysisMatrix) -> SpectralSummary:
 
 def riesz_bounds(gram: GramMatrix) -> SpectralSummary:
     """Extreme eigenvalues and condition number of an atom Gram matrix."""
-    return _riesz_summary(np.linalg.eigvalsh(gram.entries), gram.digest())
+    bounds = eigenvalue_bounds(np.linalg.eigvalsh(gram.entries))
+    return SpectralSummary(*bounds, None, gram.digest())
 
 
-def _riesz_summary(w: np.ndarray, digest: str) -> SpectralSummary:
-    # w is the ascending spectrum from eigvalsh
-    smin = float(w[0])
-    smax = float(w[-1])
-    ratio = math.inf if smin <= 0 else smax / smin
-    return SpectralSummary(smin, smax, ratio, None, digest)
+def eigenvalue_bounds(w: np.ndarray) -> tuple[float, float, float]:
+    """smin, smax and the condition number smax/smin (inf unless smin > 0) of
+    an ascending spectrum, as eigvalsh and eigh return it."""
+    smin, smax = float(w[0]), float(w[-1])
+    return smin, smax, math.inf if smin <= 0 else smax / smin
 
 
 def min_norm_interpolate(
@@ -183,7 +184,7 @@ def min_norm_interpolate(
         raise ValueError("measurement labels do not match the divisor")
     gram = gram_matrix(labels, divisor.params)
     w, u = np.linalg.eigh(gram.entries)
-    wmax = float(w[-1])
+    _, wmax, condition = eigenvalue_bounds(w)
     keep = w > rcond * wmax
     truncated = not bool(keep.all())
     inv = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
@@ -192,8 +193,6 @@ def min_norm_interpolate(
     function = FockFunction(divisor.params, atoms)
     residual = float(np.max(np.abs(gram.entries @ coeffs - data.values)))
     norm_sq = float(np.real(np.vdot(coeffs, data.values)))
-    wmin = float(w[0])
-    condition = math.inf if wmin <= 0 else wmax / wmin
     return InterpolationSolution(
         function=function,
         residual=residual,
@@ -232,19 +231,17 @@ def hole_mass_experiment(divisor: Divisor, degree: int, window: Window) -> float
     essentially outside the window, the numerical shadow of the divisor not
     being a zero divisor when its bare discs cover the window.
     """
-    n_constraints = divisor.total_multiplicity() if divisor.entries else 0
+    n_constraints = divisor.total_multiplicity()
     if n_constraints >= degree + 1:
         raise InfeasibleExperimentError(
             f"{n_constraints} vanishing constraints leave no degree-{degree} subspace"
         )
-    if divisor.entries:
-        matrix = analysis_matrix(divisor, degree)
-        _, s, vh = np.linalg.svd(matrix.entries)
-        tol = max(matrix.entries.shape) * np.finfo(float).eps * float(s[0]) if s.size else 0.0
-        rank = int(np.sum(s > tol))
-        null_basis = vh[rank:].conj().T
-    else:
-        null_basis = np.eye(degree + 1, dtype=complex)
+    # an empty divisor gives a matrix without rows, whose vh is the identity
+    matrix = analysis_matrix(divisor, degree)
+    _, s, vh = np.linalg.svd(matrix.entries)
+    tol = max(matrix.entries.shape) * np.finfo(float).eps * float(s[0]) if s.size else 0.0
+    rank = int(np.sum(s > tol))
+    null_basis = vh[rank:].conj().T
     masses = _window_masses(degree, window, divisor.params)
     restricted = (null_basis.conj().T * masses) @ null_basis
     eigenvalues = np.linalg.eigvalsh(restricted)

@@ -1,4 +1,4 @@
-"""Divisor file I/O, canonical JSON and CSV emission.
+"""Input file reading, divisor file output, canonical JSON and CSV emission.
 
 The divisor file is a single JSON document {alpha, points: [{re, im, mult}]}
 with plain decimal floats, no NaN or Inf.  Reports are written through a
@@ -17,12 +17,14 @@ import numpy as np
 
 from .core import FockParams
 from .geometry import Divisor
+from .numerics import MeasurementVector
 
 __all__ = [
     "SchemaError",
     "format_float",
     "canonical_json",
     "load_divisor",
+    "load_values",
     "save_divisor",
     "divisor_payload",
     "complex_payload",
@@ -110,6 +112,28 @@ def _require_number(value, field: str) -> float:
     return float(value)
 
 
+def _require_fields(obj, where: str, *fields: str) -> dict:
+    if not isinstance(obj, dict) or set(obj) != set(fields):
+        named = ("fields " if len(fields) > 1 else "field ") + ", ".join(fields)
+        raise SchemaError(f"{where}: expected an object with exactly the {named}")
+    return obj
+
+
+def _require_complex(obj, where: str, *extra: str) -> complex:
+    # the re and im fields of an object with exactly those and the extra fields
+    _require_fields(obj, where, "re", "im", *extra)
+    re = _require_number(obj["re"], f"{where}.re")
+    return complex(re, _require_number(obj["im"], f"{where}.im"))
+
+
+def _read_json(path):
+    # the one reader of input files; syntax errors name their line and column
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+
+
 def load_divisor(path) -> Divisor:
     """Parse and validate a divisor file.
 
@@ -117,42 +141,42 @@ def load_divisor(path) -> Divisor:
     Schema violations raise SchemaError naming the field (or the line for
     JSON syntax errors).
     """
-    text = Path(path).read_text()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(doc, dict) or set(doc) != {"alpha", "points"}:
-        raise SchemaError("top level: expected an object with exactly the fields alpha, points")
+    doc = _require_fields(_read_json(path), "top level", "alpha", "points")
     alpha = _require_number(doc["alpha"], "alpha")
     if alpha <= 0:
         raise SchemaError("alpha: must be positive")
     if not isinstance(doc["points"], list):
         raise SchemaError("points: expected a list")
 
-    merged: dict[tuple[float, float], int] = {}
-    order: list[tuple[float, float]] = []
+    merged: dict[complex, int] = {}
     for i, point in enumerate(doc["points"]):
         where = f"points[{i}]"
-        if not isinstance(point, dict) or set(point) != {"re", "im", "mult"}:
-            raise SchemaError(f"{where}: expected an object with exactly the fields re, im, mult")
-        re = _require_number(point["re"], f"{where}.re")
-        im = _require_number(point["im"], f"{where}.im")
+        lam = _require_complex(point, where, "mult")
         mult = point["mult"]
         if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
             raise SchemaError(f"{where}.mult: must be a positive integer")
-        key = (re, im)
-        if key in merged:
+        if lam in merged:
             warnings.warn(
-                f"coincident divisor points at ({re}, {im}) merged; multiplicities summed",
+                f"coincident divisor points at ({lam.real}, {lam.imag}) merged; "
+                "multiplicities summed",
                 stacklevel=2,
             )
-        else:
-            order.append(key)
-            merged[key] = 0
-        merged[key] += mult
-    entries = tuple((complex(re, im), merged[(re, im)]) for re, im in order)
-    return Divisor(FockParams(alpha), entries)
+        merged[lam] = merged.get(lam, 0) + mult
+    return Divisor(FockParams(alpha), tuple(merged.items()))
+
+
+def load_values(path, labels) -> MeasurementVector:
+    """Parse and validate an interpolation values file {values: [{re, im}]}
+    holding one entry per label, in label order."""
+    raw = _require_fields(_read_json(path), "top level", "values")["values"]
+    if not isinstance(raw, list):
+        raise SchemaError("values: expected a list")
+    if len(raw) != len(labels):
+        raise SchemaError(
+            f"values: expected {len(labels)} entries (one per divisor label), got {len(raw)}"
+        )
+    values = [_require_complex(item, f"values[{i}]") for i, item in enumerate(raw)]
+    return MeasurementVector(tuple(labels), np.array(values, dtype=complex))
 
 
 def divisor_payload(divisor: Divisor) -> dict:

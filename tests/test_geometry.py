@@ -163,7 +163,7 @@ class TestPairwiseDisjoint:
 
 
 class TestTheoremVerdicts:
-    def test_unit_lattice_regime(self):
+    def test_unit_lattice_regime(self, monkeypatch):
         verdicts = theorem_verdicts(unit_lattice(), Window(5.0, 0.05), [0.25, 0.5, 1.0])
         assert verdicts.padded_cover_holds
         assert verdicts.padded_cover_witness_c == 0.25
@@ -171,6 +171,19 @@ class TestTheoremVerdicts:
         assert not verdicts.padded_disjoint_holds
         assert verdicts.exclusivity_consistent
         assert verdicts.finite_overlap_bound == 4
+        # the shrunk witness is bisected: 5 shrunk calls for 40 Cs, plus the padded one
+        signs = []
+        counted = geometry.pairwise_disjoint
+
+        def counting(divisor, c, sign):
+            signs.append(sign)
+            return counted(divisor, c, sign)
+
+        monkeypatch.setattr(geometry, "pairwise_disjoint", counting)
+        many = [i / 40 for i in range(1, 41)]
+        verdicts = theorem_verdicts(unit_lattice(), Window(5.0, 0.25), many)
+        assert verdicts.shrunk_disjoint_witness_c == 0.5
+        assert sorted(signs) == [-1] * 5 + [1]
 
     def test_far_separated_regime(self):
         divisor, _ = generate_lattice(1.0, 10.0, 1, 10.0)

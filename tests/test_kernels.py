@@ -262,6 +262,8 @@ class TestOverlapMatrix:
         for alpha in (0.5, 1.0, 2.0):
             params = FockParams(alpha)
             rows = random_labels(rng, 10) + [(0.0, 3), (2.0, 1), (-1.5, 2), (1.5j, 0), (-2j, 4)]
+            # the point 2.0 again, with a zero sign that must give it its own strip
+            rows.append((complex(2.0, -0.0), 2))
             cols = random_labels(rng, 10) + [(0.0, 1), (-1.0, 3), (2.0, 0), (-0.5j, 2), (1j, 5)]
             # the point -1.0 again, with a zero sign that picks the other atan2 branch
             cols.append((complex(-1.0, -0.0), 1))
@@ -329,13 +331,17 @@ _coordinate = st.one_of(
 @st.composite
 def equal_families(draw):
     """(labels, alpha) with shared points, repeated labels and interleaved
-    point order; distinct points differ in value, so value-equal points are
-    bit-equal."""
-    points = list(dict.fromkeys(draw(st.lists(st.builds(complex, _coordinate, _coordinate),
-                                              min_size=1, max_size=5))))
+    point order; distinct points differ in their bits, so value-equal points
+    of opposite zero signs are distinct."""
+    drawn = draw(st.lists(st.builds(complex, _coordinate, _coordinate), min_size=1, max_size=5))
+    points = list({_bits(z): z for z in drawn}.values())
     picks = st.tuples(st.integers(0, len(points) - 1), st.integers(0, 10))
     labels = [(points[i], k) for i, k in draw(st.lists(picks, min_size=2, max_size=14))]
     return labels, draw(st.sampled_from([0.5, 1.0, 2.0]))
+
+
+def _bits(z):
+    return tuple(np.array([z]).view(np.int64).tolist())
 
 
 def _row_by_row(labels, params):
@@ -353,14 +359,16 @@ class TestHermitianHalfFill:
     def test_bits_equal_row_by_row_reference(self, family):
         labels, alpha = family
         params = FockParams(alpha)
-        # interleaved as drawn, then grouped by point in order of first
-        # appearance, where the computed blocks hold the lower triangle
-        first = {lam: i for i, (lam, _) in reversed(list(enumerate(labels)))}
-        grouped = sorted(labels, key=lambda label: first[label[0]])
+        # interleaved as drawn, then sorted by the bits of the point, where
+        # the computed blocks hold the lower triangle
+        grouped = sorted(labels, key=lambda label: _bits(label[0]))
         for family_order in (labels, grouped):
             got = overlap_matrix(family_order, family_order, params)
             reference = _row_by_row(family_order, params)
             assert np.array_equal(got.view(np.int64), reference.view(np.int64))
+        # positive semidefinite up to a backward-stable eigensolver's error
+        bound = len(labels) * np.finfo(float).eps * np.linalg.norm(got, 2)
+        assert np.linalg.eigvalsh(got)[0] >= -bound
         # a -0.0 imaginary part has the family computed in full, and then the
         # atan2 branch of the closed form can break the symmetry by rounding
         if not any(lam.imag == 0 and math.copysign(1.0, lam.imag) < 0 for lam, _ in labels):
