@@ -1,14 +1,16 @@
 """Command-line surface: divisor generation, geometry verdicts, spectral
 summaries, interpolation and the uniqueness experiment.
 
-Every subcommand prints one canonical JSON report to stdout.  Exit codes:
-0 success, 2 malformed input (schema), 3 violated precondition.
+Every subcommand prints one canonical JSON report to stdout, and each warning
+as one line `warning: <message>` to stderr.  Exit codes: 0 success, 2
+malformed input (schema), 3 violated precondition.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 import numpy as np
 
@@ -295,16 +297,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        payload = {"tool": TOOL, "command": args.command, **args.func(args)}
-    except SchemaError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except (ParameterMismatchError, ValueError) as exc:
-        print(f"precondition error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    args = build_parser().parse_args(argv)
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            payload = {"tool": TOOL, "command": args.command, **args.func(args)}
+        except SchemaError as exc:
+            print(f"schema error: {exc}", file=sys.stderr)
+            return EXIT_SCHEMA
+        except (ParameterMismatchError, ValueError) as exc:
+            print(f"precondition error: {exc}", file=sys.stderr)
+            return EXIT_PRECONDITION
     sys.stdout.write(canonical_json(payload) + "\n")
     return EXIT_OK
 

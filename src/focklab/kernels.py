@@ -33,6 +33,10 @@ class DuplicateLabelError(ValueError):
     """An atom family contained the same (point, degree) label twice."""
 
 
+# Entries per block, which bounds the kernel's temporaries whatever the family.
+_BLOCK_ENTRIES = 2**12
+
+
 def overlap_matrix(rows, cols, params: FockParams) -> np.ndarray:
     """Matrix of <T_{lam_q} e_{k_q}, T_{mu_p} e_{j_p}> for row labels
     (mu_p, j_p) and column labels (lam_q, k_q); labels may repeat and either
@@ -40,26 +44,22 @@ def overlap_matrix(rows, cols, params: FockParams) -> np.ndarray:
 
     An entry is phase * <T_z e_k, e_j> with (phase, z) = compose_phase(-mu,
     lam) and the closed form of displacement_element, bit-identical to scalar
-    Python floats: functions come from scalar_math and complex products keep
-    CPython's operation order.  Row and column points are told apart by their
-    bits, not their values (a signed zero can move the phase and the atan2
-    branch), each family's through one table of its distinct points in bit
-    order.  One strip per distinct row point, in that order, keeps the
-    temporaries at the largest multiplicity times the number of columns.
-    Within a strip, every factor that depends on the column point alone (the
-    composition phase, x = alpha*|z|^2, log|w| and both branches of arg w) is
-    evaluated once per distinct column point and gathered per column.
+    Python floats (functions from scalar_math, complex products in CPython's
+    operation order).  Points are told apart by their bits, since a signed
+    zero can move the phase and the atan2 branch.  The entries run pair by
+    pair, (row point, column point) pairs in row-major order, in blocks of at
+    most _BLOCK_ENTRIES entries.  A block evaluates the factors of z once per
+    pair it touches, the Laguerre recurrence and exp once per entry, and cos
+    and sin of d*arg w once per distinct (pair, signed gap j - k), gathered
+    from a table: equal angles give equal bits.
 
-    When the two label arrays are bitwise equal, each strip computes only the
-    columns at its own point and at points earlier in bit order, and fills the
-    transposed entries from the same values: <T_mu e_j, T_lam e_k> has the
-    modulus and cosine part of its mirror, the sine part negated and the
-    phase of the opposite composition, which gives the entry the bits a
-    direct evaluation would.  On labels sorted in bit order, the computed
-    blocks hold the whole lower triangle.  The mirror identity needs arg w of
-    the two directions to be opposite, which an imaginary part of -0.0 breaks
-    (pi on both sides of a real-axis pair), so a family with such a point is
-    computed in full.
+    When the two label arrays are bitwise equal, only the pairs (s, t) with t
+    at or before s in bit order are computed, and each transposed entry takes
+    the modulus and cosine part of its mirror, the sine part negated and the
+    phase of the opposite composition: the bits a direct evaluation gives.
+    That identity needs arg w of the two directions to be opposite, which an
+    imaginary part of -0.0 breaks (pi on both sides of a real-axis pair), so
+    a family with such a point is computed in full.
     """
     rows = [(complex(mu), int(j)) for mu, j in rows]
     cols = [(complex(lam), int(k)) for lam, k in cols]
@@ -72,33 +72,49 @@ def overlap_matrix(rows, cols, params: FockParams) -> np.ndarray:
     log_fact = np.array([math.lgamma(n + 1) for n in range(max(degrees) + 1)])
     mu, j = np.array([mu for mu, _ in rows]), np.array([j for _, j in rows])
     lam, k = np.array([lam for lam, _ in cols]), np.array([k for _, k in cols])
-    (row_points, row_of), (points, point_of) = _point_table(mu), _point_table(lam)
+    (row_points, *row_groups), (points, *groups) = _point_table(mu), _point_table(lam)
     equal = np.array_equal(mu.view(np.int64), lam.view(np.int64)) and np.array_equal(j, k)
     hermitian = equal and not np.any(np.signbit(lam.imag) & (lam.imag == 0))
-    for s, point in enumerate(row_points):
-        index = np.flatnonzero(row_of == s)
-        sel = np.flatnonzero(point_of <= s) if hermitian else np.arange(len(cols))
-        reach = points[: s + 1] if hermitian else points
-        phase, *factors = [f[point_of[sel]] for f in _point_factors(point, reach, params)]
-        re, im = _displacement_strip(j[index, None], k[sel], factors, log_fact)
-        out[np.ix_(index, sel)] = _rotate(phase, re, im)
+    flat, width = out.reshape(-1), len(cols)
+    for s, t, pair, r, c in _blocks(row_groups, groups, hermitian):
+        phase, *factors = _point_factors(row_points[s], points[t], params)
+        re, im = _displacement_block(j[r], k[c], pair, factors, log_fact)
+        flat[r * width + c] = _rotate(phase[pair], re, im)
         if hermitian:
-            # the transposed entries at the earlier points' rows
-            mirror, at_zero = point_of[sel] < s, factors[-1]
-            back, _ = compose_phase(-points[:s], point, params)
-            im = np.where(at_zero[mirror], im[:, mirror], -im[:, mirror])
-            block = _rotate(back[point_of[sel[mirror]]], re[:, mirror], im)
-            out[np.ix_(sel[mirror], index)] = block.T
+            # the transposed entries of the pairs off the diagonal
+            back, _ = compose_phase(-points[t], row_points[s], params)
+            m = (t < s)[pair]
+            im = np.where(factors[-1][pair[m]], im[m], -im[m])
+            flat[c[m] * width + r[m]] = _rotate(back[pair[m]], re[m], im)
     return out
 
 
 def _point_table(z):
-    # the distinct points of z told apart by their bits, in bit order, and
-    # the index of each entry's point
-    _, first, point_of = np.unique(
-        z.view(np.int64).reshape(-1, 2), axis=0, return_index=True, return_inverse=True
-    )
-    return z[first], point_of.ravel()
+    # z's distinct points by their bits, in bit order, and its labels by point
+    _, first, of, count = np.unique(z.view(np.int64).reshape(-1, 2), axis=0, return_index=True,
+                                    return_inverse=True, return_counts=True)
+    return z[first], np.argsort(of.ravel(), kind="stable"), np.cumsum(count) - count, count
+
+
+def _blocks(rows, cols, triangle):
+    # the entries of the (s, t) point pairs, pair after pair (row-major, with
+    # t <= s on a triangle) and row-major within a pair, in runs of at most
+    # _BLOCK_ENTRIES: the pairs a run touches, and the pair, row and column
+    # of each of its entries
+    (r_order, r_first, r_count), (c_order, c_first, c_count) = rows, cols
+    # a row point's entries: with all columns, or on a triangle with those of
+    # the points up to its own
+    size = r_count * (c_first + c_count if triangle else len(c_order))
+    row_start, total = np.cumsum(size) - size, int(size.sum())
+    for begin in range(0, total, _BLOCK_ENTRIES):
+        w = np.arange(begin, min(begin + _BLOCK_ENTRIES, total))
+        s = np.searchsorted(row_start, w, side="right") - 1
+        w -= row_start[s]
+        t = np.searchsorted(c_first, w // r_count[s], side="right") - 1
+        down, across = np.divmod(w - r_count[s] * c_first[t], c_count[t])
+        new = np.r_[True, (s[1:] != s[:-1]) | (t[1:] != t[:-1])]
+        head, pair = np.flatnonzero(new), np.cumsum(new) - 1
+        yield s[head], t[head], pair, r_order[r_first[s] + down], c_order[c_first[t] + across]
 
 
 def _rotate(phase, re, im):
@@ -113,11 +129,11 @@ def _square(v):  # Python's float ** 2 is the C library's pow
     return scalar_math(math.pow, v, 2.0)
 
 
-def _point_factors(mu, points, params: FockParams):
-    """Column-point factors of the strip at row point mu: the composition
+def _point_factors(mu, lam, params: FockParams):
+    """Factors of the point pairs (mu, lam), elementwise: the composition
     phase, x = alpha*|z|^2, log|w|, arg w for j >= k and for j < k, and the
-    mask of z == 0, where z = points - mu."""
-    phase, z = compose_phase(-mu, points, params)
+    mask of z == 0, where z = lam - mu."""
+    phase, z = compose_phase(-mu, lam, params)
     sa = math.sqrt(params.alpha)
     x = params.alpha * (_square(z.real) + _square(z.imag))
     # w = sa*conj(z) if j >= k, else -sa*z with the opposite real part; the zero
@@ -131,23 +147,28 @@ def _point_factors(mu, points, params: FockParams):
     return phase, x, log_w, arg_ge, arg_lt, at_zero
 
 
-def _displacement_strip(j, k, factors, log_fact):
-    # real and imaginary parts of <T_z e_k, e_j> for k of shape (n,), j of
-    # shape (r, 1), and the per-column factors of _point_factors after the phase
+def _displacement_block(j, k, pair, factors, log_fact):
+    # Re and Im <T_z e_k, e_j> of the entries of degrees j, k at pairs `pair`
     x, log_w, arg_ge, arg_lt, at_zero = factors
-    lo, d = np.minimum(j, k), np.abs(j - k)
-    # three-term recurrence in the degree; each element stops at its own lo
-    prev, cur = np.ones(lo.shape), 1.0 + d - x
+    x, log_w, at_zero, gap = x[pair], log_w[pair], at_zero[pair], j - k
+    lo, d = np.minimum(j, k), np.abs(gap)
+    # three-term recurrence in the degree on the elements short of their own lo
+    prev, lag = np.ones(lo.shape), 1.0 + d - x
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, int(lo.max())):
-            nxt = ((2 * i + 1 + d - x) * cur - (i + d) * prev) / (i + 1)
-            active = i < lo
-            prev, cur = np.where(active, cur, prev), np.where(active, nxt, cur)
+            a = np.flatnonzero(lo > i)
+            nxt = ((2 * i + 1 + d[a] - x[a]) * lag[a] - (i + d[a]) * prev[a]) / (i + 1)
+            prev[a], lag[a] = lag[a], nxt
     log_mag = -0.5 * x + 0.5 * (log_fact[lo] - log_fact[lo + d]) + d * log_w
-    value = np.where(lo > 0, cur, 1.0) * scalar_math(math.exp, log_mag)
-    angle = d * np.where(j >= k, arg_ge, arg_lt)
-    re = np.where(at_zero, (j == k) * 1.0, value * scalar_math(math.cos, angle))
-    im = np.where(at_zero, 0.0, value * scalar_math(math.sin, angle))
+    value = np.where(lo > 0, lag, 1.0) * scalar_math(math.exp, log_mag)
+    # cos and sin once per distinct (pair, signed gap), which fixes d * arg w
+    low, span = int(gap.min()), int(np.ptp(gap)) + 1
+    key, inverse = np.unique(pair * span + (gap - low), return_inverse=True)
+    at, g = key // span, key % span + low
+    angle = np.abs(g) * np.where(g >= 0, arg_ge[at], arg_lt[at])
+    cos, sin = scalar_math(math.cos, angle)[inverse], scalar_math(math.sin, angle)[inverse]
+    re = np.where(at_zero, (j == k) * 1.0, value * cos)
+    im = np.where(at_zero, 0.0, value * sin)
     return re, im
 
 
@@ -196,9 +217,9 @@ class GramMatrix:
 def gram_matrix(family, params: FockParams) -> GramMatrix:
     """Assemble the Gram matrix of the atoms T_lam e_k named by `family`.
 
-    One equal-family overlap_matrix call: each point's strip evaluates the
-    columns of its own and earlier points, and the remaining entries are
-    mirrored from those with the bits a direct evaluation would give.
+    One equal-family overlap_matrix call: blocks of point pairs evaluate
+    each point against itself and the points before it, and the remaining
+    entries are mirrored with the bits a direct evaluation would give.
     """
     labels = tuple((complex(lam), int(k)) for lam, k in family)
     if not labels:

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,14 +14,18 @@ from focklab import (
     DuplicateLabelError,
     FockFunction,
     FockParams,
+    analysis_matrix,
     atom_pair_inner,
     basis_function,
     displaced_basis,
     displacement_element,
+    generate_covering_rings,
     gram_matrix,
+    kernels,
     overlap_matrix,
     quadrature_inner_oracle,
 )
+from focklab.core import compose_phase, scalar_math
 
 P1 = FockParams(1.0)
 
@@ -373,3 +379,139 @@ class TestHermitianHalfFill:
         # atan2 branch of the closed form can break the symmetry by rounding
         if not any(lam.imag == 0 and math.copysign(1.0, lam.imag) < 0 for lam, _ in labels):
             assert np.array_equal(got, got.conj().T)
+
+
+def strip_overlap_matrix(rows, cols, params):
+    """The kernel in its one-strip-per-row-point form: each distinct row
+    point's strip evaluates its column points' factors, then every entry's
+    cos and sin.  The block kernel must equal it bit for bit."""
+    rows = [(complex(mu), int(j)) for mu, j in rows]
+    cols = [(complex(lam), int(k)) for lam, k in cols]
+    out = np.zeros((len(rows), len(cols)), dtype=complex)
+    if not rows or not cols:
+        return out
+    log_fact = np.array([math.lgamma(n + 1) for n in range(max(j for _, j in rows + cols) + 1)])
+    mu, j = np.array([mu for mu, _ in rows]), np.array([j for _, j in rows])
+    lam, k = np.array([lam for lam, _ in cols]), np.array([k for _, k in cols])
+    (row_points, row_of), (points, point_of) = _strip_table(mu), _strip_table(lam)
+    equal = np.array_equal(mu.view(np.int64), lam.view(np.int64)) and np.array_equal(j, k)
+    hermitian = equal and not np.any(np.signbit(lam.imag) & (lam.imag == 0))
+    for s, point in enumerate(row_points):
+        index = np.flatnonzero(row_of == s)
+        sel = np.flatnonzero(point_of <= s) if hermitian else np.arange(len(cols))
+        reach = points[: s + 1] if hermitian else points
+        phase, *factors = [f[point_of[sel]] for f in _strip_factors(point, reach, params)]
+        re, im = _strip_elements(j[index, None], k[sel], factors, log_fact)
+        out[np.ix_(index, sel)] = _strip_rotate(phase, re, im)
+        if hermitian:
+            mirror, at_zero = point_of[sel] < s, factors[-1]
+            back, _ = compose_phase(-points[:s], point, params)
+            im = np.where(at_zero[mirror], im[:, mirror], -im[:, mirror])
+            block = _strip_rotate(back[point_of[sel[mirror]]], re[:, mirror], im)
+            out[np.ix_(sel[mirror], index)] = block.T
+    return out
+
+
+def _strip_table(z):
+    _, first, point_of = np.unique(
+        z.view(np.int64).reshape(-1, 2), axis=0, return_index=True, return_inverse=True
+    )
+    return z[first], point_of.ravel()
+
+
+def _strip_rotate(phase, re, im):
+    out = np.empty(re.shape, dtype=complex)
+    out.real = phase.real * re - phase.imag * im
+    out.imag = phase.real * im + phase.imag * re
+    return out
+
+
+def _strip_factors(mu, points, params):
+    phase, z = compose_phase(-mu, points, params)
+    sa = math.sqrt(params.alpha)
+    x = params.alpha * (scalar_math(math.pow, z.real, 2.0) + scalar_math(math.pow, z.imag, 2.0))
+    wr, wi = sa * z.real, -(sa * z.imag) + 0.0 * z.real
+    r2 = scalar_math(math.pow, wr, 2.0) + scalar_math(math.pow, wi, 2.0)
+    at_zero = r2 == 0
+    log_w = 0.5 * scalar_math(math.log, np.where(at_zero, 1.0, r2))
+    arg_ge = scalar_math(math.atan2, wi, wr)
+    arg_lt = scalar_math(math.atan2, wi, -wr)
+    return phase, x, log_w, arg_ge, arg_lt, at_zero
+
+
+def _strip_elements(j, k, factors, log_fact):
+    x, log_w, arg_ge, arg_lt, at_zero = factors
+    lo, d = np.minimum(j, k), np.abs(j - k)
+    prev, cur = np.ones(lo.shape), 1.0 + d - x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, int(lo.max())):
+            nxt = ((2 * i + 1 + d - x) * cur - (i + d) * prev) / (i + 1)
+            active = i < lo
+            prev, cur = np.where(active, cur, prev), np.where(active, nxt, cur)
+    log_mag = -0.5 * x + 0.5 * (log_fact[lo] - log_fact[lo + d]) + d * log_w
+    value = np.where(lo > 0, cur, 1.0) * scalar_math(math.exp, log_mag)
+    angle = d * np.where(j >= k, arg_ge, arg_lt)
+    re = np.where(at_zero, (j == k) * 1.0, value * scalar_math(math.cos, angle))
+    im = np.where(at_zero, 0.0, value * scalar_math(math.sin, angle))
+    return re, im
+
+
+# zero coordinates of both signs (value-equal, bit-distinct points; an
+# imaginary part of -0.0 turns the mirror off), 1e-200 (a point pair whose
+# z = 0 branch is taken by underflow), far points and arbitrary coordinates
+_block_coordinate = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-200, 2.0, -1.5, 30.0]), st.floats(-4.0, 4.0)
+)
+# small, sparse and repeated degrees with gaps up to 130
+_degree = st.one_of(st.integers(0, 6), st.sampled_from([0, 1, 9, 40, 130]))
+
+
+@st.composite
+def label_families(draw):
+    """(rows, cols, alpha): either family possibly empty, cols possibly the
+    rows themselves, labels drawn from a few shared points."""
+    points = draw(
+        st.lists(st.builds(complex, _block_coordinate, _block_coordinate), min_size=1, max_size=5)
+    )
+    labels = st.lists(st.tuples(st.sampled_from(points), _degree), max_size=12)
+    rows = draw(labels)
+    cols = rows if draw(st.booleans()) else draw(labels)
+    return rows, cols, draw(st.sampled_from([0.5, 1.0, 2.0]))
+
+
+class TestBlockKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(label_families())
+    # an equal family whose mirrored entries include z = 0 pairs of distinct
+    # points (by underflow, and exactly at zero coordinates of both signs),
+    # and a family with the same degree gap on both branches at one pair
+    @example(([(1 + 0j, 0), (1 + 1e-200j, 0), (1 + 0j, 1), (1 + 1e-200j, 2)],) * 2 + (1.0,))
+    @example(([(0.5j, 0), (complex(-0.0, 0.5), 1), (0.5j, 2), (complex(-0.0, 0.5), 0)],) * 2 + (2.0,))
+    @example(([(0j, 1), (0j, 3)], [(1.5 - 0.5j, 3), (1.5 - 0.5j, 1)], 1.0))
+    def test_bits_equal_strip_kernel(self, family):
+        rows, cols, alpha = family
+        params = FockParams(alpha)
+        reference = strip_overlap_matrix(rows, cols, params)
+        # budgets of one pair per block, of blocks that end inside a row
+        # point's run of pairs, and the default
+        for budget in (1, 7, kernels._BLOCK_ENTRIES):
+            with mock.patch.object(kernels, "_BLOCK_ENTRIES", budget):
+                got = overlap_matrix(rows, cols, params)
+            assert np.array_equal(got.view(np.int64), reference.view(np.int64))
+
+
+def test_gram_and_analysis_memory_bounded_by_blocks():
+    # covering rings at R = 12, 770 atoms: the temporaries of a block, not of
+    # the whole family, come on top of the matrix itself
+    divisor, _ = generate_covering_rings(1.0, 1.0, 12.0)
+    labels = divisor.atom_labels()
+    assert len(labels) == 770
+    for build in (lambda: gram_matrix(labels, divisor.params).entries,
+                  lambda: analysis_matrix(divisor, 120).entries):
+        tracemalloc.start()
+        try:
+            entries = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= entries.nbytes + 2 * 2**20

@@ -70,6 +70,21 @@ class TestDivisorFiles:
             divisor = load_divisor(path)
         assert divisor.entries == ((0j, 3),)
 
+    def test_cli_prints_coincident_point_warning_as_one_line(self, tmp_path, monkeypatch, capsys):
+        # the same stderr from any working directory: no path or line number
+        path = tmp_path / "dup.json"
+        path.write_text(
+            '{"alpha": 1, "points": [{"re": 1, "im": 0, "mult": 1},'
+            ' {"re": 1, "im": -0.0, "mult": 2}, {"re": 0, "im": 2, "mult": 1}]}'
+        )
+        for cwd in (tmp_path, tmp_path.parent):
+            monkeypatch.chdir(cwd)
+            assert cli.main(["gram", str(path)]) == 0
+            assert capsys.readouterr().err == (
+                "warning: coincident divisor points at (1.0, -0.0) merged;"
+                " multiplicities summed\n"
+            )
+
     @pytest.mark.parametrize(
         "text,fragment",
         [
