@@ -129,12 +129,18 @@ def _cmd_check_geometry(args) -> dict:
     divisor = load_divisor(args.divisor)
     window = Window(args.window, args.grid_step if args.grid_step else args.window / 100)
     c_list = _parse_c_list(args.c_list)
+    paths = [f"{args.defects_csv}_c{format_float(c)}.csv" for c in c_list if args.defects_csv]
+    first: dict[str, float] = {}
+    for path, c in zip(paths, c_list):
+        # repr tells distinct floats apart; a repeated C names one file
+        other = first.setdefault(path, c)
+        if repr(other) != repr(c):
+            raise ValueError(f"--defects-csv: C = {other!r} and C = {c!r} would both write {path}")
     verdicts = theorem_verdicts(divisor, window, c_list, args.hole_radius)
-    if args.defects_csv:
-        for result in verdicts.shrunk_cover_by_c:
-            write_points_csv(
-                f"{args.defects_csv}_c{format_float(result.c)}.csv", result.uncovered
-            )
+    # each file once, with the points of the last of its repeats
+    files = dict(zip(paths, (r.uncovered for r in verdicts.shrunk_cover_by_c)))
+    for path, uncovered in files.items():
+        write_points_csv(path, uncovered)
     return {
         "inputs": {
             "divisor": divisor_payload(divisor),

@@ -44,9 +44,13 @@ def format_float(value: float) -> str:
 
 def _point_rows(points: np.ndarray, row: str, sep: str) -> str:
     """Each complex point through row, a template whose two %.12g fields take
-    its real and imaginary parts (as format_float writes them), joined by sep."""
-    parts = np.column_stack((points.real, points.imag)).ravel().tolist()
-    return sep.join([row] * points.size) % tuple(parts)
+    its real and imaginary parts (as format_float writes them), joined by sep;
+    each distinct float, keyed by its bits (0.0 and -0.0 apart), is formatted once."""
+    z = np.asarray(points, dtype=np.complex128)
+    bits, inverse = np.unique(np.column_stack((z.real, z.imag)).view(np.int64), return_inverse=True)
+    text = ("%.12g\n" * bits.size % tuple(bits.view(np.float64).tolist())).split("\n")
+    parts = map(text.__getitem__, inverse.ravel().tolist())
+    return sep.join([row.replace("%.12g", "%s")] * z.size) % tuple(parts)
 
 
 def _write_canonical(obj, out: list[str]) -> None:

@@ -2,10 +2,14 @@ import json
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from focklab import (
     Divisor,
@@ -118,8 +122,24 @@ class TestCsvWriters:
         assert path.read_text() == "re,im\n1,2\n0.25,-0.5\n"
 
 
+# coordinates that point lists repeat; the bits of each must survive the table
+_POOL = [
+    0.0, -0.0, float("nan"), -float("nan"), float("inf"), -float("inf"),
+    5e-324, -2.5e-310, 1e300, -1e-300, 0.1, -0.02, 1 / 3, 2.0,
+]
+
+
+def _pool_points(pairs, dtype):
+    z = np.empty(len(pairs), dtype=dtype)
+    with np.errstate(over="ignore"):  # 1e300 is inf in complex64
+        z.real = [re for re, _ in pairs]
+        z.imag = [im for _, im in pairs]
+    return z
+
+
 class TestPointLists:
-    """Point lists are written in one pass, with the bytes of the per-value rule."""
+    """Point lists are written in one pass through a table of distinct
+    coordinates, with the bytes of the per-value rule."""
 
     @staticmethod
     def points():
@@ -148,6 +168,27 @@ class TestPointLists:
         assert path.read_text() == "\n".join(["re,im", *rows]) + "\n"
         write_points_csv(path, z[:0])
         assert path.read_text() == "re,im\n"
+
+    @given(
+        st.lists(st.tuples(st.sampled_from(_POOL), st.sampled_from(_POOL)), max_size=40),
+        st.sampled_from([np.complex64, np.complex128, np.clongdouble]),
+    )
+    @example([(0.0, -0.0), (-0.0, 0.0), (0.0, 0.0)], np.complex128)
+    @example([(float("nan"), -float("nan")), (-float("nan"), 1.0)], np.complex128)
+    @example([], np.complex64)
+    def test_table_matches_per_value_rule(self, pairs, dtype):
+        z = _pool_points(pairs, dtype)
+        assert np.signbit(z.real).tolist() == [np.signbit(re) for re, _ in pairs]
+        # JSON writes non-finite points as null on its element path, so the
+        # table serves its finite points; the CSV takes every point
+        finite = z[np.isfinite(z)]
+        expected = canonical_json({"u": [complex_payload(p) for p in finite]})
+        assert canonical_json({"u": finite}) == expected
+        rows = [f"{format_float(p.real)},{format_float(p.imag)}\n" for p in z]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "pts.csv"
+            write_points_csv(path, z)
+            assert path.read_text() == "".join(["re,im\n", *rows])
 
 
 class TestOversizedGrid:
@@ -326,6 +367,63 @@ class TestCliSurface:
         csv_file = tmp_path / "defects_c0.5.csv"
         assert csv_file.exists()
         assert csv_file.read_text().splitlines()[0] == "re,im"
+
+
+class TestDefectCsvs:
+    """--defects-csv writes one file per distinct C, with the report's
+    uncovered rows, and refuses distinct Cs that would share a file."""
+
+    @pytest.fixture()
+    def lattice_file(self, tmp_path):
+        path = tmp_path / "lat.json"
+        save_divisor(generate_lattice(1.0, 1.0, 1, 3.0)[0], path)
+        return path
+
+    def test_csvs_equal_report_rows(self, lattice_file, tmp_path, monkeypatch, capsys):
+        written = []
+
+        def recording(path, points):
+            written.append(path)
+            write_points_csv(path, points)
+
+        monkeypatch.setattr(cli, "write_points_csv", recording)
+        prefix = tmp_path / "defects"
+        code = cli.main([
+            "check-geometry", str(lattice_file), "--window", "3", "--grid-step", "0.1",
+            "--c-list", "0.25,0.5,0.5,1", "--defects-csv", str(prefix),
+        ])
+        assert code == 0
+        # the numbers as printed, so the CSV must carry the report's very digits
+        shrunk = json.loads(capsys.readouterr().out, parse_float=str, parse_int=str)["verdicts"][
+            "shrunk_cover"
+        ]
+        assert written == [f"{prefix}_c{c}.csv" for c in ("0.25", "0.5", "1")]
+        counts = [int(result["uncovered_count"]) for result in shrunk]
+        assert counts == sorted(counts) and counts[-1] > 0
+        assert shrunk[1] == shrunk[2]
+        for result in shrunk:
+            rows = [f"{p['re']},{p['im']}" for p in result["uncovered"]]
+            assert len(rows) == int(result["uncovered_count"])
+            csv_file = Path(f"{prefix}_c{result['c']}.csv")
+            assert csv_file.read_text().splitlines() == ["re,im", *rows]
+
+    def test_colliding_names_refused_before_sweep(
+        self, lattice_file, tmp_path, monkeypatch, capsys
+    ):
+        def refuse(*_):
+            raise AssertionError("sweep run for a refused C list")
+
+        monkeypatch.setattr(cli, "theorem_verdicts", refuse)
+        prefix = tmp_path / "defects"
+        code = cli.main([
+            "check-geometry", str(lattice_file), "--window", "3", "--c-list",
+            "0.1,0.1000000000001", "--defects-csv", str(prefix),
+        ])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "C = 0.1 and C = 0.1000000000001" in captured.err
+        assert not list(tmp_path.glob("defects*"))
 
 
 class TestReportProvenance:
