@@ -3,7 +3,9 @@ summaries, interpolation and the uniqueness experiment.
 
 Every subcommand prints one canonical JSON report to stdout, and each warning
 as one line `warning: <message>` to stderr.  Exit codes: 0 success, 2
-malformed input (schema), 3 violated precondition.
+malformed, unreadable or non-UTF-8 input (schema), 3 violated precondition,
+such as an output that cannot be written (refused before any computation when
+its directory does not exist).  Every failure is one line on stderr.
 """
 
 from __future__ import annotations
@@ -11,11 +13,11 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .core import ParameterMismatchError
 from .generators import generate_covering_rings, generate_disjoint_rings, generate_lattice
 from .geometry import GeometryVerdicts, Window, theorem_verdicts
 from .kernels import gram_matrix
@@ -70,6 +72,12 @@ def _parse_sweep(text: str) -> list[int]:
     return list(range(start, stop + 1, step))
 
 
+def _require_out_dir(path) -> None:
+    # refuses an output file (if any) before any work is done for it
+    if path and not Path(path).parent.is_dir():
+        raise ValueError(f"{path}: {Path(path).parent} is not an existing directory")
+
+
 def _verdicts_payload(verdicts: GeometryVerdicts) -> dict:
     return {
         "finite_overlap_bound": verdicts.finite_overlap_bound,
@@ -104,6 +112,7 @@ def _verdicts_payload(verdicts: GeometryVerdicts) -> dict:
 
 
 def _cmd_generate(args) -> dict:
+    _require_out_dir(args.out)
     if args.family == "lattice":
         divisor, meta = generate_lattice(args.alpha, args.spacing, args.mult, args.window)
     elif args.family == "covering-rings":
@@ -136,6 +145,7 @@ def _cmd_check_geometry(args) -> dict:
         other = first.setdefault(path, c)
         if repr(other) != repr(c):
             raise ValueError(f"--defects-csv: C = {other!r} and C = {c!r} would both write {path}")
+        _require_out_dir(path)
     verdicts = theorem_verdicts(divisor, window, c_list, args.hole_radius)
     # each file once, with the points of the last of its repeats
     files = dict(zip(paths, (r.uncovered for r in verdicts.shrunk_cover_by_c)))
@@ -156,6 +166,7 @@ def _cmd_check_geometry(args) -> dict:
 def _cmd_frame_bounds(args) -> dict:
     divisor = load_divisor(args.divisor)
     degrees = _parse_sweep(args.degree_sweep) if args.degree_sweep else [args.degree]
+    _require_out_dir(args.csv)
     # every degree's matrix is a column prefix of the largest one
     matrix = analysis_matrix(divisor, max(degrees))
     summaries = []
@@ -311,7 +322,8 @@ def main(argv=None) -> int:
         except SchemaError as exc:
             print(f"schema error: {exc}", file=sys.stderr)
             return EXIT_SCHEMA
-        except (ParameterMismatchError, ValueError) as exc:
+        except (ValueError, OSError) as exc:
+            # an OSError here is an output's: reports reads inputs as schema errors
             print(f"precondition error: {exc}", file=sys.stderr)
             return EXIT_PRECONDITION
     sys.stdout.write(canonical_json(payload) + "\n")

@@ -12,6 +12,7 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -242,9 +243,15 @@ class FockFunction:
         overlaps = overlap_matrix(other.atom_labels(), self.atom_labels(), self.params)
         return complex(np.vdot(other.atom_coeffs(), overlaps @ self.atom_coeffs()))
 
+    @cached_property
+    def _norm_sq(self) -> float:
+        # Re <f, f>, at most once per function; min_norm_interpolate fills it
+        return self.inner(self).real
+
     def norm(self) -> float:
-        """Hilbert norm; zero for the empty function."""
-        return math.sqrt(max(self.inner(self).real, 0.0))
+        """Hilbert norm; zero for the empty function.  <f, f> is computed once
+        per function and shared with to_basis_coeffs."""
+        return math.sqrt(max(self._norm_sq, 0.0))
 
     def to_basis_coeffs(self, n_max: int) -> BasisCoefficients:
         """Project onto span(e_0..e_{n_max}) and report the truncation defect."""
@@ -254,7 +261,7 @@ class FockFunction:
 
         basis = [(0.0, n) for n in range(n_max + 1)]
         coeffs = overlap_matrix(basis, self.atom_labels(), self.params) @ self.atom_coeffs()
-        defect = self.inner(self).real - float(np.sum(np.abs(coeffs) ** 2))
+        defect = self._norm_sq - float(np.sum(np.abs(coeffs) ** 2))
         return BasisCoefficients(self.params, coeffs, defect)
 
     def sup_norm_estimate(self, radius: float, step: float) -> float:

@@ -173,7 +173,8 @@ def min_norm_interpolate(
     Solves G c = v through the eigendecomposition of the Gram matrix G;
     eigenvalues below rcond times the largest are truncated (pseudo-inverse),
     which handles near-coincident points without perturbing any input.  The
-    function's squared norm equals Re(conj(c) . v).
+    reported norm is sqrt(Re(conj(c) . v)); the interpolant keeps <f, f> =
+    conj(c) . G c, the bits its inner() gives, so its norm() builds no Gram.
     """
     if rcond <= 0:
         raise ValueError("rcond must be positive")
@@ -191,15 +192,12 @@ def min_norm_interpolate(
     coeffs = u @ (inv * (u.conj().T @ data.values))
     atoms = tuple(Atom(lam, k, c) for (lam, k), c in zip(labels, coeffs))
     function = FockFunction(divisor.params, atoms)
-    residual = float(np.max(np.abs(gram.entries @ coeffs - data.values)))
-    norm_sq = float(np.real(np.vdot(coeffs, data.values)))
-    return InterpolationSolution(
-        function=function,
-        residual=residual,
-        norm=math.sqrt(max(norm_sq, 0.0)),
-        gram_condition=condition,
-        truncated=truncated,
-    )
+    product = gram.entries @ coeffs
+    residual = float(np.max(np.abs(product - data.values)))
+    # <f, f> as f.inner(f) evaluates it, on the same Gram bits
+    object.__setattr__(function, "_norm_sq", complex(np.vdot(coeffs, product)).real)
+    norm = math.sqrt(max(float(np.real(np.vdot(coeffs, data.values))), 0.0))
+    return InterpolationSolution(function, residual, norm, condition, truncated)
 
 
 def _window_masses(degree: int, window: Window, params: FockParams) -> np.ndarray:

@@ -79,13 +79,14 @@ def _write_canonical(obj, out: list[str]) -> None:
             out.append(":")
             _write_canonical(val, out)
         out.append("}")
-    elif (
-        isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "c"
-        and np.isfinite(obj).all()
-    ):
-        # point lists, in one formatting pass; non-finite ones take the
-        # element path below, which writes null
-        out.append("[" + _point_rows(obj, '{"re":%.12g,"im":%.12g}', ",") + "]")
+    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "c":
+        # point lists, as complex128, in one formatting pass; non-finite ones
+        # go point by point as Python complex numbers, whose parts write null
+        z = obj.astype(np.complex128, copy=False)
+        if np.isfinite(z).all():
+            out.append("[" + _point_rows(z, '{"re":%.12g,"im":%.12g}', ",") + "]")
+        else:
+            _write_canonical(z.tolist(), out)
     elif isinstance(obj, (list, tuple, np.ndarray)):
         out.append("[")
         for i, val in enumerate(obj):
@@ -131,11 +132,14 @@ def _require_complex(obj, where: str, *extra: str) -> complex:
 
 
 def _read_json(path):
-    # the one reader of input files; syntax errors name their line and column
+    # the one reader of input files; syntax errors name their line and column,
+    # unreadable or non-UTF-8 files their path
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 def load_divisor(path) -> Divisor:

@@ -1,11 +1,17 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import gammainc
 
 from focklab import (
+    Atom,
     Divisor,
+    FockFunction,
     FockParams,
     InfeasibleExperimentError,
     MeasurementVector,
@@ -21,8 +27,10 @@ from focklab import (
     generate_lattice,
     gram_matrix,
     hole_mass_experiment,
+    kernels,
     measurements,
     min_norm_interpolate,
+    numerics,
     riesz_bounds,
 )
 
@@ -331,3 +339,93 @@ def test_measurements_sum_atoms_in_order_with_scalar_products():
         for a in atoms:
             acc += a.coeff * atom_pair_inner(a.lam, a.k, lam, k, P1)
         assert got[i] == acc
+
+
+@st.composite
+def interpolation_cases(draw):
+    # small divisors whose points may sit 1e-9 to 1e-5 apart, so the Gram is
+    # numerically singular and the interpolation truncates
+    alpha = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    points = []
+    for _ in range(draw(st.integers(1, 4))):
+        base = complex(draw(st.integers(-3, 3)), draw(st.integers(-3, 3))) * 0.75
+        if points and draw(st.booleans()):
+            base = points[draw(st.integers(0, len(points) - 1))]
+            base += draw(st.sampled_from([1e-9, 1e-7, 1e-5j, -1e-6 + 1e-6j]))
+        if base not in points:
+            points.append(base)
+    entries = tuple((lam, draw(st.integers(1, 4))) for lam in points)
+    divisor = Divisor(FockParams(alpha), entries)
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    labels = tuple(divisor.atom_labels())
+    values = [complex(draw(unit), draw(unit)) for _ in labels]
+    return divisor, MeasurementVector(labels, np.array(values, dtype=complex))
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x).tobytes()
+
+
+class TestInterpolantNormMemo:
+    """An interpolant carries <f, f> from min_norm_interpolate; every value
+    read from it equals, bit for bit, what a fresh function with its atoms
+    computes, and the memo shows in no comparison, hash, repr or copy."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(interpolation_cases())
+    @example((Divisor(P1, ((0.0, 3), (1e-7, 2), (1.5j, 1))),
+              MeasurementVector(((0j, 0), (0j, 1), (0j, 2), (1e-7 + 0j, 0), (1e-7 + 0j, 1),
+                                 (1.5j, 0)),
+                                np.array([1, 0.5j, -0.25, 1, -0.5j, 0.75 + 0.25j]))))
+    def test_primed_memo_is_bit_identical(self, case):
+        divisor, data = case
+        solution = min_norm_interpolate(divisor, data)
+        fresh = FockFunction(divisor.params, solution.function.atoms)
+        assert _bits(solution.function.norm()) == _bits(fresh.norm())
+        got, want = solution.function.to_basis_coeffs(6), fresh.to_basis_coeffs(6)
+        assert _bits(got.coeffs) == _bits(want.coeffs)
+        assert _bits(got.defect) == _bits(want.defect)
+
+    def test_one_gram_per_round_trip(self, monkeypatch):
+        original = kernels.overlap_matrix
+        builds = []
+
+        def spy(rows, cols, params):
+            rows, cols = list(rows), list(cols)
+            if rows == cols:
+                builds.append(len(rows))
+            return original(rows, cols, params)
+
+        monkeypatch.setattr(kernels, "overlap_matrix", spy)
+        monkeypatch.setattr(numerics, "overlap_matrix", spy)
+        divisor, _ = generate_disjoint_rings(1.0, 1.0, 8.0)
+        f = FockFunction(P1, (Atom(0.5 - 1j, 2, 1.0 - 0.5j), Atom(3.0 + 2j, 0, 0.25j)))
+        solution = min_norm_interpolate(divisor, measurements(f, divisor))
+        solution.function.norm()
+        solution.function.to_basis_coeffs(20)
+        assert builds == [divisor.total_multiplicity()]
+
+    def test_fresh_function_computes_inner_once(self, monkeypatch):
+        calls = []
+        original = FockFunction.inner
+
+        def counting(self, other):
+            calls.append(other)
+            return original(self, other)
+
+        monkeypatch.setattr(FockFunction, "inner", counting)
+        f = FockFunction(P1, (Atom(0.5, 1, 2.0), Atom(-1j, 3, 1j)))
+        first = f.norm()
+        assert f.norm() == first
+        f.to_basis_coeffs(4)
+        assert len(calls) == 1
+
+    def test_memo_is_invisible(self):
+        divisor = Divisor(P1, ((0.0, 2), (1.5 + 0.5j, 1)))
+        data = MeasurementVector(tuple(divisor.atom_labels()), np.array([1, 0.5j, -1]))
+        primed = min_norm_interpolate(divisor, data).function
+        plain = FockFunction(P1, primed.atoms)
+        for f in (primed, copy.copy(primed), pickle.loads(pickle.dumps(primed))):
+            assert f == plain and hash(f) == hash(plain) and repr(f) == repr(plain)
+            assert _bits(f.norm()) == _bits(plain.norm())
+        assert primed != FockFunction(P1, primed.atoms[:-1])

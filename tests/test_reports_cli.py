@@ -191,6 +191,17 @@ class TestPointLists:
             assert path.read_text() == "".join(["re,im\n", *rows])
 
 
+    @pytest.mark.parametrize("dtype", [np.complex64, np.clongdouble])
+    def test_nonfinite_narrow_and_wide_dtypes_write_as_complex128(self, dtype):
+        inf, nan = float("inf"), float("nan")
+        pairs = [(1.0, 1.0), (nan, 0.5), (0.25, -nan), (inf, -inf), (-inf, 2.0), (-0.0, inf)]
+        z = _pool_points(pairs, dtype)
+        assert canonical_json({"u": z}) == canonical_json({"u": z.astype(np.complex128)}) == (
+            '{"u":[{"re":1,"im":1},{"re":null,"im":0.5},{"re":0.25,"im":null},'
+            '{"re":null,"im":null},{"re":null,"im":2},{"re":-0,"im":null}]}'
+        )
+
+
 class TestOversizedGrid:
     """A probe grid over the cell budget is refused before any grid is built."""
 
@@ -424,6 +435,68 @@ class TestDefectCsvs:
         assert captured.out == ""
         assert "C = 0.1 and C = 0.1000000000001" in captured.err
         assert not list(tmp_path.glob("defects*"))
+
+
+class TestFileErrors:
+    """Unreadable inputs are schema errors (exit 2) and unwritable outputs exit
+    3, each with one stderr line and no traceback; an output whose directory
+    is missing is refused before any computation."""
+
+    @pytest.fixture()
+    def lattice_file(self, tmp_path):
+        path = tmp_path / "lat.json"
+        save_divisor(generate_lattice(1.0, 1.0, 1, 3.0)[0], path)
+        return path
+
+    @pytest.fixture()
+    def no_compute(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("computation run for a refused output")
+
+        for name in ("generate_lattice", "theorem_verdicts", "analysis_matrix"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    @pytest.mark.parametrize("name", ["missing.json", "adir", "latin1.json"])
+    def test_unreadable_input_is_schema_error(self, name, tmp_path, capsys):
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "latin1.json").write_bytes(b'{"alpha": 1, "points": [], "\xe9": 0}')
+        path = tmp_path / name
+        code = cli.main(["gram", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"schema error: {path}: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "lattice", "--window", "3", "--out", "{missing}/lat.json"],
+        ["check-geometry", "{lattice}", "--window", "3", "--defects-csv", "{missing}/d"],
+        ["frame-bounds", "{lattice}", "--degree", "4", "--csv", "{missing}/sweep.csv"],
+        ["frame-bounds", "{lattice}", "--degree", "4", "--csv", "{lattice}/sweep.csv"],
+    ])
+    def test_missing_output_directory_refused_before_compute(
+        self, argv, lattice_file, tmp_path, no_compute, capsys
+    ):
+        missing = tmp_path / "nodir"
+        before = sorted(tmp_path.rglob("*"))
+        code = cli.main([a.format(missing=missing, lattice=lattice_file) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("precondition error: ")
+        assert "is not an existing directory" in captured.err
+        assert captured.err.count("\n") == 1
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_unwritable_output_is_one_line(self, lattice_file, tmp_path, capsys):
+        target = tmp_path / "sweep.csv"
+        target.mkdir()
+        code = cli.main(["frame-bounds", str(lattice_file), "--degree", "4", "--csv", str(target)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("precondition error: ") and str(target) in captured.err
+        assert captured.err.count("\n") == 1
 
 
 class TestReportProvenance:
