@@ -5,7 +5,8 @@ Every subcommand prints one canonical JSON report to stdout, and each warning
 as one line `warning: <message>` to stderr.  Exit codes: 0 success, 2
 malformed, unreadable or non-UTF-8 input (schema), 3 violated precondition,
 such as an output that cannot be written (refused before any computation when
-its directory does not exist).  Every failure is one line on stderr.
+it is a directory or its directory does not exist).  Every failure is one
+line on stderr.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .numerics import (
 from .reports import (
     SchemaError,
     canonical_json,
-    complex_payload,
     divisor_payload,
     format_float,
     load_divisor,
@@ -74,6 +74,8 @@ def _parse_sweep(text: str) -> list[int]:
 
 def _require_out_dir(path) -> None:
     # refuses an output file (if any) before any work is done for it
+    if path and Path(path).is_dir():
+        raise ValueError(f"{path}: is a directory, not a file")
     if path and not Path(path).parent.is_dir():
         raise ValueError(f"{path}: {Path(path).parent} is not an existing directory")
 
@@ -136,7 +138,7 @@ def _cmd_generate(args) -> dict:
 
 def _cmd_check_geometry(args) -> dict:
     divisor = load_divisor(args.divisor)
-    window = Window(args.window, args.grid_step if args.grid_step else args.window / 100)
+    window = Window(args.window, args.window / 100 if args.grid_step is None else args.grid_step)
     c_list = _parse_c_list(args.c_list)
     paths = [f"{args.defects_csv}_c{format_float(c)}.csv" for c in c_list if args.defects_csv]
     first: dict[str, float] = {}
@@ -221,7 +223,7 @@ def _cmd_interpolate(args) -> dict:
     payload = {
         "inputs": {
             "divisor": divisor_payload(divisor),
-            "values": [complex_payload(v) for v in data.values],
+            "values": data.values,
             "rcond": args.rcond,
         },
         "solution": {
@@ -237,7 +239,7 @@ def _cmd_interpolate(args) -> dict:
                 "re": atom.lam.real,
                 "im": atom.lam.imag,
                 "k": atom.k,
-                "coeff": complex_payload(atom.coeff),
+                "coeff": atom.coeff,
             }
             for atom in solution.function.atoms
         ]

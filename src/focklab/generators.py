@@ -1,8 +1,9 @@
 """Divisor families for the geometric regimes under study.
 
-The lattice is the constant-multiplicity control family.  The two ring
-families realize the growing-multiplicity regimes: covering rings make the
-C-shrunk discs cover the window, disjoint rings keep the C-padded discs
+The lattice, the window's disc-clipped square grid (`geometry.disc_grid`),
+is the constant-multiplicity control family.  The two ring families realize
+the growing-multiplicity regimes: covering rings make the C-shrunk discs
+cover the window, disjoint rings keep the C-padded discs (`disc_radius`)
 pairwise disjoint.  Both validate their defining contract before returning
 and report their schedule so a run is reproducible from the metadata alone.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 
 from .core import FockParams
-from .geometry import Divisor, Window, coverage_defect, pairwise_disjoint
+from .geometry import Divisor, Window, coverage_defect, disc_grid, disc_radius, pairwise_disjoint
 
 __all__ = [
     "generate_lattice",
@@ -40,28 +41,20 @@ def generate_lattice(
     if not math.isfinite(radius):
         raise ValueError("radius must be finite")
     params = FockParams(alpha)
-    n = int(math.floor(radius / spacing + 1e-9))
-    points = []
-    for q in range(-n, n + 1):
-        for p in range(-n, n + 1):
-            lam = complex(p * spacing, q * spacing)
-            if abs(lam) <= radius * (1 + 1e-12):
-                points.append(lam)
-    divisor = Divisor(params, tuple((lam, mult) for lam in points))
+    z, _, inside = disc_grid(radius, spacing)()
+    divisor = Divisor(params, tuple((lam, mult) for lam in z[inside].tolist()))
     meta = {
         "family": "lattice",
         "alpha": params.alpha,
         "spacing": float(spacing),
         "mult": int(mult),
         "radius": float(radius),
-        "count": len(points),
+        "count": len(divisor.entries),
     }
     return divisor, meta
 
 
 def _ring_points(rho: float, count: int) -> list[complex]:
-    if rho == 0:
-        return [0j]
     return [
         complex(rho * math.cos(2 * math.pi * t / count), rho * math.sin(2 * math.pi * t / count))
         for t in range(count)
@@ -135,20 +128,17 @@ def generate_disjoint_rings(alpha: float, c: float, radius: float) -> tuple[Divi
     entries = []
     schedule = []
     rho = 0.0
-    ring = 0
+    mult = 1
     while rho <= radius:
-        mult = ring + 1
-        padded = math.sqrt(mult / alpha) + c
-        if rho == 0:
-            count = 1
-        else:
-            x = (2 * padded + gap) / (2 * rho)
-            count = 1 if x >= 1 else max(1, math.floor(math.pi / math.asin(x)))
+        padded = disc_radius(mult, params, c, +1)
+        # the centre holds one point, like a ring too tight for a second
+        x = (2 * padded + gap) / (2 * rho) if rho else 1.0
+        count = 1 if x >= 1 else max(1, math.floor(math.pi / math.asin(x)))
         for lam in _ring_points(rho, count):
             entries.append((lam, mult))
         schedule.append({"rho": rho, "count": count, "mult": mult, "padded_radius": padded})
-        rho += padded + (math.sqrt((ring + 2) / alpha) + c) + gap
-        ring += 1
+        rho += padded + disc_radius(mult + 1, params, c, +1) + gap
+        mult += 1
 
     divisor = Divisor(params, tuple(entries))
     ok, pair = pairwise_disjoint(divisor, c, +1)

@@ -60,6 +60,21 @@ class Divisor:
         return label_digest(self.params, self.entries)
 
 
+def disc_grid(radius: float, step: float):
+    """Builder of the square grid step*(p + iq), |p|, |q| <= floor(radius/step
+    + 1e-9), its moduli and its disc mask |z| <= radius*(1 + 1e-12) (empty for
+    a negative radius).  The call refuses a square above MAX_GRID_CELLS."""
+    what = f"step {step} on a disc of radius {radius}"
+    axis = square_axis(max(radius / step, -1.0) + 1e-9, step, what)
+
+    def build() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        z = axis[None, :] + 1j * axis[:, None]
+        modulus = np.abs(z)
+        return z, modulus, modulus <= radius * (1 + 1e-12)
+
+    return build
+
+
 @dataclass(frozen=True)
 class Window:
     """Grid-probed disc standing in for the plane in geometric checks."""
@@ -72,19 +87,10 @@ class Window:
             raise ValueError("window radius must be positive")
         if not (0 < self.grid_step <= self.radius / 10):
             raise ValueError("grid_step must satisfy 0 < grid_step <= radius/10")
-        self._axis()  # refuses an oversized square at construction
-
-    def _axis(self) -> np.ndarray:
-        what = f"grid_step {self.grid_step} on a window of radius {self.radius}"
-        return square_axis(self.radius / self.grid_step + 1e-9, self.grid_step, what)
+        disc_grid(self.radius, self.grid_step)  # refuses an oversized square, building none
 
     def _square(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The square grid of pitch grid_step around the window, its moduli,
-        and the mask of its points in the disc |z| <= radius."""
-        axis = self._axis()
-        z = axis[None, :] + 1j * axis[:, None]
-        modulus = np.abs(z)
-        return z, modulus, modulus <= self.radius * (1 + 1e-12)
+        return disc_grid(self.radius, self.grid_step)()
 
     def grid(self) -> np.ndarray:
         """Complex points of the square grid of pitch grid_step, clipped to

@@ -42,11 +42,10 @@ def format_float(value: float) -> str:
     return format(float(value), ".12g")
 
 
-def _point_rows(points: np.ndarray, row: str, sep: str) -> str:
-    """Each complex point through row, a template whose two %.12g fields take
+def _point_rows(z: np.ndarray, row: str, sep: str) -> str:
+    """Each complex128 point through row, a template whose two %.12g fields take
     its real and imaginary parts (as format_float writes them), joined by sep;
     each distinct float, keyed by its bits (0.0 and -0.0 apart), is formatted once."""
-    z = np.asarray(points, dtype=np.complex128)
     bits, inverse = np.unique(np.column_stack((z.real, z.imag)).view(np.int64), return_inverse=True)
     text = ("%.12g\n" * bits.size % tuple(bits.view(np.float64).tolist())).split("\n")
     parts = map(text.__getitem__, inverse.ravel().tolist())
@@ -80,9 +79,11 @@ def _write_canonical(obj, out: list[str]) -> None:
             _write_canonical(val, out)
         out.append("}")
     elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "c":
-        # point lists, as complex128, in one formatting pass; non-finite ones
-        # go point by point as Python complex numbers, whose parts write null
-        z = obj.astype(np.complex128, copy=False)
+        # point lists, as complex128 (a wider part beyond its range becomes
+        # inf, quietly), in one formatting pass; non-finite ones go point by
+        # point as Python complex numbers, whose parts write null
+        with np.errstate(over="ignore"):
+            z = obj.astype(np.complex128, copy=False)
         if np.isfinite(z).all():
             out.append("[" + _point_rows(z, '{"re":%.12g,"im":%.12g}', ",") + "]")
         else:
@@ -219,5 +220,6 @@ def write_sweep_csv(path, rows) -> None:
 
 def write_points_csv(path, points) -> None:
     """Point list (defects and the like) as CSV with header re,im."""
-    z = np.asarray(points if isinstance(points, np.ndarray) else list(points), dtype=complex)
+    with np.errstate(over="ignore"):  # a wider part beyond the double range writes inf
+        z = np.asarray(points if isinstance(points, np.ndarray) else list(points), dtype=complex)
     Path(path).write_text("re,im\n" + _point_rows(z, "%.12g,%.12g\n", ""))

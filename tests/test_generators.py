@@ -1,4 +1,9 @@
+import math
+
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from focklab import (
     Window,
@@ -9,6 +14,26 @@ from focklab import (
     max_overlap,
     pairwise_disjoint,
 )
+
+
+def reference_lattice(alpha, spacing, mult, radius):
+    """The square lattice as a scalar double loop: its points and metadata."""
+    n = int(math.floor(radius / spacing + 1e-9))
+    points = []
+    for q in range(-n, n + 1):
+        for p in range(-n, n + 1):
+            lam = complex(p * spacing, q * spacing)
+            if abs(lam) <= radius * (1 + 1e-12):
+                points.append(lam)
+    meta = {
+        "family": "lattice",
+        "alpha": float(alpha),
+        "spacing": float(spacing),
+        "mult": int(mult),
+        "radius": float(radius),
+        "count": len(points),
+    }
+    return points, meta
 
 
 class TestLattice:
@@ -34,6 +59,31 @@ class TestLattice:
             generate_lattice(1.0, 0.0, 1, 5.0)
         with pytest.raises(ValueError):
             generate_lattice(1.0, 1.0, 0, 5.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.floats(0.1, 4.0),
+        st.floats(0.05, 5.0),
+        st.integers(1, 4),
+        st.one_of(st.floats(-3.0, 40.0), st.tuples(st.integers(0, 12), st.integers(0, 12))),
+    )
+    @example(1.0, 1.0, 1, 0.0)
+    @example(1.0, 1.0, 1, -0.0)
+    @example(2.0, 0.3, 2, -1e-12)
+    @example(1.0, 1.0, 1, -3.0)
+    @example(1.0, 1.0, 1, 5.0)  # tangent at 3 + 4i
+    @example(0.5, 0.3, 3, (3, 7))
+    @example(1.0, 0.7, 1, (3, 0))  # radius / spacing rounds to just below 3
+    def test_matches_double_loop(self, alpha, spacing, mult, radius):
+        # a drawn (p, q) stands for the tangent radius |spacing * (p + iq)|
+        if isinstance(radius, tuple):
+            radius = abs(complex(radius[0] * spacing, radius[1] * spacing))
+        divisor, meta = generate_lattice(alpha, spacing, mult, radius)
+        points, want_meta = reference_lattice(alpha, spacing, mult, radius)
+        got = np.array([lam for lam, _ in divisor.entries], dtype=complex)
+        assert got.view(np.int64).tolist() == np.array(points, dtype=complex).view(np.int64).tolist()
+        assert all(m == mult for _, m in divisor.entries)
+        assert meta == want_meta
 
 
 class TestCoveringRings:

@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -129,6 +130,12 @@ _POOL = [
 ]
 
 
+_finite_part = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
 def _pool_points(pairs, dtype):
     z = np.empty(len(pairs), dtype=dtype)
     with np.errstate(over="ignore"):  # 1e300 is inf in complex64
@@ -201,6 +208,33 @@ class TestPointLists:
             '{"re":null,"im":null},{"re":null,"im":2},{"re":-0,"im":null}]}'
         )
 
+    def test_wide_parts_beyond_double_range_widen_quietly(self, tmp_path):
+        big = np.longdouble(1e300) ** 2  # finite wherever long double is wider
+        z = np.empty(3, dtype=np.clongdouble)
+        z.real = [1.0, big, -0.0]
+        z.imag = [1.0, -big, big]
+        inf = float("inf")
+        narrow = np.array([1 + 1j, complex(inf, -inf), complex(-0.0, inf)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            text = canonical_json({"u": z})
+            write_points_csv(tmp_path / "wide.csv", z)
+        assert text == canonical_json({"u": narrow}) == (
+            '{"u":[{"re":1,"im":1},{"re":null,"im":null},{"re":-0,"im":null}]}'
+        )
+        write_points_csv(tmp_path / "narrow.csv", narrow)
+        assert (tmp_path / "wide.csv").read_text() == (tmp_path / "narrow.csv").read_text() == (
+            "re,im\n1,1\ninf,-inf\n-0,inf\n"
+        )
+
+    @given(st.lists(st.builds(complex, _finite_part, _finite_part), max_size=20))
+    @example([complex(-0.0, 5e-324), complex(1e300, -1e300), complex(-2.5e-310, -0.0)])
+    def test_finite_arrays_and_scalars_write_as_payloads(self, values):
+        # the CLI hands the writer complex arrays and Python complex numbers
+        expected = canonical_json([complex_payload(v) for v in values])
+        assert canonical_json(np.array(values, dtype=complex)) == expected
+        assert canonical_json(values) == expected
+
 
 class TestOversizedGrid:
     """A probe grid over the cell budget is refused before any grid is built."""
@@ -227,6 +261,45 @@ class TestOversizedGrid:
         assert code == 3
         assert "grid cells" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [["--window", "1e300", "--spacing", "1e-300"], ["--window", "1e6"]])
+    def test_generate_lattice(self, extra, tmp_path, capsys):
+        out = tmp_path / "lat.json"
+        start = time.perf_counter()
+        code = cli.main(["generate", "lattice", *extra, "--out", str(out)])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("precondition error: ") and "grid cells" in captured.err
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+        assert elapsed < 1.0
+
+    def test_negative_lattice_radius_is_empty(self, tmp_path, capsys):
+        out = tmp_path / "lat.json"
+        assert cli.main(["generate", "lattice", "--window=-1", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            '{"tool":{"name":"focklab","version":"0.1.0"},"command":"generate","inputs":'
+            '{"family":"lattice","alpha":1,"c":1,"spacing":1,"mult":1,"window_radius":-1},'
+            '"metadata":{"family":"lattice","alpha":1,"spacing":1,"mult":1,"radius":-1,'
+            '"count":0},"divisor":{"alpha":1,"points":[]}}\n'
+        )
+        assert out.read_text() == '{"alpha":1,"points":[]}\n'
+
+
+class TestGridStep:
+    @pytest.mark.parametrize("step", ["0", "-0.0", "-0.1"])
+    def test_step_outside_range_refused(self, step, tmp_path, capsys):
+        path = tmp_path / "one.json"
+        save_divisor(Divisor(FockParams(1.0), ((0.0, 1),)), path)
+        code = cli.main(["check-geometry", str(path), "--window", "5", f"--grid-step={step}"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            "precondition error: grid_step must satisfy 0 < grid_step <= radius/10\n"
+        )
 
 
 class TestNonFiniteInputs:
@@ -497,6 +570,37 @@ class TestFileErrors:
         assert captured.out == ""
         assert captured.err.startswith("precondition error: ") and str(target) in captured.err
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,target", [
+        (["generate", "lattice", "--window", "3", "--out", "{out}"], "out"),
+        (["frame-bounds", "{lattice}", "--degree", "4", "--csv", "{out}"], "out"),
+        (["check-geometry", "{lattice}", "--window", "3", "--defects-csv", "{out}"], "out_c0.5.csv"),
+    ])
+    def test_directory_output_refused_before_compute(
+        self, argv, target, lattice_file, tmp_path, no_compute, capsys
+    ):
+        (tmp_path / target).mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        code = cli.main([a.format(out=tmp_path / "out", lattice=lattice_file) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == f"precondition error: {tmp_path / target}: is a directory, not a file\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_write_failure_is_one_line(self, lattice_file, tmp_path, monkeypatch, capsys):
+        # an output that passes the checks but cannot be written
+        target = tmp_path / "sweep.csv"
+
+        def denied(path, rows):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(cli, "write_sweep_csv", denied)
+        code = cli.main(["frame-bounds", str(lattice_file), "--degree", "4", "--csv", str(target)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == f"precondition error: [Errno 13] Permission denied: '{target}'\n"
 
 
 class TestReportProvenance:
