@@ -58,6 +58,47 @@ class TestDivisorAndWindow:
         assert 0.0 in grid
 
 
+class TestDivisorValues:
+    """Value semantics of a divisor: distinctness as a Python set decides it,
+    entries as Python pairs in input order, equality of equal inputs."""
+
+    def test_signed_zeros_collide(self):
+        with pytest.raises(ValueError):
+            Divisor(P1, ((0j, 1), (complex(-0.0, -0.0), 1)))
+
+    def test_distinct_nan_points_accepted(self):
+        divisor = Divisor(P1, ((complex("nan"), 1), (complex("nan"), 2)))
+        assert [m for _, m in divisor.entries] == [1, 2]
+
+    def test_entries_are_python_pairs_in_input_order(self):
+        divisor = Divisor(P1, ((2j, 3), (1.0, 1), (np.complex128(-1 + 1j), np.int64(2))))
+        assert divisor.entries == ((2j, 3), (1 + 0j, 1), (-1 + 1j, 2))
+        for lam, m in divisor.entries:
+            assert type(lam) is complex and type(m) is int
+
+    def test_rescaling_keeps_signed_zeros(self):
+        points = [complex(-0.0, -0.0), complex(-0.0, 1.0), complex(1.0, -0.0), complex(-1.0, -0.0)]
+        rescaled = rescale_to_unit_alpha(Divisor(FockParams(4.0), tuple((p, 1) for p in points)))
+        signs = [(math.copysign(1, lam.real), math.copysign(1, lam.imag)) for lam, _ in rescaled.entries]
+        assert signs == [(1, -1), (-1, 1), (1, 1), (-1, -1)]
+
+    def test_equal_inputs_compare_equal(self):
+        entries = ((0.5 - 1j, 2), (3.0, 1))
+        assert Divisor(P1, entries) == Divisor(P1, entries)
+        assert Divisor(P1, entries) != Divisor(P1, entries[:1])
+        assert Divisor(P1, entries) != Divisor(FockParams(2.0), entries)
+
+    def test_overlap_count_sums_over_entries(self):
+        # 300 unit discs share the origin: the level grid must hold 300, not
+        # the count of distinct multiplicities
+        k = np.arange(300)
+        points = 0.39 * (k / 300) * np.exp(2j * np.pi * 0.618 * k)
+        divisor = Divisor(P1, tuple((lam, 1) for lam in points.tolist()))
+        window = Window(1.0, 0.1)
+        assert max_overlap(divisor, window) == 300
+        assert theorem_verdicts(divisor, window, [0.5]).finite_overlap_bound == 300
+
+
 class TestDiscRadius:
     def test_padded(self):
         assert disc_radius(4, P1, 0.0, +1) == 2.0
