@@ -5,8 +5,9 @@ Every subcommand prints one canonical JSON report to stdout, and each warning
 as one line `warning: <message>` to stderr.  Exit codes: 0 success, 2
 malformed, unreadable or non-UTF-8 input (schema), 3 violated precondition,
 such as an output that cannot be written (refused before any computation when
-it is a directory or its directory does not exist).  Every failure is one
-line on stderr.
+it is a directory or its directory does not exist), or an input whose
+arithmetic overflows the double range (a point near 1e308, a window whose
+square does).  Every failure is one line on stderr, after any warnings.
 """
 
 from __future__ import annotations
@@ -327,6 +328,10 @@ def main(argv=None) -> int:
         except (ValueError, OSError) as exc:
             # an OSError here is an output's: reports reads inputs as schema errors
             print(f"precondition error: {exc}", file=sys.stderr)
+            return EXIT_PRECONDITION
+        except OverflowError as exc:
+            # an input whose arithmetic leaves the double range
+            print(f"precondition error: floating-point overflow: {exc.args[-1]}", file=sys.stderr)
             return EXIT_PRECONDITION
     sys.stdout.write(canonical_json(payload) + "\n")
     return EXIT_OK

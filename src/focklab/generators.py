@@ -42,14 +42,14 @@ def generate_lattice(
         raise ValueError("radius must be finite")
     params = FockParams(alpha)
     z, _, inside = disc_grid(radius, spacing)()
-    divisor = Divisor(params, tuple((lam, mult) for lam in z[inside].tolist()))
+    divisor = Divisor(params, ((lam, mult) for lam in z[inside].tolist()))
     meta = {
         "family": "lattice",
         "alpha": params.alpha,
         "spacing": float(spacing),
         "mult": int(mult),
         "radius": float(radius),
-        "count": len(divisor.entries),
+        "count": divisor.points.size,
     }
     return divisor, meta
 

@@ -1,9 +1,11 @@
 """Divisors, their discs and window checks of the covering and disjointness
 conditions behind sampling, interpolation and uniqueness.
 
-A divisor entry (lam, m) carries the disc D(lam, sqrt(m/alpha)); checks use
-the padded (+C) or shrunk (-C) radii.  The plane is probed on a finite window
-disc, so every verdict is an on-window estimate, never a proof.
+A divisor holds arrays of points and multiplicities, its entries (lam, m) a
+derived view; an entry carries the disc D(lam, sqrt(m/alpha)), and checks use
+the padded (+C) or shrunk (-C) radii, evaluated once per distinct m.  The
+plane is probed on a finite window disc, so every verdict is an on-window
+estimate, never a proof.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MAX_GRID_CELLS  # noqa: F401  (the budget stays importable here)
-from .core import FockParams, label_digest, square_axis
+from .core import FockParams, label_digest, scalar_math, square_axis
 
 __all__ = [
     "Divisor",
@@ -32,24 +34,44 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Divisor:
-    """Finite set of pairwise-distinct points with positive multiplicities."""
+    """Points, pairwise distinct by value as a Python set decides (0j and -0j
+    collide, NaNs never do), with multiplicities 1 <= m < 2**63, held as
+    read-only arrays points (complex128) and mults (int64) in input order;
+    entries is their view as (complex, int) pairs."""
 
     params: FockParams
-    entries: tuple[tuple[complex, int], ...]
+    points: np.ndarray
+    mults: np.ndarray
 
-    def __post_init__(self):
-        entries = tuple((complex(lam), int(m)) for lam, m in self.entries)
-        if any(m < 1 for _, m in entries):
-            raise ValueError("multiplicities must be >= 1")
-        points = [lam for lam, _ in entries]
-        if len(set(points)) != len(points):
+    def __init__(self, params: FockParams, entries):
+        pairs = list(entries)
+        points = np.array([lam for lam, _ in pairs], dtype=complex)
+        mults = np.asarray([m for _, m in pairs])
+        if mults.dtype.kind not in "iu":  # floats, or ints past 64 bits: exact Python numbers
+            mults = np.array([m for _, m in pairs], dtype=object)
+        with np.errstate(invalid="ignore"):  # a NaN compares False
+            if not np.all((mults >= 1) & (mults < 2**63) & (mults % 1 == 0)):
+                raise ValueError("multiplicities must be integers m with 1 <= m < 2**63")
+        ordered = np.sort(points)  # equal values end up adjacent, NaNs equal nothing
+        if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("divisor points must be pairwise distinct")
-        object.__setattr__(self, "entries", entries)
+        self.__dict__.update(params=params, points=points, mults=mults.astype(np.int64))
+        self.points.flags.writeable = self.mults.flags.writeable = False
+
+    def __eq__(self, other):  # equal values; like its arrays, a divisor has no hash
+        if not isinstance(other, Divisor):
+            return NotImplemented
+        same = self.params == other.params and np.array_equal(self.points, other.points)
+        return same and np.array_equal(self.mults, other.mults)
+
+    @property
+    def entries(self) -> tuple[tuple[complex, int], ...]:
+        return tuple(zip(self.points.tolist(), self.mults.tolist()))
 
     def total_multiplicity(self) -> int:
-        return int(sum(m for _, m in self.entries))
+        return sum(self.mults.tolist())
 
     def atom_labels(self) -> list[tuple[complex, int]]:
         """Measurement labels (lam, k), k < m, in divisor order, k ascending."""
@@ -117,14 +139,9 @@ def disc_radius(mult: int, params: FockParams, c: float, sign: int) -> float | N
 
 def overlap_count_at(divisor: Divisor, z) -> int:
     """Number of open discs D(lam, sqrt(m/alpha)) containing z."""
-    z = complex(z)
-    inv_alpha = 1.0 / divisor.params.alpha
-    count = 0
-    for lam, m in divisor.entries:
-        d = z - lam
-        if d.real**2 + d.imag**2 < m * inv_alpha:
-            count += 1
-    return count
+    d = complex(z) - divisor.points
+    d2 = scalar_math(math.pow, d.real, 2.0) + scalar_math(math.pow, d.imag, 2.0)
+    return int(np.count_nonzero(d2 < divisor.mults * (1.0 / divisor.params.alpha)))
 
 
 def _index_span(centre: float, reach: float, step: float, n: int) -> slice:
@@ -138,23 +155,26 @@ def _index_span(centre: float, reach: float, step: float, n: int) -> slice:
 def _disc_sweep(divisor: Divisor, window: Window, families):
     """Count the discs of several families in one pass over the divisor.
 
-    families[k] = (comb, radii): radii[e] lists the squared radii of entry e's
-    open discs in family k, and comb (np.add or np.maximum) folds over entries
-    how many of an entry's discs hold a point, into one small unsigned grid
-    per family.  Each entry computes |z - lam|^2 once, on the index box of its
-    largest disc, widened by one index a side so that rounding cannot leave
-    out a point in the disc, and tests each disc by the full-grid rule
-    d2 < r^2, bit for bit.  Returns the square grid, its moduli, its window
-    mask and the family grids.
+    families[k] = (comb, discs): discs(m), evaluated once per distinct m,
+    lists the squared radii of the open discs of an entry of multiplicity m,
+    and comb (np.add or np.maximum) folds over entries how many of an entry's
+    discs hold a point, into one small unsigned grid per family.  Each entry
+    computes |z - lam|^2 once, on the index box of its largest disc, widened
+    by one index a side so that rounding cannot leave out a point in the
+    disc, and tests each disc by the full-grid rule d2 < r^2, bit for bit.
+    Returns the square grid, its moduli, its window mask and the family grids.
     """
     z, modulus, inside = window._square()
     n = (z.shape[0] - 1) // 2
-    grids = [
-        np.zeros(z.shape, np.min_scalar_type(comb.reduce([len(t) for t in radii], initial=0)))
-        for comb, radii in families
-    ]
-    for e, (lam, _) in enumerate(divisor.entries):
-        wanted = [(g, comb, radii[e]) for g, (comb, radii) in zip(grids, families) if radii[e]]
+    distinct, inverse = np.unique(divisor.mults, return_inverse=True)
+    tables = [(comb, [discs(m) for m in distinct.tolist()]) for comb, discs in families]
+    grids = []
+    for comb, radii in tables:
+        # the largest count the fold over entries can reach
+        top = comb.reduce(np.array([len(t) for t in radii])[inverse], initial=0)
+        grids.append(np.zeros(z.shape, np.min_scalar_type(top)))
+    for lam, i in zip(divisor.points.tolist(), inverse.tolist()):
+        wanted = [(g, comb, radii[i]) for g, (comb, radii) in zip(grids, tables) if radii[i]]
         # a non-finite centre has d2 inf or nan, inside no disc
         if not wanted or not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
             continue
@@ -176,14 +196,16 @@ def _disc_sweep(divisor: Divisor, window: Window, families):
 def _overlap_family(divisor: Divisor):
     """The discs D(lam, sqrt(m/alpha)), summed over entries: the overlap count."""
     inv_alpha = 1.0 / divisor.params.alpha
-    return np.add, [[m * inv_alpha] for _, m in divisor.entries]
+    return np.add, lambda m: [m * inv_alpha]
 
 
 def _nested_family(divisor: Divisor, cs, sign: int):
-    """Each entry's padded (+1) or shrunk (-1) discs at every C of cs, as r*r
+    """An entry's padded (+1) or shrunk (-1) discs at every C of cs, as r*r
     of the disc_radius r, maximised over entries; absent discs left out."""
-    radii = [[disc_radius(m, divisor.params, c, sign) for c in cs] for _, m in divisor.entries]
-    return np.maximum, [[r * r for r in discs if r is not None and r > 0] for discs in radii]
+    params = divisor.params
+    return np.maximum, lambda m: [
+        r * r for r in (disc_radius(m, params, c, sign) for c in cs) if r is not None and r > 0
+    ]
 
 
 def _require_hole(hole_radius: float, window: Window) -> None:
@@ -231,23 +253,24 @@ def pairwise_disjoint(
     Open discs: boundary tangency counts as disjoint.  Returns the flag and
     the first violating point pair in entry order, or None.
     """
-    kept = [(lam, disc_radius(m, divisor.params, c, sign)) for lam, m in divisor.entries]
-    kept = [(lam, r) for lam, r in kept if r is not None]
-    if len(kept) < 2:
+    distinct, inverse = np.unique(divisor.mults, return_inverse=True)
+    radii = [disc_radius(m, divisor.params, c, sign) for m in distinct.tolist()]
+    radii = np.array(radii, dtype=float)[inverse]  # an absent radius (None) reads NaN
+    kept = ~np.isnan(radii)
+    lams, radii = divisor.points[kept], radii[kept]
+    if lams.size < 2:
         return True, None
-    lams = np.array([lam for lam, _ in kept])
-    radii = np.array([r for _, r in kept])
     # numpy screens the pairs with a relative margin far above its rounding
     # difference from the scalar rule, which alone decides each candidate
-    rows = max(1, _PAIR_BLOCK // len(kept))
-    for i0 in range(0, len(kept) - 1, rows):
-        i1 = min(i0 + rows, len(kept) - 1)
+    rows = max(1, _PAIR_BLOCK // lams.size)
+    for i0 in range(0, lams.size - 1, rows):
+        i1 = min(i0 + rows, lams.size - 1)
         reach = (radii[i0:i1, None] + radii[None, i0 + 1 :]) * (1 + 1e-9)
         near = np.abs(lams[i0:i1, None] - lams[None, i0 + 1 :]) < reach
-        near &= np.arange(i0 + 1, len(kept))[None, :] > np.arange(i0, i1)[:, None]
+        near &= np.arange(i0 + 1, lams.size)[None, :] > np.arange(i0, i1)[:, None]
         for i, j in zip(*np.nonzero(near)):
-            (lam_i, r_i), (lam_j, r_j) = kept[i0 + i], kept[i0 + 1 + j]
-            if abs(lam_i - lam_j) < r_i + r_j:
+            lam_i, lam_j = complex(lams[i0 + i]), complex(lams[i0 + 1 + j])
+            if abs(lam_i - lam_j) < float(radii[i0 + i]) + float(radii[i0 + 1 + j]):
                 return False, (lam_i, lam_j)
     return True, None
 
@@ -337,7 +360,8 @@ def theorem_verdicts(
     padded_disjoint_witness = cs[0] if pairwise_disjoint(divisor, cs[0], +1)[0] else None
     bare_cover = not (annulus & (padded <= len(cs))).any()
 
-    windowed = sum(1 for lam, _ in divisor.entries if abs(lam) <= window.radius)
+    # np.hypot rounds |lam| as Python's abs does; np.abs may not
+    windowed = int(np.sum(np.hypot(divisor.points.real, divisor.points.imag) <= window.radius))
     all_shrunk = all(r.holds for r in shrunk_cover)
     exclusive = windowed < 2 or not (all_shrunk and padded_disjoint_witness is not None)
 
@@ -366,4 +390,4 @@ def rescale_to_unit_alpha(divisor: Divisor) -> Divisor:
     s = math.sqrt(divisor.params.alpha)
     if divisor.params.alpha == 1.0:
         return divisor
-    return Divisor(FockParams(1.0), tuple((lam * s, m) for lam, m in divisor.entries))
+    return Divisor(FockParams(1.0), zip((divisor.points * s).tolist(), divisor.mults.tolist()))

@@ -178,6 +178,8 @@ def min_norm_interpolate(
     """
     if rcond <= 0:
         raise ValueError("rcond must be positive")
+    if not math.isfinite(rcond):
+        raise ValueError("rcond must be finite")
     labels = divisor.atom_labels()
     if not labels:
         raise ValueError("divisor must be nonempty")

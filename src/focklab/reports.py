@@ -171,6 +171,8 @@ def load_divisor(path) -> Divisor:
                 stacklevel=2,
             )
         merged[lam] = merged.get(lam, 0) + mult
+        if merged[lam] >= 2**63:  # the multiplicities are int64
+            raise SchemaError(f"{where}.mult: must be below 2**63")
     return Divisor(FockParams(alpha), tuple(merged.items()))
 
 

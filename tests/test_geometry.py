@@ -40,6 +40,16 @@ class TestDivisorAndWindow:
         with pytest.raises(ValueError):
             Divisor(P1, ((0.0, 0),))
 
+    @pytest.mark.parametrize("mult", [2.7, float("nan"), 2**63, 10**30, 1e30])
+    def test_bad_multiplicity_rejected(self, mult):
+        with pytest.raises(ValueError, match="multiplicities"):
+            Divisor(P1, ((0.0, mult),))
+
+    def test_largest_multiplicity_accepted(self):
+        divisor = Divisor(P1, ((0.0, 2**63 - 1), (1.0, 2.0)))
+        assert divisor.entries == ((0j, 2**63 - 1), (1 + 0j, 2))
+        assert divisor.total_multiplicity() == 2**63 + 1
+
     def test_atom_labels_order(self):
         divisor = Divisor(P1, ((1.0, 2), (2j, 1)))
         assert divisor.atom_labels() == [(1.0, 0), (1.0, 1), (2j, 0)]
@@ -88,6 +98,14 @@ class TestDivisorValues:
         assert Divisor(P1, entries) != Divisor(P1, entries[:1])
         assert Divisor(P1, entries) != Divisor(FockParams(2.0), entries)
 
+    def test_frozen_with_read_only_arrays(self):
+        divisor = Divisor(P1, ((1j, 2), (0.5, 1)))
+        assert divisor.points.dtype == np.complex128 and divisor.mults.dtype == np.int64
+        with pytest.raises(ValueError):
+            divisor.mults[0] = 5
+        with pytest.raises(AttributeError):
+            divisor.points = np.zeros(2, complex)
+
     def test_overlap_count_sums_over_entries(self):
         # 300 unit discs share the origin: the level grid must hold 300, not
         # the count of distinct multiplicities
@@ -126,6 +144,22 @@ class TestOverlap:
         X = Divisor(P1, ((0.0, 4), (3.0, 1)))
         assert overlap_count_at(X, 2.5) == 1
         assert overlap_count_at(X, 1.9) == 1
+
+    def test_matches_scalar_loop(self):
+        # the per-entry scalar rule, with probes on disc boundaries
+        rng = np.random.default_rng(7)
+        for alpha in (1.0, 0.7, 3.0):
+            pts = rng.uniform(-3, 3, 40) + 1j * rng.uniform(-3, 3, 40)
+            ms = rng.integers(1, 6, 40)
+            X = Divisor(FockParams(alpha), tuple(zip(pts.tolist(), ms.tolist())))
+            rim = pts + np.sqrt(ms / alpha) * np.exp(1j * rng.uniform(0, 2 * np.pi, 40))
+            probes = rng.uniform(-3, 3, 40) + 1j * rng.uniform(-3, 3, 40)
+            for z in [*probes.tolist(), *rim.tolist(), *(pts + np.sqrt(ms / alpha)).tolist()]:
+                expected = sum(
+                    (z - lam).real ** 2 + (z - lam).imag ** 2 < m * (1.0 / alpha)
+                    for lam, m in X.entries
+                )
+                assert overlap_count_at(X, z) == expected
 
     def test_single_entry_max(self):
         X = Divisor(P1, ((0.0, 1),))

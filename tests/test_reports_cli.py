@@ -90,12 +90,27 @@ class TestDivisorFiles:
                 " multiplicities summed\n"
             )
 
+    def test_coincident_multiplicities_summed_past_int64(self, tmp_path, capsys):
+        path = tmp_path / "sum.json"
+        path.write_text(
+            '{"alpha": 1, "points": [{"re": 0, "im": 0, "mult": 4611686018427387904},'
+            ' {"re": 0, "im": 0, "mult": 4611686018427387904}]}'
+        )
+        assert cli.main(["gram", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == "schema error: points[1].mult: must be below 2**63"
+
     @pytest.mark.parametrize(
         "text,fragment",
         [
             ('{"alpha": -1, "points": []}', "alpha"),
             ('{"alpha": 1, "points": [{"re": 0, "im": 0, "mult": 0}]}', "mult"),
             ('{"alpha": 1, "points": [{"re": 0, "im": 0, "mult": 1.5}]}', "mult"),
+            ('{"alpha": 1, "points": [{"re": 0, "im": 0, "mult": 1000000000000000000000000000000}]}',
+             r"points\[0\]\.mult"),
+            ('{"alpha": 1, "points": [{"re": 0, "im": 0, "mult": 9223372036854775808}]}',
+             r"points\[0\]\.mult"),
             ('{"alpha": 1, "points": [{"re": 0, "im": 0}]}', r"points\[0\]"),
             ('{"alpha": 1}', "top level"),
             ('{"alpha": 1, "points": [{"re": 0, "im": 0, "mult": 1}', "line"),
@@ -334,6 +349,46 @@ class TestNonFiniteInputs:
         assert cli.main(["generate", *args, "--out", str(out)]) == 3
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("rcond", ["nan", "inf"])
+    def test_interpolate_rcond(self, rcond, tmp_path, capsys):
+        path, values = tmp_path / "one.json", tmp_path / "values.json"
+        save_divisor(Divisor(FockParams(1.0), ((0.0, 1),)), path)
+        values.write_text('{"values": [{"re": 1, "im": 0}]}')
+        code = cli.main(["interpolate", str(path), str(values), "--rcond", rcond])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "precondition error: rcond must be finite\n"
+
+
+class TestOutOfRangeInputs:
+    """Multiplicities beyond int64 and arithmetic beyond the double range exit
+    with a one-line error instead of a traceback or a silent success."""
+
+    def test_generate_lattice_huge_multiplicity(self, tmp_path, capsys):
+        out = tmp_path / "lat.json"
+        argv = ["generate", "lattice", "--window", "4", "--mult", "100000000000000000000000"]
+        assert cli.main([*argv, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("precondition error: multiplicities must be integers")
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("default::RuntimeWarning")  # numpy overflows on the way
+    @pytest.mark.parametrize(
+        "argv",
+        [["gram"], ["frame-bounds", "--degree", "5"], ["uniqueness", "--degree", "40", "--window", "1e300"]],
+    )
+    def test_overflow_is_a_precondition_error(self, argv, tmp_path, capsys):
+        path = tmp_path / "far.json"
+        points = [(0.0, 1)] if argv[0] == "uniqueness" else [(1e308 + 1e308j, 1), (0.0, 2)]
+        save_divisor(Divisor(FockParams(1.0), tuple(points)), path)
+        code = cli.main([argv[0], str(path), *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith("precondition error: floating-point overflow")
 
 
 class TestCliSurface:
