@@ -1,11 +1,10 @@
 """Divisors, their discs and window checks of the covering and disjointness
 conditions behind sampling, interpolation and uniqueness.
 
-A divisor holds arrays of points and multiplicities, its entries (lam, m) a
-derived view; an entry carries the disc D(lam, sqrt(m/alpha)), and checks use
-the padded (+C) or shrunk (-C) radii, evaluated once per distinct m.  The
-plane is probed on a finite window disc, so every verdict is an on-window
-estimate, never a proof.
+A divisor holds arrays of points and multiplicities, with entries (lam, m) as
+a view; each carries the disc D(lam, sqrt(m/alpha)), and checks use the padded
+(+C) or shrunk (-C) radii, functions of m.  The plane is probed on a finite
+window disc, so every verdict is an on-window estimate, never a proof.
 """
 
 from __future__ import annotations
@@ -46,11 +45,9 @@ class Divisor:
     mults: np.ndarray
 
     def __init__(self, params: FockParams, entries):
-        pairs = list(entries)
-        points = np.array([lam for lam, _ in pairs], dtype=complex)
-        mults = np.asarray([m for _, m in pairs])
-        if mults.dtype.kind not in "iu":  # floats, or ints past 64 bits: exact Python numbers
-            mults = np.array([m for _, m in pairs], dtype=object)
+        # an object table: each multiplicity is checked as the exact Python number
+        table = np.array(list(entries), dtype=object).reshape(-1, 2)
+        points, mults = table[:, 0].astype(complex), table[:, 1]
         with np.errstate(invalid="ignore"):  # a NaN compares False
             if not np.all((mults >= 1) & (mults < 2**63) & (mults % 1 == 0)):
                 raise ValueError("multiplicities must be integers m with 1 <= m < 2**63")
@@ -166,14 +163,13 @@ def _disc_sweep(divisor: Divisor, window: Window, families):
     """
     z, modulus, inside = window._square()
     n = (z.shape[0] - 1) // 2
-    distinct, inverse = np.unique(divisor.mults, return_inverse=True)
-    tables = [(comb, [discs(m) for m in distinct.tolist()]) for comb, discs in families]
-    grids = []
-    for comb, radii in tables:
-        # the largest count the fold over entries can reach
-        top = comb.reduce(np.array([len(t) for t in radii])[inverse], initial=0)
-        grids.append(np.zeros(z.shape, np.min_scalar_type(top)))
-    for lam, i in zip(divisor.points.tolist(), inverse.tolist()):
+    distinct, inverse = (a.tolist() for a in np.unique(divisor.mults, return_inverse=True))
+    tables = [(comb, [discs(m) for m in distinct]) for comb, discs in families]
+    grids = [
+        np.zeros(z.shape, np.min_scalar_type(comb.reduce([len(r[i]) for i in inverse], initial=0)))
+        for comb, r in tables
+    ]
+    for lam, i in zip(divisor.points.tolist(), inverse):
         wanted = [(g, comb, radii[i]) for g, (comb, radii) in zip(grids, tables) if radii[i]]
         # a non-finite centre has d2 inf or nan, inside no disc
         if not wanted or not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
@@ -254,8 +250,8 @@ def pairwise_disjoint(
     the first violating point pair in entry order, or None.
     """
     distinct, inverse = np.unique(divisor.mults, return_inverse=True)
-    radii = [disc_radius(m, divisor.params, c, sign) for m in distinct.tolist()]
-    radii = np.array(radii, dtype=float)[inverse]  # an absent radius (None) reads NaN
+    by_mult = [disc_radius(m, divisor.params, c, sign) for m in distinct.tolist()]
+    radii = np.array(by_mult, dtype=float)[inverse]  # an absent radius (None) reads NaN
     kept = ~np.isnan(radii)
     lams, radii = divisor.points[kept], radii[kept]
     if lams.size < 2:
