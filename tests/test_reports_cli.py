@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import subprocess
@@ -765,3 +766,50 @@ class TestValuesFile:
         err = capsys.readouterr().err
         assert code == 2
         assert re.search(f"schema error: {field}: ", err)
+
+
+def _sha256(data) -> str:
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+class TestOutputBytesPinned:
+    """Whole CLI outputs, pinned by digest: however the writers change, the
+    reports, divisor files and defect CSVs keep their bytes."""
+
+    @pytest.mark.parametrize(
+        "argv,report_digest,file_digest",
+        [
+            (["lattice", "--window", "20"],
+             "73427e588e4bc8f5d6345057c96c5a2818db893c1c69d03707d23c55617e339d",
+             "3634abd5214294cb583153758a7a895b19756c66802fe5f9a7a6e761ec901744"),
+            (["covering-rings", "--window", "30", "--c", "0.97"],
+             "0c6888452ef76e0040e756035b4414a7639ac60ddb14d3b00856d2d813b8a7ca",
+             "253969707373bad1cf2e074a026659df85feca1a264d43c4d9e40515c851b8fb"),
+            (["disjoint-rings", "--window", "150", "--c", "0.97"],
+             "ea5e939f70e0bb472f31c0791931738418ecfacf02b3f1bcf8a107d8e8ddbdd5",
+             "a911725357dfa11003468c38e1cf486f123d26567b9669824805c3d63969be88"),
+        ],
+        ids=["lattice", "covering-rings", "disjoint-rings"],
+    )
+    def test_generate(self, argv, report_digest, file_digest, tmp_path, capsys):
+        out = tmp_path / "divisor.json"
+        assert cli.main(["generate", *argv, "--out", str(out)]) == 0
+        assert _sha256(capsys.readouterr().out) == report_digest
+        assert _sha256(out.read_bytes()) == file_digest
+
+    def test_check_geometry_with_defects(self, tmp_path, capsys):
+        lattice, prefix = tmp_path / "lat.json", tmp_path / "defects"
+        assert cli.main(["generate", "lattice", "--window", "4", "--out", str(lattice)]) == 0
+        capsys.readouterr()
+        argv = ["check-geometry", str(lattice), "--window", "4", "--grid-step", "0.02",
+                "--c-list", "0.25,0.5,1", "--defects-csv", str(prefix)]
+        assert cli.main(argv) == 0
+        assert _sha256(capsys.readouterr().out) == (
+            "09b3e00214fc5e1351f3037c8609333588009fa6f9ebd3619874734a0815c838"
+        )
+        digests = {c: _sha256((tmp_path / f"defects_c{c}.csv").read_bytes()) for c in ("0.25", "0.5", "1")}
+        assert digests == {
+            "0.25": "2087bb44d0967e8a6f72c2ab5166cb2ad07035a2d602952ccd2ad8efb3a5f0f5",
+            "0.5": "130171edeedf791f6b110ea002b5016e347c18af02624ffca31f46893396d5e6",
+            "1": "b3d416df2343fc9893cd1b0a0c9f09f55829f0cd759191a64c1207f70e078d59",
+        }
