@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -42,14 +43,29 @@ def format_float(value: float) -> str:
     return format(float(value), ".12g")
 
 
-def _point_rows(z: np.ndarray, row: str, sep: str) -> str:
-    """Each complex128 point through row, a template whose two %.12g fields take
-    its real and imaginary parts (as format_float writes them), joined by sep;
-    each distinct float, keyed by its bits (0.0 and -0.0 apart), is formatted once."""
-    bits, inverse = np.unique(np.column_stack((z.real, z.imag)).view(np.int64), return_inverse=True)
-    text = ("%.12g\n" * bits.size % tuple(bits.view(np.float64).tolist())).split("\n")
-    parts = map(text.__getitem__, inverse.ravel().tolist())
-    return sep.join([row.replace("%.12g", "%s")] * z.size) % tuple(parts)
+def _point_rows(row: str, sep: str, z: np.ndarray, mults=None, nonfinite=None) -> str:
+    """Each complex128 point of z, with its multiplicity if mults is given,
+    through row, a template whose %s fields take them, the rows joined by sep.
+    Parts are written as %.12g (as nonfinite, if given, where not finite).
+    Each distinct float, keyed by its bits (0.0 and -0.0 apart), and each
+    distinct multiplicity is formatted once into its row pieces; the rows are
+    gathers of those pieces, joined in one pass."""
+    bits, inverse = np.unique(np.concatenate((z.real, z.imag)).view(np.int64), return_inverse=True)
+    floats = bits.view(np.float64)
+    text = np.array(("%.12g\n" * floats.size % tuple(floats.tolist())).split("\n")[:-1], dtype=object)
+    if nonfinite is not None:
+        text[~np.isfinite(floats)] = nonfinite
+    columns = [(text, inverse[: z.size]), (text, inverse[z.size :])]
+    if mults is not None:
+        values, index = np.unique(mults, return_inverse=True)
+        columns.append((np.array([str(m) for m in values.tolist()], dtype=object), index))
+    literals = row.split("%s")
+    literals[-1] += sep
+    pieces = np.empty((z.size, len(columns)), dtype=object)
+    for j, (strings, index) in enumerate(columns):
+        pieces[:, j] = ((literals[0] if j == 0 else "") + strings + literals[j + 1])[index]
+    joined = "".join(pieces.ravel().tolist())
+    return joined[: len(joined) - len(sep)]
 
 
 def _write_canonical(obj, out: list[str]) -> None:
@@ -64,7 +80,7 @@ def _write_canonical(obj, out: list[str]) -> None:
         # JSON has no Inf/NaN; non-finite summary values serialize as null
         out.append(format_float(x) if math.isfinite(x) else "null")
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        out.append(encode_basestring_ascii(obj))
     elif isinstance(obj, complex):
         _write_canonical(complex_payload(obj), out)
     elif isinstance(obj, dict):
@@ -74,20 +90,19 @@ def _write_canonical(obj, out: list[str]) -> None:
                 raise TypeError(f"report keys must be strings, got {key!r}")
             if i:
                 out.append(",")
-            out.append(json.dumps(key))
+            out.append(encode_basestring_ascii(key))
             out.append(":")
             _write_canonical(val, out)
         out.append("}")
     elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "c":
         # point lists, as complex128 (a wider part beyond its range becomes
-        # inf, quietly), in one formatting pass; non-finite ones go point by
-        # point as Python complex numbers, whose parts write null
+        # inf, quietly); JSON writes a non-finite part as null
         with np.errstate(over="ignore"):
             z = obj.astype(np.complex128, copy=False)
-        if np.isfinite(z).all():
-            out.append("[" + _point_rows(z, '{"re":%.12g,"im":%.12g}', ",") + "]")
-        else:
-            _write_canonical(z.tolist(), out)
+        out.append("[" + _point_rows('{"re":%s,"im":%s}', ",", z, nonfinite="null") + "]")
+    elif isinstance(obj, Divisor):  # the points of divisor_payload
+        row = '{"re":%s,"im":%s,"mult":%s}'
+        out.append("[" + _point_rows(row, ",", obj.points, obj.mults, nonfinite="null") + "]")
     elif isinstance(obj, (list, tuple, np.ndarray)):
         out.append("[")
         for i, val in enumerate(obj):
@@ -113,9 +128,13 @@ def complex_payload(z: complex) -> dict:
 def _require_number(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{field}: expected a number, got {value!r}")
-    if not math.isfinite(float(value)):
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond the double range
+        x = math.inf
+    if not math.isfinite(x):
         raise SchemaError(f"{field}: must be finite")
-    return float(value)
+    return x
 
 
 def _require_fields(obj, where: str, *fields: str) -> dict:
@@ -191,12 +210,9 @@ def load_values(path, labels) -> MeasurementVector:
 
 
 def divisor_payload(divisor: Divisor) -> dict:
-    return {
-        "alpha": divisor.params.alpha,
-        "points": [
-            {"re": lam.real, "im": lam.imag, "mult": m} for lam, m in divisor.entries
-        ],
-    }
+    """The divisor as {alpha, points}; its points are the divisor itself,
+    which canonical_json writes as the rows {re, im, mult} of one point list."""
+    return {"alpha": divisor.params.alpha, "points": divisor}
 
 
 def save_divisor(divisor: Divisor, path) -> None:
@@ -224,4 +240,4 @@ def write_points_csv(path, points) -> None:
     """Point list (defects and the like) as CSV with header re,im."""
     with np.errstate(over="ignore"):  # a wider part beyond the double range writes inf
         z = np.asarray(points if isinstance(points, np.ndarray) else list(points), dtype=complex)
-    Path(path).write_text("re,im\n" + _point_rows(z, "%.12g,%.12g\n", ""))
+    Path(path).write_text("re,im\n" + _point_rows("%s,%s\n", "", z))

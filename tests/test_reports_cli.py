@@ -28,7 +28,7 @@ from focklab import (
     save_divisor,
 )
 from focklab import generators
-from focklab.reports import complex_payload, format_float, write_points_csv, write_sweep_csv
+from focklab.reports import complex_payload, divisor_payload, format_float, write_points_csv, write_sweep_csv
 
 
 def run_cli(*args, cwd=None):
@@ -56,6 +56,13 @@ class TestCanonicalJson:
 
     def test_nonfinite_becomes_null(self):
         assert canonical_json({"ratio": float("inf")}) == '{"ratio":null}'
+
+    @given(st.text(), st.text())
+    @example('q"uo\\te', "tab\t nul\x00 del\x7f")
+    @example("\u00e9l\u00e8ve \U0001f600", "\u2028 \ud800")
+    def test_strings_written_as_json_dumps(self, key, value):
+        assert canonical_json({key: value}) == "{" + json.dumps(key) + ":" + json.dumps(value) + "}"
+        assert canonical_json([value]) == "[" + json.dumps(value) + "]"
 
 
 class TestDivisorFiles:
@@ -252,6 +259,65 @@ class TestPointLists:
         assert canonical_json(values) == expected
 
 
+# coordinates whose 12-digit form reads back as the same float, so that a
+# divisor file round trip is exact; the pool makes them repeat
+_exact_part = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 0.5, -3.0]),
+    st.builds(lambda k, e: float(f"{k}e{e}"), st.integers(-10**12 + 1, 10**12 - 1), st.integers(-330, 290)),
+)
+_mult = st.one_of(st.sampled_from([1, 2, 2**63 - 1]), st.integers(1, 2**63 - 1))
+
+
+def _dict_walk_payload(divisor):
+    # the per-point writer the array path replaced, kept as the reference
+    return {
+        "alpha": divisor.params.alpha,
+        "points": [{"re": lam.real, "im": lam.imag, "mult": m} for lam, m in divisor.entries],
+    }
+
+
+class TestDivisorRows:
+    """A divisor's points are written as one point list with the bytes of
+    the per-point dict walk, and read back as the same divisor."""
+
+    @given(
+        st.sampled_from([1.0, 0.25, 3.5]),
+        st.lists(st.tuples(_exact_part, _exact_part, _mult), max_size=30,
+                 unique_by=lambda t: complex(t[0], t[1])),
+    )
+    @example(1.0, [(0.0, -0.0, 1), (5e-324, 1e300, 2**63 - 1), (-1e300, -0.0, 2**63 - 1)])
+    def test_rows_match_dict_walk_and_round_trip(self, alpha, rows):
+        divisor = Divisor(FockParams(alpha), [(complex(re, im), m) for re, im, m in rows])
+        text = canonical_json(divisor_payload(divisor))
+        assert text == canonical_json(_dict_walk_payload(divisor))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "divisor.json"
+            save_divisor(divisor, path)
+            assert path.read_text() == text + "\n"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                loaded = load_divisor(path)
+        assert loaded == divisor
+
+    @given(st.lists(st.tuples(_finite_part, _finite_part, _mult), max_size=30,
+                    unique_by=lambda t: complex(t[0], t[1])))
+    def test_rows_of_any_finite_points_match_dict_walk(self, rows):
+        divisor = Divisor(FockParams(1.0), [(complex(re, im), m) for re, im, m in rows])
+        assert canonical_json(divisor_payload(divisor)) == canonical_json(_dict_walk_payload(divisor))
+
+    def test_empty_divisor(self):
+        assert canonical_json(divisor_payload(Divisor(FockParams(2.0), ()))) == '{"alpha":2,"points":[]}'
+
+    def test_nonfinite_points_write_null(self):
+        nan, inf = float("nan"), float("inf")
+        divisor = Divisor(FockParams(1.0), ((complex(nan, 0.5), 2), (complex(-0.0, -inf), 3), (1j, 1)))
+        text = canonical_json(divisor_payload(divisor))
+        assert text == canonical_json(_dict_walk_payload(divisor)) == (
+            '{"alpha":1,"points":[{"re":null,"im":0.5,"mult":2},'
+            '{"re":-0,"im":null,"mult":3},{"re":0,"im":1,"mult":1}]}'
+        )
+
+
 class TestOversizedGrid:
     """A probe grid over the cell budget is refused before any grid is built."""
 
@@ -390,6 +456,20 @@ class TestOutOfRangeInputs:
         assert code == 3
         assert captured.out == ""
         assert captured.err.splitlines()[-1].startswith("precondition error: floating-point overflow")
+
+    @pytest.mark.parametrize("field", ["alpha", "re", "im"])
+    def test_divisor_integer_beyond_double_range_is_schema_error(self, field, tmp_path, capsys):
+        numbers = {"alpha": "1", "re": "0", "im": "0", field: "1" + "0" * 400}
+        path = tmp_path / "huge.json"
+        path.write_text(
+            f'{{"alpha": {numbers["alpha"]}, "points":'
+            f' [{{"re": {numbers["re"]}, "im": {numbers["im"]}, "mult": 1}}]}}'
+        )
+        assert cli.main(["gram", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        name = field if field == "alpha" else f"points[0].{field}"
+        assert captured.err == f"schema error: {name}: must be finite\n"
 
 
 class TestCliSurface:
@@ -766,6 +846,18 @@ class TestValuesFile:
         err = capsys.readouterr().err
         assert code == 2
         assert re.search(f"schema error: {field}: ", err)
+
+    @pytest.mark.parametrize("part", ["re", "im"])
+    def test_integer_beyond_double_range_is_schema_error(self, divisor_path, tmp_path, part, capsys):
+        second = {"re": "1", "im": "0", part: "1" + "0" * 400}
+        values_path = tmp_path / "vals.json"
+        values_path.write_text(
+            f'{{"values": [{{"re": 1, "im": 0}}, {{"re": {second["re"]}, "im": {second["im"]}}}]}}'
+        )
+        assert cli.main(["interpolate", str(divisor_path), str(values_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"schema error: values[1].{part}: must be finite\n"
 
 
 def _sha256(data) -> str:
