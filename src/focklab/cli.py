@@ -5,7 +5,8 @@ Every subcommand prints one canonical JSON report to stdout, and each warning
 as one line `warning: <message>` to stderr.  Exit codes: 0 success, 2
 malformed, unreadable or non-UTF-8 input (schema), 3 violated precondition,
 such as an output that cannot be written (refused before any computation when
-it is a directory or its directory does not exist), or an input whose
+it is a directory or its directory does not exist), a matrix above
+MAX_MATRIX_ENTRIES (refused before its labels are built), or an input whose
 arithmetic overflows the double range (a point near 1e308, a window whose
 square does).  Every failure is one line on stderr, after any warnings.
 """
@@ -20,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .core import MAX_MATRIX_ENTRIES
 from .generators import generate_covering_rings, generate_disjoint_rings, generate_lattice
 from .geometry import GeometryVerdicts, Window, theorem_verdicts
 from .kernels import gram_matrix
@@ -79,6 +81,12 @@ def _require_out_dir(path) -> None:
         raise ValueError(f"{path}: is a directory, not a file")
     if path and not Path(path).parent.is_dir():
         raise ValueError(f"{path}: {Path(path).parent} is not an existing directory")
+
+
+def _require_entries(rows: int, cols: int) -> None:
+    # refuses a matrix above the entry budget before any label or entry of it exists
+    if rows * cols > MAX_MATRIX_ENTRIES:
+        raise ValueError(f"a {rows} x {cols} matrix exceeds {MAX_MATRIX_ENTRIES} entries")
 
 
 def _verdicts_payload(verdicts: GeometryVerdicts) -> dict:
@@ -170,6 +178,8 @@ def _cmd_frame_bounds(args) -> dict:
     divisor = load_divisor(args.divisor)
     degrees = _parse_sweep(args.degree_sweep) if args.degree_sweep else [args.degree]
     _require_out_dir(args.csv)
+    # counted as one row at least: the basis labels are built before any row
+    _require_entries(max(divisor.total_multiplicity(), 1), max(degrees) + 1)
     # every degree's matrix is a column prefix of the largest one
     matrix = analysis_matrix(divisor, max(degrees))
     summaries = []
@@ -198,6 +208,7 @@ def _cmd_frame_bounds(args) -> dict:
 
 def _cmd_gram(args) -> dict:
     divisor = load_divisor(args.divisor)
+    _require_entries(divisor.total_multiplicity(), divisor.total_multiplicity())
     labels = divisor.atom_labels()
     if not labels:
         raise ValueError("divisor must be nonempty")
@@ -219,6 +230,7 @@ def _cmd_gram(args) -> dict:
 
 def _cmd_interpolate(args) -> dict:
     divisor = load_divisor(args.divisor)
+    _require_entries(divisor.total_multiplicity(), divisor.total_multiplicity())
     data = load_values(args.values, divisor.atom_labels())
     solution = min_norm_interpolate(divisor, data, rcond=args.rcond)
     payload = {
@@ -249,6 +261,8 @@ def _cmd_interpolate(args) -> dict:
 
 def _cmd_uniqueness(args) -> dict:
     divisor = load_divisor(args.divisor)
+    # the SVD's null-space basis is square in the degree
+    _require_entries(max(divisor.total_multiplicity(), args.degree + 1), args.degree + 1)
     window = Window(args.window, args.window / 100)
     value = hole_mass_experiment(divisor, args.degree, window)
     return {

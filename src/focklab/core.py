@@ -62,6 +62,9 @@ def label_digest(params: FockParams, pairs) -> str:
 # takes 16 bytes a cell and a geometric check adds three small-integer grids,
 # however many C it tests, so this bounds every grid before numpy allocates it.
 MAX_GRID_CELLS = 2**22
+# Most entries of a matrix a command builds (a Gram of 2048 atoms, 64 MiB of
+# complex entries); the command refuses a larger one before building labels.
+MAX_MATRIX_ENTRIES = 2**22
 
 
 def square_axis(half: float, step: float, what: str) -> np.ndarray:
@@ -136,8 +139,12 @@ def atom_eval(atom: Atom, zeta, params: FockParams):
 def scalar_math(fn, *args) -> np.ndarray:
     """Apply a `math` function elementwise, exactly as scalar Python does;
     numpy's own exp, log, atan2 and power round some arguments differently
-    from the C library, and differently on different CPUs."""
-    return np.asarray(np.frompyfunc(fn, len(args), 1)(*args), dtype=float)
+    from the C library, and differently on different CPUs.  The function is
+    mapped over the Python floats of the broadcast arguments (`tolist`), and
+    np.fromiter collects its results into an array of their shape."""
+    args = np.broadcast_arrays(*args)
+    values = map(fn, *(a.ravel().tolist() for a in args))
+    return np.fromiter(values, float, args[0].size).reshape(args[0].shape)
 
 
 def compose_phase(w, z, params: FockParams):

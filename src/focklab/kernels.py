@@ -49,9 +49,12 @@ def overlap_matrix(rows, cols, params: FockParams) -> np.ndarray:
     zero can move the phase and the atan2 branch.  The entries run pair by
     pair, (row point, column point) pairs in row-major order, in blocks of at
     most _BLOCK_ENTRIES entries.  A block evaluates the factors of z once per
-    pair it touches, the Laguerre recurrence and exp once per entry, and cos
-    and sin of d*arg w once per distinct (pair, signed gap j - k), gathered
-    from a table: equal angles give equal bits.
+    pair it touches, exp once per entry, and the rest once per chain, that is
+    per distinct (pair, signed gap j - k) of its entries: cos and sin of
+    d*arg w, and the Laguerre recurrence L_0, L_1, ..., the block's chains in
+    step up to its largest lo = min(j, k), each entry reading L_lo as its
+    chain passes it.  Every step is the scalar recurrence on the same floats
+    in the same order, so the chains change no bit of any entry.
 
     When the two label arrays are bitwise equal, only the pairs (s, t) with t
     at or before s in bit order are computed, and each transposed entry takes
@@ -102,19 +105,25 @@ def _blocks(rows, cols, triangle):
     # _BLOCK_ENTRIES: the pairs a run touches, and the pair, row and column
     # of each of its entries
     (r_order, r_first, r_count), (c_order, c_first, c_count) = rows, cols
-    # a row point's entries: with all columns, or on a triangle with those of
-    # the points up to its own
-    size = r_count * (c_first + c_count if triangle else len(c_order))
+    # a row point's pairs: with all column points, or on a triangle with the
+    # points up to its own
+    reach = np.arange(1, len(r_count) + 1) if triangle else np.full(len(r_count), len(c_count))
+    size = r_count * (c_first + c_count)[reach - 1]
     row_start, total = np.cumsum(size) - size, int(size.sum())
     for begin in range(0, total, _BLOCK_ENTRIES):
         w = np.arange(begin, min(begin + _BLOCK_ENTRIES, total))
-        s = np.searchsorted(row_start, w, side="right") - 1
-        w -= row_start[s]
-        t = np.searchsorted(c_first, w // r_count[s], side="right") - 1
-        down, across = np.divmod(w - r_count[s] * c_first[t], c_count[t])
-        new = np.r_[True, (s[1:] != s[:-1]) | (t[1:] != t[:-1])]
-        head, pair = np.flatnonzero(new), np.cumsum(new) - 1
-        yield s[head], t[head], pair, r_order[r_first[s] + down], c_order[c_first[t] + across]
+        # the pairs of the row points the run reaches and where their entries
+        # start, then one search and one division per entry
+        first, last = np.searchsorted(row_start, w[[0, -1]], side="right") - 1
+        n = reach[first:last + 1]
+        s = np.repeat(np.arange(first, last + 1), n)
+        t = np.arange(len(s)) - np.repeat(np.cumsum(n) - n, n)
+        start = row_start[s] + r_count[s] * c_first[t]
+        p = np.searchsorted(start, w, side="right") - 1
+        down, across = np.divmod(w - start[p], c_count[t[p]])
+        head, tail = p[0], p[-1] + 1
+        r, c = r_order[r_first[s[p]] + down], c_order[c_first[t[p]] + across]
+        yield s[head:tail], t[head:tail], p - head, r, c
 
 
 def _rotate(phase, re, im):
@@ -150,25 +159,30 @@ def _point_factors(mu, lam, params: FockParams):
 def _displacement_block(j, k, pair, factors, log_fact):
     # Re and Im <T_z e_k, e_j> of the entries of degrees j, k at pairs `pair`
     x, log_w, arg_ge, arg_lt, at_zero = factors
-    x, log_w, at_zero, gap = x[pair], log_w[pair], at_zero[pair], j - k
-    lo, d = np.minimum(j, k), np.abs(gap)
-    # three-term recurrence in the degree on the elements short of their own lo
-    prev, lag = np.ones(lo.shape), 1.0 + d - x
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, int(lo.max())):
-            a = np.flatnonzero(lo > i)
-            nxt = ((2 * i + 1 + d[a] - x[a]) * lag[a] - (i + d[a]) * prev[a]) / (i + 1)
-            prev[a], lag[a] = lag[a], nxt
-    log_mag = -0.5 * x + 0.5 * (log_fact[lo] - log_fact[lo + d]) + d * log_w
-    value = np.where(lo > 0, lag, 1.0) * scalar_math(math.exp, log_mag)
-    # cos and sin once per distinct (pair, signed gap), which fixes d * arg w
+    gap, lo, d = j - k, np.minimum(j, k), np.abs(j - k)
+    # one chain per distinct (pair, signed gap), which fixes x, d and d * arg w
     low, span = int(gap.min()), int(np.ptp(gap)) + 1
-    key, inverse = np.unique(pair * span + (gap - low), return_inverse=True)
+    key, chain = np.unique(pair * span + (gap - low), return_inverse=True)
     at, g = key // span, key % span + low
-    angle = np.abs(g) * np.where(g >= 0, arg_ge[at], arg_lt[at])
-    cos, sin = scalar_math(math.cos, angle)[inverse], scalar_math(math.sin, angle)[inverse]
-    re = np.where(at_zero, (j == k) * 1.0, value * cos)
-    im = np.where(at_zero, 0.0, value * sin)
+    cx, cd = x[at], np.abs(g)
+    # the three-term recurrence in the degree, once per chain, all chains in
+    # step; the entries, taken by lo, read L at their own lo as their chain
+    # passes it (L_0 = 1), and no one reads a chain past its largest lo
+    order, lag = np.argsort(lo), np.ones(lo.shape)
+    ends = np.searchsorted(lo[order], np.arange(lo.max() + 1), "right")
+    prev, cur = np.ones(len(key)), 1.0 + cd - cx
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, len(ends)):
+            e = order[ends[i - 1]:ends[i]]
+            lag[e] = cur[chain[e]]
+            prev, cur = cur, ((2 * i + 1 + cd - cx) * cur - (i + cd) * prev) / (i + 1)
+    log_mag = -0.5 * x[pair] + 0.5 * (log_fact[lo] - log_fact[lo + d]) + d * log_w[pair]
+    value = lag * scalar_math(math.exp, log_mag)
+    # cos and sin once per chain: equal angles give equal bits
+    angle = cd * np.where(g >= 0, arg_ge[at], arg_lt[at])
+    cos, sin = scalar_math(math.cos, angle)[chain], scalar_math(math.sin, angle)[chain]
+    re = np.where(at_zero[pair], (j == k) * 1.0, value * cos)
+    im = np.where(at_zero[pair], 0.0, value * sin)
     return re, im
 
 

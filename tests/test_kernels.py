@@ -11,6 +11,7 @@ from scipy.special import eval_genlaguerre
 
 from focklab import (
     Atom,
+    Divisor,
     DuplicateLabelError,
     FockFunction,
     FockParams,
@@ -20,6 +21,7 @@ from focklab import (
     displaced_basis,
     displacement_element,
     generate_covering_rings,
+    generate_disjoint_rings,
     gram_matrix,
     kernels,
     overlap_matrix,
@@ -498,6 +500,25 @@ class TestBlockKernel:
             with mock.patch.object(kernels, "_BLOCK_ENTRIES", budget):
                 got = overlap_matrix(rows, cols, params)
             assert np.array_equal(got.view(np.int64), reference.view(np.int64))
+
+
+@pytest.mark.parametrize("family", ["covering R=8 Gram", "covering R=10 analysis", "disjoint R=35 Gram"])
+def test_benchmark_shaped_families_bits_equal_strip_kernel(family):
+    # the families the benchmark builds, whose blocks hold hundreds of
+    # Laguerre chains of up to 29 steps; turned by 4 radians, the centre
+    # point becomes 0 - 0j, which has the equal family computed in full
+    name, radius, kind = family.split()
+    generate = generate_covering_rings if name == "covering" else generate_disjoint_rings
+    divisor, _ = generate(1.0, 1.0, float(radius[2:]))
+    turn = complex(math.cos(4.0), math.sin(4.0))
+    turned = Divisor(divisor.params, [(lam * turn, m) for lam, m in divisor.entries])
+    assert any(lam == 0 and math.copysign(1.0, lam.imag) < 0 for lam in turned.points)
+    for d in (divisor, turned):
+        rows = d.atom_labels()
+        cols = [(0.0, n) for n in range(121)] if kind == "analysis" else rows
+        got = overlap_matrix(rows, cols, d.params)
+        reference = strip_overlap_matrix(rows, cols, d.params)
+        assert np.array_equal(got.view(np.int64), reference.view(np.int64))
 
 
 def test_gram_and_analysis_memory_bounded_by_blocks():

@@ -429,6 +429,69 @@ class TestNonFiniteInputs:
         assert captured.err == "precondition error: rcond must be finite\n"
 
 
+class TestOversizedMatrix:
+    """A matrix over the entry budget is refused with exit 3 and one stderr
+    line before its labels or any matrix are built: n x n entries for gram
+    and interpolate, n x (degree + 1) for frame-bounds and, for the square
+    null-space basis of uniqueness, (degree + 1) x (degree + 1)."""
+
+    # two points of multiplicity 3: a 6 x 6 Gram, a 6 x 6 analysis matrix at
+    # degree 5 and a 9 x 9 null-space basis at degree 8
+    ARGV = {
+        "gram": ["gram", "{d}"],
+        "interpolate": ["interpolate", "{d}", "{values}"],
+        "frame-bounds": ["frame-bounds", "{d}", "--degree", "5"],
+        "uniqueness": ["uniqueness", "{d}", "--degree", "8", "--window", "3"],
+    }
+    ENTRIES = {"gram": 36, "interpolate": 36, "frame-bounds": 36, "uniqueness": 81}
+
+    def _argv(self, command, tmp_path):
+        path, values = tmp_path / "two.json", tmp_path / "values.json"
+        save_divisor(Divisor(FockParams(1.0), ((0.0, 3), (2.0 + 1.0j, 3))), path)
+        values.write_text(json.dumps({"values": [{"re": 1.0, "im": 0.0}] * 6}))
+        return [a.format(d=path, values=values) for a in self.ARGV[command]]
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_at_budget_runs(self, command, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "MAX_MATRIX_ENTRIES", self.ENTRIES[command])
+        assert cli.main(self._argv(command, tmp_path)) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_one_entry_over_budget_refused_before_labels(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        def refuse(divisor):
+            raise AssertionError("labels built for a refused matrix")
+
+        argv = self._argv(command, tmp_path)
+        monkeypatch.setattr(cli, "MAX_MATRIX_ENTRIES", self.ENTRIES[command] - 1)
+        monkeypatch.setattr(Divisor, "atom_labels", refuse)
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("precondition error: ") and "entries" in captured.err
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["gram"],
+        ["frame-bounds", "--degree", "1000000000"],
+        ["uniqueness", "--degree", "2048", "--window", "3"],
+    ])
+    def test_default_budget(self, argv, tmp_path, capsys):
+        # 2048 x 2048 entries is the largest matrix allowed: a 2049-atom Gram
+        # and a degree-2048 null-space basis are one row and column over it
+        assert cli.MAX_MATRIX_ENTRIES == 2048**2
+        path = tmp_path / "big.json"
+        save_divisor(Divisor(FockParams(1.0), ((0.0, 2049 if argv == ["gram"] else 1),)), path)
+        start = time.perf_counter()
+        assert cli.main([argv[0], str(path), *argv[1:]]) == 3
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("precondition error: ") and "entries" in captured.err
+
+
 class TestOutOfRangeInputs:
     """Multiplicities beyond int64 and arithmetic beyond the double range exit
     with a one-line error instead of a traceback or a silent success."""
