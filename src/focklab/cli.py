@@ -6,9 +6,12 @@ as one line `warning: <message>` to stderr.  Exit codes: 0 success, 2
 malformed, unreadable or non-UTF-8 input (schema), 3 violated precondition,
 such as an output that cannot be written (refused before any computation when
 it is a directory or its directory does not exist), a matrix above
-MAX_MATRIX_ENTRIES (refused before its labels are built), or an input whose
-arithmetic overflows the double range (a point near 1e308, a window whose
-square does).  Every failure is one line on stderr, after any warnings.
+MAX_MATRIX_ENTRIES (refused before its labels are built), disjoint rings of
+more than MAX_RING_POINTS points (refused before any is laid out), a
+generated divisor that fails its family's contract (no file is written), or
+an input whose arithmetic overflows the double range (a point near 1e308, a
+window whose square does).  Every failure is one line on stderr, after any
+warnings.
 """
 
 from __future__ import annotations
@@ -22,7 +25,12 @@ import numpy as np
 
 from . import __version__
 from .core import MAX_MATRIX_ENTRIES
-from .generators import generate_covering_rings, generate_disjoint_rings, generate_lattice
+from .generators import (
+    ContractError,
+    generate_covering_rings,
+    generate_disjoint_rings,
+    generate_lattice,
+)
 from .geometry import GeometryVerdicts, Window, theorem_verdicts
 from .kernels import gram_matrix
 from .numerics import (
@@ -339,7 +347,7 @@ def main(argv=None) -> int:
         except SchemaError as exc:
             print(f"schema error: {exc}", file=sys.stderr)
             return EXIT_SCHEMA
-        except (ValueError, OSError) as exc:
+        except (ValueError, OSError, ContractError) as exc:
             # an OSError here is an output's: reports reads inputs as schema errors
             print(f"precondition error: {exc}", file=sys.stderr)
             return EXIT_PRECONDITION

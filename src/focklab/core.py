@@ -62,6 +62,10 @@ def label_digest(params: FockParams, pairs) -> str:
 # takes 16 bytes a cell and a geometric check adds three small-integer grids,
 # however many C it tests, so this bounds every grid before numpy allocates it.
 MAX_GRID_CELLS = 2**22
+# Most points of a generated ring divisor.  The disjointness contract screens
+# its point pairs, about quadratically: 4.5 s for the 30,570 points of
+# disjoint rings to radius 2000 (alpha = C = 1) on a 2-core desk machine.
+MAX_RING_POINTS = 2**15
 # Most entries of a matrix a command builds (a Gram of 2048 atoms, 64 MiB of
 # complex entries); the command refuses a larger one before building labels.
 MAX_MATRIX_ENTRIES = 2**22

@@ -12,14 +12,19 @@ from __future__ import annotations
 
 import math
 
-from .core import FockParams
+from .core import MAX_RING_POINTS, FockParams
 from .geometry import Divisor, Window, coverage_defect, disc_grid, disc_radius, pairwise_disjoint
 
 __all__ = [
+    "ContractError",
     "generate_lattice",
     "generate_covering_rings",
     "generate_disjoint_rings",
 ]
+
+
+class ContractError(RuntimeError):
+    """A generated divisor failed the contract that defines its family."""
 
 
 def _require_positive(**values: float) -> None:
@@ -98,7 +103,7 @@ def generate_covering_rings(alpha: float, c: float, radius: float) -> tuple[Divi
     window = Window(radius, step)
     defect = coverage_defect(divisor, c, -1, window, 0.0)
     if defect.size:
-        raise RuntimeError(
+        raise ContractError(
             f"covering-rings generator violated its coverage contract at {defect[0]}"
         )
     meta = {
@@ -119,31 +124,39 @@ def generate_disjoint_rings(alpha: float, c: float, radius: float) -> tuple[Divi
 
     Multiplicity grows by one per ring, so it is unbounded along the family.
     Ring gaps exceed the sum of adjacent padded radii and in-ring chords
-    exceed twice the padded radius, which is verified before returning.
+    exceed twice the padded radius, which is verified before returning.  A
+    schedule of more than MAX_RING_POINTS points is refused before any point
+    is laid out.
     """
     _require_positive(c=c, radius=radius)
     params = FockParams(alpha)
     gap = 0.5 / math.sqrt(alpha)
 
-    entries = []
     schedule = []
     rho = 0.0
     mult = 1
+    points = 0
     while rho <= radius:
         padded = disc_radius(mult, params, c, +1)
         # the centre holds one point, like a ring too tight for a second
         x = (2 * padded + gap) / (2 * rho) if rho else 1.0
         count = 1 if x >= 1 else max(1, math.floor(math.pi / math.asin(x)))
-        for lam in _ring_points(rho, count):
-            entries.append((lam, mult))
+        points += count
+        if points > MAX_RING_POINTS:
+            raise ValueError(
+                f"disjoint rings to radius {radius:g} hold more than {MAX_RING_POINTS} points"
+            )
         schedule.append({"rho": rho, "count": count, "mult": mult, "padded_radius": padded})
         rho += padded + disc_radius(mult + 1, params, c, +1) + gap
         mult += 1
 
+    entries = [
+        (lam, ring["mult"]) for ring in schedule for lam in _ring_points(ring["rho"], ring["count"])
+    ]
     divisor = Divisor(params, tuple(entries))
     ok, pair = pairwise_disjoint(divisor, c, +1)
     if not ok:
-        raise RuntimeError(f"disjoint-rings generator violated its contract at pair {pair}")
+        raise ContractError(f"disjoint-rings generator violated its contract at pair {pair}")
     meta = {
         "family": "disjoint-rings",
         "alpha": params.alpha,

@@ -2,7 +2,8 @@
 
 `overlap_matrix` is the one overlap path: inner products, basis projections,
 measurements, Gram and analysis matrices are all cross-overlaps given by one
-Laguerre closed form (Cahill & Glauber, Phys. Rev. 177, 1857, 1969).  The
+Laguerre closed form (Cahill & Glauber, Phys. Rev. 177, 1857, 1969), walked
+by runs of consecutive degrees, Laguerre chains and flushes of entries.  The
 brute-force quadrature oracle is independent of it; the tests pin the two.
 """
 
@@ -33,7 +34,8 @@ class DuplicateLabelError(ValueError):
     """An atom family contained the same (point, degree) label twice."""
 
 
-# Entries per block, which bounds the kernel's temporaries whatever the family.
+# Chains per batch and entries per flush, which bound the kernel's temporaries
+# whatever the family.
 _BLOCK_ENTRIES = 2**12
 
 
@@ -46,23 +48,27 @@ def overlap_matrix(rows, cols, params: FockParams) -> np.ndarray:
     lam) and the closed form of displacement_element, bit-identical to scalar
     Python floats (functions from scalar_math, complex products in CPython's
     operation order).  Points are told apart by their bits, since a signed
-    zero can move the phase and the atan2 branch.  The entries run pair by
-    pair, (row point, column point) pairs in row-major order, in blocks of at
-    most _BLOCK_ENTRIES entries.  A block evaluates the factors of z once per
-    pair it touches, exp once per entry, and the rest once per chain, that is
-    per distinct (pair, signed gap j - k) of its entries: cos and sin of
-    d*arg w, and the Laguerre recurrence L_0, L_1, ..., the block's chains in
-    step up to its largest lo = min(j, k), each entry reading L_lo as its
-    chain passes it.  Every step is the scalar recurrence on the same floats
-    in the same order, so the chains change no bit of any entry.
+    zero can move the phase and the atan2 branch.
 
-    When the two label arrays are bitwise equal, only the pairs (s, t) with t
-    at or before s in bit order are computed, and each transposed entry takes
-    the modulus and cosine part of its mirror, the sine part negated and the
-    phase of the opposite composition: the bits a direct evaluation gives.
-    That identity needs arg w of the two directions to be opposite, which an
-    imaginary part of -0.0 breaks (pi on both sides of a real-axis pair), so
-    a family with such a point is computed in full.
+    Each family is sorted once into runs, maximal stretches of consecutive
+    degrees at one point.  A pair of runs of lengths a and b holds a + b - 1
+    chains, its entries of one gap j - k at consecutive lo = min(j, k).
+    Batches of at most _BLOCK_ENTRIES chains (a long run pair is split by
+    chain range) evaluate the factors of z once per run pair, cos and sin of
+    d*arg w once per chain, and the Laguerre recurrence once for all their
+    chains in step; the entries the steps reach are flushed through exp, the
+    phase and the scatter, at most _BLOCK_ENTRIES at a time.  Each step is
+    the scalar recurrence on the same floats in the same order, so no bit
+    depends on the walk, and nothing is sorted after the first sort.
+
+    When the two label arrays are bitwise equal, only the run pairs whose
+    column point is at or before the row point in bit order are computed,
+    and each transposed entry takes the modulus and cosine part of its
+    mirror, the sine part negated and the phase of the opposite composition:
+    the bits a direct evaluation gives.  That identity needs arg w of the two
+    directions to be opposite, which an imaginary part of -0.0 breaks (pi on
+    both sides of a real-axis pair), so a family with such a point is
+    computed in full.
     """
     rows = [(complex(mu), int(j)) for mu, j in rows]
     cols = [(complex(lam), int(k)) for lam, k in cols]
@@ -75,62 +81,129 @@ def overlap_matrix(rows, cols, params: FockParams) -> np.ndarray:
     log_fact = np.array([math.lgamma(n + 1) for n in range(max(degrees) + 1)])
     mu, j = np.array([mu for mu, _ in rows]), np.array([j for _, j in rows])
     lam, k = np.array([lam for lam, _ in cols]), np.array([k for _, k in cols])
-    (row_points, *row_groups), (points, *groups) = _point_table(mu), _point_table(lam)
     equal = np.array_equal(mu.view(np.int64), lam.view(np.int64)) and np.array_equal(j, k)
     hermitian = equal and not np.any(np.signbit(lam.imag) & (lam.imag == 0))
-    flat, width = out.reshape(-1), len(cols)
-    for s, t, pair, r, c in _blocks(row_groups, groups, hermitian):
-        phase, *factors = _point_factors(row_points[s], points[t], params)
-        re, im = _displacement_block(j[r], k[c], pair, factors, log_fact)
-        flat[r * width + c] = _rotate(phase[pair], re, im)
-        if hermitian:
-            # the transposed entries of the pairs off the diagonal
-            back, _ = compose_phase(-points[t], row_points[s], params)
-            m = (t < s)[pair]
-            im = np.where(factors[-1][pair[m]], im[m], -im[m])
-            flat[c[m] * width + r[m]] = _rotate(back[pair[m]], re[m], im)
+    row_runs = _runs(mu, j)
+    col_runs = row_runs if equal else _runs(lam, k)
+    for batch in _chain_batches(row_runs, col_runs, hermitian):
+        _fill(out, batch, row_runs, col_runs, params, log_fact, hermitian)
     return out
 
 
-def _point_table(z):
-    # z's distinct points by their bits, in bit order, and its labels by point
-    _, first, of, count = np.unique(z.view(np.int64).reshape(-1, 2), axis=0, return_index=True,
-                                    return_inverse=True, return_counts=True)
-    return z[first], np.argsort(of.ravel(), kind="stable"), np.cumsum(count) - count, count
+def _runs(z, degree):
+    # the labels sorted by (point bits, degree): the order, and per run its
+    # start in it, length, first degree, point index and point
+    bits = z.view(np.int64).reshape(-1, 2)
+    order = np.lexsort((degree, bits[:, 1], bits[:, 0]))
+    bits, degree = bits[order], degree[order]
+    point = np.concatenate(([True], np.any(bits[1:] != bits[:-1], axis=1)))
+    start = np.flatnonzero(point | np.concatenate(([True], degree[1:] != degree[:-1] + 1)))
+    point = np.cumsum(point)[start] - 1
+    return order, start, np.diff(start, append=len(order)), degree[start], point, z[order[start]]
 
 
-def _blocks(rows, cols, triangle):
-    # the entries of the (s, t) point pairs, pair after pair (row-major, with
-    # t <= s on a triangle) and row-major within a pair, in runs of at most
-    # _BLOCK_ENTRIES: the pairs a run touches, and the pair, row and column
-    # of each of its entries
-    (r_order, r_first, r_count), (c_order, c_first, c_count) = rows, cols
-    # a row point's pairs: with all column points, or on a triangle with the
-    # points up to its own
-    reach = np.arange(1, len(r_count) + 1) if triangle else np.full(len(r_count), len(c_count))
-    size = r_count * (c_first + c_count)[reach - 1]
-    row_start, total = np.cumsum(size) - size, int(size.sum())
+def _chain_batches(row_runs, col_runs, triangle):
+    # the chains of the run pairs (u, v), pair after pair (row-major; on a
+    # triangle, v up to the runs of u's point) and by gap within a pair, in
+    # batches of at most _BLOCK_ENTRIES: the pairs a batch touches, and the
+    # chain table of _chains
+    a, b = row_runs[2], col_runs[2]
+    reach = (np.searchsorted(col_runs[4], row_runs[4], "right") if triangle
+             else np.full(len(a), len(b)))
+    b_before = np.concatenate(([0], np.cumsum(b)))
+    size = reach * (a - 1) + b_before[reach]
+    row_first, total = np.cumsum(size) - size, int(size.sum())
     for begin in range(0, total, _BLOCK_ENTRIES):
-        w = np.arange(begin, min(begin + _BLOCK_ENTRIES, total))
-        # the pairs of the row points the run reaches and where their entries
-        # start, then one search and one division per entry
-        first, last = np.searchsorted(row_start, w[[0, -1]], side="right") - 1
-        n = reach[first:last + 1]
-        s = np.repeat(np.arange(first, last + 1), n)
-        t = np.arange(len(s)) - np.repeat(np.cumsum(n) - n, n)
-        start = row_start[s] + r_count[s] * c_first[t]
-        p = np.searchsorted(start, w, side="right") - 1
-        down, across = np.divmod(w - start[p], c_count[t[p]])
-        head, tail = p[0], p[-1] + 1
-        r, c = r_order[r_first[s[p]] + down], c_order[c_first[t[p]] + across]
-        yield s[head:tail], t[head:tail], p - head, r, c
+        ends = [begin, min(begin + _BLOCK_ENTRIES, total) - 1]
+        # the pairs of the row runs the batch reaches, and their first chains
+        lo_u, hi_u = np.searchsorted(row_first, ends, side="right") - 1
+        n = reach[lo_u:hi_u + 1]
+        u = np.repeat(np.arange(lo_u, hi_u + 1), n)
+        v = np.arange(len(u)) - np.repeat(np.cumsum(n) - n, n)
+        pair_first = row_first[u] + v * (a[u] - 1) + b_before[v]
+        keep = slice(*np.searchsorted(pair_first, ends, "right") + [-1, 0])
+        u, v, pair_first = u[keep], v[keep], pair_first[keep]
+        yield u, v, _chains(np.arange(ends[0], ends[1] + 1), u, v, pair_first, row_runs, col_runs)
+
+
+def _chains(w, u, v, pair_first, row_runs, col_runs):
+    # chains w of the run pairs (u, v) whose first chains are pair_first:
+    # their pair, d, whether j >= k, first and end lo, and sorted row and
+    # column positions less lo.  Chain g of an a x b run pair starts at its
+    # row max(0, g - b + 1) and column row - g + b - 1.
+    _, row_start, a, row_degree, *_ = row_runs
+    _, col_start, b, col_degree, *_ = col_runs
+    pair = np.searchsorted(pair_first, w, "right") - 1
+    g, a, b, u, v = w - pair_first[pair], a[u][pair], b[v][pair], u[pair], v[pair]
+    row = np.maximum(g - b + 1, 0)
+    col = row - g + b - 1
+    j, k = row_degree[u] + row, col_degree[v] + col
+    first = np.minimum(j, k)
+    end = first + np.minimum(a - row, b - col)
+    row, col = row_start[u] + row - first, col_start[v] + col - first
+    return pair, np.abs(j - k), j >= k, first, end, row, col
+
+
+def _fill(out, batch, row_runs, col_runs, params, log_fact, hermitian):
+    # the entries of one batch of chains
+    u, v, (pair, d, ge, first, end, row_at, col_at) = batch
+    row_order, *_, row_point, row_z = row_runs
+    col_order, *_, col_point, col_z = col_runs
+    phase, x, log_w, arg_ge, arg_lt, at_zero = _point_factors(row_z[u], col_z[v], params)
+    cos, sin = _cos_sin(d * np.where(ge, arg_ge[pair], arg_lt[pair]))
+    if hermitian:
+        mirror = col_point[v] < row_point[u]
+        back, _ = compose_phase(-col_z[v], row_z[u], params)
+    flat, width = out.reshape(-1), out.shape[1]
+
+    def flush(e, lag, lo):  # chain e's entry at lo, whose L_lo is lag
+        q, de = pair[e], d[e]
+        lag *= scalar_math(
+            math.exp, -0.5 * x[q] + 0.5 * (log_fact[lo] - log_fact[lo + de]) + de * log_w[q]
+        )
+        zero = at_zero[q]
+        re = np.where(zero, (de == 0) * 1.0, lag * cos[e])
+        im = np.where(zero, 0.0, lag * sin[e])
+        r, c = row_order[row_at[e] + lo], col_order[col_at[e] + lo]
+        flat[r * width + c] = _rotate(phase[q], re, im)
+        if hermitian:  # the transposed entries of the run pairs at two points
+            m = mirror[q]
+            im = np.where(zero[m], im[m], -im[m])
+            flat[c[m] * width + r[m]] = _rotate(back[q[m]], re[m], im)
+
+    # the recurrence from L_0 (L_-1 = 0 makes the first step 1 + d - x
+    # exactly); step i reaches lo = i of the chains with first <= i < end
+    prev, cur, cx, steps = np.zeros(len(d)), np.ones(len(d)), x[pair], int(end.max())
+    held, chain, value, lo = 0, *(np.empty(_BLOCK_ENTRIES, t) for t in (int, float, int))
+    for i in range(steps):
+        e = np.flatnonzero((first <= i) & (i < end))
+        if held + len(e) > _BLOCK_ENTRIES:
+            flush(chain[:held], value[:held], lo[:held])
+            held = 0
+        at = slice(held, held + len(e))
+        chain[at], value[at], lo[at] = e, cur[e], i
+        held += len(e)
+        if i + 1 < steps:
+            with np.errstate(over="ignore", invalid="ignore"):
+                prev, cur = cur, ((2 * i + 1 + d - cx) * cur - (i + d) * prev) / (i + 1)
+    flush(chain[:held], value[:held], lo[:held])
+
+
+def _cos_sin(angle):
+    # cos and sin by libm, but for cos(+-0) = 1 and sin(+-0) = +-0, which are
+    # exact; the sines overwrite the angles
+    cos, turn = np.ones(angle.shape), np.flatnonzero(angle)
+    cos[turn], angle[turn] = scalar_math(math.cos, angle[turn]), scalar_math(math.sin, angle[turn])
+    return cos, angle
 
 
 def _rotate(phase, re, im):
     # phase * (re + i im) in the operation order of a scalar complex product
     out = np.empty(re.shape, dtype=complex)
-    out.real = phase.real * re - phase.imag * im
-    out.imag = phase.real * im + phase.imag * re
+    np.multiply(phase.real, re, out=out.real)
+    out.real -= phase.imag * im
+    np.multiply(phase.real, im, out=out.imag)
+    out.imag += phase.imag * re
     return out
 
 
@@ -154,36 +227,6 @@ def _point_factors(mu, lam, params: FockParams):
     arg_ge = scalar_math(math.atan2, wi, wr)
     arg_lt = scalar_math(math.atan2, wi, -wr)
     return phase, x, log_w, arg_ge, arg_lt, at_zero
-
-
-def _displacement_block(j, k, pair, factors, log_fact):
-    # Re and Im <T_z e_k, e_j> of the entries of degrees j, k at pairs `pair`
-    x, log_w, arg_ge, arg_lt, at_zero = factors
-    gap, lo, d = j - k, np.minimum(j, k), np.abs(j - k)
-    # one chain per distinct (pair, signed gap), which fixes x, d and d * arg w
-    low, span = int(gap.min()), int(np.ptp(gap)) + 1
-    key, chain = np.unique(pair * span + (gap - low), return_inverse=True)
-    at, g = key // span, key % span + low
-    cx, cd = x[at], np.abs(g)
-    # the three-term recurrence in the degree, once per chain, all chains in
-    # step; the entries, taken by lo, read L at their own lo as their chain
-    # passes it (L_0 = 1), and no one reads a chain past its largest lo
-    order, lag = np.argsort(lo), np.ones(lo.shape)
-    ends = np.searchsorted(lo[order], np.arange(lo.max() + 1), "right")
-    prev, cur = np.ones(len(key)), 1.0 + cd - cx
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, len(ends)):
-            e = order[ends[i - 1]:ends[i]]
-            lag[e] = cur[chain[e]]
-            prev, cur = cur, ((2 * i + 1 + cd - cx) * cur - (i + cd) * prev) / (i + 1)
-    log_mag = -0.5 * x[pair] + 0.5 * (log_fact[lo] - log_fact[lo + d]) + d * log_w[pair]
-    value = lag * scalar_math(math.exp, log_mag)
-    # cos and sin once per chain: equal angles give equal bits
-    angle = cd * np.where(g >= 0, arg_ge[at], arg_lt[at])
-    cos, sin = scalar_math(math.cos, angle)[chain], scalar_math(math.sin, angle)[chain]
-    re = np.where(at_zero[pair], (j == k) * 1.0, value * cos)
-    im = np.where(at_zero[pair], 0.0, value * sin)
-    return re, im
 
 
 def displacement_element(z, j: int, k: int, params: FockParams) -> complex:
@@ -229,11 +272,9 @@ class GramMatrix:
 
 
 def gram_matrix(family, params: FockParams) -> GramMatrix:
-    """Assemble the Gram matrix of the atoms T_lam e_k named by `family`.
-
-    One equal-family overlap_matrix call: blocks of point pairs evaluate
-    each point against itself and the points before it, and the remaining
-    entries are mirrored with the bits a direct evaluation would give.
+    """Assemble the Gram matrix of the atoms T_lam e_k named by `family`:
+    one equal-family overlap_matrix call, which computes the run pairs up to
+    each point and mirrors the rest with the bits a direct evaluation gives.
     """
     labels = tuple((complex(lam), int(k)) for lam, k in family)
     if not labels:

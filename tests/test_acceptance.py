@@ -23,6 +23,7 @@ from focklab import (
     basis_function,
     compose_phase,
     coverage_defect,
+    default_oracle_radius,
     displaced_basis,
     displacement_element,
     frame_bounds,
@@ -91,8 +92,16 @@ def test_translation_isometry():
 
 
 def test_displacement_closed_form_vs_quadrature():
+    # quadrature_inner_oracle's rule (48 x 96 polar nodes), restated on one
+    # node grid per (alpha, z, max(j, k)), on which its default radius
+    # depends alone: each basis function and displaced atom is evaluated
+    # once per grid, not once per pair
+    nodes, weights = np.polynomial.legendre.leggauss(48)
+    turn = np.exp(1j * (2.0 * np.pi * np.arange(96) / 96))
+    # (alpha, z, j, k) at which the restated rule is checked against the oracle
+    spot_checks = {(0.5, 2.5 - 1.25j, 12, 3), (1.0, 0j, 5, 5), (2.0, -2.5 + 2.5j, 0, 12)}
     grid = [-2.5, -1.25, 0.0, 1.25, 2.5]
-    worst = 0.0
+    worst = spot_worst = 0.0
     for alpha in (0.5, 1.0, 2.0):
         params = FockParams(alpha)
         for re in grid:
@@ -102,15 +111,28 @@ def test_displacement_closed_form_vs_quadrature():
                 closed = overlap_matrix(
                     [(0.0, j) for j in range(13)], [(z, k) for k in range(13)], params
                 )
-                for j in range(13):
-                    for k in range(13):
-                        oracle = quadrature_inner_oracle(
-                            displaced_basis(z, k, params),
-                            basis_function(j, params),
-                            n_r=48,
-                            n_theta=96,
-                        )
-                        worst = max(worst, abs(closed[j, k] - oracle))
+                for top in range(13):
+                    radius = default_oracle_radius(
+                        displaced_basis(z, top, params), basis_function(top, params)
+                    )
+                    r = 0.5 * radius * (nodes + 1.0)
+                    zgrid = r[:, None] * turn[None, :]
+                    radial = np.exp(-alpha * r**2) * r * (0.5 * radius * weights)
+                    displaced = [displaced_basis(z, k, params).evaluate(zgrid) for k in range(top + 1)]
+                    basis = [np.conj(basis_function(j, params).evaluate(zgrid)) for j in range(top + 1)]
+                    for j, k in {(top, k) for k in range(top + 1)} | {(j, top) for j in range(top)}:
+                        integral = (2.0 * np.pi / 96) * np.sum(displaced[k] * basis[j] * radial[:, None])
+                        value = complex(alpha / np.pi * integral)
+                        worst = max(worst, abs(closed[j, k] - value))
+                        if (alpha, z, j, k) in spot_checks:
+                            oracle = quadrature_inner_oracle(
+                                displaced_basis(z, k, params), basis_function(j, params),
+                                n_r=48, n_theta=96,
+                            )
+                            spot_worst = max(spot_worst, abs(value - oracle))
+                            spot_checks.remove((alpha, z, j, k))
+    assert not spot_checks
+    assert spot_worst <= 1e-15
     assert worst <= 1e-8
     print(f"PASS displacement vs quadrature: max abs error {worst:.2e} <= 1e-8 "
           "(j,k <= 12, 5x5 z-grid, alpha in {0.5,1,2})")

@@ -22,6 +22,7 @@ from focklab import (
     displacement_element,
     generate_covering_rings,
     generate_disjoint_rings,
+    generate_lattice,
     gram_matrix,
     kernels,
     overlap_matrix,
@@ -490,6 +491,9 @@ class TestBlockKernel:
     @example(([(1 + 0j, 0), (1 + 1e-200j, 0), (1 + 0j, 1), (1 + 1e-200j, 2)],) * 2 + (1.0,))
     @example(([(0.5j, 0), (complex(-0.0, 0.5), 1), (0.5j, 2), (complex(-0.0, 0.5), 0)],) * 2 + (2.0,))
     @example(([(0j, 1), (0j, 3)], [(1.5 - 0.5j, 3), (1.5 - 0.5j, 1)], 1.0))
+    # a point whose labels split into three runs (a repeated degree, then a
+    # gap), in an equal family with a second point
+    @example(([(2.0 - 1.5j, d) for d in (4, 1, 0, 5, 1)] + [(-1.5 + 0j, 2)],) * 2 + (0.5,))
     def test_bits_equal_strip_kernel(self, family):
         rows, cols, alpha = family
         params = FockParams(alpha)
@@ -502,22 +506,46 @@ class TestBlockKernel:
             assert np.array_equal(got.view(np.int64), reference.view(np.int64))
 
 
-@pytest.mark.parametrize("family", ["covering R=8 Gram", "covering R=10 analysis", "disjoint R=35 Gram"])
-def test_benchmark_shaped_families_bits_equal_strip_kernel(family):
-    # the families the benchmark builds, whose blocks hold hundreds of
-    # Laguerre chains of up to 29 steps; turned by 4 radians, the centre
-    # point becomes 0 - 0j, which has the equal family computed in full
-    name, radius, kind = family.split()
-    generate = generate_covering_rings if name == "covering" else generate_disjoint_rings
-    divisor, _ = generate(1.0, 1.0, float(radius[2:]))
+@pytest.mark.parametrize(
+    "generate,radius,degree",
+    [
+        (generate_covering_rings, 8.0, None),
+        (generate_covering_rings, 10.0, 120),
+        (generate_disjoint_rings, 35.0, None),
+        (generate_disjoint_rings, 50.0, 40),
+        (lambda alpha, spacing, radius: generate_lattice(alpha, spacing, 3, radius), 6.0, None),
+    ],
+    ids=["covering R=8 Gram", "covering R=10 analysis", "disjoint R=35 Gram",
+         "disjoint R=50 analysis", "lattice m=3 R=6 Gram"],
+)
+def test_benchmark_shaped_families_bits_equal_strip_kernel(generate, radius, degree):
+    # the families the benchmark builds, whose run pairs hold hundreds of
+    # Laguerre chains of up to 29 steps, and a lattice of short runs; turned
+    # by 4 radians, the centre point becomes 0 - 0j, which has the equal
+    # family computed in full
+    divisor, _ = generate(1.0, 1.0, radius)
     turn = complex(math.cos(4.0), math.sin(4.0))
     turned = Divisor(divisor.params, [(lam * turn, m) for lam, m in divisor.entries])
     assert any(lam == 0 and math.copysign(1.0, lam.imag) < 0 for lam in turned.points)
     for d in (divisor, turned):
         rows = d.atom_labels()
-        cols = [(0.0, n) for n in range(121)] if kind == "analysis" else rows
+        cols = rows if degree is None else [(0.0, n) for n in range(degree + 1)]
         got = overlap_matrix(rows, cols, d.params)
         reference = strip_overlap_matrix(rows, cols, d.params)
+        assert np.array_equal(got.view(np.int64), reference.view(np.int64))
+
+
+@pytest.mark.parametrize("budget", [1, 7, 64])
+def test_run_pair_longer_than_budget_bits_equal_strip_kernel(budget):
+    # one point of multiplicity 40: against itself its one run pair holds 79
+    # chains, against the degrees 0..120 at the origin 160, so every budget
+    # splits a run pair by chain range
+    rows = [(1.5 - 0.5j, j) for j in range(40)]
+    params = FockParams(1.0)
+    for cols in (rows, [(0.0, k) for k in range(121)]):
+        reference = strip_overlap_matrix(rows, cols, params)
+        with mock.patch.object(kernels, "_BLOCK_ENTRIES", budget):
+            got = overlap_matrix(rows, cols, params)
         assert np.array_equal(got.view(np.int64), reference.view(np.int64))
 
 

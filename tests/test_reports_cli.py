@@ -370,6 +370,51 @@ class TestOversizedGrid:
         assert out.read_text() == '{"alpha":1,"points":[]}\n'
 
 
+class TestGeneratorRefusals:
+    """Disjoint rings over the point budget, and a generated divisor that
+    fails its contract, exit 3 with one stderr line and write no file."""
+
+    def test_disjoint_rings_over_point_budget(self, tmp_path, capsys, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("rings laid out for a refused input")
+
+        monkeypatch.setattr(generators, "_ring_points", refuse)
+        out = tmp_path / "dis.json"
+        start = time.perf_counter()
+        code = cli.main(["generate", "disjoint-rings", "--window", "1e5", "--out", str(out)])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            f"precondition error: disjoint rings to radius 100000 hold more than "
+            f"{generators.MAX_RING_POINTS} points\n"
+        )
+        assert not out.exists()
+        assert elapsed < 0.5
+
+    def test_point_budget_boundary(self, monkeypatch):
+        # disjoint rings to radius 150 hold 751 points
+        monkeypatch.setattr(generators, "MAX_RING_POINTS", 751)
+        assert len(generators.generate_disjoint_rings(1.0, 1.0, 150.0)[0].entries) == 751
+        monkeypatch.setattr(generators, "MAX_RING_POINTS", 750)
+        with pytest.raises(ValueError, match="more than 750 points"):
+            generators.generate_disjoint_rings(1.0, 1.0, 150.0)
+
+    @pytest.mark.parametrize("family", ["covering-rings", "disjoint-rings"])
+    def test_contract_failure(self, family, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(generators, "coverage_defect", lambda *_: np.array([1.5 + 0.5j]))
+        monkeypatch.setattr(generators, "pairwise_disjoint", lambda *_: (False, (0, 1)))
+        out = tmp_path / "div.json"
+        code = cli.main(["generate", family, "--window", "4", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith(f"precondition error: {family} generator violated its")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestGridStep:
     @pytest.mark.parametrize("step", ["0", "-0.0", "-0.1"])
     def test_step_outside_range_refused(self, step, tmp_path, capsys):
