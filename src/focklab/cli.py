@@ -70,7 +70,7 @@ def _parse_c_list(text: str) -> list[float]:
     return values
 
 
-def _parse_sweep(text: str) -> list[int]:
+def _parse_sweep(text: str) -> range:
     parts = text.split(":")
     if len(parts) != 3:
         raise SchemaError("--degree-sweep: expected START:STOP:STEP")
@@ -80,7 +80,7 @@ def _parse_sweep(text: str) -> list[int]:
         raise SchemaError(f"--degree-sweep: {exc}") from exc
     if step <= 0 or stop < start:
         raise SchemaError("--degree-sweep: need STEP > 0 and STOP >= START")
-    return list(range(start, stop + 1, step))
+    return range(start, stop + 1, step)
 
 
 def _require_out_dir(path) -> None:
@@ -184,12 +184,16 @@ def _cmd_check_geometry(args) -> dict:
 
 def _cmd_frame_bounds(args) -> dict:
     divisor = load_divisor(args.divisor)
-    degrees = _parse_sweep(args.degree_sweep) if args.degree_sweep else [args.degree]
+    # a range, so that an oversized sweep is refused before any degree is listed
+    if args.degree_sweep is None:
+        degrees = range(args.degree, args.degree + 1)
+    else:
+        degrees = _parse_sweep(args.degree_sweep)
     _require_out_dir(args.csv)
     # counted as one row at least: the basis labels are built before any row
-    _require_entries(max(divisor.total_multiplicity(), 1), max(degrees) + 1)
+    _require_entries(max(divisor.total_multiplicity(), 1), degrees[-1] + 1)
     # every degree's matrix is a column prefix of the largest one
-    matrix = analysis_matrix(divisor, max(degrees))
+    matrix = analysis_matrix(divisor, degrees[-1])
     summaries = []
     for degree in degrees:
         summary = frame_bounds(matrix.prefix(degree))
@@ -209,7 +213,7 @@ def _cmd_frame_bounds(args) -> dict:
             [(s["degree"], s["smin"], s["smax"], s["ratio"]) for s in summaries],
         )
     return {
-        "inputs": {"divisor": divisor_payload(divisor), "degrees": degrees},
+        "inputs": {"divisor": divisor_payload(divisor), "degrees": list(degrees)},
         "summaries": summaries,
     }
 

@@ -87,7 +87,9 @@ def disc_grid(radius: float, step: float):
     axis = square_axis(max(radius / step, -1.0) + 1e-9, step, what)
 
     def build() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        z = axis[None, :] + 1j * axis[:, None]
+        # z = complex(axis[p], axis[q]), the bits of axis[None, :] + 1j * axis[:, None]
+        z = np.empty((axis.size, axis.size), complex)
+        z.real, z.imag = axis[None, :], axis[:, None]
         modulus = np.abs(z)
         return z, modulus, modulus <= radius * (1 + 1e-12)
 
@@ -141,12 +143,34 @@ def overlap_count_at(divisor: Divisor, z) -> int:
     return int(np.count_nonzero(d2 < divisor.mults * (1.0 / divisor.params.alpha)))
 
 
-def _index_span(centre: float, reach: float, step: float, n: int) -> slice:
-    """Indices of the grid axis step*(-n..n) within reach of centre, widened
-    by one index on each side."""
-    lo = (centre - reach) / step + n - 1
-    hi = (centre + reach) / step + n + 2
-    return slice(int(min(max(lo, 0.0), 2 * n + 1)), int(min(max(hi, 0.0), 2 * n + 1)))
+def _index_spans(centres: np.ndarray, reach: float, step: float, n: int) -> list[list[int]]:
+    """Per centre, the first and end indices of the grid axis step*(-n..n)
+    within reach of it, widened by one index on each side."""
+    lo = (centres - reach) / step + n - 1
+    hi = (centres + reach) / step + n + 2
+    return [np.clip(x, 0.0, 2 * n + 1).astype(np.int64).tolist() for x in (lo, hi)]
+
+
+# Cells of |z - lam|^2 held at once: the size of the sweep's buffers.
+_SWEEP_CELLS = 2**16
+
+
+def _chunks(r0, r1, c0, c1, cells: int):
+    """The index boxes (r0[k]:r1[k], c0[k]:c1[k]) as chunks of at most `cells`
+    cells, each a list of (k, first row, end row): a stack of consecutive
+    whole boxes, or a slab of rows of one box too large for a stack."""
+    ends = np.cumsum([(b - a) * (d - c) for a, b, c, d in zip(r0, r1, c0, c1)]).tolist()
+    k = 0
+    while k < len(ends):
+        stop = bisect.bisect_right(ends, ends[k - 1] + cells if k else cells, k)
+        if stop > k:
+            yield [(j, r0[j], r1[j]) for j in range(k, stop)]
+            k = stop
+            continue
+        rows = cells // (c1[k] - c0[k])
+        for a in range(r0[k], r1[k], rows):
+            yield [(k, a, min(a + rows, r1[k]))]
+        k += 1
 
 
 def _disc_sweep(divisor: Divisor, window: Window, families):
@@ -159,33 +183,66 @@ def _disc_sweep(divisor: Divisor, window: Window, families):
     computes |z - lam|^2 once, on the index box of its largest disc, widened
     by one index a side so that rounding cannot leave out a point in the
     disc, and tests each disc by the full-grid rule d2 < r^2, bit for bit.
-    Returns the square grid, its moduli, its window mask and the family grids.
+
+    The entries of one multiplicity share their discs, so their boxes are
+    worked in chunks of at most _SWEEP_CELLS cells: a stack of whole boxes,
+    or a slab of rows of one box too large for a stack.  A chunk fills
+    buffers allocated once per sweep: z - lam, copied from the differences
+    of the window axis and lam (the bits of z[box] - lam), its squared
+    modulus, and per family the count of an entry's discs holding each
+    cell, folded box by box into the family's grid before the next family
+    is counted.  Integer folds do not depend on order, so no grid depends on
+    the chunking.  Returns the square grid, its moduli, its window mask and
+    the family grids.
     """
     z, modulus, inside = window._square()
-    n = (z.shape[0] - 1) // 2
-    distinct, inverse = (a.tolist() for a in np.unique(divisor.mults, return_inverse=True))
-    tables = [(comb, [discs(m) for m in distinct]) for comb, discs in families]
+    n, axis = (z.shape[0] - 1) // 2, z.real[0].copy()
+    distinct, inverse = np.unique(divisor.mults, return_inverse=True)
+    tables = [(comb, [discs(m) for m in distinct.tolist()]) for comb, discs in families]
+    counts = [np.array([len(discs) for discs in radii], dtype=np.int64) for _, radii in tables]
     grids = [
-        np.zeros(z.shape, np.min_scalar_type(comb.reduce([len(r[i]) for i in inverse], initial=0)))
-        for comb, r in tables
+        np.zeros(z.shape, np.min_scalar_type(comb.reduce(c[inverse], initial=0)))
+        for (comb, _), c in zip(tables, counts)
     ]
-    for lam, i in zip(divisor.points.tolist(), inverse):
-        wanted = [(g, comb, radii[i]) for g, (comb, radii) in zip(grids, tables) if radii[i]]
-        # a non-finite centre has d2 inf or nan, inside no disc
-        if not wanted or not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
+    cells = max(_SWEEP_CELLS, z.shape[1])  # a row of the square always fits
+    diff, d2, test = np.empty(cells, complex), np.empty(cells), np.empty(cells, bool)
+    pairs = diff.view(float).reshape(-1, 2)
+    # how many of one entry's discs hold a cell; a one-byte count is written
+    # as bool and the tests read as bytes, which spares the ufuncs a cast
+    level = np.empty(cells, np.min_scalar_type(max((c.max(initial=0) for c in counts), default=0)))
+    first, tested = (level, test) if level.itemsize > 1 else (level.view(bool), test.view(np.uint8))
+    # a non-finite centre has d2 inf or nan, inside no disc
+    finite = np.isfinite(divisor.points)
+    groups = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
+    for i, group in zip(range(distinct.size), groups):  # no group for an empty divisor
+        wanted = [(grid, comb, radii[i]) for grid, (comb, radii) in zip(grids, tables) if radii[i]]
+        lams = divisor.points[group[finite[group]]]
+        if not wanted or not lams.size:
             continue
-        reach = math.sqrt(max(max(discs) for _, _, discs in wanted))
-        box = (
-            _index_span(lam.imag, reach, window.grid_step, n),
-            _index_span(lam.real, reach, window.grid_step, n),
-        )
-        d2 = np.abs(z[box] - lam) ** 2
-        for grid, comb, discs in wanted:
-            held = np.zeros(d2.shape, grid.dtype)
-            for t in discs:
-                held += d2 < t
-            view = grid[box]
-            comb(view, held, out=view)
+        reach = math.sqrt(max(max(discs) for *_, discs in wanted))
+        r0, r1 = _index_spans(lams.imag, reach, window.grid_step, n)
+        c0, c1 = _index_spans(lams.real, reach, window.grid_step, n)
+        lams = lams.tolist()
+        for chunk in _chunks(r0, r1, c0, c1, cells):
+            boxes, total = [], 0
+            for k, a, b in chunk:
+                box, shape = (slice(a, b), slice(c0[k], c1[k])), (b - a, c1[k] - c0[k])
+                at = slice(total, total + shape[0] * shape[1])
+                pair = pairs[at].reshape(*shape, 2)
+                pair[..., 0] = axis[box[1]] - lams[k].real
+                pair[..., 1] = (axis[box[0]] - lams[k].imag)[:, None]
+                boxes.append((box, level[at].reshape(shape)))
+                total = at.stop
+            sq = np.abs(diff[:total], out=d2[:total])
+            np.multiply(sq, sq, out=sq)  # what ** 2 computes
+            for grid, comb, discs in wanted:
+                np.less(sq, discs[0], out=first[:total])
+                for t in discs[1:]:
+                    np.less(sq, t, out=test[:total])
+                    np.add(level[:total], tested[:total], out=level[:total])
+                for box, held in boxes:
+                    view = grid[box]
+                    comb(view, held, out=view)
     return z, modulus, inside, grids
 
 

@@ -177,16 +177,19 @@ def _fill(out, batch, row_runs, col_runs, params, log_fact, hermitian):
     held, chain, value, lo = 0, *(np.empty(_BLOCK_ENTRIES, t) for t in (int, float, int))
     for i in range(steps):
         e = np.flatnonzero((first <= i) & (i < end))
-        if held + len(e) > _BLOCK_ENTRIES:
-            flush(chain[:held], value[:held], lo[:held])
-            held = 0
-        at = slice(held, held + len(e))
-        chain[at], value[at], lo[at] = e, cur[e], i
-        held += len(e)
+        while len(e):  # each flush but the last holds _BLOCK_ENTRIES entries
+            take, e = e[: _BLOCK_ENTRIES - held], e[_BLOCK_ENTRIES - held :]
+            at = slice(held, held + len(take))
+            chain[at], value[at], lo[at] = take, cur[take], i
+            held = at.stop
+            if held == _BLOCK_ENTRIES:
+                flush(chain, value, lo)
+                held = 0
         if i + 1 < steps:
             with np.errstate(over="ignore", invalid="ignore"):
                 prev, cur = cur, ((2 * i + 1 + d - cx) * cur - (i + d) * prev) / (i + 1)
-    flush(chain[:held], value[:held], lo[:held])
+    if held:
+        flush(chain[:held], value[:held], lo[:held])
 
 
 def _cos_sin(angle):

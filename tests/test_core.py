@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from focklab import (
     Atom,
@@ -245,6 +247,40 @@ class TestIsometry:
             n0 = f.norm()
             n1 = f.translate(z).norm()
             assert abs(n1 - n0) <= 1e-9 * n0
+
+
+_part = st.floats(-4.0, 4.0)
+_coeff = st.builds(
+    lambda r, t: r * complex(math.cos(t), math.sin(t)), st.floats(1e-3, 1e3), st.floats(0.0, 6.3)
+)
+
+
+@st.composite
+def translation_cases(draw):
+    """(f, z): up to 8 atoms of degree <= 8 on [-4, 4]^2, a shift on [-8, 8]^2."""
+    params = FockParams(draw(st.sampled_from([0.5, 1.0, 2.0])))
+    atoms = draw(
+        st.lists(
+            st.builds(Atom, st.builds(complex, _part, _part), st.integers(0, 8), _coeff),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    shift = draw(st.builds(complex, st.floats(-8.0, 8.0), st.floats(-8.0, 8.0)))
+    return FockFunction(params, tuple(atoms)), shift
+
+
+class TestTranslationProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(translation_cases())
+    def test_squared_norm_kept_to_rounding(self, case):
+        # each overlap of unit atoms, and so each entry of the two Grams, is
+        # within a few ulps of its exact value (at most 4 eps seen in 3,000
+        # random cases); ||f||^2 sums |c_i||c_j| such entries, so both squared
+        # norms lie within 32 eps (sum |c|)^2 of the exact one
+        f, z = case
+        bound = 64 * np.finfo(float).eps * sum(abs(a.coeff) for a in f.atoms) ** 2
+        assert abs(f.translate(z)._norm_sq - f._norm_sq) <= bound
 
 
 class TestBasisCoefficients:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -591,3 +592,94 @@ class TestNestedLevels:
     def test_theorem_verdicts(self, case):
         divisor, c_list, hole = case
         assert_verdicts_match_reference(divisor, Window(4.0, 0.1), c_list, hole)
+
+
+def sweep_families(divisor, c_list):
+    """The disc families of theorem_verdicts: overlap, padded and shrunk."""
+    return [
+        geometry._overlap_family(divisor),
+        geometry._nested_family(divisor, [0.0, *c_list], +1),
+        geometry._nested_family(divisor, c_list, -1),
+    ]
+
+
+def reference_levels(divisor, window, families):
+    """Each family's level grid, every entry tested on the full square."""
+    n = int(math.floor(window.radius / window.grid_step + 1e-9))
+    axis = window.grid_step * np.arange(-n, n + 1)
+    z = axis[None, :] + 1j * axis[:, None]
+    grids = [np.zeros(z.shape, np.int64) for _ in families]
+    for lam, m in divisor.entries:
+        with np.errstate(over="ignore", invalid="ignore"):  # far or non-finite centres
+            d2 = np.abs(z - lam) ** 2
+        for grid, (comb, discs) in zip(grids, families):
+            held = np.zeros(z.shape, np.int64)
+            for t in discs(m):
+                held += d2 < t
+            comb(grid, held, out=grid)
+    return grids
+
+
+def assert_levels_match_reference(divisor, window, families):
+    *_, grids = geometry._disc_sweep(divisor, window, families)
+    for got, expected in zip(grids, reference_levels(divisor, window, families)):
+        assert got.dtype.kind == "u" and np.array_equal(got, expected)
+
+
+# alpha 16 makes the boxes small on the 81 x 81 square of Window(4, 0.1):
+# 14 x 14 cells for m = 1 (three clipped ones share a stack of 300 cells, six
+# boxes one of 1000) and 16 x 17 for m = 2; the 40 x 40 box of m = 40 takes
+# slabs of rows below 1,600 cells; the shrunk disc of m = 1 is absent at
+# C = 0.3, so that group has a family without discs
+CHUNK_DIVISOR = Divisor(
+    FockParams(16.0),
+    (
+        (0.0, 1), (0.31 + 0.2j, 1), (-0.7 + 1.13j, 1), (1.6 - 2.05j, 1),
+        (3.98 + 1.0j, 1), (-4.0 - 4.0j, 1), (2.2 + 4.03j, 1),  # boxes clipped by the square
+        (complex(math.nan, 1.0), 1), (complex(math.inf, 0.0), 1), (complex(-1.0, -math.inf), 2),
+        (0.45 - 0.5j, 2), (-2.5 + 0.25j, 2), (0.1 + 0.2j, 40),
+    ),
+)
+
+
+class TestSweepChunks:
+    """The chunked sweep against full-grid levels, bit for bit, at budgets that
+    force stacks of several boxes, slabs of rows and clipped boxes in a stack."""
+
+    @pytest.mark.parametrize("budget", [1, 300, 1000, geometry._SWEEP_CELLS])
+    def test_levels_match_full_grid(self, budget, monkeypatch):
+        window, width = Window(4.0, 0.1), 81
+        chunks, original = [], geometry._chunks
+
+        def recorded(r0, r1, c0, c1, cells):
+            for chunk in original(r0, r1, c0, c1, cells):
+                chunks.append([(r0[k], r1[k], c0[k], c1[k], a, b) for k, a, b in chunk])
+                yield chunk
+
+        monkeypatch.setattr(geometry, "_SWEEP_CELLS", budget)
+        monkeypatch.setattr(geometry, "_chunks", recorded)
+        assert_levels_match_reference(CHUNK_DIVISOR, window, sweep_families(CHUNK_DIVISOR, [0.05, 0.3]))
+
+        cells = max(budget, width)
+        assert all(sum((b - a) * (c1 - c0) for _, _, c0, c1, a, b in chunk) <= cells for chunk in chunks)
+        stacks = [chunk for chunk in chunks if len(chunk) > 1]
+        slabs = [chunk for chunk in chunks if (chunk[0][4], chunk[0][5]) != chunk[0][:2]]
+        assert bool(slabs) == (budget < width**2)
+        if budget in (300, 1000):
+            assert stacks
+            assert any(0 in box[:4] or width in box[:4] for chunk in stacks for box in chunk)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        verdict_cases(),
+        st.sampled_from([1, 97, 400, 2**16]),
+        st.lists(st.sampled_from([math.nan, math.inf, -math.inf, 4.05, -3.95]), max_size=3),
+    )
+    def test_drawn_levels_match_full_grid(self, case, budget, odd_parts):
+        divisor, c_list, _ = case
+        # centres with a non-finite part, or on or just past the square's edge
+        entries = divisor.entries + tuple((complex(x, 0.5 * i), 1) for i, x in enumerate(odd_parts))
+        divisor = Divisor(divisor.params, entries)
+        families = sweep_families(divisor, c_list)
+        with mock.patch.object(geometry, "_SWEEP_CELLS", budget):
+            assert_levels_match_reference(divisor, Window(4.0, 0.1), families)

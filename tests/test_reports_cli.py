@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import re
 import subprocess
@@ -7,10 +9,11 @@ import tempfile
 import time
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from focklab import (
@@ -27,7 +30,7 @@ from focklab import (
     load_divisor,
     save_divisor,
 )
-from focklab import generators
+from focklab import core, generators
 from focklab.reports import complex_payload, divisor_payload, format_float, write_points_csv, write_sweep_csv
 
 
@@ -901,6 +904,21 @@ class TestFrameBoundsSweep:
         assert err == "precondition error: degree must be >= 0\n"
         assert not csv_path.exists()
 
+    @pytest.mark.parametrize("sweep", ["0:1000000000000000:1", "5:4000000000:3"])
+    def test_oversized_sweep_refused_before_listing(self, sweep, tmp_path, capsys):
+        # rows x (last degree + 1) is checked on the range, before any degree is listed
+        path, csv_path = tmp_path / "one.json", tmp_path / "sweep.csv"
+        save_divisor(Divisor(FockParams(1.0), ((0.0, 1),)), path)
+        start = time.perf_counter()
+        code = cli.main(["frame-bounds", str(path), "--degree-sweep", sweep, "--csv", str(csv_path)])
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert err.startswith("precondition error: a 1 x ") and err.endswith(" entries\n")
+        assert err.count("\n") == 1
+        assert not csv_path.exists()
+
     @pytest.mark.parametrize(
         "generate",
         [lambda: generate_covering_rings(1.0, 1.0, 8.0), lambda: generate_lattice(1.0, 1.0, 3, 3.0)],
@@ -1013,3 +1031,106 @@ class TestOutputBytesPinned:
             "0.5": "130171edeedf791f6b110ea002b5016e347c18af02624ffca31f46893396d5e6",
             "1": "b3d416df2343fc9893cd1b0a0c9f09f55829f0cd759191a64c1207f70e078d59",
         }
+
+
+# numbers as a command line may spell them: NaN, infinities, zeros of both
+# signs, negatives, huge and tiny values, and text that is no number at all
+_float_text = st.one_of(
+    st.sampled_from(["0.5", "1", "2", "3", "4"]),
+    st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "-1", "1e-300", "1e308", "1e999", "abc", "", "0x1p3"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+_int_text = st.one_of(
+    st.sampled_from(["0", "-1", "2", "5", "1e3", "abc", "", "99999999999999999999999999"]),
+    st.integers(-(10**30), 10**30).map(str),
+)
+_bound = st.one_of(st.integers(-20, 40), st.integers(-(10**30), 10**30))
+_sweep_text = st.one_of(
+    st.builds(lambda a, b, c: f"{a}:{b}:{c}", _bound, _bound, _bound),
+    st.sampled_from(["", "1:2", "1:2:3:4", "a:b:c", "0:1000000000000000:1", "5:4000000000:3"]),
+)
+_c_list_text = st.one_of(
+    st.lists(_float_text, min_size=0, max_size=4).map(",".join),
+    st.sampled_from(["0.25,0.5,1", "1,0.5", ",", "0.3"]),
+)
+
+
+def _option(name, values):
+    # an option given or left to its default; "=" keeps a leading "-" a value
+    return st.one_of(st.just([]), values.map(lambda v: [f"{name}={v}"]))
+
+
+@st.composite
+def cli_argvs(draw):
+    """An argument vector for one of the six subcommands, with {divisor},
+    {values}, {out} and {dir} standing for files the test provides."""
+    command = draw(
+        st.sampled_from(["generate", "check-geometry", "frame-bounds", "gram", "interpolate", "uniqueness"])
+    )
+    divisor = draw(st.sampled_from(["{divisor}", "{empty}", "{missing}", "{dir}"]))
+    out = draw(st.sampled_from(["{out}", "{dir}", "{missing}/x.json"]))
+    parts = []
+    if command == "generate":
+        parts = [[draw(st.sampled_from(["lattice", "covering-rings", "disjoint-rings"]))], [f"--out={out}"]]
+        parts.append(draw(st.one_of(st.just([]), _float_text.map(lambda v: [f"--window={v}"]))))
+        for name, values in (("--alpha", _float_text), ("--spacing", _float_text),
+                             ("--mult", _int_text), ("--c", _float_text)):
+            parts.append(draw(_option(name, values)))
+    elif command == "check-geometry":
+        parts = [[divisor], draw(_float_text.map(lambda v: [f"--window={v}"]))]
+        for name, values in (("--grid-step", _float_text), ("--c-list", _c_list_text),
+                             ("--hole-radius", _float_text),
+                             ("--defects-csv", st.sampled_from(["{dir}/defects", "{missing}/d"]))):
+            parts.append(draw(_option(name, values)))
+    elif command == "frame-bounds":
+        degree = st.one_of(_int_text.map(lambda v: [f"--degree={v}"]),
+                           _sweep_text.map(lambda v: [f"--degree-sweep={v}"]))
+        parts = [[divisor], draw(degree), draw(_option("--csv", st.just(out)))]
+    elif command == "gram":
+        parts = [[divisor]]
+    elif command == "interpolate":
+        parts = [[divisor, draw(st.sampled_from(["{values}", "{divisor}", "{missing}"]))],
+                 draw(_option("--rcond", _float_text)),
+                 draw(st.sampled_from([[], ["--dump-atoms"]]))]
+    else:
+        parts = [[divisor], draw(_int_text.map(lambda v: [f"--degree={v}"])),
+                 draw(_float_text.map(lambda v: [f"--window={v}"]))]
+    return [command, *(arg for part in parts for arg in part)]
+
+
+class TestCliNeverExitsOne:
+    """Drawn argument vectors end in exit 0, 2 or 3 with no traceback: every
+    failure is a documented exit code, never an uncaught exception."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("cli")
+        save_divisor(Divisor(FockParams(1.0), ((0.0, 1), (1.5 - 0.5j, 2))), root / "divisor.json")
+        save_divisor(Divisor(FockParams(2.0), ()), root / "empty.json")
+        (root / "values.json").write_text(json.dumps({"values": [{"re": 1.0, "im": -0.5}] * 3}))
+        (root / "dir").mkdir()
+        return {
+            "divisor": root / "divisor.json", "empty": root / "empty.json",
+            "values": root / "values.json", "dir": root / "dir", "out": root / "out.json",
+            "missing": root / "missing",
+        }
+
+    @pytest.mark.filterwarnings("default::RuntimeWarning")  # printed as warning lines
+    @settings(max_examples=300, deadline=None)
+    @given(argv=cli_argvs())
+    @example(argv=["frame-bounds", "{divisor}", "--degree-sweep=0:1000000000000000:1"])
+    @example(argv=["frame-bounds", "{divisor}", "--degree-sweep="])
+    def test_exit_code_is_documented(self, argv, files):
+        argv = [arg.format(**files) for arg in argv]
+        err = io.StringIO()
+        # budgets small enough that every accepted input runs in milliseconds
+        with mock.patch.object(core, "MAX_GRID_CELLS", 2**16), \
+                mock.patch.object(cli, "MAX_MATRIX_ENTRIES", 2**10), \
+                mock.patch.object(generators, "MAX_RING_POINTS", 2**8), \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse refuses a malformed vector with 2
+                code = exc.code
+        assert code in (0, 2, 3), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
