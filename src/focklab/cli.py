@@ -5,13 +5,13 @@ Every subcommand prints one canonical JSON report to stdout, and each warning
 as one line `warning: <message>` to stderr.  Exit codes: 0 success, 2
 malformed, unreadable or non-UTF-8 input (schema), 3 violated precondition,
 such as an output that cannot be written (refused before any computation when
-it is a directory or its directory does not exist), a matrix above
-MAX_MATRIX_ENTRIES (refused before its labels are built), disjoint rings of
-more than MAX_RING_POINTS points (refused before any is laid out), a
-generated divisor that fails its family's contract (no file is written), or
-an input whose arithmetic overflows the double range (a point near 1e308, a
-window whose square does).  Every failure is one line on stderr, after any
-warnings.
+it is a directory or its directory does not exist), a matrix, or a degree
+sweep's matrices in all, above MAX_MATRIX_ENTRIES (refused before any label is
+built), disjoint rings of more than MAX_RING_POINTS points (refused before any
+is laid out), a generated divisor that fails its family's contract (no file is
+written), or an input whose arithmetic overflows the double range (a point
+near 1e308, a window whose square does).  Every failure is one line on stderr,
+after any warnings.
 """
 
 from __future__ import annotations
@@ -91,10 +91,10 @@ def _require_out_dir(path) -> None:
         raise ValueError(f"{path}: {Path(path).parent} is not an existing directory")
 
 
-def _require_entries(rows: int, cols: int) -> None:
+def _require_entries(rows: int, cols: int, what: str = "matrix") -> None:
     # refuses a matrix above the entry budget before any label or entry of it exists
     if rows * cols > MAX_MATRIX_ENTRIES:
-        raise ValueError(f"a {rows} x {cols} matrix exceeds {MAX_MATRIX_ENTRIES} entries")
+        raise ValueError(f"a {rows} x {cols} {what} exceeds {MAX_MATRIX_ENTRIES} entries")
 
 
 def _verdicts_payload(verdicts: GeometryVerdicts) -> dict:
@@ -191,7 +191,11 @@ def _cmd_frame_bounds(args) -> dict:
         degrees = _parse_sweep(args.degree_sweep)
     _require_out_dir(args.csv)
     # counted as one row at least: the basis labels are built before any row
-    _require_entries(max(divisor.total_multiplicity(), 1), degrees[-1] + 1)
+    rows = max(divisor.total_multiplicity(), 1)
+    # the sweep's matrices rows x (d + 1), d >= 0, side by side: their columns in closed form
+    kept = degrees[max(0, -(degrees.start // degrees.step)) :]
+    cols = len(kept) * (2 * kept.start + (len(kept) - 1) * kept.step + 2) // 2
+    _require_entries(rows, cols, "matrix" if len(kept) < 2 else f"sweep of {len(kept)} matrices")
     # every degree's matrix is a column prefix of the largest one
     matrix = analysis_matrix(divisor, degrees[-1])
     summaries = []

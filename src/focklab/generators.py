@@ -66,6 +66,23 @@ def _ring_points(rho: float, count: int) -> list[complex]:
     ]
 
 
+def _rings(family: str, params: FockParams, c: float, radius: float, schedule, **extra):
+    """The rings of `schedule` laid out in order as a divisor, and their metadata."""
+    rings = [(_ring_points(ring["rho"], ring["count"]), ring["mult"]) for ring in schedule]
+    divisor = Divisor(params, ((lam, mult) for points, mult in rings for lam in points))
+    meta = {
+        "family": family,
+        "alpha": params.alpha,
+        "c": float(c),
+        "radius": float(radius),
+        "count": divisor.points.size,
+        "total_multiplicity": divisor.total_multiplicity(),
+        **extra,
+        "schedule": schedule,
+    }
+    return divisor, meta
+
+
 def generate_covering_rings(alpha: float, c: float, radius: float) -> tuple[Divisor, dict]:
     """Concentric rings whose C-shrunk discs cover the disc |z| <= radius.
 
@@ -82,40 +99,24 @@ def generate_covering_rings(alpha: float, c: float, radius: float) -> tuple[Divi
     unit = 1.0 / math.sqrt(alpha)
     growth, base, margin, spacing_frac = 0.3, 1.0, 1.08, 0.75
 
-    entries = []
     schedule = []
     rho = 0.0
     while True:
         target = growth * rho + base * unit
         mult = math.ceil(alpha * (margin * target + c) ** 2)
         count = 1 if rho == 0 else max(1, math.ceil(math.pi * (rho + 0.19 * target) / target))
-        for lam in _ring_points(rho, count):
-            entries.append((lam, mult))
-        schedule.append(
-            {"rho": rho, "count": count, "mult": mult, "target_radius": target}
-        )
+        schedule.append({"rho": rho, "count": count, "mult": mult, "target_radius": target})
         if rho + 0.375 * target >= radius:
             break
         rho += spacing_frac * target
 
-    divisor = Divisor(params, tuple(entries))
-    step = min(radius / 40, 0.5 * unit, c)
-    window = Window(radius, step)
-    defect = coverage_defect(divisor, c, -1, window, 0.0)
+    step = float(min(radius / 40, 0.5 * unit, c))
+    divisor, meta = _rings("covering-rings", params, c, radius, schedule, contract_grid_step=step)
+    defect = coverage_defect(divisor, c, -1, Window(radius, step), 0.0)
     if defect.size:
         raise ContractError(
             f"covering-rings generator violated its coverage contract at {defect[0]}"
         )
-    meta = {
-        "family": "covering-rings",
-        "alpha": params.alpha,
-        "c": float(c),
-        "radius": float(radius),
-        "count": len(entries),
-        "total_multiplicity": divisor.total_multiplicity(),
-        "contract_grid_step": float(step),
-        "schedule": schedule,
-    }
     return divisor, meta
 
 
@@ -150,20 +151,8 @@ def generate_disjoint_rings(alpha: float, c: float, radius: float) -> tuple[Divi
         rho += padded + disc_radius(mult + 1, params, c, +1) + gap
         mult += 1
 
-    entries = [
-        (lam, ring["mult"]) for ring in schedule for lam in _ring_points(ring["rho"], ring["count"])
-    ]
-    divisor = Divisor(params, tuple(entries))
+    divisor, meta = _rings("disjoint-rings", params, c, radius, schedule)
     ok, pair = pairwise_disjoint(divisor, c, +1)
     if not ok:
         raise ContractError(f"disjoint-rings generator violated its contract at pair {pair}")
-    meta = {
-        "family": "disjoint-rings",
-        "alpha": params.alpha,
-        "c": float(c),
-        "radius": float(radius),
-        "count": len(entries),
-        "total_multiplicity": divisor.total_multiplicity(),
-        "schedule": schedule,
-    }
     return divisor, meta

@@ -146,8 +146,9 @@ def overlap_count_at(divisor: Divisor, z) -> int:
 def _index_spans(centres: np.ndarray, reach: float, step: float, n: int) -> list[list[int]]:
     """Per centre, the first and end indices of the grid axis step*(-n..n)
     within reach of it, widened by one index on each side."""
-    lo = (centres - reach) / step + n - 1
-    hi = (centres + reach) / step + n + 2
+    with np.errstate(over="ignore"):  # a far centre's bounds are infinite: its box is empty
+        lo = (centres - reach) / step + n - 1
+        hi = (centres + reach) / step + n + 2
     return [np.clip(x, 0.0, 2 * n + 1).astype(np.int64).tolist() for x in (lo, hi)]
 
 
@@ -309,7 +310,7 @@ def pairwise_disjoint(
     distinct, inverse = np.unique(divisor.mults, return_inverse=True)
     by_mult = [disc_radius(m, divisor.params, c, sign) for m in distinct.tolist()]
     radii = np.array(by_mult, dtype=float)[inverse]  # an absent radius (None) reads NaN
-    kept = ~np.isnan(radii)
+    kept = ~np.isnan(radii) & np.isfinite(divisor.points)  # a non-finite point is in no disc
     lams, radii = divisor.points[kept], radii[kept]
     if lams.size < 2:
         return True, None
@@ -319,7 +320,8 @@ def pairwise_disjoint(
     for i0 in range(0, lams.size - 1, rows):
         i1 = min(i0 + rows, lams.size - 1)
         reach = (radii[i0:i1, None] + radii[None, i0 + 1 :]) * (1 + 1e-9)
-        near = np.abs(lams[i0:i1, None] - lams[None, i0 + 1 :]) < reach
+        with np.errstate(over="ignore"):  # a distance past the double range is near no disc
+            near = np.abs(lams[i0:i1, None] - lams[None, i0 + 1 :]) < reach
         near &= np.arange(i0 + 1, lams.size)[None, :] > np.arange(i0, i1)[:, None]
         for i, j in zip(*np.nonzero(near)):
             lam_i, lam_j = complex(lams[i0 + i]), complex(lams[i0 + 1 + j])

@@ -17,23 +17,30 @@ from focklab import (
 
 
 def reference_lattice(alpha, spacing, mult, radius):
-    """The square lattice as a scalar double loop: its points and metadata."""
+    """The square lattice complex(p * spacing, q * spacing), q outer and p
+    inner, kept where its modulus is at most radius * (1 + 1e-12): its points
+    as (real, imag) rows and its metadata.
+
+    The moduli come from np.hypot, which rounds as Python's complex abs does;
+    that is asserted on every point within 1e-9 (relative) of the radius,
+    where a rounding difference could move a point across the boundary."""
     n = int(math.floor(radius / spacing + 1e-9))
-    points = []
-    for q in range(-n, n + 1):
-        for p in range(-n, n + 1):
-            lam = complex(p * spacing, q * spacing)
-            if abs(lam) <= radius * (1 + 1e-12):
-                points.append(lam)
+    coords = np.arange(-n, n + 1) * spacing  # the float products p * spacing
+    re, im = np.meshgrid(coords, coords)
+    modulus = np.hypot(re, im)
+    kept = modulus <= radius * (1 + 1e-12)
+    near = np.abs(modulus - radius) <= 1e-9 * abs(radius)
+    for x, y, h in zip(re[near].tolist(), im[near].tolist(), modulus[near].tolist()):
+        assert abs(complex(x, y)) == h
     meta = {
         "family": "lattice",
         "alpha": float(alpha),
         "spacing": float(spacing),
         "mult": int(mult),
         "radius": float(radius),
-        "count": len(points),
+        "count": int(np.count_nonzero(kept)),
     }
-    return points, meta
+    return np.stack([re[kept], im[kept]], axis=-1), meta
 
 
 class TestLattice:
@@ -80,9 +87,9 @@ class TestLattice:
             radius = abs(complex(radius[0] * spacing, radius[1] * spacing))
         divisor, meta = generate_lattice(alpha, spacing, mult, radius)
         points, want_meta = reference_lattice(alpha, spacing, mult, radius)
-        got = np.array([lam for lam, _ in divisor.entries], dtype=complex)
-        assert got.view(np.int64).tolist() == np.array(points, dtype=complex).view(np.int64).tolist()
-        assert all(m == mult for _, m in divisor.entries)
+        got = divisor.points.view(np.float64).reshape(-1, 2)
+        assert np.array_equal(got.view(np.int64), points.view(np.int64))
+        assert np.all(divisor.mults == mult)
         assert meta == want_meta
 
 

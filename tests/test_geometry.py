@@ -683,3 +683,25 @@ class TestSweepChunks:
         families = sweep_families(divisor, c_list)
         with mock.patch.object(geometry, "_SWEEP_CELLS", budget):
             assert_levels_match_reference(divisor, Window(4.0, 0.1), families)
+
+
+class TestPairScreen:
+    """pairwise_disjoint against the scalar rule on every pair, with
+    non-finite points, which lie in no disc and so in no pair."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(
+        verdict_cases(),
+        st.lists(st.sampled_from([math.nan, math.inf, -math.inf]), max_size=3),
+    )
+    # two +inf points: their difference is inf - inf
+    @example((Divisor(P1, ((0j, 1),)), [0.5], 0.0), [math.inf, math.inf])
+    def test_drawn_pairs_match_scalar_rule(self, case, odd_parts):
+        divisor, c_list, _ = case
+        entries = divisor.entries + tuple((complex(x, 0.5 * i), 1) for i, x in enumerate(odd_parts))
+        divisor = Divisor(divisor.params, entries)
+        for c in [0.0, *c_list]:
+            for sign in (+1, -1):
+                expected = reference_pairwise_disjoint(divisor, c, sign)
+                assert pairwise_disjoint(divisor, c, sign) == expected

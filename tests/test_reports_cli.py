@@ -893,6 +893,26 @@ class TestReportProvenance:
         assert spectrum == expected
 
 
+class TestFarPoints:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_check_geometry_is_quiet(self, tmp_path, capsys):
+        # the index box of a point near the double range is empty, and its
+        # distance to another meets no disc: both overflow to inf, as they should
+        far, near = tmp_path / "far.json", tmp_path / "near.json"
+        save_divisor(Divisor(FockParams(1.0), ((1.7e308 + 0j, 1), (-1.7e308 + 0j, 1), (0j, 1))), far)
+        save_divisor(Divisor(FockParams(1.0), ((0j, 1),)), near)
+        reports = []
+        for path in (far, near):
+            assert cli.main(["check-geometry", str(path), "--window", "3"]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            reports.append(captured.out)
+        assert _sha256(reports[0]) == (
+            "537b2dbfa2069f8d91a6daee7b9c58f0088c528278a549a2dbc6cfa404a4da78"
+        )
+        assert json.loads(reports[0])["verdicts"] == json.loads(reports[1])["verdicts"]
+
+
 class TestFrameBoundsSweep:
     def test_negative_degree_refused_before_csv(self, tmp_path, capsys):
         path, csv_path = tmp_path / "lat.json", tmp_path / "sweep.csv"
@@ -904,9 +924,13 @@ class TestFrameBoundsSweep:
         assert err == "precondition error: degree must be >= 0\n"
         assert not csv_path.exists()
 
-    @pytest.mark.parametrize("sweep", ["0:1000000000000000:1", "5:4000000000:3"])
+    # the last two fit one matrix of the largest degree, but not all the sweep's matrices
+    @pytest.mark.parametrize(
+        "sweep", ["0:1000000000000000:1", "5:4000000000:3", "0:4194302:1", "0:2895:1"]
+    )
     def test_oversized_sweep_refused_before_listing(self, sweep, tmp_path, capsys):
-        # rows x (last degree + 1) is checked on the range, before any degree is listed
+        # rows x (d + 1), summed over the sweep's degrees, is checked on the range,
+        # before any degree is listed
         path, csv_path = tmp_path / "one.json", tmp_path / "sweep.csv"
         save_divisor(Divisor(FockParams(1.0), ((0.0, 1),)), path)
         start = time.perf_counter()
