@@ -190,12 +190,13 @@ def _cmd_frame_bounds(args) -> dict:
     else:
         degrees = _parse_sweep(args.degree_sweep)
     _require_out_dir(args.csv)
+    if degrees.start < 0:
+        raise ValueError("degree must be >= 0")
     # counted as one row at least: the basis labels are built before any row
     rows = max(divisor.total_multiplicity(), 1)
-    # the sweep's matrices rows x (d + 1), d >= 0, side by side: their columns in closed form
-    kept = degrees[max(0, -(degrees.start // degrees.step)) :]
-    cols = len(kept) * (2 * kept.start + (len(kept) - 1) * kept.step + 2) // 2
-    _require_entries(rows, cols, "matrix" if len(kept) < 2 else f"sweep of {len(kept)} matrices")
+    # the sweep's matrices rows x (d + 1) side by side: their columns in closed form
+    cols = len(degrees) * (2 * degrees.start + (len(degrees) - 1) * degrees.step + 2) // 2
+    _require_entries(rows, cols, "matrix" if len(degrees) < 2 else f"sweep of {len(degrees)} matrices")
     # every degree's matrix is a column prefix of the largest one
     matrix = analysis_matrix(divisor, degrees[-1])
     summaries = []

@@ -295,10 +295,6 @@ def coverage_defect(
     return z[inside & (modulus >= hole_radius) & (held == 0)]
 
 
-# Row blocks of pairwise_disjoint hold at most this many distances at once.
-_PAIR_BLOCK = 2**18
-
-
 def pairwise_disjoint(
     divisor: Divisor, c: float, sign: int
 ) -> tuple[bool, tuple[complex, complex] | None]:
@@ -312,21 +308,15 @@ def pairwise_disjoint(
     radii = np.array(by_mult, dtype=float)[inverse]  # an absent radius (None) reads NaN
     kept = ~np.isnan(radii) & np.isfinite(divisor.points)  # a non-finite point is in no disc
     lams, radii = divisor.points[kept], radii[kept]
-    if lams.size < 2:
-        return True, None
-    # numpy screens the pairs with a relative margin far above its rounding
-    # difference from the scalar rule, which alone decides each candidate
-    rows = max(1, _PAIR_BLOCK // lams.size)
-    for i0 in range(0, lams.size - 1, rows):
-        i1 = min(i0 + rows, lams.size - 1)
-        reach = (radii[i0:i1, None] + radii[None, i0 + 1 :]) * (1 + 1e-9)
-        with np.errstate(over="ignore"):  # a distance past the double range is near no disc
-            near = np.abs(lams[i0:i1, None] - lams[None, i0 + 1 :]) < reach
-        near &= np.arange(i0 + 1, lams.size)[None, :] > np.arange(i0, i1)[:, None]
-        for i, j in zip(*np.nonzero(near)):
-            lam_i, lam_j = complex(lams[i0 + i]), complex(lams[i0 + 1 + j])
-            if abs(lam_i - lam_j) < float(radii[i0 + i]) + float(radii[i0 + 1 + j]):
-                return False, (lam_i, lam_j)
+    # numpy screens each row's later points with a relative margin far above its
+    # rounding difference from the scalar rule, which alone decides each candidate
+    with np.errstate(over="ignore"):  # a distance past the double range is near no disc
+        for i, (lam, r) in enumerate(zip(lams.tolist(), radii.tolist())):
+            near = np.abs(lam - lams[i + 1 :]) < (r + radii[i + 1 :]) * (1 + 1e-9)
+            for j in near.nonzero()[0].tolist():
+                lam_j = complex(lams[i + 1 + j])
+                if abs(lam - lam_j) < r + float(radii[i + 1 + j]):
+                    return False, (lam, lam_j)
     return True, None
 
 

@@ -148,7 +148,10 @@ def frame_bounds(matrix: AnalysisMatrix) -> SpectralSummary:
     smax = float(s[0])
     rank_deficient = rows < cols
     smin = 0.0 if rank_deficient else float(s[-1])
-    ratio = math.inf if smin == 0 else (smax / smin) ** 2
+    try:
+        ratio = (smax / smin) ** 2
+    except (ZeroDivisionError, OverflowError):  # smin = 0, or a quotient past 1.3e154
+        ratio = math.inf
     return SpectralSummary(smin, smax, ratio, matrix.degree, matrix.divisor_digest, rank_deficient)
 
 

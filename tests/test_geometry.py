@@ -537,11 +537,12 @@ class TestSweepEdges:
         # radius 1.25: 11-13.5 is tangent
         assert pairwise_disjoint(X, 0.25, +1) == (True, None)
 
-    @pytest.mark.parametrize("block", [geometry._PAIR_BLOCK, 300])
-    def test_pairwise_blocks_match_scalar_rule(self, block, monkeypatch):
-        # radii near tangency, over one or many row blocks
-        monkeypatch.setattr(geometry, "_PAIR_BLOCK", block)
-        divisor, _ = generate_disjoint_rings(1.0, 0.3, 60.0)
+    @pytest.mark.parametrize("points", [2**18, 300])
+    def test_pairwise_blocks_match_scalar_rule(self, points):
+        # radii near tangency, on the whole family (371 points) and on its
+        # first 300 points, walked one row at a time
+        family, _ = generate_disjoint_rings(1.0, 0.3, 80.0)
+        divisor = Divisor(family.params, family.entries[:points])
         for c in (0.3, 0.31, 0.35, 0.5, 1.0):
             for sign in (+1, -1):
                 assert pairwise_disjoint(divisor, c, sign) == reference_pairwise_disjoint(
@@ -697,6 +698,12 @@ class TestPairScreen:
     )
     # two +inf points: their difference is inf - inf
     @example((Divisor(P1, ((0j, 1),)), [0.5], 0.0), [math.inf, math.inf])
+    @example((Divisor(P1, ()), [0.5], 0.0), [])
+    @example((Divisor(P1, ((0j, 1),)), [0.5], 0.0), [])
+    # repeated distances: the shrunk discs of radius 1 - 0.5 touch their neighbours
+    @example((unit_lattice(3.0), [0.5], 0.0), [])
+    # the only overlap is between the last two points, in the last row
+    @example((Divisor(P1, tuple((complex(x), 1) for x in (0, 5, 10, 15, 16.5))), [0.5], 0.0), [])
     def test_drawn_pairs_match_scalar_rule(self, case, odd_parts):
         divisor, c_list, _ = case
         entries = divisor.entries + tuple((complex(x, 0.5 * i), 1) for i, x in enumerate(odd_parts))

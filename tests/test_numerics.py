@@ -132,6 +132,15 @@ class TestFrameBounds:
         assert summary.smin == 0.0
         assert math.isinf(summary.ratio)
 
+    @pytest.mark.parametrize("smin, ratio", [(2.0**-500, 2.0**1000), (1e-160, math.inf)])
+    def test_ratio_past_double_range_is_inf(self, smin, ratio):
+        # smax / smin = 1e160 is finite, but its square is past the double range;
+        # 2**500 squares exactly
+        entries = np.diag([1.0, smin]).astype(complex)
+        summary = frame_bounds(numerics.AnalysisMatrix(P1, ((0j, 0), (1 + 0j, 0)), 1, entries, "x"))
+        assert (summary.smin, summary.smax, summary.ratio) == (smin, 1.0, ratio)
+        assert not summary.rank_deficient
+
     def test_ratio_invariant_under_relabeling(self):
         rng = np.random.default_rng(3)
         pts = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(6)]

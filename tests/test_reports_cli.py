@@ -924,6 +924,19 @@ class TestFrameBoundsSweep:
         assert err == "precondition error: degree must be >= 0\n"
         assert not csv_path.exists()
 
+    # -1:50:51 lists the degree -1 alone; -1:50:1 ends at degree 50; the last is
+    # also over the entry budget, and gets the same message
+    @pytest.mark.parametrize("sweep", ["-1:50:51", "-1:50:1", "-1:1000000000000000:1"])
+    def test_negative_start_refused_before_any_matrix(self, sweep, tmp_path, monkeypatch, capsys):
+        def refuse(divisor, degree):
+            raise AssertionError(f"degree {degree} matrix built for a refused sweep")
+
+        path = tmp_path / "one.json"
+        save_divisor(Divisor(FockParams(1.0), ((0.0, 1),)), path)
+        monkeypatch.setattr(cli, "analysis_matrix", refuse)
+        assert cli.main(["frame-bounds", str(path), f"--degree-sweep={sweep}"]) == 3
+        assert capsys.readouterr() == ("", "precondition error: degree must be >= 0\n")
+
     # the last two fit one matrix of the largest degree, but not all the sweep's matrices
     @pytest.mark.parametrize(
         "sweep", ["0:1000000000000000:1", "5:4000000000:3", "0:4194302:1", "0:2895:1"]
