@@ -85,8 +85,7 @@ def overlap_matrix(rows, cols, params: FockParams) -> np.ndarray:
     hermitian = equal and not np.any(np.signbit(lam.imag) & (lam.imag == 0))
     row_runs = _runs(mu, j)
     col_runs = row_runs if equal else _runs(lam, k)
-    for batch in _chain_batches(row_runs, col_runs, hermitian):
-        _fill(out, batch, row_runs, col_runs, params, log_fact, hermitian)
+    _walk(out, row_runs, col_runs, params, log_fact, hermitian)
     return out
 
 
@@ -102,17 +101,17 @@ def _runs(z, degree):
     return order, start, np.diff(start, append=len(order)), degree[start], point, z[order[start]]
 
 
-def _chain_batches(row_runs, col_runs, triangle):
-    # the chains of the run pairs (u, v), pair after pair (row-major; on a
-    # triangle, v up to the runs of u's point) and by gap within a pair, in
-    # batches of at most _BLOCK_ENTRIES: the pairs a batch touches, and the
-    # chain table of _chains
-    a, b = row_runs[2], col_runs[2]
-    reach = (np.searchsorted(col_runs[4], row_runs[4], "right") if triangle
+def _walk(out, row_runs, col_runs, params, log_fact, hermitian):
+    # the chains of the run pairs (u, v), pair after pair (row-major; if hermitian, v
+    # up to u's point) and by gap in a pair, in batches of at most _BLOCK_ENTRIES
+    row_order, row_start, a, row_degree, row_point, row_z = row_runs
+    col_order, col_start, b, col_degree, col_point, col_z = col_runs
+    reach = (np.searchsorted(col_point, row_point, "right") if hermitian
              else np.full(len(a), len(b)))
     b_before = np.concatenate(([0], np.cumsum(b)))
     size = reach * (a - 1) + b_before[reach]
     row_first, total = np.cumsum(size) - size, int(size.sum())
+    flat, width = out.reshape(-1), out.shape[1]
     for begin in range(0, total, _BLOCK_ENTRIES):
         ends = [begin, min(begin + _BLOCK_ENTRIES, total) - 1]
         # the pairs of the row runs the batch reaches, and their first chains
@@ -123,73 +122,58 @@ def _chain_batches(row_runs, col_runs, triangle):
         pair_first = row_first[u] + v * (a[u] - 1) + b_before[v]
         keep = slice(*np.searchsorted(pair_first, ends, "right") + [-1, 0])
         u, v, pair_first = u[keep], v[keep], pair_first[keep]
-        yield u, v, _chains(np.arange(ends[0], ends[1] + 1), u, v, pair_first, row_runs, col_runs)
+        # chain w's pair, first and end lo, sorted row and column less lo: chain g of
+        # an a x b run pair starts at its row max(0, g - b + 1), column row - g + b - 1
+        w = np.arange(ends[0], ends[1] + 1)
+        pair = np.searchsorted(pair_first, w, "right") - 1
+        g, ga, gb, gu, gv = w - pair_first[pair], a[u][pair], b[v][pair], u[pair], v[pair]
+        row = np.maximum(g - gb + 1, 0)
+        col = row - g + gb - 1
+        j, k = row_degree[gu] + row, col_degree[gv] + col
+        first = np.minimum(j, k)
+        end = first + np.minimum(ga - row, gb - col)
+        row_at, col_at = row_start[gu] + row - first, col_start[gv] + col - first
+        d = np.abs(j - k)
+        phase, x, log_w, arg_ge, arg_lt, at_zero = _point_factors(row_z[u], col_z[v], params)
+        cos, sin = _cos_sin(d * np.where(j >= k, arg_ge[pair], arg_lt[pair]))
+        if hermitian:
+            mirror = col_point[v] < row_point[u]
+            back, _ = compose_phase(-col_z[v], row_z[u], params)
 
+        def flush(e, lag, lo):  # chain e's entry at lo, whose L_lo is lag
+            q, de = pair[e], d[e]
+            lag *= scalar_math(
+                math.exp, -0.5 * x[q] + 0.5 * (log_fact[lo] - log_fact[lo + de]) + de * log_w[q]
+            )
+            zero = at_zero[q]
+            re = np.where(zero, (de == 0) * 1.0, lag * cos[e])
+            im = np.where(zero, 0.0, lag * sin[e])
+            r, c = row_order[row_at[e] + lo], col_order[col_at[e] + lo]
+            flat[r * width + c] = _rotate(phase[q], re, im)
+            if hermitian:  # the transposed entries of the run pairs at two points
+                m = mirror[q]
+                im = np.where(zero[m], im[m], -im[m])
+                flat[c[m] * width + r[m]] = _rotate(back[q[m]], re[m], im)
 
-def _chains(w, u, v, pair_first, row_runs, col_runs):
-    # chains w of the run pairs (u, v) whose first chains are pair_first:
-    # their pair, d, whether j >= k, first and end lo, and sorted row and
-    # column positions less lo.  Chain g of an a x b run pair starts at its
-    # row max(0, g - b + 1) and column row - g + b - 1.
-    _, row_start, a, row_degree, *_ = row_runs
-    _, col_start, b, col_degree, *_ = col_runs
-    pair = np.searchsorted(pair_first, w, "right") - 1
-    g, a, b, u, v = w - pair_first[pair], a[u][pair], b[v][pair], u[pair], v[pair]
-    row = np.maximum(g - b + 1, 0)
-    col = row - g + b - 1
-    j, k = row_degree[u] + row, col_degree[v] + col
-    first = np.minimum(j, k)
-    end = first + np.minimum(a - row, b - col)
-    row, col = row_start[u] + row - first, col_start[v] + col - first
-    return pair, np.abs(j - k), j >= k, first, end, row, col
-
-
-def _fill(out, batch, row_runs, col_runs, params, log_fact, hermitian):
-    # the entries of one batch of chains
-    u, v, (pair, d, ge, first, end, row_at, col_at) = batch
-    row_order, *_, row_point, row_z = row_runs
-    col_order, *_, col_point, col_z = col_runs
-    phase, x, log_w, arg_ge, arg_lt, at_zero = _point_factors(row_z[u], col_z[v], params)
-    cos, sin = _cos_sin(d * np.where(ge, arg_ge[pair], arg_lt[pair]))
-    if hermitian:
-        mirror = col_point[v] < row_point[u]
-        back, _ = compose_phase(-col_z[v], row_z[u], params)
-    flat, width = out.reshape(-1), out.shape[1]
-
-    def flush(e, lag, lo):  # chain e's entry at lo, whose L_lo is lag
-        q, de = pair[e], d[e]
-        lag *= scalar_math(
-            math.exp, -0.5 * x[q] + 0.5 * (log_fact[lo] - log_fact[lo + de]) + de * log_w[q]
-        )
-        zero = at_zero[q]
-        re = np.where(zero, (de == 0) * 1.0, lag * cos[e])
-        im = np.where(zero, 0.0, lag * sin[e])
-        r, c = row_order[row_at[e] + lo], col_order[col_at[e] + lo]
-        flat[r * width + c] = _rotate(phase[q], re, im)
-        if hermitian:  # the transposed entries of the run pairs at two points
-            m = mirror[q]
-            im = np.where(zero[m], im[m], -im[m])
-            flat[c[m] * width + r[m]] = _rotate(back[q[m]], re[m], im)
-
-    # the recurrence from L_0 (L_-1 = 0 makes the first step 1 + d - x
-    # exactly); step i reaches lo = i of the chains with first <= i < end
-    prev, cur, cx, steps = np.zeros(len(d)), np.ones(len(d)), x[pair], int(end.max())
-    held, chain, value, lo = 0, *(np.empty(_BLOCK_ENTRIES, t) for t in (int, float, int))
-    for i in range(steps):
-        e = np.flatnonzero((first <= i) & (i < end))
-        while len(e):  # each flush but the last holds _BLOCK_ENTRIES entries
-            take, e = e[: _BLOCK_ENTRIES - held], e[_BLOCK_ENTRIES - held :]
-            at = slice(held, held + len(take))
-            chain[at], value[at], lo[at] = take, cur[take], i
-            held = at.stop
-            if held == _BLOCK_ENTRIES:
-                flush(chain, value, lo)
-                held = 0
-        if i + 1 < steps:
-            with np.errstate(over="ignore", invalid="ignore"):
-                prev, cur = cur, ((2 * i + 1 + d - cx) * cur - (i + d) * prev) / (i + 1)
-    if held:
-        flush(chain[:held], value[:held], lo[:held])
+        # the recurrence from L_0 (L_-1 = 0 makes the first step 1 + d - x
+        # exactly); step i reaches lo = i of the chains with first <= i < end
+        prev, cur, cx, steps = np.zeros(len(d)), np.ones(len(d)), x[pair], int(end.max())
+        held, chain, value, lo = 0, *(np.empty(_BLOCK_ENTRIES, t) for t in (int, float, int))
+        for i in range(steps):
+            e = np.flatnonzero((first <= i) & (i < end))
+            while len(e):  # each flush but the last holds _BLOCK_ENTRIES entries
+                take, e = e[: _BLOCK_ENTRIES - held], e[_BLOCK_ENTRIES - held :]
+                at = slice(held, held + len(take))
+                chain[at], value[at], lo[at] = take, cur[take], i
+                held = at.stop
+                if held == _BLOCK_ENTRIES:
+                    flush(chain, value, lo)
+                    held = 0
+            if i + 1 < steps:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    prev, cur = cur, ((2 * i + 1 + d - cx) * cur - (i + d) * prev) / (i + 1)
+        if held:
+            flush(chain[:held], value[:held], lo[:held])
 
 
 def _cos_sin(angle):

@@ -214,6 +214,8 @@ def _window_masses(degree: int, window: Window, params: FockParams) -> np.ndarra
     half and are one minus the lower sums, so no array grows with x.
     """
     x = params.alpha * window.radius**2
+    if x == 0:  # alpha*R^2 underflowed, and P(n+1, 0) = 0
+        return np.zeros(degree + 1)
 
     def poisson(counts):
         log_fact = np.array([math.lgamma(n + 1) for n in counts])

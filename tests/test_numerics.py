@@ -329,6 +329,51 @@ class TestWindowMasses:
         b = _window_masses(30, Window(math.sqrt(8.0), 0.1), P1)
         assert np.allclose(a, b, rtol=1e-13, atol=0)
 
+    def test_underflowed_alpha_r_squared_gives_zero_masses(self):
+        from focklab.numerics import _window_masses
+
+        # alpha*R^2 = 1e-320 is subnormal, and the log-domain terms still hold
+        # P(1, x) = x; below about R = 1e-162 it is 0.0, where P(n+1, 0) = 0
+        tiny = _window_masses(5, Window(1e-160, 1e-161), P1)
+        assert tiny.tolist() == [1e-320, 0.0, 0.0, 0.0, 0.0, 0.0]
+        assert _window_masses(5, Window(1e-170, 1e-171), P1).tolist() == [0.0] * 6
+        divisor = Divisor(P1, ((0.0, 1),))
+        assert hole_mass_experiment(divisor, 5, Window(1e-300, 1e-301)) == 0.0
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: Divisor(P1, ((0.0, 1),)) == 3, None, None),
+        (
+            lambda: kernels.quadrature_inner_oracle(
+                basis_function(0, P1), basis_function(0, FockParams(2.0))
+            ),
+            ParameterMismatchError,
+            "inner-product arguments must share alpha",
+        ),
+        (
+            lambda: kernels.quadrature_inner_oracle(basis_function(0, P1), basis_function(0, P1), 0.0),
+            ValueError,
+            "radius must be positive",
+        ),
+        (
+            lambda: MeasurementVector(((0.0, 0), (1.0, 0)), np.zeros(3)),
+            ValueError,
+            "values must be one entry per label",
+        ),
+        (lambda: analysis_matrix(Divisor(P1, ((0.0, 1),)), -1), ValueError, "degree must be >= 0"),
+    ],
+    ids=["divisor-eq-other-type", "oracle-alpha", "oracle-radius", "values-count", "degree"],
+)
+def test_library_refusals(call, error, message):
+    if error is None:  # not a refusal: a divisor is unequal to any other type
+        assert call() is False
+        return
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
 
 def test_measurements_sum_atoms_in_order_with_scalar_products():
     # the values are bit-identical to a plain Python sum over the atoms

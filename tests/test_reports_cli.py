@@ -28,10 +28,12 @@ from focklab import (
     generate_covering_rings,
     generate_lattice,
     load_divisor,
+    min_norm_interpolate,
     save_divisor,
 )
 from focklab import core, generators
-from focklab.reports import complex_payload, divisor_payload, format_float, write_points_csv, write_sweep_csv
+from focklab.reports import complex_payload, divisor_payload, format_float, load_values
+from focklab.reports import write_points_csv, write_sweep_csv
 
 
 def run_cli(*args, cwd=None):
@@ -979,6 +981,62 @@ class TestFrameBoundsSweep:
                 "divisor_digest": summary.divisor_digest,
             })
         assert summaries == json.loads(canonical_json(expected))
+
+
+class TestOptionLists:
+    """An option's list of numbers that does not parse is a schema error."""
+
+    @pytest.mark.parametrize(
+        "argv,err",
+        [
+            (
+                ["check-geometry", "{path}", "--window", "3", "--c-list", "abc"],
+                "schema error: --c-list: could not convert string to float: 'abc'\n",
+            ),
+            (
+                ["frame-bounds", "{path}", "--degree-sweep", "a:b:c"],
+                "schema error: --degree-sweep: invalid literal for int() with base 10: 'a'\n",
+            ),
+        ],
+        ids=["c-list", "degree-sweep"],
+    )
+    def test_unparsable_list(self, argv, err, tmp_path, capsys):
+        path = tmp_path / "one.json"
+        save_divisor(Divisor(FockParams(1.0), ((0.0, 1),)), path)
+        assert cli.main([arg.format(path=path) for arg in argv]) == 2
+        assert capsys.readouterr() == ("", err)
+
+
+def test_interpolate_dump_atoms_lists_the_interpolant(tmp_path, capsys):
+    # one atom per divisor label in divisor order, written like any report value
+    divisor = Divisor(FockParams(1.0), ((complex(0, -2), 3), (0.0, 2), (3 + 1j, 1)))
+    path, values_path = tmp_path / "div.json", tmp_path / "values.json"
+    save_divisor(divisor, path)
+    values = [{"re": 0.5 * i, "im": 0.25 * (i % 2)} for i in range(6)]
+    values_path.write_text(json.dumps({"values": values}))
+    assert cli.main(["interpolate", str(path), str(values_path), "--dump-atoms"]) == 0
+    out = capsys.readouterr().out
+    atoms = json.loads(out)["solution"]["atoms"]
+    assert [list(atom) for atom in atoms] == [["re", "im", "k", "coeff"]] * 6
+    labels = divisor.atom_labels()
+    assert [(a["re"], a["im"], a["k"]) for a in atoms] == [(z.real, z.imag, k) for z, k in labels]
+    solution = min_norm_interpolate(divisor, load_values(values_path, labels))
+    expected = [
+        {"re": a.lam.real, "im": a.lam.imag, "k": a.k, "coeff": a.coeff}
+        for a in solution.function.atoms
+    ]
+    assert out.endswith('"atoms":' + canonical_json(expected) + "}}\n")
+
+
+def test_uniqueness_window_below_double_range_has_no_mass(tmp_path, capsys):
+    # alpha*R^2 underflows to 0.0, and the window holds no mass at all
+    path = tmp_path / "lat.json"
+    assert cli.main(["generate", "lattice", "--window", "3", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["uniqueness", str(path), "--degree", "40", "--window", "1e-170"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.endswith('"window_radius":1e-170},"hole_mass":0}\n')
 
 
 class TestValuesFile:
