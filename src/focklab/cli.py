@@ -34,9 +34,9 @@ from .generators import (
 from .geometry import GeometryVerdicts, Window, theorem_verdicts
 from .kernels import gram_matrix
 from .numerics import (
+    _sweep_frame_bounds,
     analysis_matrix,
     eigenvalue_bounds,
-    frame_bounds,
     hole_mass_experiment,
     min_norm_interpolate,
 )
@@ -199,24 +199,10 @@ def _cmd_frame_bounds(args) -> dict:
     _require_entries(rows, cols, "matrix" if len(degrees) < 2 else f"sweep of {len(degrees)} matrices")
     # every degree's matrix is a column prefix of the largest one
     matrix = analysis_matrix(divisor, degrees[-1])
-    summaries = []
-    for degree in degrees:
-        summary = frame_bounds(matrix.prefix(degree))
-        summaries.append(
-            {
-                "degree": summary.degree,
-                "smin": summary.smin,
-                "smax": summary.smax,
-                "ratio": summary.ratio,
-                "rank_deficient": summary.rank_deficient,
-                "divisor_digest": summary.divisor_digest,
-            }
-        )
+    keys = ("degree", "smin", "smax", "ratio", "rank_deficient", "divisor_digest")
+    summaries = [{key: getattr(s, key) for key in keys} for s in _sweep_frame_bounds(matrix, degrees)]
     if args.csv:
-        write_sweep_csv(
-            args.csv,
-            [(s["degree"], s["smin"], s["smax"], s["ratio"]) for s in summaries],
-        )
+        write_sweep_csv(args.csv, [(s["degree"], s["smin"], s["smax"], s["ratio"]) for s in summaries])
     return {
         "inputs": {"divisor": divisor_payload(divisor), "degrees": list(degrees)},
         "summaries": summaries,

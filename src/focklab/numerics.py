@@ -144,15 +144,44 @@ def frame_bounds(matrix: AnalysisMatrix) -> SpectralSummary:
     rows, cols = matrix.entries.shape
     if rows == 0:
         raise ValueError("analysis matrix has no measurement rows")
-    s = np.linalg.svd(matrix.entries, compute_uv=False)
+    return _singular_summary(matrix.entries, rows < cols, matrix.degree, matrix.divisor_digest)
+
+
+def _singular_summary(block, rank_deficient: bool, degree: int, digest: str) -> SpectralSummary:
+    s = np.linalg.svd(block, compute_uv=False)
     smax = float(s[0])
-    rank_deficient = rows < cols
     smin = 0.0 if rank_deficient else float(s[-1])
     try:
         ratio = (smax / smin) ** 2
     except (ZeroDivisionError, OverflowError):  # smin = 0, or a quotient past 1.3e154
         ratio = math.inf
-    return SpectralSummary(smin, smax, ratio, matrix.degree, matrix.divisor_digest, rank_deficient)
+    return SpectralSummary(smin, smax, ratio, degree, digest, rank_deficient)
+
+
+# LAPACK crossovers: zgesdd QR-factors a rows x p matrix first when rows >=
+# MNTHR1 = int(17p / 9) (zgesdd.f), and zgeqrf runs unblocked up to NX = 128
+# columns (ilaenv.f), where a wider R's leading p x p block is the prefix's R.
+_QR_FIRST, _QR_UNBLOCKED_COLS = (17, 9), 128
+
+
+def _sweep_frame_bounds(matrix: AnalysisMatrix, degrees) -> list[SpectralSummary]:
+    """frame_bounds(matrix.prefix(d)) for the ascending degrees, by the R-SVD
+    (Chan 1982): each prefix of p = d + 1 <= 128 columns with rows >=
+    int(17p / 9) takes its singular values from R[:p, :p] of one QR of the
+    widest such prefix, the R that reference LAPACK's zgesdd factors first.
+    That keeps every bit under single-threaded BLAS; on more threads the
+    svd's last bits move with the thread count, and the shared R moves them
+    differently, mostly where smin is at rounding level.  Fewer than two
+    such prefixes make no QR."""
+    rows, (num, den) = matrix.entries.shape[0], _QR_FIRST
+    shared = [d for d in degrees if d < _QR_UNBLOCKED_COLS and rows >= num * (d + 1) // den]
+    r = np.linalg.qr(matrix.entries[:, : shared[-1] + 1], mode="r") if len(shared) > 1 else None
+    return [
+        _singular_summary(r[: d + 1, : d + 1], False, d, matrix.divisor_digest)
+        if r is not None and d <= shared[-1]
+        else frame_bounds(matrix.prefix(d))
+        for d in degrees
+    ]
 
 
 def riesz_bounds(gram: GramMatrix) -> SpectralSummary:

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -26,6 +27,7 @@ from focklab import (
     cli,
     frame_bounds,
     generate_covering_rings,
+    generate_disjoint_rings,
     generate_lattice,
     load_divisor,
     min_norm_interpolate,
@@ -34,6 +36,9 @@ from focklab import (
 from focklab import core, generators
 from focklab.reports import complex_payload, divisor_payload, format_float, load_values
 from focklab.reports import write_points_csv, write_sweep_csv
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def run_cli(*args, cwd=None):
@@ -981,6 +986,101 @@ class TestFrameBoundsSweep:
                 "divisor_digest": summary.divisor_digest,
             })
         assert summaries == json.loads(canonical_json(expected))
+
+
+# Runs in a fresh interpreter: the sweep's raw summaries through the CLI's
+# frame-bounds handler against fresh frame_bounds, field by field through repr
+# (exact for floats), with the column count of each QR the sweep made.
+_SWEEP_BITS = """
+import json, sys
+import numpy as np
+from focklab import analysis_matrix, cli, frame_bounds, load_divisor
+path, sweep = sys.argv[1:]
+qr, qr_cols = np.linalg.qr, []
+def counted_qr(a, mode):
+    qr_cols.append(a.shape[1])
+    return qr(a, mode=mode)
+np.linalg.qr = counted_qr
+args = cli.build_parser().parse_args(["frame-bounds", path, "--degree-sweep", sweep])
+summaries = args.func(args)["summaries"]
+divisor, keys = load_divisor(path), ("smin", "smax", "ratio", "rank_deficient", "divisor_digest")
+differ = [
+    s["degree"] for s in summaries
+    if [repr(s[k]) for k in keys]
+    != [repr(getattr(frame_bounds(analysis_matrix(divisor, s["degree"])), k)) for k in keys]
+]
+print(json.dumps({"checked": len(summaries), "differ": differ, "qr_cols": qr_cols}))
+"""
+
+
+class TestSweepSharedFactor:
+    """A sweep's tall prefixes of at most 128 columns take their singular
+    values from one shared R factor, which under single-threaded BLAS keeps
+    every bit of a fresh svd."""
+
+    # the QR's width: the widest prefix p = d + 1 <= 128 with rows >= int(17p / 9)
+    @pytest.mark.parametrize(
+        "generate, sweep, qr_cols",
+        [
+            (lambda: generate_covering_rings(1.0, 1.0, 10.0), "10:120:10", [121]),
+            (lambda: generate_lattice(1.0, 1.0, 3, 3.0), "10:120:10", [41]),
+            (lambda: generate_covering_rings(1.0, 1.0, 8.0), "10:300:10", [121]),
+            (lambda: generate_disjoint_rings(1.0, 0.05, 20.0), "1:127:1", [104]),
+        ],
+        ids=["covering-R10-all-shared", "lattice-87-rows", "covering-R8-past-128", "disjoint-rounding-smin"],
+    )
+    def test_single_thread_summaries_equal_fresh_bitwise(self, generate, sweep, qr_cols, tmp_path):
+        path = tmp_path / "divisor.json"
+        save_divisor(generate()[0], path)
+        env = {**os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1")}
+        result = subprocess.run(
+            [sys.executable, "-c", _SWEEP_BITS, str(path), sweep], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        start, stop, step = (int(p) for p in sweep.split(":"))
+        checked = len(range(start, stop + 1, step))
+        assert json.loads(result.stdout) == {"checked": checked, "differ": [], "qr_cols": qr_cols}
+
+    @pytest.mark.parametrize("option", ["--degree=5", "--degree-sweep=1:20:1"])
+    def test_empty_divisor_has_no_rows(self, option, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        save_divisor(Divisor(FockParams(1.0), ()), path)
+        assert cli.main(["frame-bounds", str(path), option]) == 3
+        assert capsys.readouterr() == ("", "precondition error: analysis matrix has no measurement rows\n")
+
+    # 1:20:1 has no tall prefix; 0:20:1 has one, degree 0, and one alone is not shared
+    @pytest.mark.parametrize("sweep", ["1:20:1", "0:20:1"])
+    def test_one_row_sweep_makes_no_qr(self, sweep, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("QR made for a sweep with fewer than two tall prefixes")
+
+        path = tmp_path / "one.json"
+        save_divisor(Divisor(FockParams(1.0), ((0.5 + 0.25j, 1),)), path)
+        divisor = load_divisor(path)
+        start, stop, step = (int(p) for p in sweep.split(":"))
+        expected = [frame_bounds(analysis_matrix(divisor, d)) for d in range(start, stop + 1, step)]
+        monkeypatch.setattr(np.linalg, "qr", refuse)
+        assert cli.main(["frame-bounds", str(path), "--degree-sweep", sweep]) == 0
+        summaries = json.loads(capsys.readouterr().out)["summaries"]
+        assert summaries == json.loads(canonical_json([
+            {"degree": e.degree, "smin": e.smin, "smax": e.smax, "ratio": e.ratio,
+             "rank_deficient": e.rank_deficient, "divisor_digest": e.divisor_digest}
+            for e in expected
+        ]))
+
+    def test_csv_rows_equal_summaries_across_the_boundary(self, tmp_path, capsys):
+        # 87 rows: degree 45 (p = 46) is the last tall prefix, degree 46 the first wide one
+        path, csv_path = tmp_path / "lattice.json", tmp_path / "sweep.csv"
+        save_divisor(generate_lattice(1.0, 1.0, 3, 3.0)[0], path)
+        argv = ["frame-bounds", str(path), "--degree-sweep", "40:52:1", "--csv", str(csv_path)]
+        assert cli.main(argv) == 0
+        summaries = json.loads(capsys.readouterr().out)["summaries"]
+        assert [s["degree"] for s in summaries] == list(range(40, 53))
+        rows = [
+            ",".join([str(s["degree"]), *(format_float(s[k]) for k in ("smin", "smax", "ratio"))])
+            for s in summaries
+        ]
+        assert csv_path.read_text().splitlines() == ["N,smin,smax,ratio", *rows]
 
 
 class TestOptionLists:
