@@ -10,8 +10,7 @@ sweep's matrices in all, above MAX_MATRIX_ENTRIES (refused before any label is
 built), disjoint rings of more than MAX_RING_POINTS points (refused before any
 is laid out), a generated divisor that fails its family's contract (no file is
 written), or an input whose arithmetic overflows the double range (a point
-near 1e308, a window whose square does).  Every failure is one line on stderr,
-after any warnings.
+near 1e308).  Every failure is one line on stderr, after any warnings.
 """
 
 from __future__ import annotations
@@ -130,7 +129,7 @@ def _verdicts_payload(verdicts: GeometryVerdicts) -> dict:
     }
 
 
-def _cmd_generate(args) -> dict:
+def _cmd_generate(args, _) -> dict:
     _require_out_dir(args.out)
     if args.family == "lattice":
         divisor, meta = generate_lattice(args.alpha, args.spacing, args.mult, args.window)
@@ -153,8 +152,7 @@ def _cmd_generate(args) -> dict:
     }
 
 
-def _cmd_check_geometry(args) -> dict:
-    divisor = load_divisor(args.divisor)
+def _cmd_check_geometry(args, divisor) -> dict:
     window = Window(args.window, args.window / 100 if args.grid_step is None else args.grid_step)
     c_list = _parse_c_list(args.c_list)
     paths = [f"{args.defects_csv}_c{format_float(c)}.csv" for c in c_list if args.defects_csv]
@@ -172,7 +170,6 @@ def _cmd_check_geometry(args) -> dict:
         write_points_csv(path, uncovered)
     return {
         "inputs": {
-            "divisor": divisor_payload(divisor),
             "window_radius": window.radius,
             "grid_step": window.grid_step,
             "c_list": c_list,
@@ -182,8 +179,7 @@ def _cmd_check_geometry(args) -> dict:
     }
 
 
-def _cmd_frame_bounds(args) -> dict:
-    divisor = load_divisor(args.divisor)
+def _cmd_frame_bounds(args, divisor) -> dict:
     # a range, so that an oversized sweep is refused before any degree is listed
     if args.degree_sweep is None:
         degrees = range(args.degree, args.degree + 1)
@@ -204,13 +200,12 @@ def _cmd_frame_bounds(args) -> dict:
     if args.csv:
         write_sweep_csv(args.csv, [(s["degree"], s["smin"], s["smax"], s["ratio"]) for s in summaries])
     return {
-        "inputs": {"divisor": divisor_payload(divisor), "degrees": list(degrees)},
+        "inputs": {"degrees": list(degrees)},
         "summaries": summaries,
     }
 
 
-def _cmd_gram(args) -> dict:
-    divisor = load_divisor(args.divisor)
+def _cmd_gram(args, divisor) -> dict:
     _require_entries(divisor.total_multiplicity(), divisor.total_multiplicity())
     labels = divisor.atom_labels()
     if not labels:
@@ -219,7 +214,7 @@ def _cmd_gram(args) -> dict:
     eigenvalues = np.linalg.eigvalsh(gram.entries)
     smin, smax, condition = eigenvalue_bounds(eigenvalues)
     return {
-        "inputs": {"divisor": divisor_payload(divisor)},
+        "inputs": {},
         "spectrum": {
             "size": len(labels),
             "eigenvalues": [float(w) for w in eigenvalues],
@@ -231,14 +226,12 @@ def _cmd_gram(args) -> dict:
     }
 
 
-def _cmd_interpolate(args) -> dict:
-    divisor = load_divisor(args.divisor)
+def _cmd_interpolate(args, divisor) -> dict:
     _require_entries(divisor.total_multiplicity(), divisor.total_multiplicity())
     data = load_values(args.values, divisor.atom_labels())
     solution = min_norm_interpolate(divisor, data, rcond=args.rcond)
     payload = {
         "inputs": {
-            "divisor": divisor_payload(divisor),
             "values": data.values,
             "rcond": args.rcond,
         },
@@ -262,15 +255,13 @@ def _cmd_interpolate(args) -> dict:
     return payload
 
 
-def _cmd_uniqueness(args) -> dict:
-    divisor = load_divisor(args.divisor)
+def _cmd_uniqueness(args, divisor) -> dict:
     # the SVD's null-space basis is square in the degree
     _require_entries(max(divisor.total_multiplicity(), args.degree + 1), args.degree + 1)
     window = Window(args.window, args.window / 100)
     value = hole_mass_experiment(divisor, args.degree, window)
     return {
         "inputs": {
-            "divisor": divisor_payload(divisor),
             "degree": args.degree,
             "window_radius": args.window,
         },
@@ -278,67 +269,70 @@ def _cmd_uniqueness(args) -> dict:
     }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="focklab",
-        description="Sampling, interpolation and uniqueness experiments on divisors "
-        "with multiplicities in Bargmann-Fock space.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# the whole command-line surface, built once
+_PARSER = argparse.ArgumentParser(
+    prog="focklab",
+    description="Sampling, interpolation and uniqueness experiments on divisors "
+    "with multiplicities in Bargmann-Fock space.",
+)
+_commands = _PARSER.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="emit a divisor file from a named family")
-    p.add_argument("family", choices=["lattice", "covering-rings", "disjoint-rings"])
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--window", type=float, required=True, help="clip radius of the family")
-    p.add_argument("--spacing", type=float, default=1.0, help="lattice spacing")
-    p.add_argument("--mult", type=int, default=1, help="lattice multiplicity")
-    p.add_argument("--c", type=float, default=1.0, help="separation constant for ring families")
-    p.add_argument("--out", required=True, help="divisor file to write")
-    p.set_defaults(func=_cmd_generate)
+_p = _commands.add_parser("generate", help="emit a divisor file from a named family")
+_p.add_argument("family", choices=["lattice", "covering-rings", "disjoint-rings"])
+_p.add_argument("--alpha", type=float, default=1.0)
+_p.add_argument("--window", type=float, required=True, help="clip radius of the family")
+_p.add_argument("--spacing", type=float, default=1.0, help="lattice spacing")
+_p.add_argument("--mult", type=int, default=1, help="lattice multiplicity")
+_p.add_argument("--c", type=float, default=1.0, help="separation constant for ring families")
+_p.add_argument("--out", required=True, help="divisor file to write")
+_p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("check-geometry", help="window verdicts for a divisor")
-    p.add_argument("divisor")
-    p.add_argument("--window", type=float, required=True)
-    p.add_argument("--grid-step", type=float, default=None)
-    p.add_argument("--c-list", default="0.25,0.5,1")
-    p.add_argument("--hole-radius", type=float, default=0.0)
-    p.add_argument("--defects-csv", default=None, help="prefix for per-C uncovered-point CSVs")
-    p.set_defaults(func=_cmd_check_geometry)
+_p = _commands.add_parser("check-geometry", help="window verdicts for a divisor")
+_p.add_argument("divisor")
+_p.add_argument("--window", type=float, required=True)
+_p.add_argument("--grid-step", type=float, default=None)
+_p.add_argument("--c-list", default="0.25,0.5,1")
+_p.add_argument("--hole-radius", type=float, default=0.0)
+_p.add_argument("--defects-csv", default=None, help="prefix for per-C uncovered-point CSVs")
+_p.set_defaults(func=_cmd_check_geometry)
 
-    p = sub.add_parser("frame-bounds", help="singular values of the truncated analysis map")
-    p.add_argument("divisor")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--degree", type=int)
-    group.add_argument("--degree-sweep", help="START:STOP:STEP")
-    p.add_argument("--csv", default=None, help="write the sweep as CSV (N,smin,smax,ratio)")
-    p.set_defaults(func=_cmd_frame_bounds)
+_p = _commands.add_parser("frame-bounds", help="singular values of the truncated analysis map")
+_p.add_argument("divisor")
+_group = _p.add_mutually_exclusive_group(required=True)
+_group.add_argument("--degree", type=int)
+_group.add_argument("--degree-sweep", help="START:STOP:STEP")
+_p.add_argument("--csv", default=None, help="write the sweep as CSV (N,smin,smax,ratio)")
+_p.set_defaults(func=_cmd_frame_bounds)
 
-    p = sub.add_parser("gram", help="eigenvalue spectrum of the divisor atom Gram matrix")
-    p.add_argument("divisor")
-    p.set_defaults(func=_cmd_gram)
+_p = _commands.add_parser("gram", help="eigenvalue spectrum of the divisor atom Gram matrix")
+_p.add_argument("divisor")
+_p.set_defaults(func=_cmd_gram)
 
-    p = sub.add_parser("interpolate", help="minimal-norm interpolation of a data vector")
-    p.add_argument("divisor")
-    p.add_argument("values", help="JSON file {values: [{re, im}, ...]} in divisor label order")
-    p.add_argument("--rcond", type=float, default=1e-12)
-    p.add_argument("--dump-atoms", action="store_true")
-    p.set_defaults(func=_cmd_interpolate)
+_p = _commands.add_parser("interpolate", help="minimal-norm interpolation of a data vector")
+_p.add_argument("divisor")
+_p.add_argument("values", help="JSON file {values: [{re, im}, ...]} in divisor label order")
+_p.add_argument("--rcond", type=float, default=1e-12)
+_p.add_argument("--dump-atoms", action="store_true")
+_p.set_defaults(func=_cmd_interpolate)
 
-    p = sub.add_parser("uniqueness", help="window mass of the vanishing subspace")
-    p.add_argument("divisor")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--window", type=float, required=True)
-    p.set_defaults(func=_cmd_uniqueness)
-
-    return parser
+_p = _commands.add_parser("uniqueness", help="window mass of the vanishing subspace")
+_p.add_argument("divisor")
+_p.add_argument("--degree", type=int, required=True)
+_p.add_argument("--window", type=float, required=True)
+_p.set_defaults(func=_cmd_uniqueness)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     with warnings.catch_warnings():
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
-            payload = {"tool": TOOL, "command": args.command, **args.func(args)}
+            # a command's input divisor is read before anything else and leads its inputs
+            divisor = load_divisor(args.divisor) if "divisor" in args else None
+            report = args.func(args, divisor)
+            if divisor is not None:
+                report["inputs"] = {"divisor": divisor_payload(divisor), **report["inputs"]}
+            payload = {"tool": TOOL, "command": args.command, **report}
         except SchemaError as exc:
             print(f"schema error: {exc}", file=sys.stderr)
             return EXIT_SCHEMA

@@ -242,9 +242,12 @@ def _window_masses(degree: int, window: Window, params: FockParams) -> np.ndarra
     masses accurate; for x > degree + 1 the masses are at least about one
     half and are one minus the lower sums, so no array grows with x.
     """
-    x = params.alpha * window.radius**2
-    if x == 0:  # alpha*R^2 underflowed, and P(n+1, 0) = 0
-        return np.zeros(degree + 1)
+    try:
+        x = params.alpha * window.radius**2
+    except OverflowError:  # R^2 leaves the double range, alpha*R^2 may not
+        x = params.alpha * window.radius * window.radius
+    if x in (0, math.inf):  # alpha*R^2 underflowed or overflowed: P(n+1, 0) = 0, P(n+1, inf) = 1
+        return np.full(degree + 1, 0.0 if x == 0 else 1.0)
 
     def poisson(counts):
         log_fact = np.array([math.lgamma(n + 1) for n in counts])
@@ -265,6 +268,8 @@ def hole_mass_experiment(divisor: Divisor, degree: int, window: Window) -> float
     essentially outside the window, the numerical shadow of the divisor not
     being a zero divisor when its bare discs cover the window.
     """
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
     n_constraints = divisor.total_multiplicity()
     if n_constraints >= degree + 1:
         raise InfeasibleExperimentError(

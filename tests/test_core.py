@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from focklab import (
     Atom,
+    BasisCoefficients,
     FockFunction,
     FockParams,
     ParameterMismatchError,
@@ -79,6 +80,27 @@ class TestBasisEval:
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
             basis_eval(-1, 0.0, P1)
+
+
+class TestAtom:
+    @pytest.mark.parametrize(
+        "k, coeff, message",
+        [
+            (-1, 1.0, r"^basis index k must be a nonnegative integer, got -1$"),
+            (1.5, 1.0, r"^basis index k must be a nonnegative integer, got 1\.5$"),
+            (0, complex(math.nan, 0.0), r"^atom coefficient must be finite$"),
+        ],
+        ids=["negative-k", "fractional-k", "nan-coeff"],
+    )
+    def test_invalid_atom_refused(self, k, coeff, message):
+        with pytest.raises(ValueError, match=message):
+            Atom(0.0, k, coeff)
+
+    def test_scaling_and_difference_act_on_coefficients(self):
+        f = FockFunction(P1, (Atom(1j, 2, 0.5 - 1j),))
+        g = basis_function(0, P1)
+        assert (2j * f).atoms == (f * 2j).atoms == (Atom(1j, 2, 2 + 1j),)
+        assert (f - g).atoms == (Atom(1j, 2, 0.5 - 1j), Atom(0.0, 0, -1.0))
 
 
 class TestAtomEval:
@@ -316,6 +338,11 @@ class TestBasisCoefficients:
         for lo, hi in zip(defects[1:], defects[:-1]):
             assert lo <= hi + 1e-10 * (1 + norm_sq)
 
+    def test_squared_sum_and_negative_degree(self):
+        assert BasisCoefficients(P1, [3.0, 4j, 0.0]).squared_sum() == 25.0
+        with pytest.raises(ValueError, match=r"^n_max must be >= 0$"):
+            basis_function(0, P1).to_basis_coeffs(-1)
+
     def test_round_trip_through_basis(self):
         coeffs = np.array([0.5, 0, -1j, 2.0])
         f = from_basis_coeffs(coeffs, P1)
@@ -344,6 +371,14 @@ class TestSupNormEstimate:
         values = [f.sup_norm_estimate(r, 0.05) for r in (1.0, 2.0, 3.0, 4.0)]
         assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
 
+
+    @pytest.mark.parametrize(
+        "radius, step, message",
+        [(1.0, 0.0, r"^step must be positive$"), (-1.0, 0.1, r"^radius must be nonnegative$")],
+    )
+    def test_bad_square_refused(self, radius, step, message):
+        with pytest.raises(ValueError, match=message):
+            basis_function(0, P1).sup_norm_estimate(radius, step)
 
     def test_coarse_and_degenerate_squares(self):
         f = displaced_basis(0.5, 1, P1)

@@ -340,6 +340,17 @@ class TestWindowMasses:
         divisor = Divisor(P1, ((0.0, 1),))
         assert hole_mass_experiment(divisor, 5, Window(1e-300, 1e-301)) == 0.0
 
+    def test_overflowed_alpha_r_squared_gives_unit_masses(self):
+        from focklab.numerics import _window_masses
+
+        # R^2 or alpha*R^2 past the double range is inf, where P(n+1, inf) = 1;
+        # R^2 past it with alpha*R^2 = 22.5 keeps its incomplete gamma
+        assert _window_masses(5, Window(1e160, 1e158), P1).tolist() == [1.0] * 6
+        assert _window_masses(5, Window(1e150, 1e148), FockParams(1e10)).tolist() == [1.0] * 6
+        got = _window_masses(40, Window(1.5e154, 1.5e152), FockParams(1e-307))
+        ref = gammainc(np.arange(1, 42), 22.5)
+        assert np.all(np.abs(got - ref) <= 1e-12 * ref)
+
 
 @pytest.mark.parametrize(
     "call,error,message",

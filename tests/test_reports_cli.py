@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -67,6 +68,12 @@ class TestCanonicalJson:
     def test_nonfinite_becomes_null(self):
         assert canonical_json({"ratio": float("inf")}) == '{"ratio":null}'
 
+    def test_unwritable_values_refused(self):
+        with pytest.raises(TypeError, match=r"^report keys must be strings, got 1$"):
+            canonical_json({"a": {1: 2}})
+        with pytest.raises(TypeError, match=r"^cannot serialize object$"):
+            canonical_json([object()])
+
     @given(st.text(), st.text())
     @example('q"uo\\te', "tab\t nul\x00 del\x7f")
     @example("\u00e9l\u00e8ve \U0001f600", "\u2028 \ud800")
@@ -131,6 +138,7 @@ class TestDivisorFiles:
              r"points\[0\]\.mult"),
             ('{"alpha": 1, "points": [{"re": 0, "im": 0}]}', r"points\[0\]"),
             ('{"alpha": 1}', "top level"),
+            ('{"alpha": 1, "points": {}}', "^points: expected a list$"),
             ('{"alpha": 1, "points": [{"re": 0, "im": 0, "mult": 1}', "line"),
         ],
     )
@@ -563,12 +571,11 @@ class TestOutOfRangeInputs:
     @pytest.mark.filterwarnings("default::RuntimeWarning")  # numpy overflows on the way
     @pytest.mark.parametrize(
         "argv",
-        [["gram"], ["frame-bounds", "--degree", "5"], ["uniqueness", "--degree", "40", "--window", "1e300"]],
+        [["gram"], ["frame-bounds", "--degree", "5"], ["uniqueness", "--degree", "40", "--window", "3"]],
     )
     def test_overflow_is_a_precondition_error(self, argv, tmp_path, capsys):
         path = tmp_path / "far.json"
-        points = [(0.0, 1)] if argv[0] == "uniqueness" else [(1e308 + 1e308j, 1), (0.0, 2)]
-        save_divisor(Divisor(FockParams(1.0), tuple(points)), path)
+        save_divisor(Divisor(FockParams(1.0), ((1e308 + 1e308j, 1), (0.0, 2))), path)
         code = cli.main([argv[0], str(path), *argv[1:]])
         captured = capsys.readouterr()
         assert code == 3
@@ -625,6 +632,27 @@ class TestCliSurface:
         assert r1.returncode == r2.returncode == 0
         assert r1.stdout == r2.stdout
         assert out_a.read_text() == out_b.read_text()
+
+    def test_parser_built_once_at_import(self, lattice_file, tmp_path, monkeypatch, capsys):
+        # every subcommand runs on the parser built at import, and a second
+        # run in the same process prints the same bytes
+        monkeypatch.setattr(argparse, "ArgumentParser", mock.Mock(side_effect=AssertionError("rebuilt")))
+        values = tmp_path / "values.json"
+        values.write_text(json.dumps({"values": [{"re": i % 3, "im": i % 2} for i in range(29)]}))
+        argvs = [
+            ["generate", "covering-rings", "--window", "3", "--out", str(tmp_path / "rings.json")],
+            ["check-geometry", str(lattice_file), "--window", "3", "--defects-csv", str(tmp_path / "d")],
+            ["frame-bounds", str(lattice_file), "--degree-sweep", "20:60:20", "--csv", str(tmp_path / "s.csv")],
+            ["gram", str(lattice_file)],
+            ["interpolate", str(lattice_file), str(values), "--dump-atoms"],
+            ["uniqueness", str(lattice_file), "--degree", "40", "--window", "3"],
+        ]
+        for argv in argvs:
+            assert cli.main(argv) == 0
+            first = capsys.readouterr()
+            assert cli.main(argv) == 0
+            assert capsys.readouterr() == first
+            assert first.err == "" and json.loads(first.out)["command"] == argv[0]
 
     def test_frame_bounds_sweep_csv(self, lattice_file, tmp_path):
         csv_path = tmp_path / "sweep.csv"
@@ -989,8 +1017,9 @@ class TestFrameBoundsSweep:
 
 
 # Runs in a fresh interpreter: the sweep's raw summaries through the CLI's
-# frame-bounds handler against fresh frame_bounds, field by field through repr
-# (exact for floats), with the column count of each QR the sweep made.
+# frame-bounds handler against the handler's own --degree summaries and fresh
+# frame_bounds, field by field through repr (exact for floats), with the
+# column count of each QR made.
 _SWEEP_BITS = """
 import json, sys
 import numpy as np
@@ -1001,15 +1030,19 @@ def counted_qr(a, mode):
     qr_cols.append(a.shape[1])
     return qr(a, mode=mode)
 np.linalg.qr = counted_qr
-args = cli.build_parser().parse_args(["frame-bounds", path, "--degree-sweep", sweep])
-summaries = args.func(args)["summaries"]
 divisor, keys = load_divisor(path), ("smin", "smax", "ratio", "rank_deficient", "divisor_digest")
+def summaries(*option):
+    args = cli._PARSER.parse_args(["frame-bounds", path, *option])
+    return [{k: repr(v) for k, v in s.items()} for s in args.func(args, divisor)["summaries"]]
+def fresh(degree):
+    summary = frame_bounds(analysis_matrix(divisor, degree))
+    return {"degree": repr(degree), **{k: repr(getattr(summary, k)) for k in keys}}
+swept = summaries("--degree-sweep", sweep)
 differ = [
-    s["degree"] for s in summaries
-    if [repr(s[k]) for k in keys]
-    != [repr(getattr(frame_bounds(analysis_matrix(divisor, s["degree"])), k)) for k in keys]
+    s["degree"] for s in swept
+    if [s] != summaries("--degree", s["degree"]) or s != fresh(int(s["degree"]))
 ]
-print(json.dumps({"checked": len(summaries), "differ": differ, "qr_cols": qr_cols}))
+print(json.dumps({"checked": len(swept), "differ": differ, "qr_cols": qr_cols}))
 """
 
 
@@ -1023,7 +1056,7 @@ class TestSweepSharedFactor:
         "generate, sweep, qr_cols",
         [
             (lambda: generate_covering_rings(1.0, 1.0, 10.0), "10:120:10", [121]),
-            (lambda: generate_lattice(1.0, 1.0, 3, 3.0), "10:120:10", [41]),
+            (lambda: generate_lattice(1.0, 1.0, 3, 3.0), "10:200:10", [41]),
             (lambda: generate_covering_rings(1.0, 1.0, 8.0), "10:300:10", [121]),
             (lambda: generate_disjoint_rings(1.0, 0.05, 20.0), "1:127:1", [104]),
         ],
@@ -1097,8 +1130,12 @@ class TestOptionLists:
                 ["frame-bounds", "{path}", "--degree-sweep", "a:b:c"],
                 "schema error: --degree-sweep: invalid literal for int() with base 10: 'a'\n",
             ),
+            (
+                ["check-geometry", "{path}", "--window", "3", "--c-list", ","],
+                "schema error: --c-list: expected comma-separated positive values\n",
+            ),
         ],
-        ids=["c-list", "degree-sweep"],
+        ids=["c-list", "degree-sweep", "c-list-empty"],
     )
     def test_unparsable_list(self, argv, err, tmp_path, capsys):
         path = tmp_path / "one.json"
@@ -1139,6 +1176,29 @@ def test_uniqueness_window_below_double_range_has_no_mass(tmp_path, capsys):
     assert out.endswith('"window_radius":1e-170},"hole_mass":0}\n')
 
 
+@pytest.mark.parametrize(
+    "family, window",
+    [(["--window", "3"], "1e160"), (["--alpha", "1e10", "--spacing", "1e-5", "--window", "3e-5"], "1e150")],
+    ids=["square-overflows", "alpha-times-square-overflows"],
+)
+def test_uniqueness_window_beyond_double_range_holds_all_mass(family, window, tmp_path, capsys):
+    # alpha*R^2 leaves the double range, and the window holds all the mass
+    path = tmp_path / "lat.json"
+    assert cli.main(["generate", "lattice", *family, "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["uniqueness", str(path), "--degree", "40", "--window", window]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.endswith(f'"window_radius":{format_float(float(window))}}},"hole_mass":1}}\n')
+
+
+def test_uniqueness_negative_degree_refused(tmp_path, capsys):
+    path = tmp_path / "lat.json"
+    save_divisor(generate_lattice(1.0, 1.0, 1, 3.0)[0], path)
+    assert cli.main(["uniqueness", str(path), "--degree", "-1", "--window", "3"]) == 3
+    assert capsys.readouterr() == ("", "precondition error: degree must be >= 0\n")
+
+
 class TestValuesFile:
     @pytest.fixture()
     def divisor_path(self, tmp_path):
@@ -1167,6 +1227,20 @@ class TestValuesFile:
         err = capsys.readouterr().err
         assert code == 2
         assert re.search(f"schema error: {field}: ", err)
+
+    @pytest.mark.parametrize(
+        "values,err",
+        [
+            ("{}", "values: expected a list"),
+            ('[{"re": 1, "im": 0}]', "values: expected 2 entries (one per divisor label), got 1"),
+        ],
+        ids=["not-a-list", "one-entry-short"],
+    )
+    def test_values_shape_is_schema_error(self, divisor_path, tmp_path, values, err, capsys):
+        values_path = tmp_path / "vals.json"
+        values_path.write_text(f'{{"values": {values}}}')
+        assert cli.main(["interpolate", str(divisor_path), str(values_path)]) == 2
+        assert capsys.readouterr() == ("", f"schema error: {err}\n")
 
     @pytest.mark.parametrize("part", ["re", "im"])
     def test_integer_beyond_double_range_is_schema_error(self, divisor_path, tmp_path, part, capsys):
