@@ -107,7 +107,7 @@ def _verdicts_payload(verdicts: GeometryVerdicts) -> dict:
             {
                 "c": result.c,
                 "holds": result.holds,
-                "uncovered_count": int(result.uncovered.size),
+                "uncovered_count": result.uncovered.size,
                 "uncovered": result.uncovered,
             }
             for result in verdicts.shrunk_cover_by_c
@@ -217,7 +217,7 @@ def _cmd_gram(args, divisor) -> dict:
         "inputs": {},
         "spectrum": {
             "size": len(labels),
-            "eigenvalues": [float(w) for w in eigenvalues],
+            "eigenvalues": eigenvalues,
             "smin": smin,
             "smax": smax,
             "condition": condition,
@@ -276,8 +276,18 @@ _PARSER = argparse.ArgumentParser(
     "with multiplicities in Bargmann-Fock space.",
 )
 _commands = _PARSER.add_subparsers(dest="command", required=True)
+# the input divisor, declared once: the first argument of every command that reads one
+_DIVISOR = argparse.ArgumentParser(add_help=False)
+_DIVISOR.add_argument("divisor")
 
-_p = _commands.add_parser("generate", help="emit a divisor file from a named family")
+
+def _command(name: str, func, help: str, reads: bool = True) -> argparse.ArgumentParser:
+    parser = _commands.add_parser(name, help=help, parents=[_DIVISOR] if reads else [])
+    parser.set_defaults(func=func)
+    return parser
+
+
+_p = _command("generate", _cmd_generate, "emit a divisor file from a named family", reads=False)
 _p.add_argument("family", choices=["lattice", "covering-rings", "disjoint-rings"])
 _p.add_argument("--alpha", type=float, default=1.0)
 _p.add_argument("--window", type=float, required=True, help="clip radius of the family")
@@ -285,41 +295,30 @@ _p.add_argument("--spacing", type=float, default=1.0, help="lattice spacing")
 _p.add_argument("--mult", type=int, default=1, help="lattice multiplicity")
 _p.add_argument("--c", type=float, default=1.0, help="separation constant for ring families")
 _p.add_argument("--out", required=True, help="divisor file to write")
-_p.set_defaults(func=_cmd_generate)
 
-_p = _commands.add_parser("check-geometry", help="window verdicts for a divisor")
-_p.add_argument("divisor")
+_p = _command("check-geometry", _cmd_check_geometry, "window verdicts for a divisor")
 _p.add_argument("--window", type=float, required=True)
 _p.add_argument("--grid-step", type=float, default=None)
 _p.add_argument("--c-list", default="0.25,0.5,1")
 _p.add_argument("--hole-radius", type=float, default=0.0)
 _p.add_argument("--defects-csv", default=None, help="prefix for per-C uncovered-point CSVs")
-_p.set_defaults(func=_cmd_check_geometry)
 
-_p = _commands.add_parser("frame-bounds", help="singular values of the truncated analysis map")
-_p.add_argument("divisor")
+_p = _command("frame-bounds", _cmd_frame_bounds, "singular values of the truncated analysis map")
 _group = _p.add_mutually_exclusive_group(required=True)
 _group.add_argument("--degree", type=int)
 _group.add_argument("--degree-sweep", help="START:STOP:STEP")
 _p.add_argument("--csv", default=None, help="write the sweep as CSV (N,smin,smax,ratio)")
-_p.set_defaults(func=_cmd_frame_bounds)
 
-_p = _commands.add_parser("gram", help="eigenvalue spectrum of the divisor atom Gram matrix")
-_p.add_argument("divisor")
-_p.set_defaults(func=_cmd_gram)
+_command("gram", _cmd_gram, "eigenvalue spectrum of the divisor atom Gram matrix")
 
-_p = _commands.add_parser("interpolate", help="minimal-norm interpolation of a data vector")
-_p.add_argument("divisor")
+_p = _command("interpolate", _cmd_interpolate, "minimal-norm interpolation of a data vector")
 _p.add_argument("values", help="JSON file {values: [{re, im}, ...]} in divisor label order")
 _p.add_argument("--rcond", type=float, default=1e-12)
 _p.add_argument("--dump-atoms", action="store_true")
-_p.set_defaults(func=_cmd_interpolate)
 
-_p = _commands.add_parser("uniqueness", help="window mass of the vanishing subspace")
-_p.add_argument("divisor")
+_p = _command("uniqueness", _cmd_uniqueness, "window mass of the vanishing subspace")
 _p.add_argument("--degree", type=int, required=True)
 _p.add_argument("--window", type=float, required=True)
-_p.set_defaults(func=_cmd_uniqueness)
 
 
 def main(argv=None) -> int:

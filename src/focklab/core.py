@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import struct
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -48,16 +47,6 @@ class FockParams:
         object.__setattr__(self, "alpha", alpha)
 
 
-def label_digest(params: FockParams, pairs) -> str:
-    """Short stable fingerprint of alpha and (point, integer) pairs, used for
-    report provenance by divisors and Gram matrices alike."""
-    h = hashlib.sha256()
-    h.update(struct.pack("<d", params.alpha))
-    for lam, n in pairs:
-        h.update(struct.pack("<ddq", lam.real, lam.imag, n))
-    return h.hexdigest()[:12]
-
-
 # Most cells of a probe square (sides of at most 2047 points).  Its complex grid
 # takes 16 bytes a cell and a geometric check adds three small-integer grids,
 # however many C it tests, so this bounds every grid before numpy allocates it.
@@ -69,6 +58,30 @@ MAX_RING_POINTS = 2**15
 # Most entries of a matrix a command builds (a Gram of 2048 atoms, 64 MiB of
 # complex entries); the command refuses a larger one before building labels.
 MAX_MATRIX_ENTRIES = 2**22
+# A label (lam, n): a point and an integer, such as a degree or a multiplicity.
+LABEL = np.dtype([("point", "<c16"), ("n", "<i8")])
+
+
+def label_array(pairs) -> np.ndarray:
+    """The (point, integer) pairs as a LABEL array, each pair read as
+    (complex(point), int(n)); a LABEL array is returned as it is."""
+    if isinstance(pairs, np.ndarray) and pairs.dtype == LABEL:
+        return pairs
+    return np.array([(complex(lam), int(n)) for lam, n in pairs], LABEL)
+
+
+def basis_labels(degree: int) -> np.ndarray:
+    """The labels (0, n), n = 0..degree, of the undisplaced basis states."""
+    labels = np.zeros(degree + 1, LABEL)
+    labels["n"] = np.arange(degree + 1)
+    return labels
+
+
+def label_digest(params: FockParams, pairs) -> str:
+    """Short stable fingerprint of alpha and (point, integer) pairs, used for
+    report provenance by divisors and Gram matrices alike."""
+    data = np.array(params.alpha, "<f8").tobytes() + label_array(pairs).tobytes()
+    return hashlib.sha256(data).hexdigest()[:12]
 
 
 def square_axis(half: float, step: float, what: str) -> np.ndarray:
@@ -149,6 +162,18 @@ def scalar_math(fn, *args) -> np.ndarray:
     args = np.broadcast_arrays(*args)
     values = map(fn, *(a.ravel().tolist() for a in args))
     return np.fromiter(values, float, args[0].size).reshape(args[0].shape)
+
+
+def scalar_square(v) -> np.ndarray:
+    """v ** 2 elementwise, as a Python float computes it: by the C library's pow."""
+    return scalar_math(math.pow, v, 2.0)
+
+
+def scalar_mul(a, re, im) -> np.ndarray:
+    """a * (re + i im) elementwise, in the operation order of a scalar complex product."""
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = a.real * re - a.imag * im, a.real * im + a.imag * re
+    return out
 
 
 def compose_phase(w, z, params: FockParams):
@@ -270,8 +295,8 @@ class FockFunction:
             raise ValueError("n_max must be >= 0")
         from .kernels import overlap_matrix
 
-        basis = [(0.0, n) for n in range(n_max + 1)]
-        coeffs = overlap_matrix(basis, self.atom_labels(), self.params) @ self.atom_coeffs()
+        overlaps = overlap_matrix(basis_labels(n_max), self.atom_labels(), self.params)
+        coeffs = overlaps @ self.atom_coeffs()
         defect = self._norm_sq - float(np.sum(np.abs(coeffs) ** 2))
         return BasisCoefficients(self.params, coeffs, defect)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MAX_GRID_CELLS  # noqa: F401  (the budget stays importable here)
-from .core import FockParams, label_digest, scalar_math, square_axis
+from .core import FockParams, label_digest, scalar_square, square_axis
 
 __all__ = [
     "Divisor",
@@ -139,7 +139,7 @@ def disc_radius(mult: int, params: FockParams, c: float, sign: int) -> float | N
 def overlap_count_at(divisor: Divisor, z) -> int:
     """Number of open discs D(lam, sqrt(m/alpha)) containing z."""
     d = complex(z) - divisor.points
-    d2 = scalar_math(math.pow, d.real, 2.0) + scalar_math(math.pow, d.imag, 2.0)
+    d2 = scalar_square(d.real) + scalar_square(d.imag)
     return int(np.count_nonzero(d2 < divisor.mults * (1.0 / divisor.params.alpha)))
 
 
@@ -235,7 +235,8 @@ def _disc_sweep(divisor: Divisor, window: Window, families):
                 boxes.append((box, level[at].reshape(shape)))
                 total = at.stop
             sq = np.abs(diff[:total], out=d2[:total])
-            np.multiply(sq, sq, out=sq)  # what ** 2 computes
+            with np.errstate(over="ignore"):  # an infinite distance lies in no disc
+                np.multiply(sq, sq, out=sq)  # what ** 2 computes
             for grid, comb, discs in wanted:
                 np.less(sq, discs[0], out=first[:total])
                 for t in discs[1:]:

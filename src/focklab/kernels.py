@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import FockFunction, FockParams, ParameterMismatchError, compose_phase
-from .core import label_digest, scalar_math
+from .core import label_array, label_digest, scalar_math, scalar_mul, scalar_square
 
 __all__ = [
     "GramMatrix",
@@ -41,8 +41,8 @@ _BLOCK_ENTRIES = 2**12
 
 def overlap_matrix(rows, cols, params: FockParams) -> np.ndarray:
     """Matrix of <T_{lam_q} e_{k_q}, T_{mu_p} e_{j_p}> for row labels
-    (mu_p, j_p) and column labels (lam_q, k_q); labels may repeat and either
-    family may be empty.
+    (mu_p, j_p) and column labels (lam_q, k_q), as pairs or LABEL arrays
+    (core.label_array); labels may repeat and either family may be empty.
 
     An entry is phase * <T_z e_k, e_j> with (phase, z) = compose_phase(-mu,
     lam) and the closed form of displacement_element, bit-identical to scalar
@@ -70,17 +70,16 @@ def overlap_matrix(rows, cols, params: FockParams) -> np.ndarray:
     both sides of a real-axis pair), so a family with such a point is
     computed in full.
     """
-    rows = [(complex(mu), int(j)) for mu, j in rows]
-    cols = [(complex(lam), int(k)) for lam, k in cols]
+    rows, cols = label_array(rows), label_array(cols)
     out = np.zeros((len(rows), len(cols)), dtype=complex)
-    if not rows or not cols:
+    if not rows.size or not cols.size:
         return out
-    degrees = [j for _, j in rows] + [k for _, k in cols]
-    if min(degrees) < 0:
+    j, k = rows["n"], cols["n"]
+    if min(j.min(), k.min()) < 0:
         raise ValueError("basis indices must be >= 0")
-    log_fact = np.array([math.lgamma(n + 1) for n in range(max(degrees) + 1)])
-    mu, j = np.array([mu for mu, _ in rows]), np.array([j for _, j in rows])
-    lam, k = np.array([lam for lam, _ in cols]), np.array([k for _, k in cols])
+    log_fact = np.array([math.lgamma(n + 1) for n in range(max(j.max(), k.max()) + 1)])
+    # contiguous points, whose bits _runs views as integers
+    mu, lam = np.ascontiguousarray(rows["point"]), np.ascontiguousarray(cols["point"])
     equal = np.array_equal(mu.view(np.int64), lam.view(np.int64)) and np.array_equal(j, k)
     hermitian = equal and not np.any(np.signbit(lam.imag) & (lam.imag == 0))
     row_runs = _runs(mu, j)
@@ -149,11 +148,11 @@ def _walk(out, row_runs, col_runs, params, log_fact, hermitian):
             re = np.where(zero, (de == 0) * 1.0, lag * cos[e])
             im = np.where(zero, 0.0, lag * sin[e])
             r, c = row_order[row_at[e] + lo], col_order[col_at[e] + lo]
-            flat[r * width + c] = _rotate(phase[q], re, im)
+            flat[r * width + c] = scalar_mul(phase[q], re, im)
             if hermitian:  # the transposed entries of the run pairs at two points
                 m = mirror[q]
                 im = np.where(zero[m], im[m], -im[m])
-                flat[c[m] * width + r[m]] = _rotate(back[q[m]], re[m], im)
+                flat[c[m] * width + r[m]] = scalar_mul(back[q[m]], re[m], im)
 
         # the recurrence from L_0 (L_-1 = 0 makes the first step 1 + d - x
         # exactly); step i reaches lo = i of the chains with first <= i < end
@@ -184,31 +183,17 @@ def _cos_sin(angle):
     return cos, angle
 
 
-def _rotate(phase, re, im):
-    # phase * (re + i im) in the operation order of a scalar complex product
-    out = np.empty(re.shape, dtype=complex)
-    np.multiply(phase.real, re, out=out.real)
-    out.real -= phase.imag * im
-    np.multiply(phase.real, im, out=out.imag)
-    out.imag += phase.imag * re
-    return out
-
-
-def _square(v):  # Python's float ** 2 is the C library's pow
-    return scalar_math(math.pow, v, 2.0)
-
-
 def _point_factors(mu, lam, params: FockParams):
     """Factors of the point pairs (mu, lam), elementwise: the composition
     phase, x = alpha*|z|^2, log|w|, arg w for j >= k and for j < k, and the
     mask of z == 0, where z = lam - mu."""
     phase, z = compose_phase(-mu, lam, params)
     sa = math.sqrt(params.alpha)
-    x = params.alpha * (_square(z.real) + _square(z.imag))
+    x = params.alpha * (scalar_square(z.real) + scalar_square(z.imag))
     # w = sa*conj(z) if j >= k, else -sa*z with the opposite real part; the zero
     # term signs a zero Im w as CPython does, which decides the atan2 branch
     wr, wi = sa * z.real, -(sa * z.imag) + 0.0 * z.real
-    r2 = _square(wr) + _square(wi)
+    r2 = scalar_square(wr) + scalar_square(wi)
     at_zero = r2 == 0
     log_w = 0.5 * scalar_math(math.log, np.where(at_zero, 1.0, r2))
     arg_ge = scalar_math(math.atan2, wi, wr)
@@ -263,12 +248,13 @@ def gram_matrix(family, params: FockParams) -> GramMatrix:
     one equal-family overlap_matrix call, which computes the run pairs up to
     each point and mirrors the rest with the bits a direct evaluation gives.
     """
-    labels = tuple((complex(lam), int(k)) for lam, k in family)
-    if not labels:
+    labels = label_array(family)
+    pairs = tuple(labels.tolist())
+    if not pairs:
         raise ValueError("atom family must be nonempty")
-    if len(set(labels)) != len(labels):
+    if len(set(pairs)) != len(pairs):
         raise DuplicateLabelError("atom family labels must be distinct")
-    return GramMatrix(params, labels, overlap_matrix(labels, labels, params))
+    return GramMatrix(params, pairs, overlap_matrix(labels, labels, params))
 
 
 @lru_cache(maxsize=64)

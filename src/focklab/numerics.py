@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Atom, FockFunction, FockParams, ParameterMismatchError
+from .core import Atom, FockFunction, FockParams, ParameterMismatchError, basis_labels, scalar_mul
 from .geometry import Divisor, Window
 from .kernels import GramMatrix, gram_matrix, overlap_matrix
 
@@ -116,12 +116,10 @@ def measurements(f: FockFunction, divisor: Divisor) -> MeasurementVector:
         raise ParameterMismatchError("function and divisor must share alpha")
     labels = divisor.atom_labels()
     overlaps = overlap_matrix(labels, f.atom_labels(), f.params)
-    # summed atom by atom with the scalar complex product, not by BLAS, so the
-    # values (which data files and reports carry) do not depend on the machine
+    # summed atom by atom by scalar_mul, not by BLAS: the values do not depend on the machine
     values = np.zeros(len(labels), dtype=complex)
     for c, column in zip(f.atom_coeffs(), overlaps.T):
-        values.real += c.real * column.real - c.imag * column.imag
-        values.imag += c.real * column.imag + c.imag * column.real
+        values += scalar_mul(c, column.real, column.imag)
     return MeasurementVector(tuple(labels), values)
 
 
@@ -130,8 +128,7 @@ def analysis_matrix(divisor: Divisor, degree: int) -> AnalysisMatrix:
     if degree < 0:
         raise ValueError("degree must be >= 0")
     labels = divisor.atom_labels()
-    basis = [(0.0, n) for n in range(degree + 1)]
-    entries = overlap_matrix(labels, basis, divisor.params)
+    entries = overlap_matrix(labels, basis_labels(degree), divisor.params)
     return AnalysisMatrix(divisor.params, tuple(labels), degree, entries, divisor.digest())
 
 

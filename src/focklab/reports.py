@@ -219,20 +219,9 @@ def save_divisor(divisor: Divisor, path) -> None:
     Path(path).write_text(canonical_json(divisor_payload(divisor)) + "\n")
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    x = float(value)
-    if math.isinf(x):
-        return "inf"
-    return format_float(x)
-
-
 def write_sweep_csv(path, rows) -> None:
     """Spectral sweep as CSV with header N,smin,smax,ratio."""
-    lines = ["N,smin,smax,ratio"]
-    for degree, smin, smax, ratio in rows:
-        lines.append(",".join([_csv_cell(degree), _csv_cell(smin), _csv_cell(smax), _csv_cell(ratio)]))
+    lines = ["N,smin,smax,ratio", *(",".join(map(format_float, row)) for row in rows)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

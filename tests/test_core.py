@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from focklab import (
     from_basis_coeffs,
     quadrature_inner_oracle,
 )
+from focklab.core import basis_labels, label_array, label_digest
 
 P1 = FockParams(1.0)
 
@@ -424,3 +427,54 @@ class TestMerging:
         merged = f.merged()
         total = sum(abs(a.coeff) ** 2 for a in merged.atoms)
         assert f.norm() ** 2 == pytest.approx(total, rel=1e-12)
+
+
+def struct_digest(params, pairs):
+    # the per-pair spelling of label_digest: alpha, then each (point, n) as <ddq
+    h = hashlib.sha256()
+    h.update(struct.pack("<d", params.alpha))
+    for lam, n in pairs:
+        h.update(struct.pack("<ddq", lam.real, lam.imag, n))
+    return h.hexdigest()[:12]
+
+
+_label_part = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_label_pairs = st.lists(
+    st.tuples(st.builds(complex, _label_part, _label_part), st.integers(-(2**63), 2**63 - 1)),
+    max_size=12,
+)
+
+
+class TestLabelDigestReference:
+    """label_digest hashes one LABEL array's bytes: the bytes of the per-pair
+    struct.pack("<ddq") digest, signed zeros, NaN payloads and infinities
+    included, for lists, lists of lists, numpy scalars and the empty family."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(1e-3, 1e3), _label_pairs)
+    def test_matches_per_pair_struct(self, alpha, pairs):
+        params = FockParams(alpha)
+        expected = struct_digest(params, pairs)
+        assert label_digest(params, pairs) == expected
+        assert label_digest(params, tuple(pairs)) == expected
+        assert label_digest(params, [[lam, n] for lam, n in pairs]) == expected
+        numpy_pairs = [(np.complex128(lam), np.int64(n)) for lam, n in pairs]
+        assert label_digest(params, numpy_pairs) == expected
+        assert label_digest(params, label_array(pairs)) == expected
+
+    def test_empty_family(self):
+        assert label_digest(P1, []) == struct_digest(P1, []) == label_digest(P1, label_array(()))
+        assert label_array([]).shape == (0,)
+
+    def test_label_array_is_returned_as_it_is(self):
+        labels = label_array([(1 - 2j, 3), (0.0, 0)])
+        assert label_array(labels) is labels
+        assert labels.tolist() == [(1 - 2j, 3), (0j, 0)]
+
+    @pytest.mark.parametrize("degree", [0, 1, 7, 300])
+    def test_basis_labels_are_the_undisplaced_pairs(self, degree):
+        pairs = [(0.0, n) for n in range(degree + 1)]
+        assert basis_labels(degree).tobytes() == label_array(pairs).tobytes()

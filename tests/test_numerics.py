@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from focklab import (
     measurements,
     min_norm_interpolate,
     numerics,
+    overlap_matrix,
     riesz_bounds,
 )
 
@@ -494,3 +496,51 @@ class TestInterpolantNormMemo:
             assert f == plain and hash(f) == hash(plain) and repr(f) == repr(plain)
             assert _bits(f.norm()) == _bits(plain.norm())
         assert primed != FockFunction(P1, primed.atoms[:-1])
+
+
+def accumulated_measurements(f, divisor):
+    # the two-line spelling: each atom's column added with the scalar complex
+    # product written out, real and imaginary parts apart
+    overlaps = overlap_matrix(divisor.atom_labels(), f.atom_labels(), f.params)
+    values = np.zeros(overlaps.shape[0], dtype=complex)
+    for c, column in zip(f.atom_coeffs(), overlaps.T):
+        values.real += c.real * column.real - c.imag * column.imag
+        values.imag += c.real * column.imag + c.imag * column.real
+    return values
+
+
+@st.composite
+def measurement_cases(draw):
+    alpha = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    part = st.floats(-3.0, 3.0, allow_nan=False)
+    points = draw(st.lists(st.builds(complex, part, part), min_size=1, max_size=5, unique=True))
+    divisor = Divisor(FockParams(alpha), tuple((lam, draw(st.integers(1, 4))) for lam in points))
+    coeff = st.floats(-1e3, 1e3, allow_nan=False)
+    atoms = draw(st.lists(
+        st.builds(Atom, st.builds(complex, part, part), st.integers(0, 8), st.builds(complex, coeff, coeff)),
+        max_size=8,
+    ))
+    return FockFunction(FockParams(alpha), tuple(atoms)), divisor
+
+
+class TestMeasurementsReference:
+    @settings(max_examples=150, deadline=None)
+    @given(measurement_cases())
+    def test_bits_equal_two_line_accumulation(self, case):
+        f, divisor = case
+        assert measurements(f, divisor).values.tobytes() == accumulated_measurements(f, divisor).tobytes()
+
+
+class TestAnalysisLabels:
+    def test_basis_side_builds_no_tuples(self):
+        # the basis labels are one array, so the build peaks at a few times
+        # the matrix bytes (18.7 times with a list of (0.0, n) tuples)
+        divisor = Divisor(P1, ((0.5 - 0.25j, 1),))
+        analysis_matrix(divisor, 10)
+        tracemalloc.start()
+        try:
+            matrix = analysis_matrix(divisor, 50_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * matrix.entries.nbytes

@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -1403,3 +1404,56 @@ class TestCliNeverExitsOne:
                 code = exc.code
         assert code in (0, 2, 3), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
+
+
+def csv_cell(value) -> str:
+    # the cell-by-cell spelling of the sweep writer: integers by str, any
+    # infinity as inf, other floats by format_float
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    x = float(value)
+    if math.isinf(x):
+        return "inf"
+    return format_float(x)
+
+
+# what a sweep row holds: a degree within the matrix budget, singular values
+# (signed zeros and subnormals among them) and a ratio that may be inf
+_sweep_value = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 2.5e-310, math.inf, math.nan]),
+    st.floats(min_value=-1e308, allow_nan=False),
+)
+_sweep_degree = st.one_of(st.integers(0, 4_194_303), st.integers(0, 4_194_303).map(np.int64))
+
+
+class TestSweepCsvReference:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_sweep_degree, _sweep_value, _sweep_value, _sweep_value), max_size=8))
+    def test_matches_cell_by_cell_writer(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "sweep.csv"
+            write_sweep_csv(path, rows)
+            lines = ["N,smin,smax,ratio", *(",".join(map(csv_cell, row)) for row in rows)]
+            assert path.read_text() == "\n".join(lines) + "\n"
+
+
+class TestSweepOverflow:
+    # a window so wide that its squared grid distances pass the double range
+    # (1e160 squared): they are infinite and lie in no disc, quietly; at 1e150
+    # the squares stay finite
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("window", ["1e160", "1e150"])
+    def test_check_geometry_is_quiet(self, window, tmp_path, capsys):
+        path = tmp_path / "lat.json"
+        assert cli.main(["generate", "lattice", "--window", "3", "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["check-geometry", str(path), "--window", window]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        verdicts = json.loads(out)["verdicts"]
+        if window == "1e160":
+            assert verdicts["finite_overlap_bound"] == 1
+            shrunk = [(s["c"], s["holds"], s["uncovered_count"]) for s in verdicts["shrunk_cover"]]
+            assert shrunk == [(0.25, False, 31416), (0.5, False, 31416), (1, False, 31417)]
+            assert verdicts["bare_cover"]["holds"] is False
+            assert verdicts["padded_cover"]["holds"] is False
