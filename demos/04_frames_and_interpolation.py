@@ -55,7 +55,7 @@ for degree in degrees:
 print()
 print("== minimal-norm interpolation on a disjoint ring family ==")
 disjoint, _ = generate_disjoint_rings(1.0, 1.0, 10.0)
-labels = tuple(disjoint.atom_labels())
+labels = disjoint.atom_labels()
 print(f"{len(labels)} interpolation atoms")
 well_conditioned = riesz_bounds(gram_matrix(labels, params))
 print(f"Gram eigenvalue range: [{well_conditioned.smin:.6f}, {well_conditioned.smax:.6f}], "

@@ -208,7 +208,7 @@ def _cmd_frame_bounds(args, divisor) -> dict:
 def _cmd_gram(args, divisor) -> dict:
     _require_entries(divisor.total_multiplicity(), divisor.total_multiplicity())
     labels = divisor.atom_labels()
-    if not labels:
+    if not labels.size:
         raise ValueError("divisor must be nonempty")
     gram = gram_matrix(labels, divisor.params)
     eigenvalues = np.linalg.eigvalsh(gram.entries)

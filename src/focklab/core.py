@@ -238,9 +238,9 @@ class FockFunction:
 
     __rmul__ = __mul__
 
-    def atom_labels(self) -> list[tuple[complex, int]]:
-        """Atom labels (lam, k) in atom order."""
-        return [(a.lam, a.k) for a in self.atoms]
+    def atom_labels(self) -> np.ndarray:
+        """Atom labels (lam, k) in atom order, as a LABEL array."""
+        return label_array((a.lam, a.k) for a in self.atoms)
 
     def atom_coeffs(self) -> np.ndarray:
         """Atom coefficients in atom order."""

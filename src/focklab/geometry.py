@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MAX_GRID_CELLS  # noqa: F401  (the budget stays importable here)
-from .core import FockParams, label_digest, scalar_square, square_axis
+from .core import LABEL, FockParams, label_digest, scalar_square, square_axis
 
 __all__ = [
     "Divisor",
@@ -70,9 +70,13 @@ class Divisor:
     def total_multiplicity(self) -> int:
         return sum(self.mults.tolist())
 
-    def atom_labels(self) -> list[tuple[complex, int]]:
-        """Measurement labels (lam, k), k < m, in divisor order, k ascending."""
-        return [(lam, k) for lam, m in self.entries for k in range(m)]
+    def atom_labels(self) -> np.ndarray:
+        """Measurement labels (lam, k), k < m, as a LABEL array in divisor order, k ascending."""
+        labels = np.empty(self.total_multiplicity(), LABEL)
+        labels["point"] = np.repeat(self.points, self.mults)
+        labels["n"] = np.arange(labels.size)  # less the index of each point's first label
+        labels["n"] -= np.repeat(np.cumsum(self.mults) - self.mults, self.mults)
+        return labels
 
     def digest(self) -> str:
         """Short stable fingerprint of (alpha, entries) for report provenance."""

@@ -77,7 +77,8 @@ def overlap_matrix(rows, cols, params: FockParams) -> np.ndarray:
     j, k = rows["n"], cols["n"]
     if min(j.min(), k.min()) < 0:
         raise ValueError("basis indices must be >= 0")
-    log_fact = np.array([math.lgamma(n + 1) for n in range(max(j.max(), k.max()) + 1)])
+    top = int(max(j.max(), k.max()))
+    log_fact = np.fromiter(map(math.lgamma, range(1, top + 2)), float, top + 1)
     # contiguous points, whose bits _runs views as integers
     mu, lam = np.ascontiguousarray(rows["point"]), np.ascontiguousarray(cols["point"])
     equal = np.array_equal(mu.view(np.int64), lam.view(np.int64)) and np.array_equal(j, k)
@@ -235,7 +236,7 @@ class GramMatrix:
     """
 
     params: FockParams
-    labels: tuple[tuple[complex, int], ...]
+    labels: np.ndarray
     entries: np.ndarray
 
     def digest(self) -> str:
@@ -249,12 +250,12 @@ def gram_matrix(family, params: FockParams) -> GramMatrix:
     each point and mirrors the rest with the bits a direct evaluation gives.
     """
     labels = label_array(family)
-    pairs = tuple(labels.tolist())
-    if not pairs:
+    if not labels.size:
         raise ValueError("atom family must be nonempty")
-    if len(set(pairs)) != len(pairs):
+    ordered = labels[np.lexsort((labels["n"], labels["point"]))]  # equal labels adjacent
+    if np.any(ordered[1:] == ordered[:-1]):  # 0j equals -0j, a NaN point equals nothing
         raise DuplicateLabelError("atom family labels must be distinct")
-    return GramMatrix(params, pairs, overlap_matrix(labels, labels, params))
+    return GramMatrix(params, labels, overlap_matrix(labels, labels, params))
 
 
 @lru_cache(maxsize=64)

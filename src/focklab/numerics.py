@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Atom, FockFunction, FockParams, ParameterMismatchError, basis_labels, scalar_mul
+from .core import Atom, FockFunction, FockParams, ParameterMismatchError, basis_labels, label_array
+from .core import scalar_mul
 from .geometry import Divisor, Window
 from .kernels import GramMatrix, gram_matrix, overlap_matrix
 
@@ -41,12 +42,13 @@ class InfeasibleExperimentError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class MeasurementVector:
-    """Values <f, T_lam e_k> ordered like the divisor labels (k < m_lam)."""
+    """Values <f, T_lam e_k> at the labels (lam, k), k < m_lam, a LABEL array in divisor order."""
 
-    labels: tuple[tuple[complex, int], ...]
+    labels: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "labels", label_array(self.labels))
         values = np.asarray(self.values, dtype=complex)
         if values.shape != (len(self.labels),):
             raise ValueError("values must be one entry per label")
@@ -65,7 +67,7 @@ class AnalysisMatrix:
     """
 
     params: FockParams
-    labels: tuple[tuple[complex, int], ...]
+    labels: np.ndarray
     degree: int
     entries: np.ndarray
     divisor_digest: str
@@ -120,7 +122,7 @@ def measurements(f: FockFunction, divisor: Divisor) -> MeasurementVector:
     values = np.zeros(len(labels), dtype=complex)
     for c, column in zip(f.atom_coeffs(), overlaps.T):
         values += scalar_mul(c, column.real, column.imag)
-    return MeasurementVector(tuple(labels), values)
+    return MeasurementVector(labels, values)
 
 
 def analysis_matrix(divisor: Divisor, degree: int) -> AnalysisMatrix:
@@ -129,7 +131,7 @@ def analysis_matrix(divisor: Divisor, degree: int) -> AnalysisMatrix:
         raise ValueError("degree must be >= 0")
     labels = divisor.atom_labels()
     entries = overlap_matrix(labels, basis_labels(degree), divisor.params)
-    return AnalysisMatrix(divisor.params, tuple(labels), degree, entries, divisor.digest())
+    return AnalysisMatrix(divisor.params, labels, degree, entries, divisor.digest())
 
 
 def frame_bounds(matrix: AnalysisMatrix) -> SpectralSummary:
@@ -210,9 +212,9 @@ def min_norm_interpolate(
     if not math.isfinite(rcond):
         raise ValueError("rcond must be finite")
     labels = divisor.atom_labels()
-    if not labels:
+    if not labels.size:
         raise ValueError("divisor must be nonempty")
-    if tuple(data.labels) != tuple(labels):
+    if not np.array_equal(data.labels, labels):  # by value: 0j equals -0j, a NaN equals nothing
         raise ValueError("measurement labels do not match the divisor")
     gram = gram_matrix(labels, divisor.params)
     w, u = np.linalg.eigh(gram.entries)
@@ -221,7 +223,7 @@ def min_norm_interpolate(
     truncated = not bool(keep.all())
     inv = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
     coeffs = u @ (inv * (u.conj().T @ data.values))
-    atoms = tuple(Atom(lam, k, c) for (lam, k), c in zip(labels, coeffs))
+    atoms = map(Atom, labels["point"].tolist(), labels["n"].tolist(), coeffs)
     function = FockFunction(divisor.params, atoms)
     product = gram.entries @ coeffs
     residual = float(np.max(np.abs(product - data.values)))
@@ -246,14 +248,12 @@ def _window_masses(degree: int, window: Window, params: FockParams) -> np.ndarra
     if x in (0, math.inf):  # alpha*R^2 underflowed or overflowed: P(n+1, 0) = 0, P(n+1, inf) = 1
         return np.full(degree + 1, 0.0 if x == 0 else 1.0)
 
-    def poisson(counts):
-        log_fact = np.array([math.lgamma(n + 1) for n in counts])
-        return np.exp(-x + counts * math.log(x) - log_fact)
-
+    top = degree if x > degree + 1 else degree + 1 + math.ceil(12 * math.sqrt(x) + 40)
+    log_fact = np.fromiter(map(math.lgamma, range(1, top + 2)), float, top + 1)
+    terms = np.exp(-x + np.arange(top + 1) * math.log(x) - log_fact)  # Poisson(x) at 0..top
     if x > degree + 1:
-        return 1.0 - np.cumsum(poisson(np.arange(degree + 1)))
-    top = degree + 1 + math.ceil(12 * math.sqrt(x) + 40)
-    return np.cumsum(poisson(np.arange(top, 0, -1)))[::-1][: degree + 1]
+        return 1.0 - np.cumsum(terms)
+    return np.cumsum(terms[:0:-1])[::-1][: degree + 1]
 
 
 def hole_mass_experiment(divisor: Divisor, degree: int, window: Window) -> float:

@@ -206,7 +206,7 @@ def load_values(path, labels) -> MeasurementVector:
             f"values: expected {len(labels)} entries (one per divisor label), got {len(raw)}"
         )
     values = [_require_complex(item, f"values[{i}]") for i, item in enumerate(raw)]
-    return MeasurementVector(tuple(labels), np.array(values, dtype=complex))
+    return MeasurementVector(labels, np.array(values, dtype=complex))
 
 
 def divisor_payload(divisor: Divisor) -> dict:

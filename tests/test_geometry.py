@@ -23,6 +23,7 @@ from focklab import (
     rescale_to_unit_alpha,
     theorem_verdicts,
 )
+from focklab.core import LABEL
 
 P1 = FockParams(1.0)
 
@@ -53,7 +54,9 @@ class TestDivisorAndWindow:
 
     def test_atom_labels_order(self):
         divisor = Divisor(P1, ((1.0, 2), (2j, 1)))
-        assert divisor.atom_labels() == [(1.0, 0), (1.0, 1), (2j, 0)]
+        labels = divisor.atom_labels()
+        assert labels.dtype == LABEL
+        assert labels.tolist() == [(1.0, 0), (1.0, 1), (2j, 0)]
 
     def test_digest_reproducible_and_sensitive(self):
         a = Divisor(P1, ((0.0, 1),))

@@ -28,7 +28,7 @@ from focklab import (
     overlap_matrix,
     quadrature_inner_oracle,
 )
-from focklab.core import compose_phase, scalar_math
+from focklab.core import compose_phase, label_array, scalar_math
 
 P1 = FockParams(1.0)
 
@@ -164,6 +164,61 @@ class TestGramMatrix:
     def test_digest_stable(self):
         labels = [(0.0, 0), (1.0 + 1j, 2)]
         assert gram_matrix(labels, P1).digest() == gram_matrix(labels, P1).digest()
+
+
+def set_rule_duplicates(family) -> bool:
+    # the rule gram_matrix applied as a set of (complex, int) tuples: each
+    # tuple made afresh by tolist, so a NaN point is its own object and, as a
+    # Python comparison finds, equals nothing, while 0j equals -0j
+    pairs = tuple(label_array(family).tolist())
+    return len(set(pairs)) != len(pairs)
+
+
+_pool_part = st.sampled_from([0.0, -0.0, 1.5, math.nan, math.inf, -math.inf])
+
+
+class TestDuplicateRuleReference:
+    """gram_matrix refuses a family exactly when the set-of-tuples rule finds
+    two equal labels; the overlaps are stubbed, since a non-finite point makes
+    the kernel warn, and only the label check is under test."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(st.builds(complex, _pool_part, _pool_part), st.sampled_from([0, 1, 7])),
+                 min_size=1, max_size=8),
+        st.booleans(),
+    )
+    @example([(0j, 0), (complex(-0.0, -0.0), 0)], False)
+    @example([(complex(math.nan, 0.0), 1), (complex(math.nan, 0.0), 1)], True)
+    @example([(complex(math.inf, 1.5), 7), (complex(1.5, 0.0), 7), (complex(math.inf, 1.5), 7)], False)
+    @example([(complex(0.0, math.nan), 0), (0j, 0), (complex(-0.0, 0.0), 1)], True)
+    def test_refuses_exactly_when_the_set_rule_does(self, family, as_array):
+        expected = set_rule_duplicates(family)
+
+        def stub(rows, cols, params):
+            return np.zeros((len(rows), len(cols)), complex)
+
+        with mock.patch.object(kernels, "overlap_matrix", stub):
+            try:
+                gram = gram_matrix(label_array(family) if as_array else family, P1)
+            except DuplicateLabelError:
+                refused = True
+            else:
+                refused = False
+                assert gram.labels.tobytes() == label_array(family).tobytes()
+        assert refused == expected
+
+
+class TestLogFactorialTable:
+    @pytest.mark.parametrize("top", [0, 170, 171, 10**5])
+    def test_bits_equal_list_spelling(self, top):
+        # at |z|**2 = top the first entry's size is set by log top!, and the
+        # strip reference takes its table from a list of math.lgamma values
+        z = math.sqrt(max(top, 1)) * complex(0.6, -0.8)
+        rows, cols = [(0.25j, top)], [(0.25j + z, 0), (0.25j + z, 1), (0.25j, 0)]
+        got = overlap_matrix(rows, cols, P1)
+        assert abs(got[0, 0]) > 1e-2
+        assert np.array_equal(got.view(np.int64), strip_overlap_matrix(rows, cols, P1).view(np.int64))
 
 
 class TestQuadratureOracle:

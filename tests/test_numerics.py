@@ -35,6 +35,7 @@ from focklab import (
     overlap_matrix,
     riesz_bounds,
 )
+from focklab.core import LABEL, label_array
 
 P1 = FockParams(1.0)
 
@@ -103,9 +104,8 @@ class TestAnalysisPrefix:
             prefix, fresh = full.prefix(degree), analysis_matrix(divisor, degree)
             assert prefix.entries.shape == fresh.entries.shape
             assert np.array_equal(prefix.entries.view(np.int64), fresh.entries.view(np.int64))
-            assert (prefix.labels, prefix.degree, prefix.divisor_digest) == (
-                fresh.labels, fresh.degree, fresh.divisor_digest,
-            )
+            assert np.array_equal(prefix.labels, fresh.labels)
+            assert (prefix.degree, prefix.divisor_digest) == (fresh.degree, fresh.divisor_digest)
             assert frame_bounds(prefix) == frame_bounds(fresh)
 
     def test_degree_outside_the_matrix_rejected(self):
@@ -251,6 +251,41 @@ class TestMinNormInterpolate:
         with pytest.raises(ValueError):
             min_norm_interpolate(divisor, bad)
 
+    def test_labels_accepted_as_label_array_pairs_or_signed_zeros(self):
+        divisor = Divisor(P1, ((0j, 2), (1.5 - 0.5j, 1)))
+        values = np.array([1.0, 0.5j, -1.0])
+        pairs = ((0.0, 0), (0.0, 1), (1.5 - 0.5j, 0))
+        signed = ((complex(-0.0, -0.0), 0), (complex(0.0, -0.0), 1), (1.5 - 0.5j, 0))
+        reference = min_norm_interpolate(divisor, MeasurementVector(pairs, values))
+        for labels in (divisor.atom_labels(), label_array(divisor.atom_labels()), pairs, signed):
+            data = MeasurementVector(labels, values)
+            assert data.labels.dtype == LABEL
+            solution = min_norm_interpolate(divisor, data)
+            assert [(a.lam, a.k) for a in solution.function.atoms] == list(pairs)
+            assert solution.norm == reference.norm
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            ((0.0, 1), (0.0, 0), (1.5 - 0.5j, 0)),  # reordered
+            ((0.0, 0), (0.0, 1)),  # shortened
+            ((0.0, 0), (0.0, 1), (1.5 - 0.5j, 1)),  # another degree
+        ],
+        ids=["reordered", "shortened", "degree"],
+    )
+    def test_mismatched_labels_refused(self, labels):
+        divisor = Divisor(P1, ((0j, 2), (1.5 - 0.5j, 1)))
+        data = MeasurementVector(labels, np.ones(len(labels)))
+        with pytest.raises(ValueError, match="^measurement labels do not match the divisor$"):
+            min_norm_interpolate(divisor, data)
+
+    def test_nan_point_labels_refused(self):
+        # a NaN point equals nothing, not even the divisor's own labels
+        divisor = Divisor(P1, ((complex(math.nan, 0.0), 1), (1.0, 1)))
+        data = MeasurementVector(divisor.atom_labels(), np.ones(2))
+        with pytest.raises(ValueError, match="^measurement labels do not match the divisor$"):
+            min_norm_interpolate(divisor, data)
+
     def test_bad_rcond_rejected(self):
         divisor = Divisor(P1, ((0.0, 1),))
         data = MeasurementVector(tuple(divisor.atom_labels()), np.array([1.0 + 0j]))
@@ -323,6 +358,26 @@ class TestWindowMasses:
         if x < 1:
             assert ref[kept].min() < 1e-290
         assert np.all(np.abs(got[kept] - ref[kept]) <= 1e-12 * ref[kept])
+
+    @pytest.mark.parametrize("degree", [0, 1, 40, 171, 2000])
+    @pytest.mark.parametrize("x", [1e-4, 0.5, 9.0, 41.5, 400.0, 1e6])
+    def test_bits_equal_list_spelling(self, degree, x):
+        from focklab.numerics import _window_masses
+
+        radius = math.sqrt(x)
+        x = radius**2  # alpha * R**2 at alpha = 1, as the masses read it
+
+        def poisson(counts):  # each log n! from a list, the spelling the table replaced
+            log_fact = np.array([math.lgamma(n + 1) for n in counts])
+            return np.exp(-x + counts * math.log(x) - log_fact)
+
+        if x > degree + 1:
+            listed = 1.0 - np.cumsum(poisson(np.arange(degree + 1)))
+        else:
+            top = degree + 1 + math.ceil(12 * math.sqrt(x) + 40)
+            listed = np.cumsum(poisson(np.arange(top, 0, -1)))[::-1][: degree + 1]
+        got = _window_masses(degree, Window(radius, radius / 10), P1)
+        assert got.tobytes() == listed.tobytes()
 
     def test_alpha_enters_through_alpha_r_squared(self):
         from focklab.numerics import _window_masses
@@ -532,6 +587,32 @@ class TestMeasurementsReference:
 
 
 class TestAnalysisLabels:
+    def test_row_side_builds_no_tuples(self):
+        # one point of multiplicity 2**20: its labels are one 24 MiB array,
+        # built with no Python object per label (a list of tuples peaked at
+        # 96 MiB); at multiplicity 2**18 (tracing slows the kernel walk) the
+        # degree-0 analysis matrix peaks at a few times its 4 MiB of entries
+        # (13 times through tuples)
+        analysis_matrix(Divisor(P1, ((0.5 - 0.25j, 3),)), 2)
+        tracemalloc.start()
+        try:
+            labels = Divisor(P1, ((0.5 - 0.25j, 2**20),)).atom_labels()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert labels.dtype == LABEL and labels.nbytes == 24 * 2**20
+        assert peak < 2 * labels.nbytes
+        del labels
+        divisor = Divisor(P1, ((0.5 - 0.25j, 2**18),))
+        tracemalloc.start()
+        try:
+            matrix = analysis_matrix(divisor, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * matrix.entries.nbytes
+        assert matrix.labels["n"][-1] == 2**18 - 1
+
     def test_basis_side_builds_no_tuples(self):
         # the basis labels are one array, so the build peaks at a few times
         # the matrix bytes (18.7 times with a list of (0.0, n) tuples)
