@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -64,24 +65,30 @@ LABEL = np.dtype([("point", "<c16"), ("n", "<i8")])
 
 def label_array(pairs) -> np.ndarray:
     """The (point, integer) pairs as a LABEL array, each pair read as
-    (complex(point), int(n)); a LABEL array is returned as it is."""
+    (complex(point), operator.index(n)); a LABEL array is returned as it is."""
     if isinstance(pairs, np.ndarray) and pairs.dtype == LABEL:
         return pairs
-    return np.array([(complex(lam), int(n)) for lam, n in pairs], LABEL)
+    return np.array([(complex(lam), operator.index(n)) for lam, n in pairs], LABEL)
+
+
+def label_records(points, ns) -> np.ndarray:
+    """The LABEL array of points and integers, broadcast together."""
+    labels = np.empty(np.broadcast(points, ns).shape, LABEL)
+    labels["point"], labels["n"] = points, ns
+    return labels
 
 
 def basis_labels(degree: int) -> np.ndarray:
     """The labels (0, n), n = 0..degree, of the undisplaced basis states."""
-    labels = np.zeros(degree + 1, LABEL)
-    labels["n"] = np.arange(degree + 1)
-    return labels
+    return label_records(0j, np.arange(degree + 1))
 
 
 def label_digest(params: FockParams, pairs) -> str:
     """Short stable fingerprint of alpha and (point, integer) pairs, used for
     report provenance by divisors and Gram matrices alike."""
-    data = np.array(params.alpha, "<f8").tobytes() + label_array(pairs).tobytes()
-    return hashlib.sha256(data).hexdigest()[:12]
+    digest = hashlib.sha256(np.array(params.alpha, "<f8").tobytes())
+    digest.update(np.ascontiguousarray(label_array(pairs)))
+    return digest.hexdigest()[:12]
 
 
 def square_axis(half: float, step: float, what: str) -> np.ndarray:

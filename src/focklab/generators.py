@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .core import MAX_RING_POINTS, FockParams
+from .core import MAX_RING_POINTS, FockParams, label_records
 from .geometry import Divisor, Window, coverage_defect, disc_grid, disc_radius, pairwise_disjoint
 
 __all__ = [
@@ -47,7 +47,9 @@ def generate_lattice(
         raise ValueError("radius must be finite")
     params = FockParams(alpha)
     z, _, inside = disc_grid(radius, spacing)()
-    divisor = Divisor(params, ((lam, mult) for lam in z[inside].tolist()))
+    if not (mult < 2**63 and mult % 1 == 0):  # int64 records would truncate or overflow it
+        raise ValueError("multiplicities must be integers m with 1 <= m < 2**63")
+    divisor = Divisor(params, label_records(z[inside], mult))
     meta = {
         "family": "lattice",
         "alpha": params.alpha,
@@ -60,10 +62,8 @@ def generate_lattice(
 
 
 def _ring_points(rho: float, count: int) -> list[complex]:
-    return [
-        complex(rho * math.cos(2 * math.pi * t / count), rho * math.sin(2 * math.pi * t / count))
-        for t in range(count)
-    ]
+    turns = [2 * math.pi * t / count for t in range(count)]
+    return [complex(rho * math.cos(x), rho * math.sin(x)) for x in turns]
 
 
 def _rings(family: str, params: FockParams, c: float, radius: float, schedule, **extra):

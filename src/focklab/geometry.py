@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MAX_GRID_CELLS  # noqa: F401  (the budget stays importable here)
-from .core import LABEL, FockParams, label_digest, scalar_square, square_axis
+from .core import LABEL, FockParams, label_digest, label_records, scalar_square, square_axis
 
 __all__ = [
     "Divisor",
@@ -37,23 +37,25 @@ __all__ = [
 class Divisor:
     """Points, pairwise distinct by value as a Python set decides (0j and -0j
     collide, NaNs never do), with multiplicities 1 <= m < 2**63, held as
-    read-only arrays points (complex128) and mults (int64) in input order;
-    entries is their view as (complex, int) pairs."""
+    read-only arrays points (complex128) and mults (int64) in input order, from
+    (point, mult) pairs or LABEL records (copied); entries is their view as pairs."""
 
     params: FockParams
     points: np.ndarray
     mults: np.ndarray
 
     def __init__(self, params: FockParams, entries):
-        # an object table: each multiplicity is checked as the exact Python number
-        table = np.array(list(entries), dtype=object).reshape(-1, 2)
-        points, mults = table[:, 0].astype(complex), table[:, 1]
-        with np.errstate(invalid="ignore"):  # a NaN compares False
+        if isinstance(entries, np.ndarray) and entries.dtype == LABEL:
+            points, mults = entries["point"].flatten(), entries["n"].flatten()
+        else:  # an object table: each multiplicity is checked as the exact Python number
+            table = np.array(list(entries), dtype=object).reshape(-1, 2)
+            points, mults = table[:, 0].astype(complex), table[:, 1]
+        with np.errstate(invalid="ignore"):  # a NaN, signalling ones too, compares False
             if not np.all((mults >= 1) & (mults < 2**63) & (mults % 1 == 0)):
                 raise ValueError("multiplicities must be integers m with 1 <= m < 2**63")
-        ordered = np.sort(points)  # equal values end up adjacent, NaNs equal nothing
-        if np.any(ordered[1:] == ordered[:-1]):
-            raise ValueError("divisor points must be pairwise distinct")
+            ordered = np.sort(points)  # equal values end up adjacent, NaNs equal nothing
+            if np.any(ordered[1:] == ordered[:-1]):
+                raise ValueError("divisor points must be pairwise distinct")
         self.__dict__.update(params=params, points=points, mults=mults.astype(np.int64))
         self.points.flags.writeable = self.mults.flags.writeable = False
 
@@ -72,15 +74,14 @@ class Divisor:
 
     def atom_labels(self) -> np.ndarray:
         """Measurement labels (lam, k), k < m, as a LABEL array in divisor order, k ascending."""
-        labels = np.empty(self.total_multiplicity(), LABEL)
-        labels["point"] = np.repeat(self.points, self.mults)
+        labels = label_records(np.repeat(self.points, self.mults), 0)
         labels["n"] = np.arange(labels.size)  # less the index of each point's first label
         labels["n"] -= np.repeat(np.cumsum(self.mults) - self.mults, self.mults)
         return labels
 
     def digest(self) -> str:
-        """Short stable fingerprint of (alpha, entries) for report provenance."""
-        return label_digest(self.params, self.entries)
+        """Short stable fingerprint of (alpha, points, mults) for report provenance."""
+        return label_digest(self.params, label_records(self.points, self.mults))
 
 
 def disc_grid(radius: float, step: float):
@@ -440,4 +441,4 @@ def rescale_to_unit_alpha(divisor: Divisor) -> Divisor:
     s = math.sqrt(divisor.params.alpha)
     if divisor.params.alpha == 1.0:
         return divisor
-    return Divisor(FockParams(1.0), zip((divisor.points * s).tolist(), divisor.mults.tolist()))
+    return Divisor(FockParams(1.0), label_records(divisor.points * s, divisor.mults))

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FockParams
+from .core import LABEL, FockParams
 from .geometry import Divisor
 from .numerics import MeasurementVector
 
@@ -192,7 +192,7 @@ def load_divisor(path) -> Divisor:
         merged[lam] = merged.get(lam, 0) + mult
         if merged[lam] >= 2**63:  # the multiplicities are int64
             raise SchemaError(f"{where}.mult: must be below 2**63")
-    return Divisor(FockParams(alpha), tuple(merged.items()))
+    return Divisor(FockParams(alpha), np.fromiter(merged.items(), LABEL, len(merged)))
 
 
 def load_values(path, labels) -> MeasurementVector:

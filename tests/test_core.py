@@ -1,6 +1,7 @@
 import hashlib
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from focklab import (
     BasisCoefficients,
     FockFunction,
     FockParams,
+    MeasurementVector,
     ParameterMismatchError,
     atom_eval,
     basis_eval,
@@ -19,9 +21,11 @@ from focklab import (
     compose_phase,
     displaced_basis,
     from_basis_coeffs,
+    gram_matrix,
+    overlap_matrix,
     quadrature_inner_oracle,
 )
-from focklab.core import basis_labels, label_array, label_digest
+from focklab.core import LABEL, basis_labels, label_array, label_digest
 
 P1 = FockParams(1.0)
 
@@ -478,3 +482,52 @@ class TestLabelDigestReference:
     def test_basis_labels_are_the_undisplaced_pairs(self, degree):
         pairs = [(0.0, n) for n in range(degree + 1)]
         assert basis_labels(degree).tobytes() == label_array(pairs).tobytes()
+
+
+class TestLabelDigestInPlace:
+    """label_digest feeds the record array to the hash as it is, copying
+    only a record array that is not contiguous."""
+
+    def test_records_are_not_copied(self):
+        records = np.zeros(2**18, LABEL)
+        records["point"] = np.arange(records.size) * (0.5 - 1j)
+        records["n"] = np.arange(records.size) % 7
+        label_digest(P1, records[:4])
+        tracemalloc.start()
+        try:
+            digest = label_digest(P1, records)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert digest == struct_digest(P1, records.tolist())
+        # two copies of the 6 MiB record bytes before
+        assert peak < records.nbytes // 4
+
+    def test_strided_records_hash_their_values(self):
+        records = label_array([(1 - 2j, 3), (0.0, 0), (complex(-0.0, math.nan), 5), (7.0, 1)])
+        assert label_digest(P1, records[::2]) == struct_digest(P1, records[::2].tolist())
+        assert label_digest(P1, records[::-1]) == struct_digest(P1, records[::-1].tolist())
+
+
+class TestLabelIntegers:
+    """label_array reads each integer as operator.index does: a value that is
+    not an integer is refused, as range() refuses it, never truncated."""
+
+    def test_overlap_matrix_refuses_a_fractional_degree(self):
+        # truncated, 2.5 read as the degree-2 overlap [[1]]
+        with pytest.raises(TypeError):
+            overlap_matrix([(0.0, 2.5)], [(0.0, 2)], P1)
+
+    def test_gram_matrix_refuses_a_fractional_degree(self):
+        # truncated, 1.5 and 1.0 collided as a duplicate label
+        with pytest.raises(TypeError):
+            gram_matrix([(0.0, 1.5), (0.0, 1.0)], P1)
+
+    def test_measurement_vector_refuses_a_fractional_label(self):
+        # truncated, 0.9 was held as the label (0, 0)
+        with pytest.raises(TypeError):
+            MeasurementVector([(0.0, 0.9)], [1])
+
+    def test_integers_are_read(self):
+        labels = label_array([(0.0, 2), (1j, np.int64(2)), (2.0, True), (3.0, np.uint8(4))])
+        assert labels.tolist() == [(0j, 2), (1j, 2), (2 + 0j, 1), (3 + 0j, 4)]

@@ -23,7 +23,8 @@ from focklab import (
     rescale_to_unit_alpha,
     theorem_verdicts,
 )
-from focklab.core import LABEL
+from focklab.core import LABEL, label_digest
+from focklab.reports import save_divisor
 
 P1 = FockParams(1.0)
 
@@ -715,3 +716,96 @@ class TestPairScreen:
             for sign in (+1, -1):
                 expected = reference_pairwise_disjoint(divisor, c, sign)
                 assert pairwise_disjoint(divisor, c, sign) == expected
+
+
+# NaN payloads beyond the default quiet NaN, with either sign bit
+_PAYLOAD_NANS = np.array([0x7FF8_0000_0000_0123, 0xFFF0_0000_0000_0001], np.uint64).view(float)
+_record_part = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.5, math.nan, -math.nan, math.inf, -math.inf, 5e-324]),
+    st.sampled_from(_PAYLOAD_NANS.tolist()),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_record_family = st.lists(
+    st.tuples(
+        st.builds(complex, _record_part, _record_part),
+        st.one_of(st.integers(1, 3), st.just(2**63 - 1), st.integers(-2, 2**63 - 1)),
+    ),
+    max_size=10,
+)
+
+
+class TestDivisorRecordsReference:
+    """A LABEL array of (point, mult) records builds the divisor its pairs
+    build, bit for bit, or is refused with the pairs' message; the divisor's
+    digest is the digest of its entries, the spelling it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([0.5, 1.0, 3.7]), _record_family)
+    @example(1.0, [])
+    @example(1.0, [(0j, 0)])
+    @example(1.0, [(1j, 2), (0.5, -1)])
+    @example(1.0, [(0j, 1), (complex(-0.0, -0.0), 2)])
+    @example(1.0, [(complex(math.nan, 0.0), 1), (complex(math.nan, 0.0), 1)])
+    @example(1.0, [(complex(-math.nan, 5e-324), 2**63 - 1), (complex(math.inf, -0.0), 1)])
+    def test_records_build_the_pairs_divisor(self, tmp_path_factory, alpha, family):
+        params = FockParams(alpha)
+        records = np.array(family, LABEL)
+        before = records.copy()
+        try:
+            want = Divisor(params, family)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as refused:
+                Divisor(params, records)
+            assert str(refused.value) == str(exc)
+            return
+        got = Divisor(params, records)
+        assert same_bits(got.points, want.points)
+        assert np.array_equal(got.mults, want.mults) and got.mults.dtype == np.int64
+        if not np.isnan(want.points).any():  # a NaN point equals nothing, not even itself
+            assert got == want
+        assert got.digest() == want.digest() == label_digest(params, want.entries)
+        folder = tmp_path_factory.mktemp("records")
+        save_divisor(got, folder / "records.json")
+        save_divisor(want, folder / "pairs.json")
+        assert (folder / "records.json").read_bytes() == (folder / "pairs.json").read_bytes()
+        # the caller's records are copied: neither frozen nor aliased
+        assert records.flags.writeable and records.tobytes() == before.tobytes()
+        assert not np.shares_memory(got.points, records) and not np.shares_memory(got.mults, records)
+        records["n"] = 5
+        assert np.array_equal(got.mults, want.mults)
+
+    def test_records_of_any_shape_are_read_in_order(self):
+        records = np.array([[(1j, 2), (0.5, 1)], [(2.0, 3), (-1j, 1)]], LABEL)
+        divisor = Divisor(P1, records)
+        assert divisor.entries == ((1j, 2), (0.5 + 0j, 1), (2 + 0j, 3), (-1j, 1))
+        assert Divisor(P1, records[:, 0]).entries == ((1j, 2), (2 + 0j, 3))
+
+
+class TestConstructionMemory:
+    """Construction and digest hold arrays only, no Python object per point."""
+
+    def test_lattice_builds_no_object_per_point(self):
+        generate_lattice(1.0, 1.0, 1, 3.0)
+        tracemalloc.start()
+        try:
+            divisor, _ = generate_lattice(1.0, 1.0, 1, 300.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert divisor.points.size == 282_697
+        # 28 MiB: the probe square and its masks, the records and the divisor
+        # arrays (47.4 MiB through one tuple per point)
+        assert peak < 35 * 2**20
+
+    def test_digest_holds_one_record_array(self):
+        divisor, _ = generate_lattice(1.0, 1.0, 1, 300.0)
+        divisor.digest()
+        tracemalloc.start()
+        try:
+            digest = divisor.digest()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert digest == label_digest(divisor.params, divisor.entries)
+        # 6.5 MiB of records, hashed in place (49.5 MiB through entries)
+        assert peak < 2 * divisor.points.size * LABEL.itemsize
