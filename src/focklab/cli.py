@@ -137,7 +137,7 @@ def _cmd_generate(args, _) -> dict:
         divisor, meta = generate_covering_rings(args.alpha, args.c, args.window)
     else:
         divisor, meta = generate_disjoint_rings(args.alpha, args.c, args.window)
-    save_divisor(divisor, args.out)
+    payload = save_divisor(divisor, args.out)
     return {
         "inputs": {
             "family": args.family,
@@ -148,7 +148,7 @@ def _cmd_generate(args, _) -> dict:
             "window_radius": args.window,
         },
         "metadata": meta,
-        "divisor": divisor_payload(divisor),
+        "divisor": payload,
     }
 
 

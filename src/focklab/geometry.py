@@ -143,7 +143,8 @@ def disc_radius(mult: int, params: FockParams, c: float, sign: int) -> float | N
 
 def overlap_count_at(divisor: Divisor, z) -> int:
     """Number of open discs D(lam, sqrt(m/alpha)) containing z."""
-    d = complex(z) - divisor.points
+    with np.errstate(invalid="ignore"):  # a NaN point, signalling ones too, is in no disc
+        d = complex(z) - divisor.points
     d2 = scalar_square(d.real) + scalar_square(d.imag)
     return int(np.count_nonzero(d2 < divisor.mults * (1.0 / divisor.params.alpha)))
 
@@ -411,8 +412,9 @@ def theorem_verdicts(
     padded_disjoint_witness = cs[0] if pairwise_disjoint(divisor, cs[0], +1)[0] else None
     bare_cover = not (annulus & (padded <= len(cs))).any()
 
-    # np.hypot rounds |lam| as Python's abs does; np.abs may not
-    windowed = int(np.sum(np.hypot(divisor.points.real, divisor.points.imag) <= window.radius))
+    # np.hypot rounds |lam| as Python's abs does; np.abs may not; a NaN point lies in no window
+    with np.errstate(invalid="ignore"):
+        windowed = int(np.sum(np.hypot(divisor.points.real, divisor.points.imag) <= window.radius))
     all_shrunk = all(r.holds for r in shrunk_cover)
     exclusive = windowed < 2 or not (all_shrunk and padded_disjoint_witness is not None)
 
@@ -438,7 +440,8 @@ def rescale_to_unit_alpha(divisor: Divisor) -> Divisor:
     with C, window radius and grid step scaled by sqrt(alpha) coincide with
     the originals.
     """
-    s = math.sqrt(divisor.params.alpha)
     if divisor.params.alpha == 1.0:
         return divisor
-    return Divisor(FockParams(1.0), label_records(divisor.points * s, divisor.mults))
+    with np.errstate(invalid="ignore"):  # a signalling NaN point scales to a quiet one
+        points = divisor.points * math.sqrt(divisor.params.alpha)
+    return Divisor(FockParams(1.0), label_records(points, divisor.mults))

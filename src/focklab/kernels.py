@@ -253,8 +253,9 @@ def gram_matrix(family, params: FockParams) -> GramMatrix:
     if not labels.size:
         raise ValueError("atom family must be nonempty")
     ordered = labels[np.lexsort((labels["n"], labels["point"]))]  # equal labels adjacent
-    if np.any(ordered[1:] == ordered[:-1]):  # 0j equals -0j, a NaN point equals nothing
-        raise DuplicateLabelError("atom family labels must be distinct")
+    with np.errstate(invalid="ignore"):  # 0j equals -0j; a NaN point, signalling too, equals nothing
+        if np.any(ordered[1:] == ordered[:-1]):
+            raise DuplicateLabelError("atom family labels must be distinct")
     return GramMatrix(params, labels, overlap_matrix(labels, labels, params))
 
 

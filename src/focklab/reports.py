@@ -68,6 +68,10 @@ def _point_rows(row: str, sep: str, z: np.ndarray, mults=None, nonfinite=None) -
     return joined[: len(joined) - len(sep)]
 
 
+class _Text(str):
+    """JSON text already formatted, which canonical_json writes as it stands."""
+
+
 def _write_canonical(obj, out: list[str]) -> None:
     if obj is None:
         out.append("null")
@@ -79,6 +83,8 @@ def _write_canonical(obj, out: list[str]) -> None:
         x = float(obj)
         # JSON has no Inf/NaN; non-finite summary values serialize as null
         out.append(format_float(x) if math.isfinite(x) else "null")
+    elif isinstance(obj, _Text):
+        out.append(obj)
     elif isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
     elif isinstance(obj, complex):
@@ -100,9 +106,6 @@ def _write_canonical(obj, out: list[str]) -> None:
         with np.errstate(over="ignore"):
             z = obj.astype(np.complex128, copy=False)
         out.append("[" + _point_rows('{"re":%s,"im":%s}', ",", z, nonfinite="null") + "]")
-    elif isinstance(obj, Divisor):  # the points of divisor_payload
-        row = '{"re":%s,"im":%s,"mult":%s}'
-        out.append("[" + _point_rows(row, ",", obj.points, obj.mults, nonfinite="null") + "]")
     elif isinstance(obj, (list, tuple, np.ndarray)):
         out.append("[")
         for i, val in enumerate(obj):
@@ -210,13 +213,17 @@ def load_values(path, labels) -> MeasurementVector:
 
 
 def divisor_payload(divisor: Divisor) -> dict:
-    """The divisor as {alpha, points}; its points are the divisor itself,
-    which canonical_json writes as the rows {re, im, mult} of one point list."""
-    return {"alpha": divisor.params.alpha, "points": divisor}
+    """The divisor as {alpha, points}, its points the rows {re, im, mult} of
+    one point list, formatted here once; canonical_json writes them as they stand."""
+    row = '{"re":%s,"im":%s,"mult":%s}'
+    rows = _point_rows(row, ",", divisor.points, divisor.mults, nonfinite="null")
+    return {"alpha": divisor.params.alpha, "points": _Text(f"[{rows}]")}
 
 
-def save_divisor(divisor: Divisor, path) -> None:
-    Path(path).write_text(canonical_json(divisor_payload(divisor)) + "\n")
+def save_divisor(divisor: Divisor, path) -> dict:
+    payload = divisor_payload(divisor)  # returned: the caller's report reuses its rows
+    Path(path).write_text(canonical_json(payload) + "\n")
+    return payload
 
 
 def write_sweep_csv(path, rows) -> None:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from focklab import geometry
+from focklab.kernels import DuplicateLabelError, gram_matrix
 from focklab import (
     Divisor,
     FockParams,
@@ -809,3 +811,55 @@ class TestConstructionMemory:
         assert digest == label_digest(divisor.params, divisor.entries)
         # 6.5 MiB of records, hashed in place (49.5 MiB through entries)
         assert peak < 2 * divisor.points.size * LABEL.itemsize
+
+
+def _signalling_nan_point():
+    # real part 0x7FF0000000000001: numpy's float ops on it raise the invalid flag
+    point = np.zeros(1, complex)
+    point.view(np.int64)[0] = 0x7FF0000000000001
+    return point[0]
+
+
+def _verdict_fields(verdicts):
+    fields = dict(vars(verdicts))
+    fields["shrunk_cover_by_c"] = [
+        (r.c, r.holds, r.uncovered.tolist()) for r in verdicts.shrunk_cover_by_c
+    ]
+    return fields
+
+
+class TestSignallingNanPoint:
+    """A point with a signalling-NaN part lies in no disc and equals nothing,
+    quietly: no numpy warning is raised on its way."""
+
+    snan = _signalling_nan_point()
+    others = ((1.0, 2), (0j, 1), (-1.5 + 1j, 3))
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_point_is_a_signalling_nan(self):
+        bits = np.array([self.snan]).view(np.int64)[0]
+        assert math.isnan(self.snan.real) and bits == 0x7FF0000000000001
+
+    def test_theorem_verdicts_as_without_the_point(self):
+        args = (Window(3.0, 0.1), [0.25, 0.5, 1.0], 0.5)
+        got = theorem_verdicts(Divisor(P1, ((self.snan, 1), *self.others)), *args)
+        assert _verdict_fields(got) == _verdict_fields(theorem_verdicts(Divisor(P1, self.others), *args))
+
+    @pytest.mark.parametrize("z", [0j, 1.0, 0.5 + 0.5j, 10.0])
+    def test_overlap_count_as_without_the_point(self, z):
+        divisor = Divisor(P1, ((self.snan, 4), *self.others))
+        assert overlap_count_at(divisor, z) == overlap_count_at(Divisor(P1, self.others), z)
+
+    def test_gram_matrix_refuses_a_duplicate_label_before_the_kernel(self):
+        with pytest.raises(DuplicateLabelError, match="must be distinct"):
+            gram_matrix([(self.snan, 0), (1.0, 0), (1.0, 0)], P1)
+
+    def test_rescaled_point_stays_nan(self):
+        rescaled = rescale_to_unit_alpha(Divisor(FockParams(4.0), ((self.snan, 2), *self.others)))
+        assert np.isnan(rescaled.points[0])
+        assert rescaled.entries[1:] == rescale_to_unit_alpha(Divisor(FockParams(4.0), self.others)).entries

@@ -36,7 +36,7 @@ from focklab import (
     save_divisor,
 )
 from focklab import core, generators
-from focklab.reports import complex_payload, divisor_payload, format_float, load_values
+from focklab.reports import _point_rows, complex_payload, divisor_payload, format_float, load_values
 from focklab.reports import write_points_csv, write_sweep_csv
 
 
@@ -335,6 +335,68 @@ class TestDivisorRows:
             '{"alpha":1,"points":[{"re":null,"im":0.5,"mult":2},'
             '{"re":-0,"im":null,"mult":3},{"re":0,"im":1,"mult":1}]}'
         )
+
+
+def _counting_point_rows(monkeypatch):
+    """Count the calls of the point-list writer from here on."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return _point_rows(*args, **kwargs)
+
+    monkeypatch.setattr("focklab.reports._point_rows", counted)
+    return calls
+
+
+class TestDivisorPayloadOnce:
+    """A divisor turns into JSON in one place: generate writes its file and
+    its report from one formatting pass, and the writer knows no domain type."""
+
+    @pytest.mark.parametrize("family, window", [
+        ("lattice", "4"), ("lattice", "7.5"), ("covering-rings", "6"), ("disjoint-rings", "10"),
+    ])
+    def test_generate_formats_once_and_file_equals_report(
+        self, family, window, tmp_path, monkeypatch, capsys
+    ):
+        out = tmp_path / "divisor.json"
+        calls = _counting_point_rows(monkeypatch)
+        assert cli.main(["generate", family, "--window", window, "--out", str(out)]) == 0
+        assert len(calls) == 1
+        _, sep, tail = capsys.readouterr().out.partition('"divisor":')
+        assert sep and tail == out.read_text()[:-1] + "}\n"
+
+    def test_reading_command_formats_its_divisor_once(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "divisor.json"
+        save_divisor(generate_disjoint_rings(1.0, 1.0, 6.0)[0], path)
+        calls = _counting_point_rows(monkeypatch)
+        assert cli.main(["gram", str(path)]) == 0
+        assert len(calls) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["inputs"]["divisor"] == json.loads(path.read_text())
+
+    def test_save_returns_the_payload_it_wrote(self, tmp_path):
+        divisor = Divisor(FockParams(0.5), ((0.5 - 0.25j, 3), (complex(-0.0, 1e300), 1)))
+        payload = save_divisor(divisor, tmp_path / "d.json")
+        assert (tmp_path / "d.json").read_text() == canonical_json(payload) + "\n"
+        assert canonical_json(payload) == canonical_json(_dict_walk_payload(divisor))
+
+    def test_prebuilt_payload_written_verbatim_in_dicts_and_lists(self):
+        payload = divisor_payload(Divisor(FockParams(2.0), ((1j, 2), (-3.5, 1))))
+        text = canonical_json(payload)
+        assert text == '{"alpha":2,"points":[{"re":0,"im":1,"mult":2},{"re":-3.5,"im":0,"mult":1}]}'
+        assert canonical_json({"d": payload, "e": [payload, (payload,)]}) == (
+            '{"d":' + text + ',"e":[' + text + ",[" + text + "]]}"
+        )
+        # the same text as a plain string is a JSON string, escaped
+        rows = str(payload["points"])
+        assert canonical_json([rows]) == "[" + json.dumps(rows) + "]"
+
+    def test_bare_divisor_refused(self):
+        divisor = Divisor(FockParams(1.0), ((0j, 1),))
+        for obj in (divisor, {"points": divisor}, [divisor]):
+            with pytest.raises(TypeError, match=r"^cannot serialize Divisor$"):
+                canonical_json(obj)
 
 
 class TestOversizedGrid:
