@@ -19,7 +19,7 @@ from focklab import (
 
 def describe(name, divisor, window, c_list, hole=0.0):
     v = theorem_verdicts(divisor, window, c_list, hole)
-    print(f"-- {name}: {len(divisor.entries)} points, total multiplicity "
+    print(f"-- {name}: {divisor.points.size} points, total multiplicity "
           f"{divisor.total_multiplicity()}")
     print(f"   finite overlap bound (window estimate): {v.finite_overlap_bound}")
     print(f"   +C discs cover window:    {v.padded_cover_holds} "

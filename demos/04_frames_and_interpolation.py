@@ -24,6 +24,7 @@ from focklab import (
     min_norm_interpolate,
     riesz_bounds,
 )
+from focklab.core import label_records
 
 params = FockParams(1.0)
 degrees = (10, 20, 30, 40)
@@ -37,8 +38,9 @@ for degree in (5, 20):
 print()
 print("== hole divisor: lower frame bound collapses with N ==")
 lattice, _ = generate_lattice(1.0, 1.5, 1, 9.0)
-hole = Divisor(params, tuple((lam, m) for lam, m in lattice.entries if abs(lam) >= 5))
-print(f"lattice spacing 1.5 clipped to 5 <= |lam| <= 9: {len(hole.entries)} points")
+keep = np.hypot(lattice.points.real, lattice.points.imag) >= 5  # |lam| as abs() rounds it
+hole = Divisor(params, label_records(lattice.points[keep], lattice.mults[keep]))
+print(f"lattice spacing 1.5 clipped to 5 <= |lam| <= 9: {hole.points.size} points")
 for degree in degrees:
     s = frame_bounds(analysis_matrix(hole, degree))
     print(f"N = {degree:>2}: smin = {s.smin:.3e}, smax = {s.smax:.3e}")
@@ -46,7 +48,7 @@ for degree in degrees:
 print()
 print("== covering rings: bound ratio stays tame ==")
 covering, _ = generate_covering_rings(1.0, 1.0, 8.5)
-print(f"covering rings: {len(covering.entries)} points, "
+print(f"covering rings: {covering.points.size} points, "
       f"total multiplicity {covering.total_multiplicity()}")
 for degree in degrees:
     s = frame_bounds(analysis_matrix(covering, degree))
@@ -72,7 +74,7 @@ print(f"re-measured max deviation: {np.max(np.abs(recovered.values - data.values
 
 print()
 print("== conditioning contrast: shrink all distances by 4 ==")
-shrunk = Divisor(params, tuple((lam / 4, m) for lam, m in disjoint.entries))
+shrunk = Divisor(params, label_records(disjoint.points / 4, disjoint.mults))
 overlapping = riesz_bounds(gram_matrix(shrunk.atom_labels(), params))
 print(f"disjoint condition:    {well_conditioned.ratio:.6f}")
 print(f"overlapping condition: {overlapping.ratio:.3e} "

@@ -39,7 +39,7 @@ degree = constraints + 8
 window = Window(3.0, 0.05)
 value = hole_mass_experiment(covering, degree, window)
 baseline = hole_mass_experiment(Divisor(params, ()), degree, window)
-print(f"{len(covering.entries)} points, {constraints} vanishing constraints, degree {degree}")
+print(f"{covering.points.size} points, {constraints} vanishing constraints, degree {degree}")
 print(f"unconstrained baseline: {baseline:.6f}")
 print(f"covering divisor:       {value:.3e}")
 print(f"suppression factor:     {baseline / value:.2e}")

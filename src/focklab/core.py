@@ -193,10 +193,11 @@ def compose_phase(w, z, params: FockParams):
     complex scalars.
     """
     ww, zz = np.asarray(w, dtype=complex), np.asarray(z, dtype=complex)
-    # Im(conj(z)*w) in the operation order of a scalar complex product
-    angle = -params.alpha * (zz.real * ww.imag + -zz.imag * ww.real)
+    with np.errstate(invalid="ignore"):  # a signalling NaN part gives a NaN quietly
+        # Im(conj(z)*w) in the operation order of a scalar complex product
+        angle = -params.alpha * (zz.real * ww.imag + -zz.imag * ww.real)
+        shift = ww + zz
     phase = scalar_math(math.cos, angle) + 1j * scalar_math(math.sin, angle)
-    shift = ww + zz
     if phase.ndim == 0:
         return complex(phase), complex(shift)
     return phase, shift
@@ -247,7 +248,7 @@ class FockFunction:
 
     def atom_labels(self) -> np.ndarray:
         """Atom labels (lam, k) in atom order, as a LABEL array."""
-        return label_array((a.lam, a.k) for a in self.atoms)
+        return label_records([a.lam for a in self.atoms], [a.k for a in self.atoms])
 
     def atom_coeffs(self) -> np.ndarray:
         """Atom coefficients in atom order."""

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import math
 
-from .core import MAX_RING_POINTS, FockParams, label_records
+import numpy as np
+
+from .core import MAX_RING_POINTS, FockParams, label_records, scalar_math
 from .geometry import Divisor, Window, coverage_defect, disc_grid, disc_radius, pairwise_disjoint
 
 __all__ = [
@@ -35,6 +37,11 @@ def _require_positive(**values: float) -> None:
             raise ValueError(f"{name} must be finite")
 
 
+def _require_int64(mult: int) -> None:
+    if not (mult < 2**63 and mult % 1 == 0):  # int64 records would truncate or overflow it
+        raise ValueError("multiplicities must be integers m with 1 <= m < 2**63")
+
+
 def generate_lattice(
     alpha: float, spacing: float, mult: int, radius: float
 ) -> tuple[Divisor, dict]:
@@ -47,8 +54,7 @@ def generate_lattice(
         raise ValueError("radius must be finite")
     params = FockParams(alpha)
     z, _, inside = disc_grid(radius, spacing)()
-    if not (mult < 2**63 and mult % 1 == 0):  # int64 records would truncate or overflow it
-        raise ValueError("multiplicities must be integers m with 1 <= m < 2**63")
+    _require_int64(mult)
     divisor = Divisor(params, label_records(z[inside], mult))
     meta = {
         "family": "lattice",
@@ -61,15 +67,15 @@ def generate_lattice(
     return divisor, meta
 
 
-def _ring_points(rho: float, count: int) -> list[complex]:
-    turns = [2 * math.pi * t / count for t in range(count)]
-    return [complex(rho * math.cos(x), rho * math.sin(x)) for x in turns]
-
-
 def _rings(family: str, params: FockParams, c: float, radius: float, schedule, **extra):
-    """The rings of `schedule` laid out in order as a divisor, and their metadata."""
-    rings = [(_ring_points(ring["rho"], ring["count"]), ring["mult"]) for ring in schedule]
-    divisor = Divisor(params, ((lam, mult) for points, mult in rings for lam in points))
+    """The rings of `schedule` laid out in order as a divisor, and their metadata:
+    point t of n at radius rho is rho * (cos x + i sin x), x = 2*pi*t/n, by libm."""
+    rho, count, mult = ([ring[key] for ring in schedule] for key in ("rho", "count", "mult"))
+    _require_int64(max(mult))
+    turns = np.concatenate([2 * math.pi * np.arange(n) / n for n in count])
+    rho, points = np.repeat(rho, count), np.empty(turns.size, complex)
+    points.real, points.imag = rho * scalar_math(math.cos, turns), rho * scalar_math(math.sin, turns)
+    divisor = Divisor(params, label_records(points, np.repeat(mult, count)))
     meta = {
         "family": family,
         "alpha": params.alpha,

@@ -78,7 +78,7 @@ def overlap_matrix(rows, cols, params: FockParams) -> np.ndarray:
     if min(j.min(), k.min()) < 0:
         raise ValueError("basis indices must be >= 0")
     top = int(max(j.max(), k.max()))
-    log_fact = np.fromiter(map(math.lgamma, range(1, top + 2)), float, top + 1)
+    log_fact = scalar_math(math.lgamma, np.arange(1, top + 2))
     # contiguous points, whose bits _runs views as integers
     mu, lam = np.ascontiguousarray(rows["point"]), np.ascontiguousarray(cols["point"])
     equal = np.array_equal(mu.view(np.int64), lam.view(np.int64)) and np.array_equal(j, k)

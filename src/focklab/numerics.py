@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Atom, FockFunction, FockParams, ParameterMismatchError, basis_labels, label_array
-from .core import scalar_mul
+from .core import scalar_math, scalar_mul
 from .geometry import Divisor, Window
 from .kernels import GramMatrix, gram_matrix, overlap_matrix
 
@@ -249,7 +249,7 @@ def _window_masses(degree: int, window: Window, params: FockParams) -> np.ndarra
         return np.full(degree + 1, 0.0 if x == 0 else 1.0)
 
     top = degree if x > degree + 1 else degree + 1 + math.ceil(12 * math.sqrt(x) + 40)
-    log_fact = np.fromiter(map(math.lgamma, range(1, top + 2)), float, top + 1)
+    log_fact = scalar_math(math.lgamma, np.arange(1, top + 2))
     terms = np.exp(-x + np.arange(top + 1) * math.log(x) - log_fact)  # Poisson(x) at 0..top
     if x > degree + 1:
         return 1.0 - np.cumsum(terms)

@@ -509,6 +509,40 @@ class TestLabelDigestInPlace:
         assert label_digest(P1, records[::-1]) == struct_digest(P1, records[::-1].tolist())
 
 
+class TestAtomLabelRecords:
+    """atom_labels() fills its records from the atoms' lam and k, bit for bit
+    the LABEL array of the (lam, k) pairs read through label_array."""
+
+    @pytest.mark.parametrize(
+        "atoms",
+        [
+            (),
+            (Atom(0.0, 0),),
+            (
+                Atom(1 - 2j, 3, 0.5),
+                Atom(1 - 2j, 3, -0.5),
+                Atom(complex(-0.0, -0.0), 0),
+                Atom(0.0, 0, 2j),
+                Atom(complex(math.nan, -0.0), 2**63 - 1),
+                Atom(1 - 2j, 3, 1j),
+                Atom(5e-324, True),
+            ),
+        ],
+    )
+    def test_bits_equal_pair_spelling(self, atoms):
+        f = FockFunction(P1, atoms)
+        got, want = f.atom_labels(), label_array([(a.lam, a.k) for a in f.atoms])
+        assert got.dtype == LABEL and got.shape == want.shape == (len(atoms),)
+        assert got.tobytes() == want.tobytes()
+
+    def test_unmerged_random_functions(self):
+        rng = np.random.default_rng(27)
+        for _ in range(20):
+            f = random_function(rng, P1)
+            f = f + f  # every atom twice, unmerged
+            assert f.atom_labels().tobytes() == label_array([(a.lam, a.k) for a in f.atoms]).tobytes()
+
+
 class TestLabelIntegers:
     """label_array reads each integer as operator.index does: a value that is
     not an integer is refused, as range() refuses it, never truncated."""

@@ -6,6 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from focklab import (
+    Divisor,
+    FockParams,
     Window,
     coverage_defect,
     generate_covering_rings,
@@ -14,6 +16,8 @@ from focklab import (
     max_overlap,
     pairwise_disjoint,
 )
+from focklab.generators import _rings
+from focklab.reports import save_divisor
 
 
 def reference_lattice(alpha, spacing, mult, radius):
@@ -149,3 +153,87 @@ class TestDisjointRings:
             generate_disjoint_rings(1.0, 0.0, 5.0)
         with pytest.raises(ValueError):
             generate_covering_rings(1.0, -1.0, 5.0)
+
+
+def reference_rings(params, schedule):
+    """The rings of a schedule as the per-point layout spelled them: point t
+    of a ring of n points at radius rho is complex(rho * math.cos(x),
+    rho * math.sin(x)), x = 2 * math.pi * t / n, and the divisor is built
+    from (point, mult) pairs."""
+    pairs = []
+    for ring in schedule:
+        turns = [2 * math.pi * t / ring["count"] for t in range(ring["count"])]
+        points = [complex(ring["rho"] * math.cos(x), ring["rho"] * math.sin(x)) for x in turns]
+        pairs.extend((lam, ring["mult"]) for lam in points)
+    return Divisor(params, pairs)
+
+
+def assert_same_divisor(got, want, folder):
+    """Point bits, multiplicities, digest and divisor-file bytes all equal."""
+    assert got.points.view(np.int64).tobytes() == want.points.view(np.int64).tobytes()
+    assert got.mults.dtype == np.int64 and np.array_equal(got.mults, want.mults)
+    assert got.digest() == want.digest()
+    save_divisor(got, folder / "arrays.json")
+    save_divisor(want, folder / "pairs.json")
+    assert (folder / "arrays.json").read_bytes() == (folder / "pairs.json").read_bytes()
+
+
+# rings by increasing radius: (gap to the last radius, point count, multiplicity)
+_drawn_rings = st.lists(
+    st.tuples(
+        st.floats(1e-3, 50.0),
+        st.integers(1, 40),
+        st.one_of(st.integers(1, 50), st.integers(2**63 - 4, 2**63), st.just(2**64)),
+    ),
+    max_size=8,
+)
+
+
+class TestRingLayoutReference:
+    """Both ring families lay out bit for bit the divisor of the per-point
+    formula over their own schedule, as does the layout of a drawn schedule,
+    or refuse it with the pairs' message."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([generate_covering_rings, generate_disjoint_rings]),
+        st.floats(0.25, 4.0),
+        st.floats(0.2, 2.0),
+        st.floats(0.5, 16.0),
+    )
+    @example(generate_covering_rings, 1.0, 1.0, 8.0)
+    @example(generate_disjoint_rings, 1.0, 1.0, 8.0)
+    @example(generate_disjoint_rings, 0.5, 1.5, 14.0)
+    @example(generate_covering_rings, 2.0, 0.5, 0.5)  # the centre point alone
+    def test_families_match_per_point_layout(self, tmp_path_factory, generate, alpha, c, radius):
+        divisor, meta = generate(alpha, c, radius)
+        assert meta["schedule"][0]["rho"] == 0.0 and meta["schedule"][0]["count"] == 1
+        want = reference_rings(FockParams(alpha), meta["schedule"])
+        assert_same_divisor(divisor, want, tmp_path_factory.mktemp("rings"))
+        assert meta["count"] == want.points.size
+        assert meta["total_multiplicity"] == want.total_multiplicity()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([0.5, 1.0, 3.7]), st.integers(1, 3), _drawn_rings)
+    @example(1.0, 1, [(2.5, 1, 3), (1.5, 7, 2)])  # a ring of one point off the centre
+    @example(1.0, 2, [])  # two points at the centre coincide: refused
+    @example(1.0, 1, [(1.0, 4, 2**63)])  # multiplicities past int64: refused
+    @example(1.0, 1, [(1.0, 4, 2**64)])
+    def test_drawn_schedules_match_per_point_layout(
+        self, tmp_path_factory, alpha, centre, rings
+    ):
+        schedule, rho = [{"rho": 0.0, "count": centre, "mult": 1}], 0.0
+        for gap, count, mult in rings:
+            rho += gap
+            schedule.append({"rho": rho, "count": count, "mult": mult})
+        params = FockParams(alpha)
+        try:
+            want = reference_rings(params, schedule)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as refused:
+                _rings("drawn", params, 1.0, rho, schedule)
+            assert str(refused.value) == str(exc)
+            return
+        got, meta = _rings("drawn", params, 1.0, rho, schedule)
+        assert_same_divisor(got, want, tmp_path_factory.mktemp("drawn"))
+        assert meta["schedule"] is schedule

@@ -25,7 +25,8 @@ from focklab import (
     rescale_to_unit_alpha,
     theorem_verdicts,
 )
-from focklab.core import LABEL, label_digest
+from focklab.core import LABEL, compose_phase, label_digest
+from focklab.numerics import analysis_matrix
 from focklab.reports import save_divisor
 
 P1 = FockParams(1.0)
@@ -829,8 +830,9 @@ def _verdict_fields(verdicts):
 
 
 class TestSignallingNanPoint:
-    """A point with a signalling-NaN part lies in no disc and equals nothing,
-    quietly: no numpy warning is raised on its way."""
+    """A point with a signalling-NaN part lies in no disc, equals nothing and
+    makes NaN matrix entries only in its own rows and columns, quietly: no
+    numpy warning is raised on its way."""
 
     snan = _signalling_nan_point()
     others = ((1.0, 2), (0j, 1), (-1.5 + 1j, 3))
@@ -863,3 +865,22 @@ class TestSignallingNanPoint:
         rescaled = rescale_to_unit_alpha(Divisor(FockParams(4.0), ((self.snan, 2), *self.others)))
         assert np.isnan(rescaled.points[0])
         assert rescaled.entries[1:] == rescale_to_unit_alpha(Divisor(FockParams(4.0), self.others)).entries
+
+    def test_compose_phase_gives_nan(self):
+        phase, shift = compose_phase(self.snan, 1.0 + 2j, P1)
+        assert np.isnan(phase) and np.isnan(shift)
+        phases, shifts = compose_phase(np.array([self.snan, 1.0]), np.array([1j, 2.0]), P1)
+        assert np.isnan(phases[0]) and np.isnan(shifts[0])
+        assert same_bits(phases[1:], np.array([compose_phase(1.0, 2.0, P1)[0]])) and shifts[1] == 3.0
+
+    def test_analysis_matrix_as_without_the_point(self):
+        # the NaN point's row is NaN; every other entry has its bits without the point
+        got = analysis_matrix(Divisor(P1, [(self.snan, 1), (1.0, 2), (0j, 1)]), 4).entries
+        want = analysis_matrix(Divisor(P1, [(1.0, 2), (0j, 1)]), 4).entries
+        assert np.isnan(got[0]).all() and same_bits(got[1:], want)
+
+    def test_gram_matrix_as_without_the_point(self):
+        got = gram_matrix([(self.snan, 0), (1.0, 0)], P1).entries
+        want = gram_matrix([(1.0, 0)], P1).entries
+        assert np.isnan(got[0]).all() and np.isnan(got[:, 0]).all()
+        assert same_bits(got[1:, 1:], want)

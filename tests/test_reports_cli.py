@@ -456,10 +456,10 @@ class TestGeneratorRefusals:
     fails its contract, exit 3 with one stderr line and write no file."""
 
     def test_disjoint_rings_over_point_budget(self, tmp_path, capsys, monkeypatch):
-        def refuse(*_):
+        def refuse(*_, **__):
             raise AssertionError("rings laid out for a refused input")
 
-        monkeypatch.setattr(generators, "_ring_points", refuse)
+        monkeypatch.setattr(generators, "_rings", refuse)
         out = tmp_path / "dis.json"
         start = time.perf_counter()
         code = cli.main(["generate", "disjoint-rings", "--window", "1e5", "--out", str(out)])
@@ -534,10 +534,10 @@ class TestNonFiniteInputs:
         ],
     )
     def test_generate(self, args, tmp_path, capsys, monkeypatch):
-        def refuse(*_):
+        def refuse(*_, **__):
             raise AssertionError("rings laid out for a refused input")
 
-        monkeypatch.setattr(generators, "_ring_points", refuse)
+        monkeypatch.setattr(generators, "_rings", refuse)
         out = tmp_path / "div.json"
         assert cli.main(["generate", *args, "--out", str(out)]) == 3
         assert "must be finite" in capsys.readouterr().err
