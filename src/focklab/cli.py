@@ -258,14 +258,12 @@ def _cmd_interpolate(args, divisor) -> dict:
 def _cmd_uniqueness(args, divisor) -> dict:
     # the SVD's null-space basis is square in the degree
     _require_entries(max(divisor.total_multiplicity(), args.degree + 1), args.degree + 1)
-    window = Window(args.window, args.window / 100)
-    value = hole_mass_experiment(divisor, args.degree, window)
     return {
         "inputs": {
             "degree": args.degree,
             "window_radius": args.window,
         },
-        "hole_mass": value,
+        "hole_mass": hole_mass_experiment(divisor, args.degree, args.window),
     }
 
 

@@ -101,6 +101,14 @@ def disc_grid(radius: float, step: float):
     return build
 
 
+def require_window_radius(radius: float) -> None:
+    """The rule of a window radius, probed or not: positive (a NaN is not), then finite."""
+    if not (radius > 0):
+        raise ValueError("window radius must be positive")
+    if not math.isfinite(radius):
+        raise ValueError("window radius must be finite")
+
+
 @dataclass(frozen=True)
 class Window:
     """Grid-probed disc standing in for the plane in geometric checks."""
@@ -109,8 +117,7 @@ class Window:
     grid_step: float
 
     def __post_init__(self):
-        if not (self.radius > 0):
-            raise ValueError("window radius must be positive")
+        require_window_radius(self.radius)
         if not (0 < self.grid_step <= self.radius / 10):
             raise ValueError("grid_step must satisfy 0 < grid_step <= radius/10")
         disc_grid(self.radius, self.grid_step)  # refuses an oversized square, building none

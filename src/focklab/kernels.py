@@ -135,7 +135,8 @@ def _walk(out, row_runs, col_runs, params, log_fact, hermitian):
         row_at, col_at = row_start[gu] + row - first, col_start[gv] + col - first
         d = np.abs(j - k)
         phase, x, log_w, arg_ge, arg_lt, at_zero = _point_factors(row_z[u], col_z[v], params)
-        cos, sin = _cos_sin(d * np.where(j >= k, arg_ge[pair], arg_lt[pair]))
+        angle = d * np.where(j >= k, arg_ge[pair], arg_lt[pair])
+        cos, sin = scalar_math(math.cos, angle), scalar_math(math.sin, angle)
         if hermitian:
             mirror = col_point[v] < row_point[u]
             back, _ = compose_phase(-col_z[v], row_z[u], params)
@@ -174,14 +175,6 @@ def _walk(out, row_runs, col_runs, params, log_fact, hermitian):
                     prev, cur = cur, ((2 * i + 1 + d - cx) * cur - (i + d) * prev) / (i + 1)
         if held:
             flush(chain[:held], value[:held], lo[:held])
-
-
-def _cos_sin(angle):
-    # cos and sin by libm, but for cos(+-0) = 1 and sin(+-0) = +-0, which are
-    # exact; the sines overwrite the angles
-    cos, turn = np.ones(angle.shape), np.flatnonzero(angle)
-    cos[turn], angle[turn] = scalar_math(math.cos, angle[turn]), scalar_math(math.sin, angle[turn])
-    return cos, angle
 
 
 def _point_factors(mu, lam, params: FockParams):

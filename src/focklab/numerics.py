@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import Atom, FockFunction, FockParams, ParameterMismatchError, basis_labels, label_array
 from .core import scalar_math, scalar_mul
-from .geometry import Divisor, Window
+from .geometry import Divisor, require_window_radius
 from .kernels import GramMatrix, gram_matrix, overlap_matrix
 
 __all__ = [
@@ -233,7 +233,7 @@ def min_norm_interpolate(
     return InterpolationSolution(function, residual, norm, condition, truncated)
 
 
-def _window_masses(degree: int, window: Window, params: FockParams) -> np.ndarray:
+def _window_masses(degree: int, radius: float, params: FockParams) -> np.ndarray:
     """Weighted window mass of each e_n, n = 0..degree: the regularized
     incomplete gamma P(n+1, x), x = alpha*R^2, which is the chance that a
     Poisson(x) count exceeds n.  Each Poisson term is formed on its own in the
@@ -242,9 +242,9 @@ def _window_masses(degree: int, window: Window, params: FockParams) -> np.ndarra
     half and are one minus the lower sums, so no array grows with x.
     """
     try:
-        x = params.alpha * window.radius**2
+        x = params.alpha * radius**2
     except OverflowError:  # R^2 leaves the double range, alpha*R^2 may not
-        x = params.alpha * window.radius * window.radius
+        x = params.alpha * radius * radius
     if x in (0, math.inf):  # alpha*R^2 underflowed or overflowed: P(n+1, 0) = 0, P(n+1, inf) = 1
         return np.full(degree + 1, 0.0 if x == 0 else 1.0)
 
@@ -256,15 +256,16 @@ def _window_masses(degree: int, window: Window, params: FockParams) -> np.ndarra
     return np.cumsum(terms[:0:-1])[::-1][: degree + 1]
 
 
-def hole_mass_experiment(divisor: Divisor, degree: int, window: Window) -> float:
-    """Largest window-mass fraction reachable by unit-norm functions of degree
-    <= N whose divisor measurements all vanish.
+def hole_mass_experiment(divisor: Divisor, degree: int, radius: float) -> float:
+    """Largest mass fraction in the window |z| <= radius reachable by unit-norm
+    functions of degree <= N whose divisor measurements all vanish.
 
     The vanishing constraints are the rows of the analysis matrix; the search
     space is its null space.  A small value means every such function lives
     essentially outside the window, the numerical shadow of the divisor not
     being a zero divisor when its bare discs cover the window.
     """
+    require_window_radius(radius)
     if degree < 0:
         raise ValueError("degree must be >= 0")
     n_constraints = divisor.total_multiplicity()
@@ -278,7 +279,7 @@ def hole_mass_experiment(divisor: Divisor, degree: int, window: Window) -> float
     tol = max(matrix.entries.shape) * np.finfo(float).eps * float(s[0]) if s.size else 0.0
     rank = int(np.sum(s > tol))
     null_basis = vh[rank:].conj().T
-    masses = _window_masses(degree, window, divisor.params)
+    masses = _window_masses(degree, radius, divisor.params)
     restricted = (null_basis.conj().T * masses) @ null_basis
     eigenvalues = np.linalg.eigvalsh(restricted)
     return float(eigenvalues[-1])

@@ -452,6 +452,7 @@ _label_pairs = st.lists(
 )
 
 
+@pytest.mark.bitwise
 class TestLabelDigestReference:
     """label_digest hashes one LABEL array's bytes: the bytes of the per-pair
     struct.pack("<ddq") digest, signed zeros, NaN payloads and infinities

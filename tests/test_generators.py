@@ -189,6 +189,7 @@ _drawn_rings = st.lists(
 )
 
 
+@pytest.mark.bitwise
 class TestRingLayoutReference:
     """Both ring families lay out bit for bit the divisor of the per-point
     formula over their own schedule, as does the layout of a drawn schedule,

@@ -586,6 +586,7 @@ def verdict_cases(draw):
     return Divisor(FockParams(alpha), tuple(zip(points, mults))), c_list, hole
 
 
+@pytest.mark.bitwise
 class TestNestedLevels:
     """One level grid per disc family against the per-C rules, bit for bit."""
 
@@ -677,6 +678,7 @@ class TestSweepChunks:
             assert stacks
             assert any(0 in box[:4] or width in box[:4] for chunk in stacks for box in chunk)
 
+    @pytest.mark.bitwise
     @settings(max_examples=60, deadline=None)
     @given(
         verdict_cases(),
@@ -697,6 +699,7 @@ class TestPairScreen:
     """pairwise_disjoint against the scalar rule on every pair, with
     non-finite points, which lie in no disc and so in no pair."""
 
+    @pytest.mark.bitwise
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=60, deadline=None)
     @given(
@@ -737,6 +740,7 @@ _record_family = st.lists(
 )
 
 
+@pytest.mark.bitwise
 class TestDivisorRecordsReference:
     """A LABEL array of (point, mult) records builds the divisor its pairs
     build, bit for bit, or is refused with the pairs' message; the divisor's

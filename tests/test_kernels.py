@@ -177,6 +177,7 @@ def set_rule_duplicates(family) -> bool:
 _pool_part = st.sampled_from([0.0, -0.0, 1.5, math.nan, math.inf, -math.inf])
 
 
+@pytest.mark.bitwise
 class TestDuplicateRuleReference:
     """gram_matrix refuses a family exactly when the set-of-tuples rule finds
     two equal labels; the overlaps are stubbed, since a non-finite point makes
@@ -413,6 +414,7 @@ def _row_by_row(labels, params):
     return np.vstack([overlap_matrix([row], labels, params) for row in labels])
 
 
+@pytest.mark.bitwise
 class TestHermitianHalfFill:
     @settings(max_examples=150, deadline=None)
     @given(equal_families())
@@ -537,6 +539,7 @@ def label_families(draw):
     return rows, cols, draw(st.sampled_from([0.5, 1.0, 2.0]))
 
 
+@pytest.mark.bitwise
 class TestBlockKernel:
     @settings(max_examples=200, deadline=None)
     @given(label_families())

@@ -17,7 +17,6 @@ from focklab import (
     InfeasibleExperimentError,
     MeasurementVector,
     ParameterMismatchError,
-    Window,
     analysis_matrix,
     basis_function,
     displaced_basis,
@@ -301,33 +300,32 @@ class TestMinNormInterpolate:
 class TestHoleMass:
     def test_empty_divisor_baseline(self):
         # unconstrained: the vacuum concentrates in any window containing 0
-        value = hole_mass_experiment(Divisor(P1, ()), 3, Window(2.0, 0.1))
+        value = hole_mass_experiment(Divisor(P1, ()), 3, 2.0)
         assert value == pytest.approx(1 - math.exp(-4), rel=1e-10)
 
     def test_central_point_matches_incomplete_gamma(self):
         # constraints kill c_0..c_3, so the best survivor is e_4
         for radius in (2.0, 1.5):
-            value = hole_mass_experiment(Divisor(P1, ((0.0, 4),)), 8, Window(radius, radius / 20))
+            value = hole_mass_experiment(Divisor(P1, ((0.0, 4),)), 8, radius)
             assert value == pytest.approx(float(gammainc(5, radius**2)), rel=1e-8)
 
     def test_decreasing_as_window_shrinks(self):
         divisor = Divisor(P1, ((0.0, 4),))
-        big = hole_mass_experiment(divisor, 8, Window(2.0, 0.1))
-        small = hole_mass_experiment(divisor, 8, Window(1.5, 0.1))
+        big = hole_mass_experiment(divisor, 8, 2.0)
+        small = hole_mass_experiment(divisor, 8, 1.5)
         assert small < big < 1
 
     def test_infeasible_constraints_rejected(self):
         with pytest.raises(InfeasibleExperimentError):
-            hole_mass_experiment(Divisor(P1, ((0.0, 4),)), 3, Window(2.0, 0.1))
+            hole_mass_experiment(Divisor(P1, ((0.0, 4),)), 3, 2.0)
 
     def test_covering_divisor_expels_vanishing_functions(self):
         from focklab import generate_covering_rings
 
         divisor, _ = generate_covering_rings(1.0, 0.5, 3.0)
         degree = divisor.total_multiplicity() + 8
-        window = Window(3.0, 0.05)
-        value = hole_mass_experiment(divisor, degree, window)
-        baseline = hole_mass_experiment(Divisor(P1, ()), degree, window)
+        value = hole_mass_experiment(divisor, degree, 3.0)
+        baseline = hole_mass_experiment(Divisor(P1, ()), degree, 3.0)
         # FIXTURE: first verified run gave value ~1.1e-22 against baseline ~0.9999;
         # assert a conservative suppression factor
         assert baseline > 0.99
@@ -351,7 +349,7 @@ class TestWindowMasses:
         from focklab.numerics import _window_masses
 
         radius = math.sqrt(x)
-        got = _window_masses(degree, Window(radius, radius / 20), P1)
+        got = _window_masses(degree, radius, P1)
         ref = gammainc(np.arange(1, degree + 2), x)
         assert got.shape == ref.shape
         kept = ref >= 1e-300
@@ -376,14 +374,14 @@ class TestWindowMasses:
         else:
             top = degree + 1 + math.ceil(12 * math.sqrt(x) + 40)
             listed = np.cumsum(poisson(np.arange(top, 0, -1)))[::-1][: degree + 1]
-        got = _window_masses(degree, Window(radius, radius / 10), P1)
+        got = _window_masses(degree, radius, P1)
         assert got.tobytes() == listed.tobytes()
 
     def test_alpha_enters_through_alpha_r_squared(self):
         from focklab.numerics import _window_masses
 
-        a = _window_masses(30, Window(2.0, 0.1), FockParams(2.0))
-        b = _window_masses(30, Window(math.sqrt(8.0), 0.1), P1)
+        a = _window_masses(30, 2.0, FockParams(2.0))
+        b = _window_masses(30, math.sqrt(8.0), P1)
         assert np.allclose(a, b, rtol=1e-13, atol=0)
 
     def test_underflowed_alpha_r_squared_gives_zero_masses(self):
@@ -391,20 +389,20 @@ class TestWindowMasses:
 
         # alpha*R^2 = 1e-320 is subnormal, and the log-domain terms still hold
         # P(1, x) = x; below about R = 1e-162 it is 0.0, where P(n+1, 0) = 0
-        tiny = _window_masses(5, Window(1e-160, 1e-161), P1)
+        tiny = _window_masses(5, 1e-160, P1)
         assert tiny.tolist() == [1e-320, 0.0, 0.0, 0.0, 0.0, 0.0]
-        assert _window_masses(5, Window(1e-170, 1e-171), P1).tolist() == [0.0] * 6
+        assert _window_masses(5, 1e-170, P1).tolist() == [0.0] * 6
         divisor = Divisor(P1, ((0.0, 1),))
-        assert hole_mass_experiment(divisor, 5, Window(1e-300, 1e-301)) == 0.0
+        assert hole_mass_experiment(divisor, 5, 1e-300) == 0.0
 
     def test_overflowed_alpha_r_squared_gives_unit_masses(self):
         from focklab.numerics import _window_masses
 
         # R^2 or alpha*R^2 past the double range is inf, where P(n+1, inf) = 1;
         # R^2 past it with alpha*R^2 = 22.5 keeps its incomplete gamma
-        assert _window_masses(5, Window(1e160, 1e158), P1).tolist() == [1.0] * 6
-        assert _window_masses(5, Window(1e150, 1e148), FockParams(1e10)).tolist() == [1.0] * 6
-        got = _window_masses(40, Window(1.5e154, 1.5e152), FockParams(1e-307))
+        assert _window_masses(5, 1e160, P1).tolist() == [1.0] * 6
+        assert _window_masses(5, 1e150, FockParams(1e10)).tolist() == [1.0] * 6
+        got = _window_masses(40, 1.5e154, FockParams(1e-307))
         ref = gammainc(np.arange(1, 42), 22.5)
         assert np.all(np.abs(got - ref) <= 1e-12 * ref)
 
@@ -578,6 +576,7 @@ def measurement_cases(draw):
     return FockFunction(FockParams(alpha), tuple(atoms)), divisor
 
 
+@pytest.mark.bitwise
 class TestMeasurementsReference:
     @settings(max_examples=150, deadline=None)
     @given(measurement_cases())

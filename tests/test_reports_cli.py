@@ -295,6 +295,7 @@ def _dict_walk_payload(divisor):
     }
 
 
+@pytest.mark.bitwise
 class TestDivisorRows:
     """A divisor's points are written as one point list with the bytes of
     the per-point dict walk, and read back as the same divisor."""
@@ -542,6 +543,20 @@ class TestNonFiniteInputs:
         assert cli.main(["generate", *args, "--out", str(out)]) == 3
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [["check-geometry"], ["uniqueness", "--degree", "4"]],
+        ids=["check-geometry", "uniqueness"],
+    )
+    def test_window(self, command, tmp_path, capsys):
+        path = tmp_path / "one.json"
+        save_divisor(Divisor(FockParams(1.0), ((0.0, 1),)), path)
+        code = cli.main([command[0], str(path), *command[1:], "--window", "inf"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "precondition error: window radius must be finite\n"
 
     @pytest.mark.parametrize("rcond", ["nan", "inf"])
     def test_interpolate_rcond(self, rcond, tmp_path, capsys):
@@ -1229,14 +1244,16 @@ def test_interpolate_dump_atoms_lists_the_interpolant(tmp_path, capsys):
 
 
 def test_uniqueness_window_below_double_range_has_no_mass(tmp_path, capsys):
-    # alpha*R^2 underflows to 0.0, and the window holds no mass at all
+    # alpha*R^2 underflows to 0.0, and the window holds no mass at all, down
+    # to the least subnormal radius
     path = tmp_path / "lat.json"
     assert cli.main(["generate", "lattice", "--window", "3", "--out", str(path)]) == 0
     capsys.readouterr()
-    assert cli.main(["uniqueness", str(path), "--degree", "40", "--window", "1e-170"]) == 0
-    out, err = capsys.readouterr()
-    assert err == ""
-    assert out.endswith('"window_radius":1e-170},"hole_mass":0}\n')
+    for window in ("1e-170", "1e-322", "5e-324"):
+        assert cli.main(["uniqueness", str(path), "--degree", "40", "--window", window]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.endswith(f'"window_radius":{format_float(float(window))}}},"hole_mass":0}}\n')
 
 
 @pytest.mark.parametrize(
@@ -1488,6 +1505,7 @@ _sweep_value = st.one_of(
 _sweep_degree = st.one_of(st.integers(0, 4_194_303), st.integers(0, 4_194_303).map(np.int64))
 
 
+@pytest.mark.bitwise
 class TestSweepCsvReference:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(_sweep_degree, _sweep_value, _sweep_value, _sweep_value), max_size=8))
