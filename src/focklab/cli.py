@@ -153,7 +153,10 @@ def _cmd_generate(args, _) -> dict:
 
 
 def _cmd_check_geometry(args, divisor) -> dict:
-    window = Window(args.window, args.window / 100 if args.grid_step is None else args.grid_step)
+    step = args.window / 100 if args.grid_step is None else args.grid_step
+    if args.grid_step is None and args.window > 0 and not step:
+        raise ValueError(f"window radius {args.window}: its default grid step radius/100 underflows to 0")
+    window = Window(args.window, step)
     c_list = _parse_c_list(args.c_list)
     paths = [f"{args.defects_csv}_c{format_float(c)}.csv" for c in c_list if args.defects_csv]
     first: dict[str, float] = {}

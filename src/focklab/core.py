@@ -100,6 +100,14 @@ def square_axis(half: float, step: float, what: str) -> np.ndarray:
     return step * np.arange(-n, n + 1)
 
 
+def require_positive(name: str, value: float) -> None:
+    """The rule of a scalar such as C, a radius or rcond: positive (a NaN is not), then finite."""
+    if not value > 0:
+        raise ValueError(f"{name} must be positive")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class Atom:
     """One term coeff * (degree-k basis state displaced to lam).

@@ -14,8 +14,9 @@ import math
 
 import numpy as np
 
-from .core import MAX_RING_POINTS, FockParams, label_records, scalar_math
+from .core import MAX_RING_POINTS, FockParams, label_records, require_positive, scalar_math
 from .geometry import Divisor, Window, coverage_defect, disc_grid, disc_radius, pairwise_disjoint
+from .geometry import require_multiplicities
 
 __all__ = [
     "ContractError",
@@ -29,24 +30,11 @@ class ContractError(RuntimeError):
     """A generated divisor failed the contract that defines its family."""
 
 
-def _require_positive(**values: float) -> None:
-    for name, value in values.items():
-        if not value > 0:
-            raise ValueError(f"{name} must be positive")
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite")
-
-
-def _require_int64(mult: int) -> None:
-    if not (mult < 2**63 and mult % 1 == 0):  # int64 records would truncate or overflow it
-        raise ValueError("multiplicities must be integers m with 1 <= m < 2**63")
-
-
 def generate_lattice(
     alpha: float, spacing: float, mult: int, radius: float
 ) -> tuple[Divisor, dict]:
     """Square lattice spacing*(p + iq) clipped to |point| <= radius."""
-    _require_positive(spacing=spacing)
+    require_positive("spacing", spacing)
     if mult < 1:
         raise ValueError("mult must be >= 1")
     # a radius <= 0 leaves the origin or nothing
@@ -54,7 +42,7 @@ def generate_lattice(
         raise ValueError("radius must be finite")
     params = FockParams(alpha)
     z, _, inside = disc_grid(radius, spacing)()
-    _require_int64(mult)
+    require_multiplicities(mult)  # int64 records would truncate or overflow it
     divisor = Divisor(params, label_records(z[inside], mult))
     meta = {
         "family": "lattice",
@@ -71,7 +59,7 @@ def _rings(family: str, params: FockParams, c: float, radius: float, schedule, *
     """The rings of `schedule` laid out in order as a divisor, and their metadata:
     point t of n at radius rho is rho * (cos x + i sin x), x = 2*pi*t/n, by libm."""
     rho, count, mult = ([ring[key] for ring in schedule] for key in ("rho", "count", "mult"))
-    _require_int64(max(mult))
+    require_multiplicities(max(mult))  # int64 records would truncate or overflow it
     turns = np.concatenate([2 * math.pi * np.arange(n) / n for n in count])
     rho, points = np.repeat(rho, count), np.empty(turns.size, complex)
     points.real, points.imag = rho * scalar_math(math.cos, turns), rho * scalar_math(math.sin, turns)
@@ -100,7 +88,8 @@ def generate_covering_rings(alpha: float, c: float, radius: float) -> tuple[Divi
     bound along the family.  The output is validated against its coverage
     contract on a probe grid before being returned.
     """
-    _require_positive(c=c, radius=radius)
+    require_positive("c", c)
+    require_positive("radius", radius)
     params = FockParams(alpha)
     unit = 1.0 / math.sqrt(alpha)
     growth, base, margin, spacing_frac = 0.3, 1.0, 1.08, 0.75
@@ -117,6 +106,8 @@ def generate_covering_rings(alpha: float, c: float, radius: float) -> tuple[Divi
         rho += spacing_frac * target
 
     step = float(min(radius / 40, 0.5 * unit, c))
+    if not step:
+        raise ValueError(f"radius {radius}: the contract's grid step radius/40 underflows to 0")
     divisor, meta = _rings("covering-rings", params, c, radius, schedule, contract_grid_step=step)
     defect = coverage_defect(divisor, c, -1, Window(radius, step), 0.0)
     if defect.size:
@@ -135,7 +126,8 @@ def generate_disjoint_rings(alpha: float, c: float, radius: float) -> tuple[Divi
     schedule of more than MAX_RING_POINTS points is refused before any point
     is laid out.
     """
-    _require_positive(c=c, radius=radius)
+    require_positive("c", c)
+    require_positive("radius", radius)
     params = FockParams(alpha)
     gap = 0.5 / math.sqrt(alpha)
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MAX_GRID_CELLS  # noqa: F401  (the budget stays importable here)
-from .core import LABEL, FockParams, label_digest, label_records, scalar_square, square_axis
+from .core import LABEL, FockParams, label_digest, label_records, require_positive, scalar_square
+from .core import square_axis
 
 __all__ = [
     "Divisor",
@@ -31,6 +32,12 @@ __all__ = [
     "theorem_verdicts",
     "rescale_to_unit_alpha",
 ]
+
+
+def require_multiplicities(mults) -> None:
+    """The rule of a multiplicity, or of each in an array: an integer m with 1 <= m < 2**63."""
+    if not np.all((mults >= 1) & (mults < 2**63) & (mults % 1 == 0)):  # a NaN compares False
+        raise ValueError("multiplicities must be integers m with 1 <= m < 2**63")
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -51,8 +58,7 @@ class Divisor:
             table = np.array(list(entries), dtype=object).reshape(-1, 2)
             points, mults = table[:, 0].astype(complex), table[:, 1]
         with np.errstate(invalid="ignore"):  # a NaN, signalling ones too, compares False
-            if not np.all((mults >= 1) & (mults < 2**63) & (mults % 1 == 0)):
-                raise ValueError("multiplicities must be integers m with 1 <= m < 2**63")
+            require_multiplicities(mults)
             ordered = np.sort(points)  # equal values end up adjacent, NaNs equal nothing
             if np.any(ordered[1:] == ordered[:-1]):
                 raise ValueError("divisor points must be pairwise distinct")
@@ -101,14 +107,6 @@ def disc_grid(radius: float, step: float):
     return build
 
 
-def require_window_radius(radius: float) -> None:
-    """The rule of a window radius, probed or not: positive (a NaN is not), then finite."""
-    if not (radius > 0):
-        raise ValueError("window radius must be positive")
-    if not math.isfinite(radius):
-        raise ValueError("window radius must be finite")
-
-
 @dataclass(frozen=True)
 class Window:
     """Grid-probed disc standing in for the plane in geometric checks."""
@@ -117,7 +115,7 @@ class Window:
     grid_step: float
 
     def __post_init__(self):
-        require_window_radius(self.radius)
+        require_positive("window radius", self.radius)
         if not (0 < self.grid_step <= self.radius / 10):
             raise ValueError("grid_step must satisfy 0 < grid_step <= radius/10")
         disc_grid(self.radius, self.grid_step)  # refuses an oversized square, building none

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Atom, FockFunction, FockParams, ParameterMismatchError, basis_labels, label_array
-from .core import scalar_math, scalar_mul
-from .geometry import Divisor, require_window_radius
+from .core import require_positive, scalar_math, scalar_mul
+from .geometry import Divisor
 from .kernels import GramMatrix, gram_matrix, overlap_matrix
 
 __all__ = [
@@ -207,10 +207,7 @@ def min_norm_interpolate(
     reported norm is sqrt(Re(conj(c) . v)); the interpolant keeps <f, f> =
     conj(c) . G c, the bits its inner() gives, so its norm() builds no Gram.
     """
-    if rcond <= 0:
-        raise ValueError("rcond must be positive")
-    if not math.isfinite(rcond):
-        raise ValueError("rcond must be finite")
+    require_positive("rcond", math.inf if math.isnan(rcond) else rcond)  # a NaN rcond is not finite
     labels = divisor.atom_labels()
     if not labels.size:
         raise ValueError("divisor must be nonempty")
@@ -265,7 +262,7 @@ def hole_mass_experiment(divisor: Divisor, degree: int, radius: float) -> float:
     essentially outside the window, the numerical shadow of the divisor not
     being a zero divisor when its bare discs cover the window.
     """
-    require_window_radius(radius)
+    require_positive("window radius", radius)
     if degree < 0:
         raise ValueError("degree must be >= 0")
     n_constraints = divisor.total_multiplicity()

@@ -25,7 +25,6 @@ from focklab import (
     coverage_defect,
     default_oracle_radius,
     displaced_basis,
-    displacement_element,
     frame_bounds,
     generate_covering_rings,
     generate_disjoint_rings,
@@ -41,6 +40,7 @@ from focklab import (
     save_divisor,
     theorem_verdicts,
 )
+from focklab.core import basis_labels
 
 P1 = FockParams(1.0)
 
@@ -60,11 +60,7 @@ def random_function(rng, params, max_atoms, max_k=6, spread=3.0):
 
 def test_orthonormality_and_parseval():
     # <e_j, e_k> = delta_{jk} within 1e-10 for j, k <= 60
-    worst = 0.0
-    for j in range(61):
-        for k in range(61):
-            value = displacement_element(0.0, j, k, P1)
-            worst = max(worst, abs(value - (1.0 if j == k else 0.0)))
+    worst = float(np.max(np.abs(overlap_matrix(basis_labels(60), basis_labels(60), P1) - np.eye(61))))
     assert worst <= 1e-10
     # Parseval on 100 random basis-supported functions, 1e-12 relative
     rng = np.random.default_rng(100)

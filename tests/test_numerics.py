@@ -17,6 +17,7 @@ from focklab import (
     InfeasibleExperimentError,
     MeasurementVector,
     ParameterMismatchError,
+    Window,
     analysis_matrix,
     basis_function,
     displaced_basis,
@@ -35,6 +36,7 @@ from focklab import (
     riesz_bounds,
 )
 from focklab.core import LABEL, label_array
+from focklab.generators import _rings
 
 P1 = FockParams(1.0)
 
@@ -407,6 +409,47 @@ class TestWindowMasses:
         assert np.all(np.abs(got - ref) <= 1e-12 * ref)
 
 
+def _rule_refusals() -> dict:
+    """Each caller of the positive rule (core.require_positive) and of the
+    multiplicity rule (geometry.require_multiplicities) on each value it
+    refuses, by id: (call, error, exact message)."""
+    one = Divisor(P1, ((0.0, 1),))
+    data = MeasurementVector(((0.0, 0),), np.ones(1))
+    positive = {
+        "window": ("window radius", lambda v: Window(v, 0.1)),
+        "hole-mass": ("window radius", lambda v: hole_mass_experiment(one, 4, v)),
+        "rcond": ("rcond", lambda v: min_norm_interpolate(one, data, rcond=v)),
+        "lattice-spacing": ("spacing", lambda v: generate_lattice(1.0, v, 1, 4.0)),
+        "covering-c": ("c", lambda v: generate_covering_rings(1.0, v, 4.0)),
+        "covering-radius": ("radius", lambda v: generate_covering_rings(1.0, 1.0, v)),
+        "disjoint-c": ("c", lambda v: generate_disjoint_rings(1.0, v, 4.0)),
+        "disjoint-radius": ("radius", lambda v: generate_disjoint_rings(1.0, 1.0, v)),
+    }
+    cases = {}
+    for caller, (name, call) in positive.items():
+        for text in ("nan", "0", "-0.0", "-1", "inf", "-inf"):
+            value = float(text)
+            # a NaN is refused as not positive, but a NaN rcond as not finite
+            finite = value == math.inf or (math.isnan(value) and name == "rcond")
+            message = f"{name} must be {'finite' if finite else 'positive'}"
+            cases[f"{caller}-{text}"] = (lambda call=call, v=value: call(v), ValueError, message)
+    mult = {
+        "divisor": lambda m: Divisor(P1, ((0.0, m),)),
+        "rings": lambda m: _rings("covering-rings", P1, 1.0, 1.0, [{"rho": 0.0, "count": 1, "mult": m}]),
+        "lattice": lambda m: generate_lattice(1.0, 1.0, m, 4.0),
+    }
+    for caller, call in mult.items():
+        for text, m in (("0", 0), ("2.5", 2.5), ("nan", math.nan), ("2**63", 2**63), ("2**64", 2**64)):
+            message = "multiplicities must be integers m with 1 <= m < 2**63"
+            if caller == "lattice" and m == 0:  # the lattice's own check comes first
+                message = "mult must be >= 1"
+            cases[f"{caller}-mult-{text}"] = (lambda call=call, m=m: call(m), ValueError, message)
+    return cases
+
+
+_RULE_REFUSALS = _rule_refusals()
+
+
 @pytest.mark.parametrize(
     "call,error,message",
     [
@@ -429,8 +472,9 @@ class TestWindowMasses:
             "values must be one entry per label",
         ),
         (lambda: analysis_matrix(Divisor(P1, ((0.0, 1),)), -1), ValueError, "degree must be >= 0"),
+        *_RULE_REFUSALS.values(),
     ],
-    ids=["divisor-eq-other-type", "oracle-alpha", "oracle-radius", "values-count", "degree"],
+    ids=["divisor-eq-other-type", "oracle-alpha", "oracle-radius", "values-count", "degree", *_RULE_REFUSALS],
 )
 def test_library_refusals(call, error, message):
     if error is None:  # not a refusal: a divisor is unequal to any other type

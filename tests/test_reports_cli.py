@@ -510,6 +510,35 @@ class TestGridStep:
             "precondition error: grid_step must satisfy 0 < grid_step <= radius/10\n"
         )
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (
+                ["check-geometry", "one.json", "--window", "1e-322"],
+                "window radius 1e-322: its default grid step radius/100 underflows to 0",
+            ),
+            (
+                ["check-geometry", "one.json", "--window", "2e-322"],
+                "window radius 2e-322: its default grid step radius/100 underflows to 0",
+            ),
+            (
+                ["generate", "covering-rings", "--window", "1e-322", "--out", "div.json"],
+                "radius 1e-322: the contract's grid step radius/40 underflows to 0",
+            ),
+        ],
+        ids=["check-geometry-1e-322", "check-geometry-2e-322", "covering-rings-1e-322"],
+    )
+    def test_underflowed_derived_step_names_the_radius(self, args, message, tmp_path, capsys, monkeypatch):
+        # the user passed no grid step, so the refusal names the radius they gave
+        monkeypatch.chdir(tmp_path)
+        save_divisor(Divisor(FockParams(1.0), ((0.0, 1),)), "one.json")
+        code = cli.main(args)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == f"precondition error: {message}\n"
+        assert not (tmp_path / "div.json").exists()
+
 
 class TestNonFiniteInputs:
     """A non-finite C, window or spacing is refused with exit code 3."""
