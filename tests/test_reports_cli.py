@@ -1410,6 +1410,32 @@ class TestOutputBytesPinned:
             "1": "b3d416df2343fc9893cd1b0a0c9f09f55829f0cd759191a64c1207f70e078d59",
         }
 
+    # covering rings: a padded-cover witness and a hole; disjoint rings:
+    # disjointness witnesses and uncovered points
+    @pytest.mark.parametrize(
+        "family,window,options,report_digest,csv_digest",
+        [
+            ("covering-rings", "8",
+             ["--grid-step", "0.05", "--c-list", "0.25,0.5,1", "--hole-radius", "2", "--defects-csv"],
+             "cc72a82581e5b88edef1021c891d5d394b43974f4bb4a038954f368cb8fd76e8",
+             "3fcf29946181bfbdf7bf10d49510e53c0132a427ea44ea1ae2df1fc7cbeb3530"),
+            ("disjoint-rings", "10", ["--grid-step", "0.1"],
+             "3e8935b6a75d385f8d1a925baebf007b9dce23a5eb8dabfcb95b6c62c9821937", None),
+        ],
+        ids=["covering-rings", "disjoint-rings"],
+    )
+    def test_check_geometry_rings(self, family, window, options, report_digest, csv_digest, tmp_path, capsys):
+        divisor, prefix = tmp_path / "rings.json", tmp_path / "defects"
+        assert cli.main(["generate", family, "--window", window, "--out", str(divisor)]) == 0
+        capsys.readouterr()
+        if options[-1] == "--defects-csv":
+            options = [*options, str(prefix)]
+        assert cli.main(["check-geometry", str(divisor), "--window", window, *options]) == 0
+        assert _sha256(capsys.readouterr().out) == report_digest
+        if csv_digest is not None:
+            for c in ("0.25", "0.5", "1"):
+                assert _sha256((tmp_path / f"defects_c{c}.csv").read_bytes()) == csv_digest
+
 
 # numbers as a command line may spell them: NaN, infinities, zeros of both
 # signs, negatives, huge and tiny values, and text that is no number at all
