@@ -21,18 +21,19 @@ def describe(name, divisor, window, c_list, hole=0.0):
     v = theorem_verdicts(divisor, window, c_list, hole)
     print(f"-- {name}: {divisor.points.size} points, total multiplicity "
           f"{divisor.total_multiplicity()}")
-    print(f"   finite overlap bound (window estimate): {v.finite_overlap_bound}")
-    print(f"   +C discs cover window:    {v.padded_cover_holds} "
-          f"(witness C = {v.padded_cover_witness_c})")
-    per_c = ", ".join(f"C={r.c}: {r.holds} ({r.uncovered.size} uncovered)"
-                      for r in v.shrunk_cover_by_c)
+    print(f"   finite overlap bound (window estimate): {v['finite_overlap_bound']}")
+    print(f"   +C discs cover window:    {v['padded_cover']['holds']} "
+          f"(witness C = {v['padded_cover']['witness_c']})")
+    per_c = ", ".join(f"C={r['c']}: {r['holds']} ({r['uncovered_count']} uncovered)"
+                      for r in v["shrunk_cover"])
     print(f"   -C discs cover annulus:   {per_c}")
-    print(f"   -C discs disjoint:        {v.shrunk_disjoint_holds} "
-          f"(witness C = {v.shrunk_disjoint_witness_c})")
-    print(f"   +C discs disjoint:        {v.padded_disjoint_holds} "
-          f"(witness C = {v.padded_disjoint_witness_c})")
-    print(f"   bare discs cover annulus: {v.bare_cover_holds} (hole radius {v.hole_radius})")
-    print(f"   exclusivity consistent:   {v.exclusivity_consistent}")
+    print(f"   -C discs disjoint:        {v['shrunk_disjoint']['holds']} "
+          f"(witness C = {v['shrunk_disjoint']['witness_c']})")
+    print(f"   +C discs disjoint:        {v['padded_disjoint']['holds']} "
+          f"(witness C = {v['padded_disjoint']['witness_c']})")
+    bare = v["bare_cover"]
+    print(f"   bare discs cover annulus: {bare['holds']} (hole radius {bare['hole_radius']})")
+    print(f"   exclusivity consistent:   {v['exclusivity_consistent']}")
     print()
 
 

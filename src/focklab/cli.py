@@ -30,7 +30,7 @@ from .generators import (
     generate_disjoint_rings,
     generate_lattice,
 )
-from .geometry import GeometryVerdicts, Window, theorem_verdicts
+from .geometry import Window, theorem_verdicts
 from .kernels import gram_matrix
 from .numerics import (
     _sweep_frame_bounds,
@@ -96,39 +96,6 @@ def _require_entries(rows: int, cols: int, what: str = "matrix") -> None:
         raise ValueError(f"a {rows} x {cols} {what} exceeds {MAX_MATRIX_ENTRIES} entries")
 
 
-def _verdicts_payload(verdicts: GeometryVerdicts) -> dict:
-    return {
-        "finite_overlap_bound": verdicts.finite_overlap_bound,
-        "padded_cover": {
-            "holds": verdicts.padded_cover_holds,
-            "witness_c": verdicts.padded_cover_witness_c,
-        },
-        "shrunk_cover": [
-            {
-                "c": result.c,
-                "holds": result.holds,
-                "uncovered_count": result.uncovered.size,
-                "uncovered": result.uncovered,
-            }
-            for result in verdicts.shrunk_cover_by_c
-        ],
-        "shrunk_disjoint": {
-            "holds": verdicts.shrunk_disjoint_holds,
-            "witness_c": verdicts.shrunk_disjoint_witness_c,
-        },
-        "padded_disjoint": {
-            "holds": verdicts.padded_disjoint_holds,
-            "witness_c": verdicts.padded_disjoint_witness_c,
-        },
-        "bare_cover": {
-            "holds": verdicts.bare_cover_holds,
-            "hole_radius": verdicts.hole_radius,
-        },
-        "exclusivity_consistent": verdicts.exclusivity_consistent,
-        "scope": "window estimates; overlap bound is a lower estimate of the plane supremum",
-    }
-
-
 def _cmd_generate(args, _) -> dict:
     _require_out_dir(args.out)
     if args.family == "lattice":
@@ -168,7 +135,7 @@ def _cmd_check_geometry(args, divisor) -> dict:
         _require_out_dir(path)
     verdicts = theorem_verdicts(divisor, window, c_list, args.hole_radius)
     # each file once, with the points of the last of its repeats
-    files = dict(zip(paths, (r.uncovered for r in verdicts.shrunk_cover_by_c)))
+    files = dict(zip(paths, (r["uncovered"] for r in verdicts["shrunk_cover"])))
     for path, uncovered in files.items():
         write_points_csv(path, uncovered)
     return {
@@ -178,7 +145,7 @@ def _cmd_check_geometry(args, divisor) -> dict:
             "c_list": c_list,
             "hole_radius": args.hole_radius,
         },
-        "verdicts": _verdicts_payload(verdicts),
+        "verdicts": verdicts,
     }
 
 

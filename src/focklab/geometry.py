@@ -22,8 +22,6 @@ from .core import square_axis
 __all__ = [
     "Divisor",
     "Window",
-    "GeometryVerdicts",
-    "ShrunkCoverResult",
     "disc_radius",
     "overlap_count_at",
     "max_overlap",
@@ -332,49 +330,28 @@ def pairwise_disjoint(
     return True, None
 
 
-@dataclass(frozen=True, eq=False)
-class ShrunkCoverResult:
-    """Coverage outcome of the C-shrunk discs on the probed annulus."""
-
-    c: float
-    holds: bool
-    uncovered: np.ndarray
+def _witnessed(c: float | None) -> dict:
+    return {"holds": c is not None, "witness_c": c}
 
 
-@dataclass(frozen=True, eq=False)
-class GeometryVerdicts:
-    """Window verdicts for one divisor.
+def theorem_verdicts(divisor: Divisor, window: Window, c_list, hole_radius: float = 0.0) -> dict:
+    """All window verdicts for the divisor, as the `verdicts` block of a
+    check-geometry report, its keys in report order:
 
-    padded_cover: some tested C makes the +C discs cover the window disc (the
-    necessary side of the sampling criterion).  shrunk_cover_by_c: per tested
-    C, whether the -C discs cover the annulus outside the hole (the sufficient
-    side).  shrunk/padded_disjoint: disjointness of the -C / +C discs (the
-    necessary / sufficient sides of the interpolation criterion).  bare_cover:
-    coverage at C = 0 outside the hole (the uniqueness condition, which rules
-    out zero divisors).  exclusivity_consistent: the sufficient sides of
-    sampling and interpolation were not certified simultaneously.
-    """
-
-    finite_overlap_bound: int
-    padded_cover_holds: bool
-    padded_cover_witness_c: float | None
-    shrunk_cover_by_c: tuple[ShrunkCoverResult, ...]
-    shrunk_disjoint_holds: bool
-    shrunk_disjoint_witness_c: float | None
-    padded_disjoint_holds: bool
-    padded_disjoint_witness_c: float | None
-    bare_cover_holds: bool
-    hole_radius: float
-    exclusivity_consistent: bool
-
-
-def theorem_verdicts(
-    divisor: Divisor,
-    window: Window,
-    c_list,
-    hole_radius: float = 0.0,
-) -> GeometryVerdicts:
-    """Assemble all window verdicts for the divisor.
+    finite_overlap_bound: the window maximum of the disc-overlap count.
+    padded_cover {holds, witness_c}: the least tested C whose +C discs cover
+    the window disc (the necessary side of the sampling criterion), or None.
+    shrunk_cover: per tested C, {c, holds, uncovered_count, uncovered}:
+    whether the -C discs cover the annulus outside the hole (the sufficient
+    side), and the grid points they leave uncovered, in grid order.
+    shrunk_disjoint / padded_disjoint {holds, witness_c}: the least tested C
+    whose -C / +C discs are pairwise disjoint (the necessary / sufficient
+    sides of the interpolation criterion), or None.
+    bare_cover {holds, hole_radius}: coverage at C = 0 outside the hole (the
+    uniqueness condition, which rules out zero divisors).
+    exclusivity_consistent: the sufficient sides of sampling and
+    interpolation were not certified simultaneously.
+    scope: what the verdicts are, window estimates.
 
     Existential quantifiers over C > 0 are probed on the finite ascending
     c_list of positive finite values; universal ones are recorded per tested
@@ -407,7 +384,6 @@ def theorem_verdicts(
     least = int(padded[inside].min())
     padded_witness = cs[max(len(cs) - least, 0)] if least else None
     uncovered = [z[annulus & (shrunk <= i)] for i in range(len(cs))]
-    shrunk_cover = tuple(ShrunkCoverResult(c, u.size == 0, u) for c, u in zip(cs, uncovered))
 
     # the -C discs only shrink with C, and an entry absent at some C stays
     # absent, so the first C that keeps them disjoint is found by bisection
@@ -420,22 +396,22 @@ def theorem_verdicts(
     # np.hypot rounds |lam| as Python's abs does; np.abs may not; a NaN point lies in no window
     with np.errstate(invalid="ignore"):
         windowed = int(np.sum(np.hypot(divisor.points.real, divisor.points.imag) <= window.radius))
-    all_shrunk = all(r.holds for r in shrunk_cover)
+    all_shrunk = not any(u.size for u in uncovered)
     exclusive = windowed < 2 or not (all_shrunk and padded_disjoint_witness is not None)
 
-    return GeometryVerdicts(
-        finite_overlap_bound=bound,
-        padded_cover_holds=padded_witness is not None,
-        padded_cover_witness_c=padded_witness,
-        shrunk_cover_by_c=shrunk_cover,
-        shrunk_disjoint_holds=shrunk_disjoint_witness is not None,
-        shrunk_disjoint_witness_c=shrunk_disjoint_witness,
-        padded_disjoint_holds=padded_disjoint_witness is not None,
-        padded_disjoint_witness_c=padded_disjoint_witness,
-        bare_cover_holds=bare_cover,
-        hole_radius=float(hole_radius),
-        exclusivity_consistent=exclusive,
-    )
+    return {
+        "finite_overlap_bound": bound,
+        "padded_cover": _witnessed(padded_witness),
+        "shrunk_cover": [
+            {"c": c, "holds": u.size == 0, "uncovered_count": u.size, "uncovered": u}
+            for c, u in zip(cs, uncovered)
+        ],
+        "shrunk_disjoint": _witnessed(shrunk_disjoint_witness),
+        "padded_disjoint": _witnessed(padded_disjoint_witness),
+        "bare_cover": {"holds": bare_cover, "hole_radius": float(hole_radius)},
+        "exclusivity_consistent": exclusive,
+        "scope": "window estimates; overlap bound is a lower estimate of the plane supremum",
+    }
 
 
 def rescale_to_unit_alpha(divisor: Divisor) -> Divisor:

@@ -278,18 +278,18 @@ def test_alpha_rescaling_invariance():
             [0.4 * scale, 0.8 * scale],
             0.5 * scale,
         )
-        assert original.finite_overlap_bound == rescaled.finite_overlap_bound
-        assert original.padded_cover_holds == rescaled.padded_cover_holds
-        assert [r.holds for r in original.shrunk_cover_by_c] == [
-            r.holds for r in rescaled.shrunk_cover_by_c
+        assert original["finite_overlap_bound"] == rescaled["finite_overlap_bound"]
+        assert original["padded_cover"]["holds"] == rescaled["padded_cover"]["holds"]
+        assert [r["holds"] for r in original["shrunk_cover"]] == [
+            r["holds"] for r in rescaled["shrunk_cover"]
         ]
-        assert [r.uncovered.size for r in original.shrunk_cover_by_c] == [
-            r.uncovered.size for r in rescaled.shrunk_cover_by_c
+        assert [r["uncovered"].size for r in original["shrunk_cover"]] == [
+            r["uncovered"].size for r in rescaled["shrunk_cover"]
         ]
-        assert original.shrunk_disjoint_holds == rescaled.shrunk_disjoint_holds
-        assert original.padded_disjoint_holds == rescaled.padded_disjoint_holds
-        assert original.bare_cover_holds == rescaled.bare_cover_holds
-        assert original.exclusivity_consistent == rescaled.exclusivity_consistent
+        assert original["shrunk_disjoint"]["holds"] == rescaled["shrunk_disjoint"]["holds"]
+        assert original["padded_disjoint"]["holds"] == rescaled["padded_disjoint"]["holds"]
+        assert original["bare_cover"]["holds"] == rescaled["bare_cover"]["holds"]
+        assert original["exclusivity_consistent"] == rescaled["exclusivity_consistent"]
     print("PASS alpha-rescaling invariance: 20 random divisors, verdicts identical "
           "after the unit-alpha change of variable")
 

@@ -122,7 +122,7 @@ class TestDivisorValues:
         divisor = Divisor(P1, tuple((lam, 1) for lam in points.tolist()))
         window = Window(1.0, 0.1)
         assert max_overlap(divisor, window) == 300
-        assert theorem_verdicts(divisor, window, [0.5]).finite_overlap_bound == 300
+        assert theorem_verdicts(divisor, window, [0.5])["finite_overlap_bound"] == 300
 
 
 class TestDiscRadius:
@@ -248,12 +248,12 @@ class TestPairwiseDisjoint:
 class TestTheoremVerdicts:
     def test_unit_lattice_regime(self, monkeypatch):
         verdicts = theorem_verdicts(unit_lattice(), Window(5.0, 0.05), [0.25, 0.5, 1.0])
-        assert verdicts.padded_cover_holds
-        assert verdicts.padded_cover_witness_c == 0.25
-        assert all(not r.holds for r in verdicts.shrunk_cover_by_c)
-        assert not verdicts.padded_disjoint_holds
-        assert verdicts.exclusivity_consistent
-        assert verdicts.finite_overlap_bound == 4
+        assert verdicts["padded_cover"]["holds"]
+        assert verdicts["padded_cover"]["witness_c"] == 0.25
+        assert all(not r["holds"] for r in verdicts["shrunk_cover"])
+        assert not verdicts["padded_disjoint"]["holds"]
+        assert verdicts["exclusivity_consistent"]
+        assert verdicts["finite_overlap_bound"] == 4
         # the shrunk witness is bisected: 5 shrunk calls for 40 Cs, plus the padded one
         signs = []
         counted = geometry.pairwise_disjoint
@@ -265,32 +265,32 @@ class TestTheoremVerdicts:
         monkeypatch.setattr(geometry, "pairwise_disjoint", counting)
         many = [i / 40 for i in range(1, 41)]
         verdicts = theorem_verdicts(unit_lattice(), Window(5.0, 0.25), many)
-        assert verdicts.shrunk_disjoint_witness_c == 0.5
+        assert verdicts["shrunk_disjoint"]["witness_c"] == 0.5
         assert sorted(signs) == [-1] * 5 + [1]
 
     def test_far_separated_regime(self):
         divisor, _ = generate_lattice(1.0, 10.0, 1, 10.0)
         verdicts = theorem_verdicts(divisor, Window(10.0, 0.25), [1.0])
-        assert verdicts.padded_disjoint_holds
-        assert not verdicts.padded_cover_holds
+        assert verdicts["padded_disjoint"]["holds"]
+        assert not verdicts["padded_cover"]["holds"]
 
     def test_covering_rings_regime(self):
         divisor, _ = generate_covering_rings(1.0, 1.0, 8.0)
         verdicts = theorem_verdicts(divisor, Window(8.0, 0.2), [0.25, 0.5, 1.0])
-        assert all(r.holds for r in verdicts.shrunk_cover_by_c)
-        assert not verdicts.padded_disjoint_holds
-        assert verdicts.bare_cover_holds
-        assert verdicts.exclusivity_consistent
+        assert all(r["holds"] for r in verdicts["shrunk_cover"])
+        assert not verdicts["padded_disjoint"]["holds"]
+        assert verdicts["bare_cover"]["holds"]
+        assert verdicts["exclusivity_consistent"]
 
     def test_determinism(self):
         divisor = unit_lattice(3.0)
         window = Window(3.0, 0.1)
         a = theorem_verdicts(divisor, window, [0.5, 1.0], 0.25)
         b = theorem_verdicts(divisor, window, [0.5, 1.0], 0.25)
-        assert a.finite_overlap_bound == b.finite_overlap_bound
-        assert a.padded_cover_witness_c == b.padded_cover_witness_c
-        for ra, rb in zip(a.shrunk_cover_by_c, b.shrunk_cover_by_c):
-            assert np.array_equal(ra.uncovered, rb.uncovered)
+        assert a["finite_overlap_bound"] == b["finite_overlap_bound"]
+        assert a["padded_cover"]["witness_c"] == b["padded_cover"]["witness_c"]
+        for ra, rb in zip(a["shrunk_cover"], b["shrunk_cover"]):
+            assert np.array_equal(ra["uncovered"], rb["uncovered"])
 
     def test_c_list_validation(self):
         with pytest.raises(ValueError):
@@ -313,7 +313,7 @@ class TestTheoremVerdicts:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert all(r.holds for r in verdicts.shrunk_cover_by_c)
+            assert all(r["holds"] for r in verdicts["shrunk_cover"])
             return peak
 
         many = [0.025 * (i + 1) for i in range(40)]
@@ -369,15 +369,15 @@ class TestRescaling:
                 [0.4 * scale, 0.8 * scale],
                 0.5 * scale,
             )
-            assert original.finite_overlap_bound == rescaled.finite_overlap_bound
-            assert original.padded_cover_holds == rescaled.padded_cover_holds
-            assert [r.holds for r in original.shrunk_cover_by_c] == [
-                r.holds for r in rescaled.shrunk_cover_by_c
+            assert original["finite_overlap_bound"] == rescaled["finite_overlap_bound"]
+            assert original["padded_cover"]["holds"] == rescaled["padded_cover"]["holds"]
+            assert [r["holds"] for r in original["shrunk_cover"]] == [
+                r["holds"] for r in rescaled["shrunk_cover"]
             ]
-            assert original.shrunk_disjoint_holds == rescaled.shrunk_disjoint_holds
-            assert original.padded_disjoint_holds == rescaled.padded_disjoint_holds
-            assert original.bare_cover_holds == rescaled.bare_cover_holds
-            assert original.exclusivity_consistent == rescaled.exclusivity_consistent
+            assert original["shrunk_disjoint"]["holds"] == rescaled["shrunk_disjoint"]["holds"]
+            assert original["padded_disjoint"]["holds"] == rescaled["padded_disjoint"]["holds"]
+            assert original["bare_cover"]["holds"] == rescaled["bare_cover"]["holds"]
+            assert original["exclusivity_consistent"] == rescaled["exclusivity_consistent"]
 
 
 def reference_grid(window):
@@ -432,22 +432,22 @@ def same_bits(a, b):
 def assert_verdicts_match_reference(divisor, window, c_list, hole):
     """theorem_verdicts against the per-C full-grid and scalar pair rules."""
     v = theorem_verdicts(divisor, window, c_list, hole)
-    assert v.finite_overlap_bound == reference_max_overlap(divisor, window)
+    assert v["finite_overlap_bound"] == reference_max_overlap(divisor, window)
     padded = [
         c for c in c_list if reference_coverage_defect(divisor, c, +1, window).size == 0
     ]
-    assert v.padded_cover_witness_c == (padded[0] if padded else None)
-    assert v.padded_cover_holds == bool(padded)
-    for c, result in zip(c_list, v.shrunk_cover_by_c):
+    assert v["padded_cover"]["witness_c"] == (padded[0] if padded else None)
+    assert v["padded_cover"]["holds"] == bool(padded)
+    for c, result in zip(c_list, v["shrunk_cover"]):
         expected = reference_coverage_defect(divisor, c, -1, window, hole)
-        assert result.c == c
-        assert result.holds == (expected.size == 0)
-        assert same_bits(result.uncovered, expected)
+        assert result["c"] == c
+        assert result["holds"] == (expected.size == 0)
+        assert same_bits(result["uncovered"], expected)
     bare = reference_coverage_defect(divisor, 0.0, +1, window, hole)
-    assert v.bare_cover_holds == (bare.size == 0)
+    assert v["bare_cover"]["holds"] == (bare.size == 0)
     for sign, holds, witness in (
-        (-1, v.shrunk_disjoint_holds, v.shrunk_disjoint_witness_c),
-        (+1, v.padded_disjoint_holds, v.padded_disjoint_witness_c),
+        (-1, v["shrunk_disjoint"]["holds"], v["shrunk_disjoint"]["witness_c"]),
+        (+1, v["padded_disjoint"]["holds"], v["padded_disjoint"]["witness_c"]),
     ):
         ok = [c for c in c_list if reference_pairwise_disjoint(divisor, c, sign)[0]]
         assert witness == (ok[0] if ok else None)
@@ -826,9 +826,9 @@ def _signalling_nan_point():
 
 
 def _verdict_fields(verdicts):
-    fields = dict(vars(verdicts))
-    fields["shrunk_cover_by_c"] = [
-        (r.c, r.holds, r.uncovered.tolist()) for r in verdicts.shrunk_cover_by_c
+    fields = dict(verdicts)
+    fields["shrunk_cover"] = [
+        (r["c"], r["holds"], r["uncovered"].tolist()) for r in verdicts["shrunk_cover"]
     ]
     return fields
 
