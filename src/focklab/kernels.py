@@ -38,6 +38,10 @@ class DuplicateLabelError(ValueError):
 # whatever the family.
 _BLOCK_ENTRIES = 2**12
 
+# The scaling of a Laguerre chain that leaves the double range, and its log,
+# which the flush adds back to the chain's exponent once per scaling.
+_RESCALE, _LOG_RESCALE = 2.0**-512, 512 * math.log(2)
+
 
 def overlap_matrix(rows, cols, params: FockParams) -> np.ndarray:
     """Matrix of <T_{lam_q} e_{k_q}, T_{mu_p} e_{j_p}> for row labels
@@ -141,11 +145,11 @@ def _walk(out, row_runs, col_runs, params, log_fact, hermitian):
             mirror = col_point[v] < row_point[u]
             back, _ = compose_phase(-col_z[v], row_z[u], params)
 
-        def flush(e, lag, lo):  # chain e's entry at lo, whose L_lo is lag
+        def flush(e, lag, lo, scaled):  # chain e's entry at lo, whose L_lo is lag / _RESCALE**scaled
             q, de = pair[e], d[e]
-            lag *= scalar_math(
-                math.exp, -0.5 * x[q] + 0.5 * (log_fact[lo] - log_fact[lo + de]) + de * log_w[q]
-            )
+            log_lag = -0.5 * x[q] + 0.5 * (log_fact[lo] - log_fact[lo + de]) + de * log_w[q]
+            # an unscaled chain adds +0.0, which keeps every bit of exp's result
+            lag *= scalar_math(math.exp, log_lag + scaled * _LOG_RESCALE)
             zero = at_zero[q]
             re = np.where(zero, (de == 0) * 1.0, lag * cos[e])
             im = np.where(zero, 0.0, lag * sin[e])
@@ -159,22 +163,47 @@ def _walk(out, row_runs, col_runs, params, log_fact, hermitian):
         # the recurrence from L_0 (L_-1 = 0 makes the first step 1 + d - x
         # exactly); step i reaches lo = i of the chains with first <= i < end
         prev, cur, cx, steps = np.zeros(len(d)), np.ones(len(d)), x[pair], int(end.max())
-        held, chain, value, lo = 0, *(np.empty(_BLOCK_ENTRIES, t) for t in (int, float, int))
+        shift = np.zeros(len(d), int)
+        held, chain, value, lo, scaled = 0, *(np.empty(_BLOCK_ENTRIES, t) for t in (int, float, int, int))
         for i in range(steps):
             e = np.flatnonzero((first <= i) & (i < end))
             while len(e):  # each flush but the last holds _BLOCK_ENTRIES entries
                 take, e = e[: _BLOCK_ENTRIES - held], e[_BLOCK_ENTRIES - held :]
                 at = slice(held, held + len(take))
-                chain[at], value[at], lo[at] = take, cur[take], i
+                chain[at], value[at], lo[at], scaled[at] = take, cur[take], i, shift[take]
                 held = at.stop
                 if held == _BLOCK_ENTRIES:
-                    flush(chain, value, lo)
+                    flush(chain, value, lo, scaled)
                     held = 0
             if i + 1 < steps:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    prev, cur = cur, ((2 * i + 1 + d - cx) * cur - (i + d) * prev) / (i + 1)
+                prev, cur = cur, _step(i, prev, cur, d, cx, shift)
         if held:
-            flush(chain[:held], value[:held], lo[:held])
+            flush(chain[:held], value[:held], lo[:held], scaled[:held])
+
+
+def _step(i, prev, cur, d, x, shift):
+    """L_{i+1} of each chain from L_{i-1} = prev and L_i = cur.  A chain whose
+    step leaves the double range from finite values has prev and cur scaled
+    by _RESCALE in place, its shift counted, and is stepped again."""
+
+    def step(prev, cur, d, x):
+        return ((2 * i + 1 + d - x) * cur - (i + d) * prev) / (i + 1)
+
+    try:  # numpy reads the overflow flag after each ufunc anyway; quiet NaNs raise nothing
+        with np.errstate(over="raise", invalid="raise"):
+            return step(prev, cur, d, x)
+    except FloatingPointError:
+        pass
+    with np.errstate(over="ignore", invalid="ignore"):
+        nxt = step(prev, cur, d, x)
+        lost = np.flatnonzero(~np.isfinite(nxt) & np.isfinite(prev) & np.isfinite(cur) & np.isfinite(x))
+        while lost.size:  # values that only shrink end at zero, so this ends
+            prev[lost] *= _RESCALE
+            cur[lost] *= _RESCALE
+            shift[lost] += 1
+            nxt[lost] = step(prev[lost], cur[lost], d[lost], x[lost])
+            lost = lost[~np.isfinite(nxt[lost])]
+    return nxt
 
 
 def _point_factors(mu, lam, params: FockParams):

@@ -1,6 +1,8 @@
 import math
 import tracemalloc
 import warnings
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -108,6 +110,51 @@ class TestDisplacementElement:
     def test_negative_indices_rejected(self):
         with pytest.raises(ValueError):
             displacement_element(1.0, -1, 0, P1)
+
+
+def stdlib_overlap(x: float, lo: int, d: int) -> float:
+    """<T_z e_lo, e_(lo+d)> at alpha = 1 and z = sqrt(x) > 0, which is
+    exp(-x/2) sqrt(lo!/(lo+d)!) x^(d/2) L_lo^(d)(x), from the standard library
+    alone: L summed exactly in Fraction at the float x, the rest in Decimal
+    at 50 digits."""
+    fx = Fraction(x)
+    term, lag = Fraction(math.comb(lo + d, lo)), Fraction(0)
+    for i in range(lo + 1):  # term i of L is (-x)^i C(lo + d, lo - i) / i!
+        lag += term
+        term = -term * fx * (lo - i) / ((i + 1) * (d + i + 1))
+    with localcontext() as ctx:
+        ctx.prec = 50
+        dx = Decimal(x)
+        ratio = (Decimal(math.factorial(lo)) / Decimal(math.factorial(lo + d))).sqrt()
+        value = Decimal(lag.numerator) / Decimal(lag.denominator)
+        return float((-dx / 2).exp() * ratio * dx.sqrt() ** d * value)
+
+
+class TestPastTheDoubleRange:
+    """Past alpha|z|^2 of about 1416 the Laguerre chains leave the double
+    range; each is rescaled by 2**-512 and its shift added back at the flush."""
+
+    # (x, lo, d): near the peak of each row, every one NaN before the rescaling
+    CASES = [
+        (1444.0, 300, 2760), (1444.0, 400, 2964), (1444.0, 700, 3455), (1444.0, 1000, 3847),
+        (4096.0, 300, 6313), (4096.0, 400, 1536), (4096.0, 700, 7125), (4096.0, 1000, 48),
+        (1e4, 300, 6536), (1e4, 400, 6000), (1e4, 500, 5528), (1e4, 700, 4708),
+    ]
+
+    @pytest.mark.parametrize("x,lo,d", CASES)
+    def test_against_stdlib_reference(self, x, lo, d):
+        ref, z = stdlib_overlap(x, lo, d), math.sqrt(x)
+        # w = sqrt(alpha) conj(z) = z for j >= k and -z for j < k
+        for j, k, sign in ((lo + d, lo, 1), (lo, lo + d, (-1) ** d)):
+            got = displacement_element(z, j, k, P1)
+            assert abs(got - sign * ref) <= 1e-11 * abs(ref)
+
+    def test_tangent_discs_of_multiplicity_400_finite(self):
+        # discs of radius 20 at distance 40, so alpha|z|^2 = 1600 between them
+        labels = Divisor(P1, ((0j, 400), (40.0, 400))).atom_labels()
+        gram = gram_matrix(labels, P1).entries
+        assert np.isfinite(gram).all()
+        assert np.array_equal(np.diag(gram), np.ones(800))
 
 
 class TestAtomPairInner:
