@@ -63,7 +63,9 @@ def overlap_matrix(rows, cols, params: FockParams) -> np.ndarray:
     chains in step; the entries the steps reach are flushed through exp, the
     phase and the scatter, at most _BLOCK_ENTRIES at a time.  Each step is
     the scalar recurrence on the same floats in the same order, so no bit
-    depends on the walk, and nothing is sorted after the first sort.
+    depends on the walk, and nothing is sorted after the first sort.  A
+    chain whose values outgrow the double range (past alpha*|z|^2 of about
+    1416) is rescaled by 2**-512 and its entries' exponents raised to match.
 
     When the two label arrays are bitwise equal, only the run pairs whose
     column point is at or before the row point in bit order are computed,

@@ -134,7 +134,9 @@ class TestPastTheDoubleRange:
     """Past alpha|z|^2 of about 1416 the Laguerre chains leave the double
     range; each is rescaled by 2**-512 and its shift added back at the flush."""
 
-    # (x, lo, d): near the peak of each row, every one NaN before the rescaling
+    # (x, lo, d): near the peak of each row, every one NaN before the rescaling.
+    # hi stays below 7,000 at x = 1e4: past d*log|w| of about 5e4 the rounding
+    # of the log-domain exponent alone exceeds 1e-11, with or without rescaling.
     CASES = [
         (1444.0, 300, 2760), (1444.0, 400, 2964), (1444.0, 700, 3455), (1444.0, 1000, 3847),
         (4096.0, 300, 6313), (4096.0, 400, 1536), (4096.0, 700, 7125), (4096.0, 1000, 48),
