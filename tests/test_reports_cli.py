@@ -1437,6 +1437,84 @@ class TestOutputBytesPinned:
                 assert _sha256((tmp_path / f"defects_c{c}.csv").read_bytes()) == csv_digest
 
 
+class TestSpectralReportShapes:
+    """The spectral reports on disjoint rings at window 10 (11 atoms): keys
+    in report order at every level, as list(d) of the parsed JSON (dict
+    equality ignores order), and the exact sizes, degrees, flags and digests.
+    No LAPACK number is pinned, so these hold on any host."""
+
+    SUMMARY = ["degree", "smin", "smax", "ratio", "rank_deficient", "divisor_digest"]
+    DIVISOR_DIGEST, LABEL_DIGEST = "bb93a1e03dfa", "3385894fd947"
+
+    @pytest.fixture
+    def rings(self, tmp_path, capsys):
+        path = tmp_path / "rings.json"
+        assert cli.main(["generate", "disjoint-rings", "--window", "10", "--out", str(path)]) == 0
+        capsys.readouterr()
+        return path
+
+    @staticmethod
+    def report(capsys, *argv, block: str, inputs: list) -> dict:
+        assert cli.main([str(a) for a in argv]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert list(report) == ["tool", "command", "inputs", block]
+        assert list(report["tool"]) == ["name", "version"]
+        assert list(report["inputs"]) == ["divisor", *inputs]
+        divisor = report["inputs"]["divisor"]
+        assert list(divisor) == ["alpha", "points"]
+        assert [list(p) for p in divisor["points"]] == [["re", "im", "mult"]] * len(divisor["points"])
+        assert sum(p["mult"] for p in divisor["points"]) == 11
+        return report
+
+    def test_gram(self, rings, capsys):
+        spectrum = self.report(capsys, "gram", rings, block="spectrum", inputs=[])["spectrum"]
+        assert list(spectrum) == ["size", "eigenvalues", "smin", "smax", "condition", "divisor_digest"]
+        assert spectrum["size"] == len(spectrum["eigenvalues"]) == 11
+        assert spectrum["divisor_digest"] == self.LABEL_DIGEST
+
+    def test_frame_bounds_single_degree(self, rings, capsys):
+        report = self.report(capsys, "frame-bounds", rings, "--degree", 40, block="summaries", inputs=["degrees"])
+        assert report["inputs"]["degrees"] == [40]
+        assert [list(s) for s in report["summaries"]] == [self.SUMMARY]
+        [summary] = report["summaries"]
+        assert (summary["degree"], summary["rank_deficient"]) == (40, True)
+        assert summary["divisor_digest"] == self.DIVISOR_DIGEST
+
+    def test_frame_bounds_sweep_csv(self, rings, tmp_path, capsys):
+        csv_path = tmp_path / "sweep.csv"
+        argv = ["frame-bounds", rings, "--degree-sweep", "10:40:10", "--csv", csv_path]
+        report = self.report(capsys, *argv, block="summaries", inputs=["degrees"])
+        summaries = report["summaries"]
+        assert report["inputs"]["degrees"] == [10, 20, 30, 40]
+        assert [list(s) for s in summaries] == [self.SUMMARY] * 4
+        # 11 rows: degree 10 is square, the wider ones have a kernel
+        assert [(s["degree"], s["rank_deficient"]) for s in summaries] == [
+            (10, False), (20, True), (30, True), (40, True)
+        ]
+        assert {s["divisor_digest"] for s in summaries} == {self.DIVISOR_DIGEST}
+        lines = csv_path.read_text().splitlines()
+        assert lines[0] == "N,smin,smax,ratio"
+        assert [line.split(",")[0] for line in lines[1:]] == ["10", "20", "30", "40"]
+
+    def test_interpolate_dump_atoms(self, rings, tmp_path, capsys):
+        values = tmp_path / "values.json"
+        values.write_text(json.dumps({"values": [{"re": i % 3, "im": i % 2} for i in range(11)]}))
+        argv = ["interpolate", rings, values, "--dump-atoms"]
+        report = self.report(capsys, *argv, block="solution", inputs=["values", "rcond"])
+        assert [list(v) for v in report["inputs"]["values"]] == [["re", "im"]] * 11
+        solution = report["solution"]
+        assert list(solution) == ["norm", "residual", "gram_condition", "truncated", "atoms"]
+        assert [list(a) for a in solution["atoms"]] == [["re", "im", "k", "coeff"]] * 11
+        assert [list(a["coeff"]) for a in solution["atoms"]] == [["re", "im"]] * 11
+
+    def test_uniqueness(self, rings, capsys):
+        argv = ["uniqueness", rings, "--degree", 40, "--window", 4]
+        report = self.report(capsys, *argv, block="hole_mass", inputs=["degree", "window_radius"])
+        assert (report["inputs"]["degree"], report["inputs"]["window_radius"]) == (40, 4)
+
+
 # numbers as a command line may spell them: NaN, infinities, zeros of both
 # signs, negatives, huge and tiny values, and text that is no number at all
 _float_text = st.one_of(
