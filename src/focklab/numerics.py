@@ -207,7 +207,7 @@ def min_norm_interpolate(
     reported norm is sqrt(Re(conj(c) . v)); the interpolant keeps <f, f> =
     conj(c) . G c, the bits its inner() gives, so its norm() builds no Gram.
     """
-    require_positive("rcond", math.inf if math.isnan(rcond) else rcond)  # a NaN rcond is not finite
+    require_positive("rcond", rcond)
     labels = divisor.atom_labels()
     if not labels.size:
         raise ValueError("divisor must be nonempty")

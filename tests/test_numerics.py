@@ -429,9 +429,7 @@ def _rule_refusals() -> dict:
     for caller, (name, call) in positive.items():
         for text in ("nan", "0", "-0.0", "-1", "inf", "-inf"):
             value = float(text)
-            # a NaN is refused as not positive, but a NaN rcond as not finite
-            finite = value == math.inf or (math.isnan(value) and name == "rcond")
-            message = f"{name} must be {'finite' if finite else 'positive'}"
+            message = f"{name} must be {'finite' if value == math.inf else 'positive'}"
             cases[f"{caller}-{text}"] = (lambda call=call, v=value: call(v), ValueError, message)
     mult = {
         "divisor": lambda m: Divisor(P1, ((0.0, m),)),
