@@ -324,9 +324,8 @@ class FockFunction:
         square of more than MAX_GRID_CELLS points is refused before any of it
         is allocated.
         """
-        if step <= 0:
-            raise ValueError("step must be positive")
-        if radius < 0:
+        require_positive("step", step)
+        if not radius >= 0:  # a NaN radius is not nonnegative
             raise ValueError("radius must be nonnegative")
         what = f"step {step} on a square of radius {radius}"
         axis = square_axis(radius / step + 1e-12, step, what)

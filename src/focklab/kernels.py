@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import FockFunction, FockParams, ParameterMismatchError, compose_phase
-from .core import label_array, label_digest, scalar_math, scalar_mul, scalar_square
+from .core import label_array, label_digest, require_positive, scalar_math, scalar_mul, scalar_square
 
 __all__ = [
     "GramMatrix",
@@ -320,8 +320,7 @@ def quadrature_inner_oracle(
         raise ValueError("n_r and n_theta must be >= 8")
     if radius is None:
         radius = default_oracle_radius(f, g)
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    require_positive("radius", radius)
     alpha = f.params.alpha
     nodes, weights = _leggauss(int(n_r))
     r = 0.5 * radius * (nodes + 1.0)

@@ -381,7 +381,11 @@ class TestSupNormEstimate:
 
     @pytest.mark.parametrize(
         "radius, step, message",
-        [(1.0, 0.0, r"^step must be positive$"), (-1.0, 0.1, r"^radius must be nonnegative$")],
+        [
+            (1.0, 0.0, r"^step must be positive$"),
+            (-1.0, 0.1, r"^radius must be nonnegative$"),
+            (math.nan, 0.1, r"^radius must be nonnegative$"),
+        ],
     )
     def test_bad_square_refused(self, radius, step, message):
         with pytest.raises(ValueError, match=message):

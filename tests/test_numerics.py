@@ -424,6 +424,8 @@ def _rule_refusals() -> dict:
         "covering-radius": ("radius", lambda v: generate_covering_rings(1.0, 1.0, v)),
         "disjoint-c": ("c", lambda v: generate_disjoint_rings(1.0, v, 4.0)),
         "disjoint-radius": ("radius", lambda v: generate_disjoint_rings(1.0, 1.0, v)),
+        "sup-norm-step": ("step", lambda v: basis_function(0, P1).sup_norm_estimate(2.0, v)),
+        "oracle-radius": ("radius", lambda v: kernels.quadrature_inner_oracle(*[basis_function(0, P1)] * 2, v)),
     }
     cases = {}
     for caller, (name, call) in positive.items():
