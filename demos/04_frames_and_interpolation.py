@@ -33,7 +33,7 @@ print("== trivial frame: one point of full multiplicity ==")
 for degree in (5, 20):
     divisor = Divisor(params, ((0.0, degree + 1),))
     s = frame_bounds(analysis_matrix(divisor, degree))
-    print(f"N = {degree:>2}: smin = {s.smin:.9f}, smax = {s.smax:.9f}, ratio = {s.ratio:.9f}")
+    print(f"N = {degree:>2}: smin = {s['smin']:.9f}, smax = {s['smax']:.9f}, ratio = {s['ratio']:.9f}")
 
 print()
 print("== hole divisor: lower frame bound collapses with N ==")
@@ -43,7 +43,7 @@ hole = Divisor(params, label_records(lattice.points[keep], lattice.mults[keep]))
 print(f"lattice spacing 1.5 clipped to 5 <= |lam| <= 9: {hole.points.size} points")
 for degree in degrees:
     s = frame_bounds(analysis_matrix(hole, degree))
-    print(f"N = {degree:>2}: smin = {s.smin:.3e}, smax = {s.smax:.3e}")
+    print(f"N = {degree:>2}: smin = {s['smin']:.3e}, smax = {s['smax']:.3e}")
 
 print()
 print("== covering rings: bound ratio stays tame ==")
@@ -52,7 +52,7 @@ print(f"covering rings: {covering.points.size} points, "
       f"total multiplicity {covering.total_multiplicity()}")
 for degree in degrees:
     s = frame_bounds(analysis_matrix(covering, degree))
-    print(f"N = {degree:>2}: smin = {s.smin:.4f}, smax = {s.smax:.4f}, ratio = {s.ratio:.4f}")
+    print(f"N = {degree:>2}: smin = {s['smin']:.4f}, smax = {s['smax']:.4f}, ratio = {s['ratio']:.4f}")
 
 print()
 print("== minimal-norm interpolation on a disjoint ring family ==")
@@ -60,8 +60,8 @@ disjoint, _ = generate_disjoint_rings(1.0, 1.0, 10.0)
 labels = disjoint.atom_labels()
 print(f"{len(labels)} interpolation atoms")
 well_conditioned = riesz_bounds(gram_matrix(labels, params))
-print(f"Gram eigenvalue range: [{well_conditioned.smin:.6f}, {well_conditioned.smax:.6f}], "
-      f"condition {well_conditioned.ratio:.6f}")
+print(f"Gram eigenvalue range: [{well_conditioned['smin']:.6f}, {well_conditioned['smax']:.6f}], "
+      f"condition {well_conditioned['condition']:.6f}")
 
 rng = np.random.default_rng(1)
 data = MeasurementVector(labels, rng.standard_normal(len(labels))
@@ -76,6 +76,6 @@ print()
 print("== conditioning contrast: shrink all distances by 4 ==")
 shrunk = Divisor(params, label_records(disjoint.points / 4, disjoint.mults))
 overlapping = riesz_bounds(gram_matrix(shrunk.atom_labels(), params))
-print(f"disjoint condition:    {well_conditioned.ratio:.6f}")
-print(f"overlapping condition: {overlapping.ratio:.3e} "
-      f"({overlapping.ratio / well_conditioned.ratio:.0f}x worse)")
+print(f"disjoint condition:    {well_conditioned['condition']:.6f}")
+print(f"overlapping condition: {overlapping['condition']:.3e} "
+      f"({overlapping['condition'] / well_conditioned['condition']:.0f}x worse)")

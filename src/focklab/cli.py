@@ -20,8 +20,6 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .core import MAX_MATRIX_ENTRIES
 from .generators import (
@@ -35,9 +33,9 @@ from .kernels import gram_matrix
 from .numerics import (
     _sweep_frame_bounds,
     analysis_matrix,
-    eigenvalue_bounds,
     hole_mass_experiment,
     min_norm_interpolate,
+    riesz_bounds,
 )
 from .reports import (
     SchemaError,
@@ -165,8 +163,7 @@ def _cmd_frame_bounds(args, divisor) -> dict:
     _require_entries(rows, cols, "matrix" if len(degrees) < 2 else f"sweep of {len(degrees)} matrices")
     # every degree's matrix is a column prefix of the largest one
     matrix = analysis_matrix(divisor, degrees[-1])
-    keys = ("degree", "smin", "smax", "ratio", "rank_deficient", "divisor_digest")
-    summaries = [{key: getattr(s, key) for key in keys} for s in _sweep_frame_bounds(matrix, degrees)]
+    summaries = _sweep_frame_bounds(matrix, degrees)
     if args.csv:
         write_sweep_csv(args.csv, [(s["degree"], s["smin"], s["smax"], s["ratio"]) for s in summaries])
     return {
@@ -180,20 +177,7 @@ def _cmd_gram(args, divisor) -> dict:
     labels = divisor.atom_labels()
     if not labels.size:
         raise ValueError("divisor must be nonempty")
-    gram = gram_matrix(labels, divisor.params)
-    eigenvalues = np.linalg.eigvalsh(gram.entries)
-    smin, smax, condition = eigenvalue_bounds(eigenvalues)
-    return {
-        "inputs": {},
-        "spectrum": {
-            "size": len(labels),
-            "eigenvalues": eigenvalues,
-            "smin": smin,
-            "smax": smax,
-            "condition": condition,
-            "divisor_digest": gram.digest(),
-        },
-    }
+    return {"inputs": {}, "spectrum": riesz_bounds(gram_matrix(labels, divisor.params))}
 
 
 def _cmd_interpolate(args, divisor) -> dict:

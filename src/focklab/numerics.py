@@ -23,7 +23,6 @@ from .kernels import GramMatrix, gram_matrix, overlap_matrix
 __all__ = [
     "MeasurementVector",
     "AnalysisMatrix",
-    "SpectralSummary",
     "InterpolationSolution",
     "InfeasibleExperimentError",
     "measurements",
@@ -83,24 +82,6 @@ class AnalysisMatrix:
         return AnalysisMatrix(self.params, self.labels, degree, entries, self.divisor_digest)
 
 
-@dataclass(frozen=True)
-class SpectralSummary:
-    """Extreme spectrum of an analysis or Gram matrix.
-
-    For analysis matrices smin/smax are singular values and ratio is
-    (smax/smin)^2, the empirical frame-bound ratio; for Gram matrices they are
-    eigenvalues and ratio is the condition number.  ratio is inf when smin is
-    zero (flagged rank_deficient for under-determined analysis maps).
-    """
-
-    smin: float
-    smax: float
-    ratio: float
-    degree: int | None
-    divisor_digest: str
-    rank_deficient: bool = False
-
-
 @dataclass(frozen=True, eq=False)
 class InterpolationSolution:
     """Minimal-norm interpolant in the span of the divisor atoms."""
@@ -134,11 +115,14 @@ def analysis_matrix(divisor: Divisor, degree: int) -> AnalysisMatrix:
     return AnalysisMatrix(divisor.params, labels, degree, entries, divisor.digest())
 
 
-def frame_bounds(matrix: AnalysisMatrix) -> SpectralSummary:
-    """Extreme singular values of the analysis map on the truncated space.
-
-    With fewer measurement rows than basis columns the map has a kernel by
-    construction, so smin is reported as 0 and the summary is flagged.
+def frame_bounds(matrix: AnalysisMatrix) -> dict:
+    """Extreme singular values of the analysis map on span(e_0..e_degree), as
+    the block `frame-bounds` prints for each degree, keys in report order:
+    {degree, smin, smax, ratio, rank_deficient, divisor_digest}.  ratio is
+    (smax/smin)^2, the empirical frame-bound ratio, inf when smin is 0 or the
+    square leaves the double range.  With fewer measurement rows than basis
+    columns the map has a kernel by construction: smin is reported as 0 and
+    rank_deficient is set.  divisor_digest is the divisor's.
     """
     rows, cols = matrix.entries.shape
     if rows == 0:
@@ -146,7 +130,7 @@ def frame_bounds(matrix: AnalysisMatrix) -> SpectralSummary:
     return _singular_summary(matrix.entries, rows < cols, matrix.degree, matrix.divisor_digest)
 
 
-def _singular_summary(block, rank_deficient: bool, degree: int, digest: str) -> SpectralSummary:
+def _singular_summary(block, rank_deficient: bool, degree: int, digest: str) -> dict:
     s = np.linalg.svd(block, compute_uv=False)
     smax = float(s[0])
     smin = 0.0 if rank_deficient else float(s[-1])
@@ -154,7 +138,8 @@ def _singular_summary(block, rank_deficient: bool, degree: int, digest: str) -> 
         ratio = (smax / smin) ** 2
     except (ZeroDivisionError, OverflowError):  # smin = 0, or a quotient past 1.3e154
         ratio = math.inf
-    return SpectralSummary(smin, smax, ratio, degree, digest, rank_deficient)
+    return {"degree": degree, "smin": smin, "smax": smax, "ratio": ratio,
+            "rank_deficient": rank_deficient, "divisor_digest": digest}
 
 
 # LAPACK crossovers: zgesdd QR-factors a rows x p matrix first when rows >=
@@ -163,7 +148,7 @@ def _singular_summary(block, rank_deficient: bool, degree: int, digest: str) -> 
 _QR_FIRST, _QR_UNBLOCKED_COLS = (17, 9), 128
 
 
-def _sweep_frame_bounds(matrix: AnalysisMatrix, degrees) -> list[SpectralSummary]:
+def _sweep_frame_bounds(matrix: AnalysisMatrix, degrees) -> list[dict]:
     """frame_bounds(matrix.prefix(d)) for the ascending degrees, by the R-SVD
     (Chan 1982): each prefix of p = d + 1 <= 128 columns with rows >=
     int(17p / 9) takes its singular values from R[:p, :p] of one QR of the
@@ -183,10 +168,16 @@ def _sweep_frame_bounds(matrix: AnalysisMatrix, degrees) -> list[SpectralSummary
     ]
 
 
-def riesz_bounds(gram: GramMatrix) -> SpectralSummary:
-    """Extreme eigenvalues and condition number of an atom Gram matrix."""
-    bounds = eigenvalue_bounds(np.linalg.eigvalsh(gram.entries))
-    return SpectralSummary(*bounds, None, gram.digest())
+def riesz_bounds(gram: GramMatrix) -> dict:
+    """Spectrum of an atom Gram matrix, as the block `gram` prints, keys in
+    report order: {size, eigenvalues, smin, smax, condition, divisor_digest}.
+    size counts the atoms, the eigenvalues ascend as eigvalsh returns them,
+    condition is smax/smin (inf unless smin > 0), and divisor_digest is the
+    Gram's, of (alpha, labels)."""
+    w = np.linalg.eigvalsh(gram.entries)
+    smin, smax, condition = eigenvalue_bounds(w)
+    return {"size": len(w), "eigenvalues": w, "smin": smin, "smax": smax,
+            "condition": condition, "divisor_digest": gram.digest()}
 
 
 def eigenvalue_bounds(w: np.ndarray) -> tuple[float, float, float]:

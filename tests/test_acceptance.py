@@ -162,8 +162,8 @@ def test_trivial_frame():
     for degree in (5, 20, 60):
         divisor = Divisor(P1, ((0.0, degree + 1),))
         summary = frame_bounds(analysis_matrix(divisor, degree))
-        assert abs(summary.smin - 1.0) <= 1e-10
-        assert abs(summary.smax - 1.0) <= 1e-10
+        assert abs(summary["smin"] - 1.0) <= 1e-10
+        assert abs(summary["smax"] - 1.0) <= 1e-10
     print("PASS trivial frame: divisor {(0, N+1)} gives smin = smax = 1 for N in {5, 20, 60}")
 
 
@@ -177,7 +177,7 @@ def test_interpolation_exactness_disjoint_regime():
     labels = tuple(divisor.atom_labels())
     assert len(labels) <= 40
     gram = gram_matrix(labels, P1)
-    smin = riesz_bounds(gram).smin
+    smin = riesz_bounds(gram)["smin"]
     assert abs(smin - DISJOINT_GRAM_SMIN) <= 1e-10
     rng = np.random.default_rng(400)
     worst = 0.0
@@ -194,9 +194,9 @@ def test_interpolation_exactness_disjoint_regime():
 
 def test_conditioning_contrast():
     divisor, _ = generate_disjoint_rings(1.0, 1.0, 10.0)
-    baseline = riesz_bounds(gram_matrix(divisor.atom_labels(), P1)).ratio
+    baseline = riesz_bounds(gram_matrix(divisor.atom_labels(), P1))["condition"]
     shrunk = Divisor(P1, tuple((lam / 4, m) for lam, m in divisor.entries))
-    overlapping = riesz_bounds(gram_matrix(shrunk.atom_labels(), P1)).ratio
+    overlapping = riesz_bounds(gram_matrix(shrunk.atom_labels(), P1))["condition"]
     assert overlapping >= 100 * baseline
     print(f"PASS conditioning contrast: overlapping condition {overlapping:.3e} >= "
           f"100x disjoint condition {baseline:.6f}")
@@ -215,7 +215,7 @@ SWEEP_DEGREES = (10, 20, 30, 40)
 def test_sampling_trend_hole_vs_covering():
     lattice, _ = generate_lattice(1.0, 1.5, 1, 9.0)
     hole = Divisor(P1, tuple((lam, m) for lam, m in lattice.entries if abs(lam) >= 5))
-    smins = [frame_bounds(analysis_matrix(hole, n)).smin for n in SWEEP_DEGREES]
+    smins = [frame_bounds(analysis_matrix(hole, n))["smin"] for n in SWEEP_DEGREES]
     # monotone decay (5% tolerance) and at least a factor 10 across the sweep
     for later, earlier in zip(smins[1:], smins[:-1]):
         assert later <= earlier * 1.05
@@ -223,7 +223,7 @@ def test_sampling_trend_hole_vs_covering():
     assert np.allclose(smins, HOLE_SMIN_BASELINE, rtol=1e-4)
 
     covering, _ = generate_covering_rings(1.0, 1.0, 8.5)
-    ratios = [frame_bounds(analysis_matrix(covering, n)).ratio for n in SWEEP_DEGREES]
+    ratios = [frame_bounds(analysis_matrix(covering, n))["ratio"] for n in SWEEP_DEGREES]
     assert max(ratios) / min(ratios) < 3
     assert np.allclose(ratios, COVERING_RATIO_BASELINE, rtol=1e-4)
     print(f"PASS sampling trend: hole smin decay factor {smins[0]/smins[-1]:.1f} >= 10; "
