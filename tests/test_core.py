@@ -359,6 +359,39 @@ class TestBasisCoefficients:
 
 
 class TestSupNormEstimate:
+    FUNCTIONS = {
+        "e0": basis_function(0, P1),
+        "e1": basis_function(1, P1),
+        "T2e0": displaced_basis(2.0, 0, P1),
+        "shifted-e3": displaced_basis(0.5 - 1.25j, 3, FockParams(2.5)),
+        "three-atoms": basis_function(0, P1) + 2j * basis_function(1, P1)
+        + displaced_basis(1 - 1j, 3, P1, coeff=0.5),
+    }
+
+    # the first three are the estimates demo 01 prints
+    @pytest.mark.parametrize(
+        "name, radius, step, expected",
+        [
+            ("e0", 3.0, 0.01, "1.0"),
+            ("e1", 3.0, 0.01, "0.6065306597126335"),
+            ("T2e0", 4.0, 0.01, "1.0"),
+            ("e1", 5.0, 1 / 3, "0.6065306597126334"),
+            ("shifted-e3", 0.0, 0.01, "0.40860433993356826"),
+            ("shifted-e3", 0.3, 0.013, "0.4733304951233885"),
+            ("shifted-e3", 1.0, 1 / 3, "0.470178861463191"),
+            ("shifted-e3", 3.0, 0.013, "0.47333054159494775"),
+            ("shifted-e3", 5.0, 5.0, "0.40860433993356826"),
+            ("shifted-e3", 5.0, 0.01, "0.47333053812462833"),
+            ("three-atoms", 0.0, 5.0, "1.1599500277981618"),
+            ("three-atoms", 0.3, 1 / 3, "1.1599500277981618"),
+            ("three-atoms", 1.0, 0.01, "1.8874698045989264"),
+            ("three-atoms", 3.0, 1 / 3, "1.8817534657870292"),
+            ("three-atoms", 5.0, 0.013, "1.8874628108572387"),
+        ],
+    )
+    def test_pinned_values(self, name, radius, step, expected):
+        assert repr(self.FUNCTIONS[name].sup_norm_estimate(radius, step)) == expected
+
     def test_vacuum_peaks_at_origin(self):
         assert basis_function(0, P1).sup_norm_estimate(2.0, 0.05) == pytest.approx(1.0)
 

@@ -415,7 +415,9 @@ class TestOversizedGrid:
         save_divisor(Divisor(FockParams(1.0), ((0.0, 1),)), path)
         code = cli.main(["check-geometry", str(path), "--window", "5", "--grid-step", "1e-6"])
         assert code == 3
-        assert "grid cells" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "precondition error: step 1e-06 on a disc of radius 5.0 needs more than 4194304 grid cells\n"
+        )
 
     def test_generate_covering_rings(self, tmp_path, capsys):
         out = tmp_path / "cov.json"
@@ -423,11 +425,19 @@ class TestOversizedGrid:
             ["generate", "covering-rings", "--c", "1e-9", "--window", "4", "--out", str(out)]
         )
         assert code == 3
-        assert "grid cells" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "precondition error: step 1e-09 on a disc of radius 4.0 needs more than 4194304 grid cells\n"
+        )
         assert not out.exists()
 
-    @pytest.mark.parametrize("extra", [["--window", "1e300", "--spacing", "1e-300"], ["--window", "1e6"]])
-    def test_generate_lattice(self, extra, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "extra,line",
+        [
+            (["--window", "1e300", "--spacing", "1e-300"], "step 1e-300 on a disc of radius 1e+300"),
+            (["--window", "1e6"], "step 1.0 on a disc of radius 1000000.0"),
+        ],
+    )
+    def test_generate_lattice(self, extra, line, tmp_path, capsys):
         out = tmp_path / "lat.json"
         start = time.perf_counter()
         code = cli.main(["generate", "lattice", *extra, "--out", str(out)])
@@ -435,8 +445,7 @@ class TestOversizedGrid:
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
-        assert captured.err.startswith("precondition error: ") and "grid cells" in captured.err
-        assert captured.err.count("\n") == 1
+        assert captured.err == f"precondition error: {line} needs more than 4194304 grid cells\n"
         assert not out.exists()
         assert elapsed < 1.0
 
@@ -1367,8 +1376,11 @@ class TestOutputBytesPinned:
             (["disjoint-rings", "--window", "150", "--c", "0.97"],
              "ea5e939f70e0bb472f31c0791931738418ecfacf02b3f1bcf8a107d8e8ddbdd5",
              "a911725357dfa11003468c38e1cf486f123d26567b9669824805c3d63969be88"),
+            (["lattice", "--alpha", "2", "--spacing", "0.7", "--mult", "2", "--window", "4.5"],
+             "b25ddddb9bdfe741080296712db9b16f7b91c42c06177a4629b7f2992233aff7",
+             "f2a0a8088b69b6c45ee1312d3ba901c780b9f23b616a0b3aa28fdcdfebb1b534"),
         ],
-        ids=["lattice", "covering-rings", "disjoint-rings"],
+        ids=["lattice", "covering-rings", "disjoint-rings", "lattice-alpha-2"],
     )
     def test_generate(self, argv, report_digest, file_digest, tmp_path, capsys):
         out = tmp_path / "divisor.json"
@@ -1404,8 +1416,11 @@ class TestOutputBytesPinned:
              "3fcf29946181bfbdf7bf10d49510e53c0132a427ea44ea1ae2df1fc7cbeb3530"),
             ("disjoint-rings", "10", ["--grid-step", "0.1"],
              "3e8935b6a75d385f8d1a925baebf007b9dce23a5eb8dabfcb95b6c62c9821937", None),
+            # the default grid step, radius/100
+            ("lattice", "8", ["--hole-radius", "2"],
+             "6de53c9c0907774932aed0e8d36ef7d2579c67585e78573d52f162540fd8b6aa", None),
         ],
-        ids=["covering-rings", "disjoint-rings"],
+        ids=["covering-rings", "disjoint-rings", "lattice-default-step"],
     )
     def test_check_geometry_rings(self, family, window, options, report_digest, csv_digest, tmp_path, capsys):
         divisor, prefix = tmp_path / "rings.json", tmp_path / "defects"
