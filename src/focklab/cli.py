@@ -21,7 +21,6 @@ import warnings
 from pathlib import Path
 
 from . import __version__
-from .core import MAX_MATRIX_ENTRIES
 from .generators import (
     ContractError,
     generate_covering_rings,
@@ -52,6 +51,9 @@ from .reports import (
 EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_PRECONDITION = 3
+# Most entries of a matrix a command builds (a Gram of 2048 atoms, 64 MiB of
+# complex entries); the command refuses a larger one before building labels.
+MAX_MATRIX_ENTRIES = 2**22
 
 # the head of every report
 TOOL = {"name": "focklab", "version": __version__}

@@ -52,13 +52,6 @@ class FockParams:
 # takes 16 bytes a cell and a geometric check adds three small-integer grids,
 # however many C it tests, so this bounds every grid before numpy allocates it.
 MAX_GRID_CELLS = 2**22
-# Most points of a generated ring divisor.  The disjointness contract screens
-# its point pairs row by row, quadratically: 2.0-2.3 s of the 2.8 s that disjoint
-# rings to radius 2000 (30,570 points, alpha = C = 1) take on a 2-core desk machine.
-MAX_RING_POINTS = 2**15
-# Most entries of a matrix a command builds (a Gram of 2048 atoms, 64 MiB of
-# complex entries); the command refuses a larger one before building labels.
-MAX_MATRIX_ENTRIES = 2**22
 # A label (lam, n): a point and an integer, such as a degree or a multiplicity.
 LABEL = np.dtype([("point", "<c16"), ("n", "<i8")])
 
@@ -91,13 +84,24 @@ def label_digest(params: FockParams, pairs) -> str:
     return digest.hexdigest()[:12]
 
 
-def square_axis(half: float, step: float, what: str) -> np.ndarray:
-    """Axis step*(-n..n), n = floor(half), of a square grid; a square above
-    MAX_GRID_CELLS is refused with a ValueError naming `what`."""
+def disc_grid(radius: float, step: float):
+    """Builder of the square grid step*(p + iq), |p|, |q| <= floor(radius/step
+    + 1e-9), its moduli and its disc mask |z| <= radius*(1 + 1e-12) (empty for
+    a negative radius).  The call refuses a square above MAX_GRID_CELLS."""
+    half = max(radius / step, -1.0) + 1e-9
     if not half < MAX_GRID_CELLS or (2 * math.floor(half) + 1) ** 2 > MAX_GRID_CELLS:
-        raise ValueError(f"{what} needs more than {MAX_GRID_CELLS} grid cells")
+        raise ValueError(f"step {step} on a disc of radius {radius} needs more than {MAX_GRID_CELLS} grid cells")
     n = math.floor(half)
-    return step * np.arange(-n, n + 1)
+    axis = step * np.arange(-n, n + 1)
+
+    def build() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # z = complex(axis[p], axis[q]), the bits of axis[None, :] + 1j * axis[:, None]
+        z = np.empty((axis.size, axis.size), complex)
+        z.real, z.imag = axis[None, :], axis[:, None]
+        modulus = np.abs(z)
+        return z, modulus, modulus <= radius * (1 + 1e-12)
+
+    return build
 
 
 def require_positive(name: str, value: float) -> None:
@@ -327,12 +331,8 @@ class FockFunction:
         require_positive("step", step)
         if not radius >= 0:  # a NaN radius is not nonnegative
             raise ValueError("radius must be nonnegative")
-        what = f"step {step} on a square of radius {radius}"
-        axis = square_axis(radius / step + 1e-12, step, what)
-        x = axis[None, :]
-        y = axis[:, None]
-        z = x + 1j * y
-        weight = np.exp(-0.5 * self.params.alpha * (x**2 + y**2))
+        z, _, _ = disc_grid(radius, step)()
+        weight = np.exp(-0.5 * self.params.alpha * (z.real**2 + z.imag**2))
         vals = np.abs(self.evaluate(z)) * weight
         return float(vals.max())
 

@@ -15,9 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_GRID_CELLS  # noqa: F401  (the budget stays importable here)
-from .core import LABEL, FockParams, label_digest, label_records, require_positive, scalar_square
-from .core import square_axis
+from .core import LABEL, FockParams, disc_grid, label_digest, label_records, require_positive, scalar_square
 
 __all__ = [
     "Divisor",
@@ -86,23 +84,6 @@ class Divisor:
     def digest(self) -> str:
         """Short stable fingerprint of (alpha, points, mults) for report provenance."""
         return label_digest(self.params, label_records(self.points, self.mults))
-
-
-def disc_grid(radius: float, step: float):
-    """Builder of the square grid step*(p + iq), |p|, |q| <= floor(radius/step
-    + 1e-9), its moduli and its disc mask |z| <= radius*(1 + 1e-12) (empty for
-    a negative radius).  The call refuses a square above MAX_GRID_CELLS."""
-    what = f"step {step} on a disc of radius {radius}"
-    axis = square_axis(max(radius / step, -1.0) + 1e-9, step, what)
-
-    def build() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # z = complex(axis[p], axis[q]), the bits of axis[None, :] + 1j * axis[:, None]
-        z = np.empty((axis.size, axis.size), complex)
-        z.real, z.imag = axis[None, :], axis[:, None]
-        modulus = np.abs(z)
-        return z, modulus, modulus <= radius * (1 + 1e-12)
-
-    return build
 
 
 @dataclass(frozen=True)

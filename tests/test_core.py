@@ -392,6 +392,11 @@ class TestSupNormEstimate:
     def test_pinned_values(self, name, radius, step, expected):
         assert repr(self.FUNCTIONS[name].sup_norm_estimate(radius, step)) == expected
 
+    def test_window_slack(self):
+        # like a window's, the square takes a grid line within 1e-9 steps past its radius
+        f = displaced_basis(3.0, 0, P1)
+        assert repr(f.sup_norm_estimate(2.9999999999, 1.0)) == "0.9999999999999999"
+
     def test_vacuum_peaks_at_origin(self):
         assert basis_function(0, P1).sup_norm_estimate(2.0, 0.05) == pytest.approx(1.0)
 

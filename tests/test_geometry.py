@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from focklab import geometry
+from focklab import core, geometry
 from focklab.kernels import DuplicateLabelError, gram_matrix
 from focklab import (
     Divisor,
@@ -561,7 +561,7 @@ class TestSweepEdges:
             Window(5.0, 1e-6)
         with pytest.raises(ValueError, match="grid cells"):
             Window(1e300, 1e-300)
-        assert geometry.MAX_GRID_CELLS == 2**22
+        assert core.MAX_GRID_CELLS == 2**22
         Window(1023.0, 1.0)  # 2047 x 2047 points, inside the budget
         with pytest.raises(ValueError, match="grid cells"):
             Window(1024.0, 1.0)
