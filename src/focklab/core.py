@@ -331,10 +331,13 @@ class FockFunction:
         require_positive("step", step)
         if not radius >= 0:  # a NaN radius is not nonnegative
             raise ValueError("radius must be nonnegative")
+        if not math.isfinite(radius):
+            raise ValueError("radius must be finite")
         z, _, _ = disc_grid(radius, step)()
-        weight = np.exp(-0.5 * self.params.alpha * (z.real**2 + z.imag**2))
-        vals = np.abs(self.evaluate(z)) * weight
-        return float(vals.max())
+        with np.errstate(over="ignore"):  # a square past the double range weighs 0
+            weight = np.exp(-0.5 * self.params.alpha * (z.real**2 + z.imag**2))
+        live = weight > 0  # the origin weighs 1; f may overflow where its weight underflows
+        return float((np.abs(self.evaluate(z[live])) * weight[live]).max())
 
     def merged(self) -> "FockFunction":
         """Merge duplicate (lam, k) atoms by summing coefficients.

@@ -423,11 +423,22 @@ class TestSupNormEstimate:
             (1.0, 0.0, r"^step must be positive$"),
             (-1.0, 0.1, r"^radius must be nonnegative$"),
             (math.nan, 0.1, r"^radius must be nonnegative$"),
+            (math.inf, 0.1, r"^radius must be finite$"),
         ],
     )
     def test_bad_square_refused(self, radius, step, message):
         with pytest.raises(ValueError, match=message):
             basis_function(0, P1).sup_norm_estimate(radius, step)
+
+    # the squares of the grid's outer coordinates leave the double range: they
+    # weigh 0, and f is not evaluated there
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("radius, step", [(1e300, 1e300), (1e200, 1e199)])
+    @pytest.mark.parametrize(
+        "f, expected", [(basis_function(0, P1), 1.0), (displaced_basis(1.0, 2, P1), 0.4288819424803535)]
+    )
+    def test_squares_past_the_double_range(self, radius, step, f, expected):
+        assert f.sup_norm_estimate(radius, step) == expected
 
     def test_coarse_and_degenerate_squares(self):
         f = displaced_basis(0.5, 1, P1)
