@@ -10,6 +10,7 @@ brute-force quadrature oracle is independent of it; the tests pin the two.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -316,16 +317,18 @@ def quadrature_inner_oracle(
     """
     if f.params.alpha != g.params.alpha:
         raise ParameterMismatchError("inner-product arguments must share alpha")
-    if n_r < 8 or n_theta < 8:
-        raise ValueError("n_r and n_theta must be >= 8")
+    # a count is an integer (an __index__ type, numpy's too), never a float, even an integral one
+    if not all(hasattr(type(n), "__index__") and n >= 8 for n in (n_r, n_theta)):
+        raise ValueError("n_r and n_theta must be integers >= 8")
+    n_r, n_theta = operator.index(n_r), operator.index(n_theta)
     if radius is None:
         radius = default_oracle_radius(f, g)
     require_positive("radius", radius)
     alpha = f.params.alpha
-    nodes, weights = _leggauss(int(n_r))
+    nodes, weights = _leggauss(n_r)
     r = 0.5 * radius * (nodes + 1.0)
     w_r = 0.5 * radius * weights
-    theta = 2.0 * np.pi * np.arange(int(n_theta)) / int(n_theta)
+    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
     zgrid = r[:, None] * np.exp(1j * theta)[None, :]
     vals = f.evaluate(zgrid) * np.conj(g.evaluate(zgrid))
     radial = np.exp(-alpha * r**2) * r * w_r

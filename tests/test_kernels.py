@@ -298,6 +298,22 @@ class TestQuadratureOracle:
         with pytest.raises(ValueError):
             quadrature_inner_oracle(e0, e0, radius=8.0, n_r=4, n_theta=128)
 
+    # a float, even an integral one, is refused: 96.5 would be 96 nodes weighted as 96.5
+    @pytest.mark.parametrize("n", [96.5, 96.0, math.inf, math.nan, 7])
+    @pytest.mark.parametrize("which", ["n_r", "n_theta"])
+    def test_node_counts_must_be_integers(self, which, n):
+        e0 = basis_function(0, P1)
+        counts = {"n_r": 96, "n_theta": 128, which: n}
+        with pytest.raises(ValueError, match=r"^n_r and n_theta must be integers >= 8$"):
+            quadrature_inner_oracle(e0, e0, radius=8.0, **counts)
+
+    def test_numpy_integer_node_counts(self):
+        e0 = basis_function(0, P1)
+        counts = {"n_r": np.int64(64), "n_theta": np.int32(128)}
+        assert quadrature_inner_oracle(e0, e0, radius=8.0, **counts) == quadrature_inner_oracle(
+            e0, e0, radius=8.0, n_r=64, n_theta=128
+        )
+
 
 def scipy_overlap(mu, j, lam, k, alpha):
     """<T_lam e_k, T_mu e_j> from scipy's Laguerre values and the composition law."""

@@ -430,14 +430,8 @@ class TestOversizedGrid:
         )
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "extra,line",
-        [
-            (["--window", "1e300", "--spacing", "1e-300"], "step 1e-300 on a disc of radius 1e+300"),
-            (["--window", "1e6"], "step 1.0 on a disc of radius 1000000.0"),
-        ],
-    )
-    def test_generate_lattice(self, extra, line, tmp_path, capsys):
+    @pytest.mark.parametrize("extra", [["--window", "1e300", "--spacing", "1e-300"], ["--window", "1e6"]])
+    def test_generate_lattice(self, extra, tmp_path, capsys):
         out = tmp_path / "lat.json"
         start = time.perf_counter()
         code = cli.main(["generate", "lattice", *extra, "--out", str(out)])
@@ -445,7 +439,11 @@ class TestOversizedGrid:
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
-        assert captured.err == f"precondition error: {line} needs more than 4194304 grid cells\n"
+        square = {
+            "1e300": "step 1e-300 on a disc of radius 1e+300",
+            "1e6": "step 1.0 on a disc of radius 1000000.0",
+        }
+        assert captured.err == f"precondition error: {square[extra[1]]} needs more than 4194304 grid cells\n"
         assert not out.exists()
         assert elapsed < 1.0
 
