@@ -16,6 +16,7 @@ near 1e308).  Every failure is one line on stderr, after any warnings.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -97,6 +98,9 @@ def _require_entries(rows: int, cols: int, what: str = "matrix") -> None:
 
 
 def _cmd_generate(args, _) -> dict:
+    unread = "c" if args.family == "lattice" else "spacing"  # echoed in the report, never read
+    if not math.isfinite(getattr(args, unread)):
+        raise ValueError(f"{unread} must be finite")
     _require_out_dir(args.out)
     if args.family == "lattice":
         divisor, meta = generate_lattice(args.alpha, args.spacing, args.mult, args.window)

@@ -568,6 +568,14 @@ class TestNonFiniteInputs:
             ["disjoint-rings", "--window", "inf"],  # its ring loop would never end
             ["lattice", "--window", "inf"],
             ["lattice", "--spacing", "inf", "--window", "4"],
+            # an option the family does not read, echoed in the report
+            ["lattice", "--c", "nan", "--window", "4"],
+            ["lattice", "--c", "inf", "--window", "4"],
+            ["lattice", "--c=-inf", "--window", "4"],
+            ["covering-rings", "--spacing", "nan", "--window", "4"],
+            ["covering-rings", "--spacing", "inf", "--window", "4"],
+            ["disjoint-rings", "--spacing", "nan", "--window", "4"],
+            ["disjoint-rings", "--spacing=-inf", "--window", "4"],
         ],
     )
     def test_generate(self, args, tmp_path, capsys, monkeypatch):
@@ -578,6 +586,13 @@ class TestNonFiniteInputs:
         out = tmp_path / "div.json"
         assert cli.main(["generate", *args, "--out", str(out)]) == 3
         assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("family", ["covering-rings", "disjoint-rings"])
+    def test_generate_read_c_keeps_its_rule(self, family, tmp_path, capsys):
+        out = tmp_path / "div.json"
+        assert cli.main(["generate", family, "--c", "nan", "--window", "4", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "precondition error: c must be positive\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
