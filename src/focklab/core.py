@@ -321,8 +321,8 @@ class FockFunction:
         return BasisCoefficients(self.params, coeffs, defect)
 
     def sup_norm_estimate(self, radius: float, step: float) -> float:
-        """Grid maximum of |f(z)| * exp(-alpha*|z|^2/2) over the square
-        |Re z|, |Im z| <= radius.
+        """Grid maximum of |f(z)| * exp(-alpha*|z|^2/2) over the square grid of
+        disc_grid(radius, step): |Re z|, |Im z| <= radius, to 1e-9 steps.
 
         A plain grid scan: a supporting estimate, not a certified bound.  A
         square of more than MAX_GRID_CELLS points is refused before any of it
