@@ -35,8 +35,9 @@ from focklab import (
     overlap_matrix,
     riesz_bounds,
 )
-from focklab.core import LABEL, label_array
+from focklab.core import LABEL, atom_eval, basis_eval, label_array
 from focklab.generators import _rings
+from focklab.reports import canonical_json
 
 P1 = FockParams(1.0)
 
@@ -444,6 +445,15 @@ def _rule_refusals() -> dict:
             if caller == "lattice" and m == 0:  # the lattice's own check comes first
                 message = "mult must be >= 1"
             cases[f"{caller}-mult-{text}"] = (lambda call=call, m=m: call(m), ValueError, message)
+    index = {
+        "analysis-degree": ("degree", lambda v: analysis_matrix(one, v)),
+        "prefix-degree": ("degree", lambda v: analysis_matrix(one, 4).prefix(v)),
+        "hole-mass-degree": ("degree", lambda v: hole_mass_experiment(one, v, 1.0)),
+        "to-basis-n-max": ("n_max", lambda v: basis_function(0, P1).to_basis_coeffs(v)),
+        "basis-eval-k": ("basis index k", lambda v: basis_eval(v, 0.5, P1)),
+    }
+    for caller, (name, call) in index.items():
+        cases[f"{caller}--1"] = (lambda call=call: call(-1), ValueError, f"{name} must be >= 0")
     return cases
 
 
@@ -483,6 +493,45 @@ def test_library_refusals(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert str(info.value) == message
+
+
+def _index_entry_points() -> dict:
+    """Each library entry point that takes a degree, basis index or node
+    count, as a function of that integer giving the bytes of its result."""
+    d = Divisor(P1, ((0.5 + 0.5j, 2), (-1.0, 3)))
+    f = displaced_basis(0.5 - 1j, 2, P1, 0.75 + 0.5j)
+    z = np.array([0.3 - 0.7j, 1.5 + 0.25j, 0j])
+
+    def spectrum(matrix) -> bytes:
+        return matrix.entries.tobytes() + canonical_json(frame_bounds(matrix)).encode()
+
+    def coefficients(c) -> bytes:
+        return c.coeffs.tobytes() + np.float64(c.defect).tobytes()
+
+    return {
+        "atom": lambda n: repr(Atom(0.5j, n, 2.0)).encode() + atom_eval(Atom(0.5j, n, 2.0), z, P1).tobytes(),
+        "basis-eval": lambda n: basis_eval(n, z, P1).tobytes(),
+        "to-basis-coeffs": lambda n: coefficients(f.to_basis_coeffs(n)),
+        "analysis-matrix": lambda n: spectrum(analysis_matrix(d, n)),
+        "prefix": lambda n: spectrum(analysis_matrix(d, 8).prefix(n)),
+        "hole-mass": lambda n: np.float64(hole_mass_experiment(d, n + 3, 1.5)).tobytes(),
+        "oracle": lambda n: np.complex128(kernels.quadrature_inner_oracle(f, f, 6.0, n + 13, n + 29)).tobytes(),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_index_entry_points()))
+@pytest.mark.parametrize("numpy_int", [np.int64, np.int32, np.uint8])
+def test_numpy_integer_index_equals_int_bitwise(entry, numpy_int):
+    call = _index_entry_points()[entry]
+    assert call(numpy_int(3)) == call(3)
+
+
+def test_numpy_degree_report_bytes():
+    d = Divisor(P1, ((0.5 + 0.5j, 2), (-1.0, 3)))
+    assert canonical_json(frame_bounds(analysis_matrix(d, np.int64(3)))) == (
+        '{"degree":3,"smin":0.504867591858,"smax":1.38967689672,"ratio":7.57657083073,'
+        '"rank_deficient":false,"divisor_digest":"4ab3a3398ab2"}'
+    )
 
 
 def test_measurements_sum_atoms_in_order_with_scalar_products():
