@@ -22,6 +22,7 @@ import warnings
 from pathlib import Path
 
 from . import __version__
+from .core import require_index
 from .generators import (
     ContractError,
     generate_covering_rings,
@@ -160,8 +161,7 @@ def _cmd_frame_bounds(args, divisor) -> dict:
     else:
         degrees = _parse_sweep(args.degree_sweep)
     _require_out_dir(args.csv)
-    if degrees.start < 0:
-        raise ValueError("degree must be >= 0")
+    require_index("degree", degrees.start)
     # counted as one row at least: the basis labels are built before any row
     rows = max(divisor.total_multiplicity(), 1)
     # the sweep's matrices rows x (d + 1) side by side: their columns in closed form

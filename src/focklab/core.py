@@ -112,6 +112,17 @@ def require_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite")
 
 
+def require_index(name: str, value, least: int = 0) -> int:
+    """The rule of a degree, basis index or node count: an __index__ type, never a float, >= least."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer") from None
+    if index < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return index
+
+
 @dataclass(frozen=True)
 class Atom:
     """One term coeff * (degree-k basis state displaced to lam).
@@ -125,13 +136,11 @@ class Atom:
     coeff: complex = 1.0 + 0.0j
 
     def __post_init__(self):
-        if int(self.k) != self.k or self.k < 0:
-            raise ValueError(f"basis index k must be a nonnegative integer, got {self.k!r}")
+        object.__setattr__(self, "k", require_index("basis index k", self.k))
         c = complex(self.coeff)
         if not (math.isfinite(c.real) and math.isfinite(c.imag)):
             raise ValueError("atom coefficient must be finite")
         object.__setattr__(self, "lam", complex(self.lam))
-        object.__setattr__(self, "k", int(self.k))
         object.__setattr__(self, "coeff", c)
 
 
@@ -142,8 +151,7 @@ def basis_eval(k: int, z, params: FockParams):
     500) neither overflow nor lose their phase.  `z` may be a scalar or an
     ndarray; the result matches the input shape.
     """
-    if k < 0:
-        raise ValueError("basis index k must be >= 0")
+    k = require_index("basis index k", k)
     zz = np.asarray(z, dtype=complex)
     scalar = zz.ndim == 0
     if k == 0:
@@ -311,8 +319,7 @@ class FockFunction:
 
     def to_basis_coeffs(self, n_max: int) -> BasisCoefficients:
         """Project onto span(e_0..e_{n_max}) and report the truncation defect."""
-        if n_max < 0:
-            raise ValueError("n_max must be >= 0")
+        n_max = require_index("n_max", n_max)
         from .kernels import overlap_matrix
 
         overlaps = overlap_matrix(basis_labels(n_max), self.atom_labels(), self.params)

@@ -10,13 +10,12 @@ brute-force quadrature oracle is independent of it; the tests pin the two.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .core import FockFunction, FockParams, ParameterMismatchError, compose_phase
+from .core import FockFunction, FockParams, ParameterMismatchError, compose_phase, require_index
 from .core import label_array, label_digest, require_positive, scalar_math, scalar_mul, scalar_square
 
 __all__ = [
@@ -317,10 +316,7 @@ def quadrature_inner_oracle(
     """
     if f.params.alpha != g.params.alpha:
         raise ParameterMismatchError("inner-product arguments must share alpha")
-    # a count is an integer (an __index__ type, numpy's too), never a float, even an integral one
-    if not all(hasattr(type(n), "__index__") and n >= 8 for n in (n_r, n_theta)):
-        raise ValueError("n_r and n_theta must be integers >= 8")
-    n_r, n_theta = operator.index(n_r), operator.index(n_theta)
+    n_r, n_theta = require_index("n_r", n_r, 8), require_index("n_theta", n_theta, 8)
     if radius is None:
         radius = default_oracle_radius(f, g)
     require_positive("radius", radius)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Atom, FockFunction, FockParams, ParameterMismatchError, basis_labels, label_array
-from .core import require_positive, scalar_math, scalar_mul
+from .core import require_index, require_positive, scalar_math, scalar_mul
 from .geometry import Divisor
 from .kernels import GramMatrix, gram_matrix, overlap_matrix
 
@@ -74,8 +74,7 @@ class AnalysisMatrix:
     def prefix(self, degree: int) -> "AnalysisMatrix":
         """The analysis map on span(e_0..e_degree): the first degree + 1
         columns, equal to analysis_matrix(divisor, degree) entry for entry."""
-        if degree < 0:
-            raise ValueError("degree must be >= 0")
+        degree = require_index("degree", degree)
         if degree > self.degree:
             raise ValueError(f"degree must be <= {self.degree}")
         entries = self.entries[:, : degree + 1]
@@ -108,8 +107,7 @@ def measurements(f: FockFunction, divisor: Divisor) -> MeasurementVector:
 
 def analysis_matrix(divisor: Divisor, degree: int) -> AnalysisMatrix:
     """Analysis map of the divisor restricted to span(e_0..e_degree)."""
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
+    degree = require_index("degree", degree)
     labels = divisor.atom_labels()
     entries = overlap_matrix(labels, basis_labels(degree), divisor.params)
     return AnalysisMatrix(divisor.params, labels, degree, entries, divisor.digest())
@@ -254,8 +252,7 @@ def hole_mass_experiment(divisor: Divisor, degree: int, radius: float) -> float:
     being a zero divisor when its bare discs cover the window.
     """
     require_positive("window radius", radius)
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
+    degree = require_index("degree", degree)
     n_constraints = divisor.total_multiplicity()
     if n_constraints >= degree + 1:
         raise InfeasibleExperimentError(

@@ -411,9 +411,10 @@ class TestWindowMasses:
 
 
 def _rule_refusals() -> dict:
-    """Each caller of the positive rule (core.require_positive) and of the
-    multiplicity rule (geometry.require_multiplicities) on each value it
-    refuses, by id: (call, error, exact message)."""
+    """Each caller of the positive rule (core.require_positive), of the
+    multiplicity rule (geometry.require_multiplicities) and of the index rule
+    (core.require_index) on each value it refuses, by id: (call, error,
+    exact message)."""
     one = Divisor(P1, ((0.0, 1),))
     data = MeasurementVector(((0.0, 0),), np.ones(1))
     positive = {
@@ -445,15 +446,23 @@ def _rule_refusals() -> dict:
             if caller == "lattice" and m == 0:  # the lattice's own check comes first
                 message = "mult must be >= 1"
             cases[f"{caller}-mult-{text}"] = (lambda call=call, m=m: call(m), ValueError, message)
+    e0 = basis_function(0, P1)
     index = {
-        "analysis-degree": ("degree", lambda v: analysis_matrix(one, v)),
-        "prefix-degree": ("degree", lambda v: analysis_matrix(one, 4).prefix(v)),
-        "hole-mass-degree": ("degree", lambda v: hole_mass_experiment(one, v, 1.0)),
-        "to-basis-n-max": ("n_max", lambda v: basis_function(0, P1).to_basis_coeffs(v)),
-        "basis-eval-k": ("basis index k", lambda v: basis_eval(v, 0.5, P1)),
+        "analysis-degree": ("degree", 0, lambda v: analysis_matrix(one, v)),
+        "prefix-degree": ("degree", 0, lambda v: analysis_matrix(one, 4).prefix(v)),
+        "hole-mass-degree": ("degree", 0, lambda v: hole_mass_experiment(one, v, 1.0)),
+        "to-basis-n-max": ("n_max", 0, lambda v: e0.to_basis_coeffs(v)),
+        "basis-eval-k": ("basis index k", 0, lambda v: basis_eval(v, 0.5, P1)),
+        "atom-k": ("basis index k", 0, lambda v: Atom(0.0, v)),
+        "oracle-n-r": ("n_r", 8, lambda v: kernels.quadrature_inner_oracle(e0, e0, 8.0, v, 16)),
+        "oracle-n-theta": ("n_theta", 8, lambda v: kernels.quadrature_inner_oracle(e0, e0, 8.0, 16, v)),
     }
-    for caller, (name, call) in index.items():
-        cases[f"{caller}--1"] = (lambda call=call: call(-1), ValueError, f"{name} must be >= 0")
+    # a float is refused, even an integral one: an index counts basis states
+    fractional = {"2.5": 2.5, "3.0": 3.0, "float64-3": np.float64(3), "nan": math.nan, "inf": math.inf}
+    for caller, (name, least, call) in index.items():
+        cases[f"{caller}--1"] = (lambda call=call: call(-1), ValueError, f"{name} must be >= {least}")
+        for text, v in fractional.items():
+            cases[f"{caller}-{text}"] = (lambda call=call, v=v: call(v), ValueError, f"{name} must be an integer")
     return cases
 
 
