@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LABEL, FockParams, disc_grid, label_digest, label_records, require_positive, scalar_square
+from .core import LABEL, MAX_GRID_CELLS, FockParams, disc_grid, label_digest, label_records, require_positive, scalar_square
 
 __all__ = [
     "Divisor",
@@ -364,7 +364,11 @@ def theorem_verdicts(divisor: Divisor, window: Window, c_list, hole_radius: floa
     bound = int(counts[inside].max())
     least = int(padded[inside].min())
     padded_witness = cs[max(len(cs) - least, 0)] if least else None
-    uncovered = [z[annulus & (shrunk <= i)] for i in range(len(cs))]
+    uncovered = []
+    for i in range(len(cs)):  # each list may hold the whole disc, so their total is budgeted
+        uncovered.append(z[annulus & (shrunk <= i)])
+        if sum(u.size for u in uncovered) > MAX_GRID_CELLS:
+            raise ValueError(f"the uncovered lists would hold more than {MAX_GRID_CELLS} grid points")
 
     # the -C discs only shrink with C, and an entry absent at some C stays
     # absent, so the first C that keeps them disjoint is found by bisection

@@ -268,6 +268,16 @@ class TestTheoremVerdicts:
         assert verdicts["shrunk_disjoint"]["witness_c"] == 0.5
         assert sorted(signs) == [-1] * 5 + [1]
 
+    def test_uncovered_lists_budgeted(self):
+        args = Divisor(P1, ((0.0, 2),)), Window(3.0, 0.1), [0.25, 0.5, 1.0]
+        counts = [r["uncovered_count"] for r in theorem_verdicts(*args)["shrunk_cover"]]
+        assert 0 < counts[0] < counts[1] < counts[2]
+        with mock.patch.object(geometry, "MAX_GRID_CELLS", sum(counts)):
+            assert theorem_verdicts(*args)["shrunk_cover"][2]["uncovered_count"] == counts[2]
+        with mock.patch.object(geometry, "MAX_GRID_CELLS", sum(counts) - 1):
+            with pytest.raises(ValueError, match=f"^the uncovered lists would hold more than {sum(counts) - 1} grid"):
+                theorem_verdicts(*args)
+
     def test_far_separated_regime(self):
         divisor, _ = generate_lattice(1.0, 10.0, 1, 10.0)
         verdicts = theorem_verdicts(divisor, Window(10.0, 0.25), [1.0])

@@ -922,6 +922,21 @@ class TestDefectCsvs:
         assert "C = 0.1 and C = 0.1000000000001" in captured.err
         assert not list(tmp_path.glob("defects*"))
 
+    def test_uncovered_lists_over_budget_refused(self, tmp_path, capsys):
+        # no disc covers anything: each C lists all 3.14 M disc points of the
+        # 2001 x 2001 grid, so the second list passes the budget
+        path = tmp_path / "empty.json"
+        save_divisor(Divisor(FockParams(1.0), ()), path)
+        code = cli.main([
+            "check-geometry", str(path), "--window", "10", "--grid-step", "0.01",
+            "--c-list", "0.5,1", "--defects-csv", str(tmp_path / "defects"),
+        ])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "precondition error: the uncovered lists would hold more than 4194304 grid points\n"
+        assert list(tmp_path.iterdir()) == [path]
+
 
 class TestFileErrors:
     """Unreadable inputs are schema errors (exit 2) and unwritable outputs exit
