@@ -30,7 +30,7 @@ from focklab import (
     overlap_matrix,
     quadrature_inner_oracle,
 )
-from focklab.core import compose_phase, label_array, scalar_math
+from focklab.core import basis_labels, compose_phase, label_array, label_records, scalar_math
 
 P1 = FockParams(1.0)
 
@@ -157,6 +157,21 @@ class TestPastTheDoubleRange:
         gram = gram_matrix(labels, P1).entries
         assert np.isfinite(gram).all()
         assert np.array_equal(np.diag(gram), np.ones(800))
+
+    @pytest.mark.parametrize("alpha,x,theta", [(1.0, 1600, 0.7), (2.0, 2500, -2.3)])
+    def test_composition_law(self, alpha, x, theta):
+        # <T_{z/2} T_{z/2} e_k, e_j> = phase <T_z e_k, e_j> at x = alpha|z|^2, the
+        # left side expanded over e_n, n < N: the half steps (x/4 = 400 and 625)
+        # stay below 1416, so chains never rescaled check the chains of T_z that are
+        params = FockParams(alpha)
+        z = math.sqrt(x / alpha) * complex(math.cos(theta), math.sin(theta))
+        phase, shift = compose_phase(z / 2, z / 2, params)
+        n = int(x + 12 * math.sqrt(x) + 2000)
+        rows, cols = label_records(0j, [0, x // 4 + 60, x // 2 + 7]), [30, x // 4, x // 4 + 100]
+        direct = overlap_matrix(rows, label_records(shift, cols), params)
+        first = overlap_matrix(basis_labels(n - 1), label_records(z / 2, cols), params)
+        second = overlap_matrix(rows, label_records(z / 2, np.arange(n)), params)
+        assert np.abs(phase * direct - second @ first).max() <= 1e-12
 
 
 class TestAtomPairInner:
