@@ -38,10 +38,10 @@ def require_multiplicities(mults) -> None:
 
 @dataclass(frozen=True, eq=False, init=False)
 class Divisor:
-    """Points, pairwise distinct by value as a Python set decides (0j and -0j
-    collide, NaNs never do), with multiplicities 1 <= m < 2**63, held as
-    read-only arrays points (complex128) and mults (int64) in input order, from
-    (point, mult) pairs or LABEL records (copied); entries is their view as pairs."""
+    """Finite points, pairwise distinct by value as a Python set decides (0j and
+    -0j collide), with multiplicities 1 <= m < 2**63, held as read-only arrays
+    points (complex128) and mults (int64) in input order, from (point, mult)
+    pairs or LABEL records (copied); entries is their view as pairs."""
 
     params: FockParams
     points: np.ndarray
@@ -53,11 +53,13 @@ class Divisor:
         else:  # an object table: each multiplicity is checked as the exact Python number
             table = np.array(list(entries), dtype=object).reshape(-1, 2)
             points, mults = table[:, 0].astype(complex), table[:, 1]
-        with np.errstate(invalid="ignore"):  # a NaN, signalling ones too, compares False
+        with np.errstate(invalid="ignore"):  # a NaN multiplicity, signalling ones too, compares False
             require_multiplicities(mults)
-            ordered = np.sort(points)  # equal values end up adjacent, NaNs equal nothing
-            if np.any(ordered[1:] == ordered[:-1]):
-                raise ValueError("divisor points must be pairwise distinct")
+        if not np.isfinite(points).all():
+            raise ValueError("divisor points must be finite")
+        ordered = np.sort(points)  # equal values end up adjacent
+        if np.any(ordered[1:] == ordered[:-1]):
+            raise ValueError("divisor points must be pairwise distinct")
         self.__dict__.update(params=params, points=points, mults=mults.astype(np.int64))
         self.points.flags.writeable = self.mults.flags.writeable = False
 
@@ -127,7 +129,7 @@ def disc_radius(mult: int, params: FockParams, c: float, sign: int) -> float | N
 
 def overlap_count_at(divisor: Divisor, z) -> int:
     """Number of open discs D(lam, sqrt(m/alpha)) containing z."""
-    with np.errstate(invalid="ignore"):  # a NaN point, signalling ones too, is in no disc
+    with np.errstate(invalid="ignore"):  # a NaN probe, signalling ones too, is in no disc
         d = complex(z) - divisor.points
     d2 = scalar_square(d.real) + scalar_square(d.imag)
     return int(np.count_nonzero(d2 < divisor.mults * (1.0 / divisor.params.alpha)))
@@ -202,14 +204,12 @@ def _disc_sweep(divisor: Divisor, window: Window, families):
     # as bool and the tests read as bytes, which spares the ufuncs a cast
     level = np.empty(cells, np.min_scalar_type(max((c.max(initial=0) for c in counts), default=0)))
     first, tested = (level, test) if level.itemsize > 1 else (level.view(bool), test.view(np.uint8))
-    # a non-finite centre has d2 inf or nan, inside no disc
-    finite = np.isfinite(divisor.points)
     groups = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
     for i, group in zip(range(distinct.size), groups):  # no group for an empty divisor
         wanted = [(grid, comb, radii[i]) for grid, (comb, radii) in zip(grids, tables) if radii[i]]
-        lams = divisor.points[group[finite[group]]]
-        if not wanted or not lams.size:
+        if not wanted:
             continue
+        lams = divisor.points[group]
         reach = math.sqrt(max(max(discs) for *_, discs in wanted))
         r0, r1 = _index_spans(lams.imag, reach, window.grid_step, n)
         c0, c1 = _index_spans(lams.real, reach, window.grid_step, n)
@@ -297,7 +297,7 @@ def pairwise_disjoint(
     distinct, inverse = np.unique(divisor.mults, return_inverse=True)
     by_mult = [disc_radius(m, divisor.params, c, sign) for m in distinct.tolist()]
     radii = np.array(by_mult, dtype=float)[inverse]  # an absent radius (None) reads NaN
-    kept = ~np.isnan(radii) & np.isfinite(divisor.points)  # a non-finite point is in no disc
+    kept = ~np.isnan(radii)
     lams, radii = divisor.points[kept], radii[kept]
     # numpy screens each row's later points with a relative margin far above its
     # rounding difference from the scalar rule, which alone decides each candidate
@@ -378,9 +378,8 @@ def theorem_verdicts(divisor: Divisor, window: Window, c_list, hole_radius: floa
     padded_disjoint_witness = cs[0] if pairwise_disjoint(divisor, cs[0], +1)[0] else None
     bare_cover = not (annulus & (padded <= len(cs))).any()
 
-    # np.hypot rounds |lam| as Python's abs does; np.abs may not; a NaN point lies in no window
-    with np.errstate(invalid="ignore"):
-        windowed = int(np.sum(np.hypot(divisor.points.real, divisor.points.imag) <= window.radius))
+    # np.hypot rounds |lam| as Python's abs does; np.abs may not
+    windowed = int(np.sum(np.hypot(divisor.points.real, divisor.points.imag) <= window.radius))
     all_shrunk = not any(u.size for u in uncovered)
     exclusive = windowed < 2 or not (all_shrunk and padded_disjoint_witness is not None)
 
@@ -408,6 +407,5 @@ def rescale_to_unit_alpha(divisor: Divisor) -> Divisor:
     """
     if divisor.params.alpha == 1.0:
         return divisor
-    with np.errstate(invalid="ignore"):  # a signalling NaN point scales to a quiet one
-        points = divisor.points * math.sqrt(divisor.params.alpha)
+    points = divisor.points * math.sqrt(divisor.params.alpha)
     return Divisor(FockParams(1.0), label_records(points, divisor.mults))

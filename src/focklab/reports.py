@@ -216,7 +216,7 @@ def divisor_payload(divisor: Divisor) -> dict:
     """The divisor as {alpha, points}, its points the rows {re, im, mult} of
     one point list, formatted here once; canonical_json writes them as they stand."""
     row = '{"re":%s,"im":%s,"mult":%s}'
-    rows = _point_rows(row, ",", divisor.points, divisor.mults, nonfinite="null")
+    rows = _point_rows(row, ",", divisor.points, divisor.mults)
     return {"alpha": divisor.params.alpha, "points": _Text(f"[{rows}]")}
 
 

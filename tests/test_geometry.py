@@ -1,3 +1,4 @@
+import cmath
 import math
 import tracemalloc
 import warnings
@@ -26,7 +27,6 @@ from focklab import (
     theorem_verdicts,
 )
 from focklab.core import LABEL, compose_phase, label_digest
-from focklab.numerics import analysis_matrix
 from focklab.reports import save_divisor
 
 P1 = FockParams(1.0)
@@ -84,9 +84,24 @@ class TestDivisorValues:
         with pytest.raises(ValueError):
             Divisor(P1, ((0j, 1), (complex(-0.0, -0.0), 1)))
 
-    def test_distinct_nan_points_accepted(self):
-        divisor = Divisor(P1, ((complex("nan"), 1), (complex("nan"), 2)))
-        assert [m for _, m in divisor.entries] == [1, 2]
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("source", ["pairs", "records"])
+    @pytest.mark.parametrize(
+        "point",
+        [complex(math.nan, 1.0), complex(0.5, -math.nan), complex(math.inf, 0.0), complex(-1.0, -math.inf)],
+        ids=["nan-re", "nan-im", "inf-re", "-inf-im"],
+    )
+    def test_nonfinite_points_refused(self, point, source):
+        entries = ((1j, 2), (point, 1))
+        with pytest.raises(ValueError, match="^divisor points must be finite$"):
+            Divisor(P1, entries if source == "pairs" else np.array(list(entries), LABEL))
+
+    def test_finite_rule_between_multiplicities_and_distinctness(self):
+        nan = complex(math.nan, 0.0)
+        with pytest.raises(ValueError, match="^multiplicities must be"):
+            Divisor(P1, ((nan, 0), (1.0, 1)))
+        with pytest.raises(ValueError, match="^divisor points must be finite$"):
+            Divisor(P1, ((1.0, 1), (1.0, 1), (nan, 1)))
 
     def test_entries_are_python_pairs_in_input_order(self):
         divisor = Divisor(P1, ((2j, 3), (1.0, 1), (np.complex128(-1 + 1j), np.int64(2))))
@@ -358,6 +373,12 @@ class TestRescaling:
         rescaled = rescale_to_unit_alpha(divisor)
         assert rescaled.params.alpha == 1.0
         assert rescaled.entries == ((2.0 + 0j, 4),)
+
+    def test_points_past_the_double_range_refused(self):
+        divisor = Divisor(FockParams(4.0), ((1e308, 1), (0j, 1)))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ValueError, match="^divisor points must be finite$"):
+                rescale_to_unit_alpha(divisor)
 
     def test_verdicts_invariant(self):
         rng = np.random.default_rng(13)
@@ -655,7 +676,6 @@ CHUNK_DIVISOR = Divisor(
     (
         (0.0, 1), (0.31 + 0.2j, 1), (-0.7 + 1.13j, 1), (1.6 - 2.05j, 1),
         (3.98 + 1.0j, 1), (-4.0 - 4.0j, 1), (2.2 + 4.03j, 1),  # boxes clipped by the square
-        (complex(math.nan, 1.0), 1), (complex(math.inf, 0.0), 1), (complex(-1.0, -math.inf), 2),
         (0.45 - 0.5j, 2), (-2.5 + 0.25j, 2), (0.1 + 0.2j, 40),
     ),
 )
@@ -697,27 +717,32 @@ class TestSweepChunks:
     )
     def test_drawn_levels_match_full_grid(self, case, budget, odd_parts):
         divisor, c_list, _ = case
-        # centres with a non-finite part, or on or just past the square's edge
+        # centres on or just past the square's edge; one with a non-finite part is refused
         entries = divisor.entries + tuple((complex(x, 0.5 * i), 1) for i, x in enumerate(odd_parts))
-        divisor = Divisor(divisor.params, entries)
+        if not all(map(math.isfinite, odd_parts)):
+            with pytest.raises(ValueError, match="^divisor points must be finite$"):
+                Divisor(divisor.params, entries)
+        divisor = Divisor(divisor.params, [(lam, m) for lam, m in entries if cmath.isfinite(lam)])
         families = sweep_families(divisor, c_list)
         with mock.patch.object(geometry, "_SWEEP_CELLS", budget):
             assert_levels_match_reference(divisor, Window(4.0, 0.1), families)
 
 
 class TestPairScreen:
-    """pairwise_disjoint against the scalar rule on every pair, with
-    non-finite points, which lie in no disc and so in no pair."""
+    """pairwise_disjoint against the scalar rule on every pair, with far
+    points whose distances pass the double range; a non-finite point is
+    refused by the divisor."""
 
     @pytest.mark.bitwise
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=60, deadline=None)
     @given(
         verdict_cases(),
-        st.lists(st.sampled_from([math.nan, math.inf, -math.inf]), max_size=3),
+        st.lists(st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308]), max_size=3),
     )
-    # two +inf points: their difference is inf - inf
     @example((Divisor(P1, ((0j, 1),)), [0.5], 0.0), [math.inf, math.inf])
+    # the distance of two far points overflows to inf
+    @example((Divisor(P1, ((0j, 1),)), [0.5], 0.0), [1e308, -1e308])
     @example((Divisor(P1, ()), [0.5], 0.0), [])
     @example((Divisor(P1, ((0j, 1),)), [0.5], 0.0), [])
     # repeated distances: the shrunk discs of radius 1 - 0.5 touch their neighbours
@@ -727,7 +752,10 @@ class TestPairScreen:
     def test_drawn_pairs_match_scalar_rule(self, case, odd_parts):
         divisor, c_list, _ = case
         entries = divisor.entries + tuple((complex(x, 0.5 * i), 1) for i, x in enumerate(odd_parts))
-        divisor = Divisor(divisor.params, entries)
+        if not all(map(math.isfinite, odd_parts)):
+            with pytest.raises(ValueError, match="^divisor points must be finite$"):
+                Divisor(divisor.params, entries)
+        divisor = Divisor(divisor.params, [(lam, m) for lam, m in entries if cmath.isfinite(lam)])
         for c in [0.0, *c_list]:
             for sign in (+1, -1):
                 expected = reference_pairwise_disjoint(divisor, c, sign)
@@ -835,18 +863,11 @@ def _signalling_nan_point():
     return point[0]
 
 
-def _verdict_fields(verdicts):
-    fields = dict(verdicts)
-    fields["shrunk_cover"] = [
-        (r["c"], r["holds"], r["uncovered"].tolist()) for r in verdicts["shrunk_cover"]
-    ]
-    return fields
-
-
 class TestSignallingNanPoint:
-    """A point with a signalling-NaN part lies in no disc, equals nothing and
-    makes NaN matrix entries only in its own rows and columns, quietly: no
-    numpy warning is raised on its way."""
+    """A point with a signalling-NaN part is refused as a divisor point; as a
+    probe it lies in no disc, and as a label it equals nothing and makes NaN
+    matrix entries only in its own rows and columns, quietly: no numpy
+    warning is raised on its way."""
 
     snan = _signalling_nan_point()
     others = ((1.0, 2), (0j, 1), (-1.5 + 1j, 3))
@@ -861,24 +882,21 @@ class TestSignallingNanPoint:
         bits = np.array([self.snan]).view(np.int64)[0]
         assert math.isnan(self.snan.real) and bits == 0x7FF0000000000001
 
-    def test_theorem_verdicts_as_without_the_point(self):
-        args = (Window(3.0, 0.1), [0.25, 0.5, 1.0], 0.5)
-        got = theorem_verdicts(Divisor(P1, ((self.snan, 1), *self.others)), *args)
-        assert _verdict_fields(got) == _verdict_fields(theorem_verdicts(Divisor(P1, self.others), *args))
+    @pytest.mark.parametrize("source", ["pairs", "records"])
+    def test_divisor_refuses_the_point(self, source):
+        entries = ((self.snan, 1), *self.others)
+        if source == "records":
+            entries = np.array(list(entries), LABEL)
+            assert entries["point"][:1].view(np.int64)[0] == 0x7FF0000000000001
+        with pytest.raises(ValueError, match="^divisor points must be finite$"):
+            Divisor(P1, entries)
 
-    @pytest.mark.parametrize("z", [0j, 1.0, 0.5 + 0.5j, 10.0])
-    def test_overlap_count_as_without_the_point(self, z):
-        divisor = Divisor(P1, ((self.snan, 4), *self.others))
-        assert overlap_count_at(divisor, z) == overlap_count_at(Divisor(P1, self.others), z)
+    def test_probe_lies_in_no_disc(self):
+        assert overlap_count_at(Divisor(P1, self.others), self.snan) == 0
 
     def test_gram_matrix_refuses_a_duplicate_label_before_the_kernel(self):
         with pytest.raises(DuplicateLabelError, match="must be distinct"):
             gram_matrix([(self.snan, 0), (1.0, 0), (1.0, 0)], P1)
-
-    def test_rescaled_point_stays_nan(self):
-        rescaled = rescale_to_unit_alpha(Divisor(FockParams(4.0), ((self.snan, 2), *self.others)))
-        assert np.isnan(rescaled.points[0])
-        assert rescaled.entries[1:] == rescale_to_unit_alpha(Divisor(FockParams(4.0), self.others)).entries
 
     def test_compose_phase_gives_nan(self):
         phase, shift = compose_phase(self.snan, 1.0 + 2j, P1)
@@ -886,12 +904,6 @@ class TestSignallingNanPoint:
         phases, shifts = compose_phase(np.array([self.snan, 1.0]), np.array([1j, 2.0]), P1)
         assert np.isnan(phases[0]) and np.isnan(shifts[0])
         assert same_bits(phases[1:], np.array([compose_phase(1.0, 2.0, P1)[0]])) and shifts[1] == 3.0
-
-    def test_analysis_matrix_as_without_the_point(self):
-        # the NaN point's row is NaN; every other entry has its bits without the point
-        got = analysis_matrix(Divisor(P1, [(self.snan, 1), (1.0, 2), (0j, 1)]), 4).entries
-        want = analysis_matrix(Divisor(P1, [(1.0, 2), (0j, 1)]), 4).entries
-        assert np.isnan(got[0]).all() and same_bits(got[1:], want)
 
     def test_gram_matrix_as_without_the_point(self):
         got = gram_matrix([(self.snan, 0), (1.0, 0)], P1).entries

@@ -282,9 +282,13 @@ class TestMinNormInterpolate:
             min_norm_interpolate(divisor, data)
 
     def test_nan_point_labels_refused(self):
-        # a NaN point equals nothing, not even the divisor's own labels
-        divisor = Divisor(P1, ((complex(math.nan, 0.0), 1), (1.0, 1)))
-        data = MeasurementVector(divisor.atom_labels(), np.ones(2))
+        # a divisor refuses a NaN point, and a NaN label equals none of its labels
+        with pytest.raises(ValueError, match="^divisor points must be finite$"):
+            Divisor(P1, ((complex(math.nan, 0.0), 1), (1.0, 1)))
+        divisor = Divisor(P1, ((0j, 1), (1.0, 1)))
+        labels = divisor.atom_labels()
+        labels["point"][0] = complex(math.nan, 0.0)
+        data = MeasurementVector(labels, np.ones(2))
         with pytest.raises(ValueError, match="^measurement labels do not match the divisor$"):
             min_norm_interpolate(divisor, data)
 

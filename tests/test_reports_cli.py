@@ -328,13 +328,15 @@ class TestDivisorRows:
     def test_empty_divisor(self):
         assert canonical_json(divisor_payload(Divisor(FockParams(2.0), ()))) == '{"alpha":2,"points":[]}'
 
-    def test_nonfinite_points_write_null(self):
-        nan, inf = float("nan"), float("inf")
-        divisor = Divisor(FockParams(1.0), ((complex(nan, 0.5), 2), (complex(-0.0, -inf), 3), (1j, 1)))
+    def test_only_finite_points_reach_the_rows(self):
+        with pytest.raises(ValueError, match="^divisor points must be finite$"):
+            Divisor(FockParams(1.0), ((complex(float("nan"), 0.5), 2), (1j, 1)))
+        largest = 1.7976931348623157e308
+        divisor = Divisor(FockParams(1.0), ((complex(largest, 0.5), 2), (complex(-0.0, -5e-324), 3), (1j, 1)))
         text = canonical_json(divisor_payload(divisor))
         assert text == canonical_json(_dict_walk_payload(divisor)) == (
-            '{"alpha":1,"points":[{"re":null,"im":0.5,"mult":2},'
-            '{"re":-0,"im":null,"mult":3},{"re":0,"im":1,"mult":1}]}'
+            '{"alpha":1,"points":[{"re":1.79769313486e+308,"im":0.5,"mult":2},'
+            '{"re":-0,"im":-4.94065645841e-324,"mult":3},{"re":0,"im":1,"mult":1}]}'
         )
 
 
