@@ -2,15 +2,15 @@
 summaries, interpolation and the uniqueness experiment.
 
 Every subcommand prints one canonical JSON report to stdout, and each warning
-as one line `warning: <message>` to stderr.  Exit codes: 0 success, 2
-malformed, unreadable or non-UTF-8 input (schema), 3 violated precondition,
+as one line `warning: <message>` to stderr.  Exit codes: 0 success, 2 bad usage
+or malformed, unreadable or non-UTF-8 input (schema), 3 violated precondition,
 such as an output that cannot be written (refused before any computation when
 it is a directory or its directory does not exist), a matrix, or a degree
 sweep's matrices in all, above MAX_MATRIX_ENTRIES (refused before any label is
 built), disjoint rings of more than MAX_RING_POINTS points (refused before any
 is laid out), a generated divisor that fails its family's contract (no file is
-written), or an input whose arithmetic overflows the double range (a point
-near 1e308).  Every failure is one line on stderr, after any warnings.
+written), or an input whose arithmetic overflows the double range (a point near
+1e308).  Every failure is one line on stderr, after any warnings.
 """
 
 from __future__ import annotations
@@ -227,8 +227,13 @@ def _cmd_uniqueness(args, divisor) -> dict:
     }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is one schema-error line, exit 2
+        raise SchemaError(message)
+
+
 # the whole command-line surface, built once
-_PARSER = argparse.ArgumentParser(
+_PARSER = _Parser(
     prog="focklab",
     description="Sampling, interpolation and uniqueness experiments on divisors "
     "with multiplicities in Bargmann-Fock space.",
@@ -280,10 +285,10 @@ _p.add_argument("--window", type=float, required=True)
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
     with warnings.catch_warnings():
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
+            args = _PARSER.parse_args(argv)
             # a command's input divisor is read before anything else and leads its inputs
             divisor = load_divisor(args.divisor) if "divisor" in args else None
             report = args.func(args, divisor)

@@ -1638,12 +1638,59 @@ class TestCliNeverExitsOne:
                 mock.patch.object(cli, "MAX_MATRIX_ENTRIES", 2**10), \
                 mock.patch.object(generators, "MAX_RING_POINTS", 2**8), \
                 contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:  # argparse refuses a malformed vector with 2
-                code = exc.code
+            code = cli.main(argv)  # a usage error too is returned, not raised
         assert code in (0, 2, 3), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
+        if code:  # one error line, after any warnings
+            *warned, last = err.getvalue().splitlines()
+            assert last.startswith(("schema error: ", "precondition error: ")), (argv, last)
+            assert all(line.startswith("warning: ") for line in warned), (argv, warned)
+
+
+class TestUsageErrors:
+    """A malformed command line is one schema-error line on stderr with exit
+    2, returned by main; --help prints argparse's help and exits 0."""
+
+    @pytest.fixture
+    def divisor_file(self, tmp_path):
+        path = tmp_path / "d.json"
+        save_divisor(Divisor(FockParams(1.0), ((0.0, 2),)), path)
+        return path
+
+    def test_negative_sweep_start_as_its_own_argument(self, divisor_file, capsys):
+        # argparse reads -3:10:1 as an option, so --degree-sweep has no value
+        assert cli.main(["frame-bounds", str(divisor_file), "--degree-sweep", "-3:10:1"]) == 2
+        assert capsys.readouterr() == ("", "schema error: argument --degree-sweep: expected one argument\n")
+
+    def test_negative_sweep_start_after_equals(self, divisor_file, capsys):
+        assert cli.main(["frame-bounds", str(divisor_file), "--degree-sweep=-3:10:1"]) == 3
+        assert capsys.readouterr() == ("", "precondition error: degree must be >= 0\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "the following arguments are required: command"),
+            (["gram", "{path}", "--verbose"], "unrecognized arguments: --verbose"),
+            (["frame-bounds", "{path}", "--degree", "2.5"], "argument --degree: invalid int value: '2.5'"),
+            (["uniqueness", "{path}", "--degree", "3"], "the following arguments are required: --window"),
+        ],
+        ids=["no-command", "unknown-option", "fractional-degree", "missing-option"],
+    )
+    def test_one_line_exit_2(self, argv, message, divisor_file, capsys):
+        assert cli.main([arg.format(path=divisor_file) for arg in argv]) == 2
+        assert capsys.readouterr() == ("", f"schema error: {message}\n")
+
+    def test_one_line_from_the_console(self, divisor_file):
+        result = run_cli("frame-bounds", str(divisor_file), "--degree-sweep", "-3:10:1")
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == "schema error: argument --degree-sweep: expected one argument\n"
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gram", "--help"])
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: focklab gram [-h] divisor\n") and err == ""
 
 
 def csv_cell(value) -> str:
