@@ -891,6 +891,14 @@ class TestSignallingNanPoint:
         with pytest.raises(ValueError, match="^divisor points must be finite$"):
             Divisor(P1, entries)
 
+    @pytest.mark.parametrize("z", [0j, 1.0, 0.5 + 0.5j, 10.0])
+    def test_overlap_count_as_without_the_point(self, z):
+        # the point never enters a divisor, so every count is that of the others
+        with pytest.raises(ValueError, match="^divisor points must be finite$"):
+            Divisor(P1, ((self.snan, 4), *self.others))
+        want = sum(abs(z - lam) ** 2 < m / P1.alpha for lam, m in self.others)
+        assert overlap_count_at(Divisor(P1, self.others), z) == want
+
     def test_probe_lies_in_no_disc(self):
         assert overlap_count_at(Divisor(P1, self.others), self.snan) == 0
 
