@@ -185,10 +185,44 @@ def scalar_math(fn, *args) -> np.ndarray:
     numpy's own exp, log, atan2 and power round some arguments differently
     from the C library, and differently on different CPUs.  The function is
     mapped over the Python floats of the broadcast arguments (`tolist`), and
-    np.fromiter collects its results into an array of their shape."""
+    np.fromiter collects its results into an array of their shape.  It serves
+    lgamma, pow, log and atan2, and the inputs libm_exp and libm_cis route."""
     args = np.broadcast_arrays(*args)
     values = map(fn, *(a.ravel().tolist() for a in args))
     return np.fromiter(values, float, args[0].size).reshape(args[0].shape)
+
+
+def libm_exp(v) -> np.ndarray:
+    """math.exp elementwise, with its bits, from one C loop: the real part of
+    numpy's complex exp, the C library's cexp, exp(x) * (cos y + i sin y), at
+    v + 0i, where cos 0 = 1 and sin 0 = 0 exactly.  Inputs not at most 709 go
+    through scalar_math: glibc's cexp rescales those above and rounds them
+    differently, math.exp raises past 709.78, and cexp only flags a NaN."""
+    v = np.asarray(v, float)
+    z = v.astype(complex)
+    with np.errstate(all="ignore"):  # the routed inputs' flags
+        out = np.exp(z, out=z).real
+    routed = ~(v <= 709)
+    if routed.any():
+        out[routed] = scalar_math(math.exp, v[routed])
+    return out
+
+
+def libm_cis(angle) -> np.ndarray:
+    """math.cos(angle) + i math.sin(angle) elementwise, with their bits (a sine
+    of -0.0 included), from one C loop: numpy's complex exp at 0 + i angle,
+    where exp 0 = 1 exactly.  A non-finite angle goes through scalar_math:
+    math.cos raises for an infinite one and gives a NaN quietly."""
+    angle = np.asarray(angle, float)
+    out = np.zeros(angle.shape, complex)
+    out.imag = angle
+    with np.errstate(all="ignore"):  # the routed angles' flags
+        np.exp(out, out=out)
+    routed = ~np.isfinite(angle)
+    if routed.any():
+        out.real[routed] = scalar_math(math.cos, angle[routed])
+        out.imag[routed] = scalar_math(math.sin, angle[routed])
+    return out
 
 
 def scalar_square(v) -> np.ndarray:
@@ -217,7 +251,7 @@ def compose_phase(w, z, params: FockParams):
         # Im(conj(z)*w) in the operation order of a scalar complex product
         angle = -params.alpha * (zz.real * ww.imag + -zz.imag * ww.real)
         shift = ww + zz
-    phase = scalar_math(math.cos, angle) + 1j * scalar_math(math.sin, angle)
+    phase = libm_cis(angle) + 0.0  # +0.0 where sin is -0.0, as cos + 1j*sin gives
     if phase.ndim == 0:
         return complex(phase), complex(shift)
     return phase, shift

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .core import FockParams, disc_grid, label_records, require_positive, scalar_math
+from .core import FockParams, disc_grid, label_records, libm_cis, require_positive
 from .geometry import Divisor, Window, coverage_defect, disc_radius, pairwise_disjoint
 from .geometry import require_multiplicities
 
@@ -62,12 +62,12 @@ def generate_lattice(
 
 def _rings(family: str, params: FockParams, c: float, radius: float, schedule, **extra):
     """The rings of `schedule` laid out in order as a divisor, and their metadata:
-    point t of n at radius rho is rho * (cos x + i sin x), x = 2*pi*t/n, by libm."""
+    point t of n at radius rho is rho * (cos x + i sin x), x = 2*pi*t/n, by libm_cis."""
     rho, count, mult = ([ring[key] for ring in schedule] for key in ("rho", "count", "mult"))
     require_multiplicities(max(mult))  # int64 records would truncate or overflow it
     turns = np.concatenate([2 * math.pi * np.arange(n) / n for n in count])
-    rho, points = np.repeat(rho, count), np.empty(turns.size, complex)
-    points.real, points.imag = rho * scalar_math(math.cos, turns), rho * scalar_math(math.sin, turns)
+    rho, cis, points = np.repeat(rho, count), libm_cis(turns), np.empty(turns.size, complex)
+    points.real, points.imag = rho * cis.real, rho * cis.imag
     divisor = Divisor(params, label_records(points, np.repeat(mult, count)))
     meta = {
         "family": family,

@@ -16,7 +16,8 @@ from functools import lru_cache
 import numpy as np
 
 from .core import FockFunction, FockParams, ParameterMismatchError, compose_phase, require_index
-from .core import label_array, label_digest, require_positive, scalar_math, scalar_mul, scalar_square
+from .core import label_array, label_digest, libm_cis, libm_exp, require_positive, scalar_math, scalar_mul
+from .core import scalar_square
 
 __all__ = [
     "GramMatrix",
@@ -50,8 +51,8 @@ def overlap_matrix(rows, cols, params: FockParams) -> np.ndarray:
 
     An entry is phase * <T_z e_k, e_j> with (phase, z) = compose_phase(-mu,
     lam) and the closed form of displacement_element, bit-identical to scalar
-    Python floats (functions from scalar_math, complex products in CPython's
-    operation order).  Points are told apart by their bits, since a signed
+    Python floats (libm through scalar_math, libm_exp and libm_cis, complex
+    products in CPython's operation order).  Points are told apart by their bits, since a signed
     zero can move the phase and the atan2 branch.
 
     Each family is sorted once into runs, maximal stretches of consecutive
@@ -142,7 +143,7 @@ def _walk(out, row_runs, col_runs, params, log_fact, hermitian):
         d = np.abs(j - k)
         phase, x, log_w, arg_ge, arg_lt, at_zero = _point_factors(row_z[u], col_z[v], params)
         angle = d * np.where(j >= k, arg_ge[pair], arg_lt[pair])
-        cos, sin = scalar_math(math.cos, angle), scalar_math(math.sin, angle)
+        cis = libm_cis(angle)
         if hermitian:
             mirror = col_point[v] < row_point[u]
             back, _ = compose_phase(-col_z[v], row_z[u], params)
@@ -151,10 +152,10 @@ def _walk(out, row_runs, col_runs, params, log_fact, hermitian):
             q, de = pair[e], d[e]
             log_lag = -0.5 * x[q] + 0.5 * (log_fact[lo] - log_fact[lo + de]) + de * log_w[q]
             # an unscaled chain adds +0.0, which keeps every bit of exp's result
-            lag *= scalar_math(math.exp, log_lag + scaled * _LOG_RESCALE)
+            lag *= libm_exp(log_lag + scaled * _LOG_RESCALE)
             zero = at_zero[q]
-            re = np.where(zero, (de == 0) * 1.0, lag * cos[e])
-            im = np.where(zero, 0.0, lag * sin[e])
+            re = np.where(zero, (de == 0) * 1.0, lag * cis.real[e])
+            im = np.where(zero, 0.0, lag * cis.imag[e])
             r, c = row_order[row_at[e] + lo], col_order[col_at[e] + lo]
             flat[r * width + c] = scalar_mul(phase[q], re, im)
             if hermitian:  # the transposed entries of the run pairs at two points
