@@ -137,10 +137,12 @@ class Atom:
 
     def __post_init__(self):
         object.__setattr__(self, "k", require_index("basis index k", self.k))
-        c = complex(self.coeff)
+        lam, c = complex(self.lam), complex(self.coeff)
+        if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
+            raise ValueError("atom point must be finite")
         if not (math.isfinite(c.real) and math.isfinite(c.imag)):
             raise ValueError("atom coefficient must be finite")
-        object.__setattr__(self, "lam", complex(self.lam))
+        object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "coeff", c)
 
 

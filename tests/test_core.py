@@ -91,17 +91,20 @@ class TestBasisEval:
 
 class TestAtom:
     @pytest.mark.parametrize(
-        "k, coeff, message",
+        "lam, k, coeff, message",
         [
-            (-1, 1.0, r"^basis index k must be >= 0$"),
-            (1.5, 1.0, r"^basis index k must be an integer$"),
-            (0, complex(math.nan, 0.0), r"^atom coefficient must be finite$"),
+            (0.0, -1, 1.0, r"^basis index k must be >= 0$"),
+            (0.0, 1.5, 1.0, r"^basis index k must be an integer$"),
+            (0.0, 0, complex(math.nan, 0.0), r"^atom coefficient must be finite$"),
+            (complex(1.0, math.nan), 0, 1.0, r"^atom point must be finite$"),
+            (complex(math.inf, 0.0), 0, 1.0, r"^atom point must be finite$"),
+            (complex(0.0, -math.inf), 0, 1.0, r"^atom point must be finite$"),
         ],
-        ids=["negative-k", "fractional-k", "nan-coeff"],
+        ids=["negative-k", "fractional-k", "nan-coeff", "nan-point", "inf-point", "minus-inf-point"],
     )
-    def test_invalid_atom_refused(self, k, coeff, message):
+    def test_invalid_atom_refused(self, lam, k, coeff, message):
         with pytest.raises(ValueError, match=message):
-            Atom(0.0, k, coeff)
+            Atom(lam, k, coeff)
 
     def test_scaling_and_difference_act_on_coefficients(self):
         f = FockFunction(P1, (Atom(1j, 2, 0.5 - 1j),))
@@ -577,7 +580,7 @@ class TestAtomLabelRecords:
                 Atom(1 - 2j, 3, -0.5),
                 Atom(complex(-0.0, -0.0), 0),
                 Atom(0.0, 0, 2j),
-                Atom(complex(math.nan, -0.0), 2**63 - 1),
+                Atom(complex(-1.5, -0.0), 2**63 - 1),
                 Atom(1 - 2j, 3, 1j),
                 Atom(5e-324, True),
             ),
