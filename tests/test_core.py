@@ -2,6 +2,7 @@ import hashlib
 import math
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from focklab import (
     overlap_matrix,
     quadrature_inner_oracle,
 )
-from focklab.core import LABEL, basis_labels, label_array, label_digest
+from focklab.core import LABEL, basis_labels, label_array, label_digest, libm_cis, libm_exp, scalar_math
 
 P1 = FockParams(1.0)
 
@@ -184,6 +185,118 @@ class TestComposePhase:
             a = lhs.evaluate(complex(zeta, 0.3))
             b = phase * rhs.evaluate(complex(zeta, 0.3))
             assert abs(a - b) <= 1e-10 * (1 + abs(b))
+
+
+_phase_part = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e150, 1e150))
+
+
+@pytest.mark.bitwise
+class TestComposePhaseBits:
+    """The phase has the bits of cos(a) + 1j*sin(a) on Python floats, with
+    a = -alpha * Im(conj(z)*w) in a scalar complex product's operation order."""
+
+    @staticmethod
+    def scalar_phase(w, z, alpha):
+        a = -alpha * (z.real * w.imag + -z.imag * w.real)
+        return math.cos(a) + 1j * math.sin(a)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(st.builds(complex, _phase_part, _phase_part), st.builds(complex, _phase_part, _phase_part)),
+                 min_size=1, max_size=6),
+        st.floats(1e-3, 1e3),
+    )
+    def test_bits_equal_scalar_python(self, pairs, alpha):
+        params = FockParams(alpha)
+        want = [self.scalar_phase(w, z, alpha) for w, z in pairs]
+        got = [compose_phase(w, z, params)[0] for w, z in pairs]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        w, z = np.array(pairs).T
+        assert compose_phase(w, z, params)[0].tobytes() == np.array(want).tobytes()
+
+    def test_sine_of_minus_zero_gives_plus_zero(self):
+        # angle -0.0: cexp's imaginary part is sin(-0.0) = -0.0, cos + 1j*sin's is +0.0
+        phase, _ = compose_phase(-(1 + 2j), 0j, P1)
+        assert math.copysign(1.0, phase.imag) == 1.0
+        assert struct.pack("<dd", phase.real, phase.imag) == struct.pack("<dd", 1.0, 0.0)
+
+
+def _floats_from_bits(*bits):
+    # a NaN payload, signalling ones included, kept as it is
+    return np.array(bits, np.uint64).view(float)
+
+
+_BRIDGE = {
+    "exp": (math.exp, libm_exp),
+    "cos": (math.cos, lambda x: libm_cis(x).real),
+    "sin": (math.sin, lambda x: libm_cis(x).imag),
+}
+_EDGES = np.concatenate([
+    [0.0, -0.0, 5e-324, 709.0, np.nextafter(709.0, np.inf), 709.78, np.inf, -np.inf],
+    _floats_from_bits(0x7FF8000000000000, 0x7FF0000000000001),
+])
+_EDGE_IDS = ["zero", "minus-zero", "5e-324", "709", "after-709", "709.78", "inf", "minus-inf", "qnan", "snan"]
+
+
+def check_bridge(name, x):
+    """libm_exp or libm_cis at the floats x against scalar_math of the math
+    function: its bits, or a NaN where it gives a NaN; where math raises, the
+    same exception type."""
+    fn, spelling = _BRIDGE[name]
+    try:
+        want = scalar_math(fn, x)
+    except (OverflowError, ValueError) as error:
+        with pytest.raises(type(error)):
+            spelling(x)
+        return
+    got = np.asarray(spelling(x))
+    assert got.shape == want.shape
+    same = (got.view(np.int64) == want.view(np.int64)) | (np.isnan(got) & np.isnan(want))
+    assert same.all(), (x[~same], got[~same], want[~same])
+
+
+@pytest.mark.bitwise
+@pytest.mark.parametrize("name", sorted(_BRIDGE))
+class TestLibmBridge:
+    """libm_exp and libm_cis give the bits of math.exp, math.cos and math.sin
+    as scalar_math maps them, NaNs as NaNs, and raise where math raises: the
+    inputs cexp does not treat as math does go through scalar_math."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_random_bit_patterns(self, name):
+        # every exponent, both signs, NaNs and infinities among them, and the
+        # band above 709 where glibc's cexp rescales (30% of it differs from exp)
+        rng = np.random.default_rng(36)
+        x = np.concatenate([rng.integers(0, 2**64, 10**5, np.uint64).view(float), rng.uniform(709, 709.79, 10**3)])
+        fn = _BRIDGE[name][0]
+        raises = np.zeros(x.size, bool)
+        for i, v in enumerate(x.tolist()):
+            try:
+                fn(v)
+            except (OverflowError, ValueError):
+                raises[i] = True
+        check_bridge(name, x[~raises])
+        for v in x[raises]:
+            check_bridge(name, np.array([v]))
+
+    @pytest.mark.parametrize("value", _EDGES, ids=_EDGE_IDS)
+    def test_edge_case(self, name, value):
+        check_bridge(name, np.asarray(value))
+        check_bridge(name, np.array([value, 0.5]))
+
+    def test_edge_cases_in_one_array(self, name):
+        check_bridge(name, _EDGES)
+        check_bridge(name, _EDGES[np.isfinite(_EDGES) | np.isnan(_EDGES)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(), st.floats(709, 709.79)), min_size=1, max_size=8))
+    def test_drawn_floats(self, name, values):
+        check_bridge(name, np.array(values))
 
 
 class TestTranslate:
