@@ -15,9 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import FockFunction, FockParams, ParameterMismatchError, compose_phase, require_index
-from .core import label_array, label_digest, libm_cis, libm_exp, require_positive, scalar_math, scalar_mul
-from .core import scalar_square
+from .core import FockFunction, FockParams, ParameterMismatchError, compose_phase, libm_cis, libm_exp
+from .core import label_array, label_digest, require_index, require_positive, scalar_math, scalar_mul, scalar_square
 
 __all__ = [
     "GramMatrix",
@@ -52,8 +51,8 @@ def overlap_matrix(rows, cols, params: FockParams) -> np.ndarray:
     An entry is phase * <T_z e_k, e_j> with (phase, z) = compose_phase(-mu,
     lam) and the closed form of displacement_element, bit-identical to scalar
     Python floats (libm through scalar_math, libm_exp and libm_cis, complex
-    products in CPython's operation order).  Points are told apart by their bits, since a signed
-    zero can move the phase and the atan2 branch.
+    products in CPython's operation order).  Points are told apart by their
+    bits, since a signed zero can move the phase and the atan2 branch.
 
     Each family is sorted once into runs, maximal stretches of consecutive
     degrees at one point.  A pair of runs of lengths a and b holds a + b - 1

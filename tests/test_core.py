@@ -200,7 +200,7 @@ class TestComposePhaseBits:
         a = -alpha * (z.real * w.imag + -z.imag * w.real)
         return math.cos(a) + 1j * math.sin(a)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(
         st.lists(st.tuples(st.builds(complex, _phase_part, _phase_part), st.builds(complex, _phase_part, _phase_part)),
                  min_size=1, max_size=6),
@@ -293,7 +293,7 @@ class TestLibmBridge:
         check_bridge(name, _EDGES)
         check_bridge(name, _EDGES[np.isfinite(_EDGES) | np.isnan(_EDGES)])
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(st.lists(st.one_of(st.floats(), st.floats(709, 709.79)), min_size=1, max_size=8))
     def test_drawn_floats(self, name, values):
         check_bridge(name, np.array(values))
