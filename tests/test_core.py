@@ -291,7 +291,8 @@ class TestLibmBridge:
 
     def test_edge_cases_in_one_array(self, name):
         check_bridge(name, _EDGES)
-        check_bridge(name, _EDGES[np.isfinite(_EDGES) | np.isnan(_EDGES)])
+        # without the infinities, cos and sin raise nothing and every entry is compared
+        check_bridge(name, _EDGES[~np.isinf(_EDGES)])
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.one_of(st.floats(), st.floats(709, 709.79)), min_size=1, max_size=8))
