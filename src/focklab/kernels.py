@@ -69,12 +69,8 @@ def overlap_matrix(rows, cols, params: FockParams) -> np.ndarray:
 
     When the two label arrays are bitwise equal, only the run pairs whose
     column point is at or before the row point in bit order are computed,
-    and each transposed entry takes the modulus and cosine part of its
-    mirror, the sine part negated and the phase of the opposite composition:
-    the bits a direct evaluation gives.  That identity needs arg w of the two
-    directions to be opposite, which an imaginary part of -0.0 breaks (pi on
-    both sides of a real-axis pair), so a family with such a point is
-    computed in full.
+    and each transposed entry is its mirror's conjugate plus 0.0 (a real
+    entry's mirror keeps +0j), so the matrix is Hermitian exactly.
     """
     rows, cols = label_array(rows), label_array(cols)
     out = np.zeros((len(rows), len(cols)), dtype=complex)
@@ -88,10 +84,9 @@ def overlap_matrix(rows, cols, params: FockParams) -> np.ndarray:
     # contiguous points, whose bits _runs views as integers
     mu, lam = np.ascontiguousarray(rows["point"]), np.ascontiguousarray(cols["point"])
     equal = np.array_equal(mu.view(np.int64), lam.view(np.int64)) and np.array_equal(j, k)
-    hermitian = equal and not np.any(np.signbit(lam.imag) & (lam.imag == 0))
     row_runs = _runs(mu, j)
     col_runs = row_runs if equal else _runs(lam, k)
-    _walk(out, row_runs, col_runs, params, log_fact, hermitian)
+    _walk(out, row_runs, col_runs, params, log_fact, equal)
     return out
 
 
@@ -107,13 +102,12 @@ def _runs(z, degree):
     return order, start, np.diff(start, append=len(order)), degree[start], point, z[order[start]]
 
 
-def _walk(out, row_runs, col_runs, params, log_fact, hermitian):
-    # the chains of the run pairs (u, v), pair after pair (row-major; if hermitian, v
-    # up to u's point) and by gap in a pair, in batches of at most _BLOCK_ENTRIES
+def _walk(out, row_runs, col_runs, params, log_fact, half):
+    # the chains of the run pairs (u, v), pair after pair (row-major; if half, v up
+    # to u's point) and by gap in a pair, in batches of at most _BLOCK_ENTRIES
     row_order, row_start, a, row_degree, row_point, row_z = row_runs
     col_order, col_start, b, col_degree, col_point, col_z = col_runs
-    reach = (np.searchsorted(col_point, row_point, "right") if hermitian
-             else np.full(len(a), len(b)))
+    reach = np.searchsorted(col_point, row_point, "right") if half else np.full(len(a), len(b))
     b_before = np.concatenate(([0], np.cumsum(b)))
     size = reach * (a - 1) + b_before[reach]
     row_first, total = np.cumsum(size) - size, int(size.sum())
@@ -143,9 +137,7 @@ def _walk(out, row_runs, col_runs, params, log_fact, hermitian):
         phase, x, log_w, arg_ge, arg_lt, at_zero = _point_factors(row_z[u], col_z[v], params)
         angle = d * np.where(j >= k, arg_ge[pair], arg_lt[pair])
         cis = libm_cis(angle)
-        if hermitian:
-            mirror = col_point[v] < row_point[u]
-            back, _ = compose_phase(-col_z[v], row_z[u], params)
+        mirror = col_point[v] < row_point[u] if half else None
 
         def flush(e, lag, lo, scaled):  # chain e's entry at lo, whose L_lo is lag / _RESCALE**scaled
             q, de = pair[e], d[e]
@@ -156,11 +148,10 @@ def _walk(out, row_runs, col_runs, params, log_fact, hermitian):
             re = np.where(zero, (de == 0) * 1.0, lag * cis.real[e])
             im = np.where(zero, 0.0, lag * cis.imag[e])
             r, c = row_order[row_at[e] + lo], col_order[col_at[e] + lo]
-            flat[r * width + c] = scalar_mul(phase[q], re, im)
-            if hermitian:  # the transposed entries of the run pairs at two points
+            value = flat[r * width + c] = scalar_mul(phase[q], re, im)
+            if half:  # the transposed entries of the run pairs at two points
                 m = mirror[q]
-                im = np.where(zero[m], im[m], -im[m])
-                flat[c[m] * width + r[m]] = scalar_mul(back[q[m]], re[m], im)
+                flat[c[m] * width + r[m]] = value[m].conj() + 0.0
 
         # the recurrence from L_0 (L_-1 = 0 makes the first step 1 + d - x
         # exactly); step i reaches lo = i of the chains with first <= i < end
@@ -271,8 +262,7 @@ class GramMatrix:
 def gram_matrix(family, params: FockParams) -> GramMatrix:
     """Assemble the Gram matrix of the atoms T_lam e_k named by `family`:
     one equal-family overlap_matrix call, which computes the run pairs up to
-    each point and mirrors the rest with the bits a direct evaluation gives.
-    """
+    each point and mirrors the rest as their conjugates."""
     labels = label_array(family)
     if not labels.size:
         raise ValueError("atom family must be nonempty")

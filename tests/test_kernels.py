@@ -466,9 +466,9 @@ class TestOverlapMatrix:
             overlap_matrix([(0.0, 0)], [(1.0, -1)], P1)
 
 
-# axis coordinates of both zero signs (an imaginary part of -0.0 makes the
-# kernel compute the family in full), far points whose overlaps underflow to
-# signed zeros, and arbitrary finite coordinates
+# axis coordinates of both zero signs (an imaginary part of -0.0 gives a
+# real-axis pair the same arg w in both directions), far points whose overlaps
+# underflow to signed zeros, and arbitrary finite coordinates
 _coordinate = st.one_of(
     st.sampled_from([0.0, -0.0, 0.5, -1.5, 30.0, -30.0]), st.floats(-4.0, 4.0)
 )
@@ -506,26 +506,41 @@ class TestHermitianHalfFill:
     def test_bits_equal_row_by_row_reference(self, family):
         labels, alpha = family
         params = FockParams(alpha)
+        minus_zero = any(lam.imag == 0 and math.copysign(1.0, lam.imag) < 0 for lam, _ in labels)
         # interleaved as drawn, then sorted by the bits of the point, where
         # the computed blocks hold the lower triangle
         grouped = sorted(labels, key=lambda label: _bits(label[0]))
         for family_order in (labels, grouped):
             got = overlap_matrix(family_order, family_order, params)
             reference = _row_by_row(family_order, params)
-            assert np.array_equal(got.view(np.int64), reference.view(np.int64))
+            # computed: the column point at or before the row point in bit order
+            point = [_bits(lam) for lam, _ in family_order]
+            computed = np.array([[q <= p for q in point] for p in point])
+            assert np.array_equal(got[computed].view(np.int64), reference[computed].view(np.int64))
+            mirrored = got.T.conj() + 0.0
+            assert np.array_equal(got[~computed].view(np.int64), mirrored[~computed].view(np.int64))
+            assert np.array_equal(got, got.conj().T)
+            if minus_zero:
+                # a real-axis pair with a -0.0 imaginary part has arg w = +-pi
+                # in both directions, so the direct entry's sine part is
+                # sin(d*pi) = O(d*eps) of |G| where the mirror's is its negation
+                degree = np.array([n for _, n in family_order])
+                gap = np.maximum(np.abs(degree[:, None] - degree[None, :]), 1)
+                eps = np.finfo(float).eps
+                assert np.all(np.abs(got - reference) <= 4 * gap * eps * np.abs(reference))
+            else:
+                assert np.array_equal(got, reference)
         # positive semidefinite up to a backward-stable eigensolver's error
         bound = len(labels) * np.finfo(float).eps * np.linalg.norm(got, 2)
         assert np.linalg.eigvalsh(got)[0] >= -bound
-        # a -0.0 imaginary part has the family computed in full, and then the
-        # atan2 branch of the closed form can break the symmetry by rounding
-        if not any(lam.imag == 0 and math.copysign(1.0, lam.imag) < 0 for lam, _ in labels):
-            assert np.array_equal(got, got.conj().T)
 
 
 def strip_overlap_matrix(rows, cols, params):
     """The kernel in its one-strip-per-row-point form: each distinct row
     point's strip evaluates its column points' factors, then every entry's
-    cos and sin.  The block kernel must equal it bit for bit."""
+    cos and sin; an equal family's strips reach up to their own point and
+    mirror the rest as conjugates plus 0.0.  The block kernel must equal it
+    bit for bit."""
     rows = [(complex(mu), int(j)) for mu, j in rows]
     cols = [(complex(lam), int(k)) for lam, k in cols]
     out = np.zeros((len(rows), len(cols)), dtype=complex)
@@ -536,20 +551,16 @@ def strip_overlap_matrix(rows, cols, params):
     lam, k = np.array([lam for lam, _ in cols]), np.array([k for _, k in cols])
     (row_points, row_of), (points, point_of) = _strip_table(mu), _strip_table(lam)
     equal = np.array_equal(mu.view(np.int64), lam.view(np.int64)) and np.array_equal(j, k)
-    hermitian = equal and not np.any(np.signbit(lam.imag) & (lam.imag == 0))
     for s, point in enumerate(row_points):
         index = np.flatnonzero(row_of == s)
-        sel = np.flatnonzero(point_of <= s) if hermitian else np.arange(len(cols))
-        reach = points[: s + 1] if hermitian else points
+        sel = np.flatnonzero(point_of <= s) if equal else np.arange(len(cols))
+        reach = points[: s + 1] if equal else points
         phase, *factors = [f[point_of[sel]] for f in _strip_factors(point, reach, params)]
         re, im = _strip_elements(j[index, None], k[sel], factors, log_fact)
-        out[np.ix_(index, sel)] = _strip_rotate(phase, re, im)
-        if hermitian:
-            mirror, at_zero = point_of[sel] < s, factors[-1]
-            back, _ = compose_phase(-points[:s], point, params)
-            im = np.where(at_zero[mirror], im[:, mirror], -im[:, mirror])
-            block = _strip_rotate(back[point_of[sel[mirror]]], re[:, mirror], im)
-            out[np.ix_(sel[mirror], index)] = block.T
+        block = out[np.ix_(index, sel)] = _strip_rotate(phase, re, im)
+        if equal:
+            mirror = point_of[sel] < s
+            out[np.ix_(sel[mirror], index)] = block[:, mirror].T.conj() + 0.0
     return out
 
 
@@ -568,7 +579,12 @@ def _strip_rotate(phase, re, im):
 
 
 def _strip_factors(mu, points, params):
-    phase, z = compose_phase(-mu, points, params)
+    # the composition phase of T_{-mu} T_lam by its scalar rule on Python
+    # floats, one point at a time, as TestComposePhaseBits pins it
+    w = complex(-mu)
+    angles = [-params.alpha * (lam.real * w.imag + -lam.imag * w.real) for lam in points.tolist()]
+    phase = np.array([math.cos(a) + 1j * math.sin(a) for a in angles], dtype=complex)
+    z = w + points
     sa = math.sqrt(params.alpha)
     x = params.alpha * (scalar_math(math.pow, z.real, 2.0) + scalar_math(math.pow, z.imag, 2.0))
     wr, wi = sa * z.real, -(sa * z.imag) + 0.0 * z.real
@@ -598,7 +614,7 @@ def _strip_elements(j, k, factors, log_fact):
 
 
 # zero coordinates of both signs (value-equal, bit-distinct points; an
-# imaginary part of -0.0 turns the mirror off), 1e-200 (a point pair whose
+# imaginary part of -0.0 on a real-axis pair), 1e-200 (a point pair whose
 # z = 0 branch is taken by underflow), far points and arbitrary coordinates
 _block_coordinate = st.one_of(
     st.sampled_from([0.0, -0.0, 1e-200, 2.0, -1.5, 30.0]), st.floats(-4.0, 4.0)
@@ -660,8 +676,8 @@ class TestBlockKernel:
 def test_benchmark_shaped_families_bits_equal_strip_kernel(generate, radius, degree):
     # the families the benchmark builds, whose run pairs hold hundreds of
     # Laguerre chains of up to 29 steps, and a lattice of short runs; turned
-    # by 4 radians, the centre point becomes 0 - 0j, which has the equal
-    # family computed in full
+    # by 4 radians, the centre point becomes 0 - 0j, whose real-axis pairs
+    # take arg w = +-pi in both directions
     divisor, _ = generate(1.0, 1.0, radius)
     turn = complex(math.cos(4.0), math.sin(4.0))
     turned = Divisor(divisor.params, [(lam * turn, m) for lam, m in divisor.entries])
