@@ -1,6 +1,5 @@
 import argparse
 import contextlib
-import hashlib
 import io
 import json
 import math
@@ -731,44 +730,14 @@ class TestOutOfRangeInputs:
 
 
 class TestCliSurface:
-    @pytest.fixture()
-    def lattice_file(self, tmp_path):
-        result = run_cli(
-            "generate", "lattice", "--spacing", "1", "--mult", "1", "--window", "3",
-            "--out", str(tmp_path / "lat.json"),
-        )
-        assert result.returncode == 0
-        return tmp_path / "lat.json"
+    """The console's own bytes are pinned by the CLI byte corpus
+    (tests/corpus/manifest.json) and TestUsageErrors' console test."""
 
-    def test_generate_report_echoes_family(self, lattice_file):
-        divisor = load_divisor(lattice_file)
-        assert len(divisor.entries) == 29
-
-    def test_check_geometry_deterministic(self, lattice_file):
-        args = (
-            "check-geometry", str(lattice_file), "--window", "3",
-            "--grid-step", "0.1", "--c-list", "0.25,0.5,1",
-        )
-        first = run_cli(*args)
-        second = run_cli(*args)
-        assert first.returncode == 0
-        assert first.stdout == second.stdout
-        doc = json.loads(first.stdout)
-        assert doc["verdicts"]["padded_cover"]["holds"] is True
-        assert doc["verdicts"]["finite_overlap_bound"] == 4
-
-    def test_generate_deterministic(self, tmp_path):
-        out_a = tmp_path / "a.json"
-        out_b = tmp_path / "b.json"
-        r1 = run_cli("generate", "covering-rings", "--c", "0.5", "--window", "4", "--out", str(out_a))
-        r2 = run_cli("generate", "covering-rings", "--c", "0.5", "--window", "4", "--out", str(out_b))
-        assert r1.returncode == r2.returncode == 0
-        assert r1.stdout == r2.stdout
-        assert out_a.read_text() == out_b.read_text()
-
-    def test_parser_built_once_at_import(self, lattice_file, tmp_path, monkeypatch, capsys):
+    def test_parser_built_once_at_import(self, tmp_path, monkeypatch, capsys):
         # every subcommand runs on the parser built at import, and a second
         # run in the same process prints the same bytes
+        lattice_file = tmp_path / "lat.json"
+        save_divisor(generate_lattice(1.0, 1.0, 1, 3.0)[0], lattice_file)
         monkeypatch.setattr(argparse, "ArgumentParser", mock.Mock(side_effect=AssertionError("rebuilt")))
         values = tmp_path / "values.json"
         values.write_text(json.dumps({"values": [{"re": i % 3, "im": i % 2} for i in range(29)]}))
@@ -786,86 +755,6 @@ class TestCliSurface:
             assert cli.main(argv) == 0
             assert capsys.readouterr() == first
             assert first.err == "" and json.loads(first.out)["command"] == argv[0]
-
-    def test_frame_bounds_sweep_csv(self, lattice_file, tmp_path):
-        csv_path = tmp_path / "sweep.csv"
-        result = run_cli(
-            "frame-bounds", str(lattice_file), "--degree-sweep", "2:8:2", "--csv", str(csv_path)
-        )
-        assert result.returncode == 0
-        doc = json.loads(result.stdout)
-        assert [s["degree"] for s in doc["summaries"]] == [2, 4, 6, 8]
-        lines = csv_path.read_text().splitlines()
-        assert lines[0] == "N,smin,smax,ratio"
-        assert len(lines) == 5
-
-    def test_frame_bounds_single_degree(self, tmp_path):
-        path = tmp_path / "one.json"
-        path.write_text('{"alpha": 1, "points": [{"re": 0, "im": 0, "mult": 6}]}')
-        result = run_cli("frame-bounds", str(path), "--degree", "5")
-        doc = json.loads(result.stdout)
-        assert doc["summaries"][0]["smin"] == pytest.approx(1.0, abs=1e-10)
-        assert doc["summaries"][0]["ratio"] == pytest.approx(1.0, abs=1e-9)
-
-    def test_gram_and_interpolate(self, tmp_path):
-        divisor_path = tmp_path / "two.json"
-        divisor_path.write_text(
-            '{"alpha": 1, "points": [{"re": 0, "im": 0, "mult": 1}, {"re": 4, "im": 0, "mult": 1}]}'
-        )
-        gram_doc = json.loads(run_cli("gram", str(divisor_path)).stdout)
-        assert gram_doc["spectrum"]["size"] == 2
-        assert gram_doc["spectrum"]["condition"] == pytest.approx(1.0, abs=1e-3)
-
-        values_path = tmp_path / "vals.json"
-        values_path.write_text('{"values": [{"re": 1, "im": 0}, {"re": 0, "im": 0}]}')
-        result = run_cli(
-            "interpolate", str(divisor_path), str(values_path), "--dump-atoms"
-        )
-        assert result.returncode == 0
-        doc = json.loads(result.stdout)
-        assert doc["solution"]["residual"] <= 1e-10
-        assert len(doc["solution"]["atoms"]) == 2
-
-    def test_uniqueness_subcommand(self, tmp_path):
-        path = tmp_path / "four.json"
-        path.write_text('{"alpha": 1, "points": [{"re": 0, "im": 0, "mult": 4}]}')
-        result = run_cli("uniqueness", str(path), "--degree", "8", "--window", "2")
-        assert result.returncode == 0
-        doc = json.loads(result.stdout)
-        assert doc["hole_mass"] == pytest.approx(0.371163, abs=1e-5)
-
-    def test_schema_error_exit_code(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"alpha": 0, "points": []}')
-        result = run_cli("gram", str(path))
-        assert result.returncode == 2
-        assert "schema error" in result.stderr
-
-    def test_precondition_error_exit_code(self, tmp_path):
-        path = tmp_path / "four.json"
-        path.write_text('{"alpha": 1, "points": [{"re": 0, "im": 0, "mult": 4}]}')
-        result = run_cli("uniqueness", str(path), "--degree", "3", "--window", "2")
-        assert result.returncode == 3
-        assert "precondition error" in result.stderr
-
-    def test_values_length_mismatch_is_schema_error(self, tmp_path):
-        divisor_path = tmp_path / "one.json"
-        divisor_path.write_text('{"alpha": 1, "points": [{"re": 0, "im": 0, "mult": 2}]}')
-        values_path = tmp_path / "vals.json"
-        values_path.write_text('{"values": [{"re": 1, "im": 0}]}')
-        result = run_cli("interpolate", str(divisor_path), str(values_path))
-        assert result.returncode == 2
-
-    def test_defects_csv_emitted(self, lattice_file, tmp_path):
-        prefix = tmp_path / "defects"
-        result = run_cli(
-            "check-geometry", str(lattice_file), "--window", "3", "--grid-step", "0.1",
-            "--c-list", "0.5", "--defects-csv", str(prefix),
-        )
-        assert result.returncode == 0
-        csv_file = tmp_path / "defects_c0.5.csv"
-        assert csv_file.exists()
-        assert csv_file.read_text().splitlines()[0] == "re,im"
 
 
 class TestDefectCsvs:
@@ -1084,9 +973,8 @@ class TestFarPoints:
             captured = capsys.readouterr()
             assert captured.err == ""
             reports.append(captured.out)
-        assert _sha256(reports[0]) == (
-            "537b2dbfa2069f8d91a6daee7b9c58f0088c528278a549a2dbc6cfa404a4da78"
-        )
+        # the far divisor's report bytes are pinned by the corpus entry
+        # check-geometry-far-points-on-the-axis
         assert json.loads(reports[0])["verdicts"] == json.loads(reports[1])["verdicts"]
 
 
@@ -1386,85 +1274,6 @@ class TestValuesFile:
         assert captured.err == f"schema error: values[1].{part}: must be finite\n"
 
 
-def _sha256(data) -> str:
-    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
-
-
-class TestOutputBytesPinned:
-    """Whole CLI outputs, pinned by digest: however the writers change, the
-    reports, divisor files and defect CSVs keep their bytes."""
-
-    @pytest.mark.parametrize(
-        "argv,report_digest,file_digest",
-        [
-            (["lattice", "--window", "20"],
-             "73427e588e4bc8f5d6345057c96c5a2818db893c1c69d03707d23c55617e339d",
-             "3634abd5214294cb583153758a7a895b19756c66802fe5f9a7a6e761ec901744"),
-            (["covering-rings", "--window", "30", "--c", "0.97"],
-             "0c6888452ef76e0040e756035b4414a7639ac60ddb14d3b00856d2d813b8a7ca",
-             "253969707373bad1cf2e074a026659df85feca1a264d43c4d9e40515c851b8fb"),
-            (["disjoint-rings", "--window", "150", "--c", "0.97"],
-             "ea5e939f70e0bb472f31c0791931738418ecfacf02b3f1bcf8a107d8e8ddbdd5",
-             "a911725357dfa11003468c38e1cf486f123d26567b9669824805c3d63969be88"),
-            (["lattice", "--alpha", "2", "--spacing", "0.7", "--mult", "2", "--window", "4.5"],
-             "b25ddddb9bdfe741080296712db9b16f7b91c42c06177a4629b7f2992233aff7",
-             "f2a0a8088b69b6c45ee1312d3ba901c780b9f23b616a0b3aa28fdcdfebb1b534"),
-        ],
-        ids=["lattice", "covering-rings", "disjoint-rings", "lattice-alpha-2"],
-    )
-    def test_generate(self, argv, report_digest, file_digest, tmp_path, capsys):
-        out = tmp_path / "divisor.json"
-        assert cli.main(["generate", *argv, "--out", str(out)]) == 0
-        assert _sha256(capsys.readouterr().out) == report_digest
-        assert _sha256(out.read_bytes()) == file_digest
-
-    def test_check_geometry_with_defects(self, tmp_path, capsys):
-        lattice, prefix = tmp_path / "lat.json", tmp_path / "defects"
-        assert cli.main(["generate", "lattice", "--window", "4", "--out", str(lattice)]) == 0
-        capsys.readouterr()
-        argv = ["check-geometry", str(lattice), "--window", "4", "--grid-step", "0.02",
-                "--c-list", "0.25,0.5,1", "--defects-csv", str(prefix)]
-        assert cli.main(argv) == 0
-        assert _sha256(capsys.readouterr().out) == (
-            "09b3e00214fc5e1351f3037c8609333588009fa6f9ebd3619874734a0815c838"
-        )
-        digests = {c: _sha256((tmp_path / f"defects_c{c}.csv").read_bytes()) for c in ("0.25", "0.5", "1")}
-        assert digests == {
-            "0.25": "2087bb44d0967e8a6f72c2ab5166cb2ad07035a2d602952ccd2ad8efb3a5f0f5",
-            "0.5": "130171edeedf791f6b110ea002b5016e347c18af02624ffca31f46893396d5e6",
-            "1": "b3d416df2343fc9893cd1b0a0c9f09f55829f0cd759191a64c1207f70e078d59",
-        }
-
-    # covering rings: a padded-cover witness and a hole; disjoint rings:
-    # disjointness witnesses and uncovered points
-    @pytest.mark.parametrize(
-        "family,window,options,report_digest,csv_digest",
-        [
-            ("covering-rings", "8",
-             ["--grid-step", "0.05", "--c-list", "0.25,0.5,1", "--hole-radius", "2", "--defects-csv"],
-             "cc72a82581e5b88edef1021c891d5d394b43974f4bb4a038954f368cb8fd76e8",
-             "3fcf29946181bfbdf7bf10d49510e53c0132a427ea44ea1ae2df1fc7cbeb3530"),
-            ("disjoint-rings", "10", ["--grid-step", "0.1"],
-             "3e8935b6a75d385f8d1a925baebf007b9dce23a5eb8dabfcb95b6c62c9821937", None),
-            # the default grid step, radius/100
-            ("lattice", "8", ["--hole-radius", "2"],
-             "6de53c9c0907774932aed0e8d36ef7d2579c67585e78573d52f162540fd8b6aa", None),
-        ],
-        ids=["covering-rings", "disjoint-rings", "lattice-default-step"],
-    )
-    def test_check_geometry_rings(self, family, window, options, report_digest, csv_digest, tmp_path, capsys):
-        divisor, prefix = tmp_path / "rings.json", tmp_path / "defects"
-        assert cli.main(["generate", family, "--window", window, "--out", str(divisor)]) == 0
-        capsys.readouterr()
-        if options[-1] == "--defects-csv":
-            options = [*options, str(prefix)]
-        assert cli.main(["check-geometry", str(divisor), "--window", window, *options]) == 0
-        assert _sha256(capsys.readouterr().out) == report_digest
-        if csv_digest is not None:
-            for c in ("0.25", "0.5", "1"):
-                assert _sha256((tmp_path / f"defects_c{c}.csv").read_bytes()) == csv_digest
-
-
 class TestSpectralReportShapes:
     """The spectral reports on disjoint rings at window 10 (11 atoms): keys
     in report order at every level, as list(d) of the parsed JSON (dict
@@ -1680,10 +1489,19 @@ class TestUsageErrors:
         assert cli.main([arg.format(path=divisor_file) for arg in argv]) == 2
         assert capsys.readouterr() == ("", f"schema error: {message}\n")
 
-    def test_one_line_from_the_console(self, divisor_file):
-        result = run_cli("frame-bounds", str(divisor_file), "--degree-sweep", "-3:10:1")
-        assert (result.returncode, result.stdout) == (2, "")
-        assert result.stderr == "schema error: argument --degree-sweep: expected one argument\n"
+    def test_one_line_from_the_console(self, divisor_file, capsys):
+        # `python -m focklab` prints the bytes main does in-process and exits
+        # with its code: a report (0), a usage error (2), a precondition error (3)
+        for argv, code in [
+            (["gram", str(divisor_file)], 0),
+            (["frame-bounds", str(divisor_file), "--degree-sweep", "-3:10:1"], 2),
+            (["frame-bounds", str(divisor_file), "--degree-sweep=-3:10:1"], 3),
+        ]:
+            assert cli.main(argv) == code
+            in_process = capsys.readouterr()
+            result = run_cli(*argv)
+            assert result.returncode == code
+            assert (result.stdout, result.stderr) == (in_process.out, in_process.err)
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
