@@ -521,9 +521,10 @@ class TestHermitianHalfFill:
             assert np.array_equal(got[~computed].view(np.int64), mirrored[~computed].view(np.int64))
             assert np.array_equal(got, got.conj().T)
             if minus_zero:
-                # a real-axis pair with a -0.0 imaginary part has arg w = +-pi
-                # in both directions, so the direct entry's sine part is
-                # sin(d*pi) = O(d*eps) of |G| where the mirror's is its negation
+                # a real-axis pair with a -0.0 imaginary part can take arg w = pi
+                # in both directions: the direct entry's sine part is then
+                # sin(d*fl(pi)) of |G| and the mirror's its negation, 1.1*d*eps
+                # of |G| apart while d*fl(pi) is exact (d <= 10, as drawn here)
                 degree = np.array([n for _, n in family_order])
                 gap = np.maximum(np.abs(degree[:, None] - degree[None, :]), 1)
                 eps = np.finfo(float).eps
