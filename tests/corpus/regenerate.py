@@ -222,7 +222,8 @@ def _moved_output(rel: str, suffix: str, stored: bytes, data: bytes) -> tuple[li
     reports (or CSVs) whose bytes differ agree only when every moved field
     is LAPACK-backed and checks.compare accepts their reductions.  Equal
     bytes are told by the stored digest, before anything is reduced."""
-    if (json.loads(stored)["sha256"] == hashlib.sha256(data).hexdigest()) if suffix else data == stored:
+    same = json.loads(stored)["sha256"] == hashlib.sha256(data).hexdigest() if suffix else data == stored
+    if same:
         return [], True
     want = json.loads(stored)["reduced"] if suffix else _reduce(stored.decode("utf-8", "replace"))
     got = _reduce(data.decode("utf-8", "replace"))

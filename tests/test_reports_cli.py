@@ -42,10 +42,8 @@ from focklab.reports import write_points_csv, write_sweep_csv
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def run_cli(*args, cwd=None):
-    return subprocess.run(
-        [sys.executable, "-m", "focklab", *args], capture_output=True, text=True, cwd=cwd
-    )
+def run_cli(*args):
+    return subprocess.run([sys.executable, "-m", "focklab", *args], capture_output=True, text=True)
 
 
 class TestCanonicalJson:
