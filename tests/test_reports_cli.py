@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -44,6 +45,14 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "focklab", *args], capture_output=True, text=True)
+
+
+def run_main(capsys, *args):
+    """cli.main in-process: its exit code and the bytes it printed, in the
+    shape run_cli returns."""
+    code = cli.main(list(args))
+    captured = capsys.readouterr()
+    return subprocess.CompletedProcess(list(args), code, captured.out, captured.err)
 
 
 class TestCanonicalJson:
@@ -728,8 +737,44 @@ class TestOutOfRangeInputs:
 
 
 class TestCliSurface:
-    """The console's own bytes are pinned by the CLI byte corpus
-    (tests/corpus/manifest.json) and TestUsageErrors' console test."""
+    """Each subcommand through cli.main in-process.  The console's own bytes
+    are pinned by the CLI byte corpus (tests/corpus/manifest.json) and
+    TestUsageErrors' console test."""
+
+    @pytest.fixture()
+    def lattice_file(self, tmp_path, capsys):
+        result = run_main(
+            capsys, "generate", "lattice", "--spacing", "1", "--mult", "1", "--window", "3",
+            "--out", str(tmp_path / "lat.json"),
+        )
+        assert result.returncode == 0
+        return tmp_path / "lat.json"
+
+    def test_generate_report_echoes_family(self, lattice_file):
+        divisor = load_divisor(lattice_file)
+        assert len(divisor.entries) == 29
+
+    def test_check_geometry_deterministic(self, lattice_file, capsys):
+        args = (
+            "check-geometry", str(lattice_file), "--window", "3",
+            "--grid-step", "0.1", "--c-list", "0.25,0.5,1",
+        )
+        first = run_main(capsys, *args)
+        second = run_main(capsys, *args)
+        assert first.returncode == 0
+        assert first.stdout == second.stdout
+        doc = json.loads(first.stdout)
+        assert doc["verdicts"]["padded_cover"]["holds"] is True
+        assert doc["verdicts"]["finite_overlap_bound"] == 4
+
+    def test_generate_deterministic(self, tmp_path, capsys):
+        out_a = tmp_path / "a.json"
+        out_b = tmp_path / "b.json"
+        r1 = run_main(capsys, "generate", "covering-rings", "--c", "0.5", "--window", "4", "--out", str(out_a))
+        r2 = run_main(capsys, "generate", "covering-rings", "--c", "0.5", "--window", "4", "--out", str(out_b))
+        assert r1.returncode == r2.returncode == 0
+        assert r1.stdout == r2.stdout
+        assert out_a.read_text() == out_b.read_text()
 
     def test_parser_built_once_at_import(self, tmp_path, monkeypatch, capsys):
         # every subcommand runs on the parser built at import, and a second
@@ -753,6 +798,86 @@ class TestCliSurface:
             assert cli.main(argv) == 0
             assert capsys.readouterr() == first
             assert first.err == "" and json.loads(first.out)["command"] == argv[0]
+
+    def test_frame_bounds_sweep_csv(self, lattice_file, tmp_path, capsys):
+        csv_path = tmp_path / "sweep.csv"
+        result = run_main(
+            capsys, "frame-bounds", str(lattice_file), "--degree-sweep", "2:8:2", "--csv", str(csv_path)
+        )
+        assert result.returncode == 0
+        doc = json.loads(result.stdout)
+        assert [s["degree"] for s in doc["summaries"]] == [2, 4, 6, 8]
+        lines = csv_path.read_text().splitlines()
+        assert lines[0] == "N,smin,smax,ratio"
+        assert len(lines) == 5
+
+    def test_frame_bounds_single_degree(self, tmp_path, capsys):
+        path = tmp_path / "one.json"
+        path.write_text('{"alpha": 1, "points": [{"re": 0, "im": 0, "mult": 6}]}')
+        result = run_main(capsys, "frame-bounds", str(path), "--degree", "5")
+        doc = json.loads(result.stdout)
+        assert doc["summaries"][0]["smin"] == pytest.approx(1.0, abs=1e-10)
+        assert doc["summaries"][0]["ratio"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_gram_and_interpolate(self, tmp_path, capsys):
+        divisor_path = tmp_path / "two.json"
+        divisor_path.write_text(
+            '{"alpha": 1, "points": [{"re": 0, "im": 0, "mult": 1}, {"re": 4, "im": 0, "mult": 1}]}'
+        )
+        gram_doc = json.loads(run_main(capsys, "gram", str(divisor_path)).stdout)
+        assert gram_doc["spectrum"]["size"] == 2
+        assert gram_doc["spectrum"]["condition"] == pytest.approx(1.0, abs=1e-3)
+
+        values_path = tmp_path / "vals.json"
+        values_path.write_text('{"values": [{"re": 1, "im": 0}, {"re": 0, "im": 0}]}')
+        result = run_main(
+            capsys, "interpolate", str(divisor_path), str(values_path), "--dump-atoms"
+        )
+        assert result.returncode == 0
+        doc = json.loads(result.stdout)
+        assert doc["solution"]["residual"] <= 1e-10
+        assert len(doc["solution"]["atoms"]) == 2
+
+    def test_uniqueness_subcommand(self, tmp_path, capsys):
+        path = tmp_path / "four.json"
+        path.write_text('{"alpha": 1, "points": [{"re": 0, "im": 0, "mult": 4}]}')
+        result = run_main(capsys, "uniqueness", str(path), "--degree", "8", "--window", "2")
+        assert result.returncode == 0
+        doc = json.loads(result.stdout)
+        assert doc["hole_mass"] == pytest.approx(0.371163, abs=1e-5)
+
+    def test_schema_error_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"alpha": 0, "points": []}')
+        result = run_main(capsys, "gram", str(path))
+        assert result.returncode == 2
+        assert "schema error" in result.stderr
+
+    def test_precondition_error_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "four.json"
+        path.write_text('{"alpha": 1, "points": [{"re": 0, "im": 0, "mult": 4}]}')
+        result = run_main(capsys, "uniqueness", str(path), "--degree", "3", "--window", "2")
+        assert result.returncode == 3
+        assert "precondition error" in result.stderr
+
+    def test_values_length_mismatch_is_schema_error(self, tmp_path, capsys):
+        divisor_path = tmp_path / "one.json"
+        divisor_path.write_text('{"alpha": 1, "points": [{"re": 0, "im": 0, "mult": 2}]}')
+        values_path = tmp_path / "vals.json"
+        values_path.write_text('{"values": [{"re": 1, "im": 0}]}')
+        result = run_main(capsys, "interpolate", str(divisor_path), str(values_path))
+        assert result.returncode == 2
+
+    def test_defects_csv_emitted(self, lattice_file, tmp_path, capsys):
+        prefix = tmp_path / "defects"
+        result = run_main(
+            capsys, "check-geometry", str(lattice_file), "--window", "3", "--grid-step", "0.1",
+            "--c-list", "0.5", "--defects-csv", str(prefix),
+        )
+        assert result.returncode == 0
+        csv_file = tmp_path / "defects_c0.5.csv"
+        assert csv_file.exists()
+        assert csv_file.read_text().splitlines()[0] == "re,im"
 
 
 class TestDefectCsvs:
@@ -1270,6 +1395,87 @@ class TestValuesFile:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"schema error: values[1].{part}: must be finite\n"
+
+
+CORPUS_EXPECTED = Path(__file__).parent / "corpus" / "expected"
+
+
+def _sha256(data) -> str:
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+def _stored_sha256(entry: str, name: str) -> str:
+    """The sha256 of output NAME of the corpus entry ENTRY: of its stored
+    bytes, or the digest stored in their place."""
+    stored = CORPUS_EXPECTED / entry / name
+    if stored.is_file():
+        return _sha256(stored.read_bytes())
+    return json.loads(stored.with_name(f"{stored.name}.sha256").read_text())["sha256"]
+
+
+class TestOutputBytesPinned:
+    """Whole CLI outputs, run in-process in a directory of their own, against
+    the corpus entry that stores the same invocation's bytes (the one byte
+    store): however the writers change, the reports, divisor files and
+    defect CSVs keep their bytes."""
+
+    @pytest.mark.parametrize(
+        "argv,entry",
+        [
+            (["lattice", "--window", "20"], "generate-lattice-window-20"),
+            (["covering-rings", "--window", "30", "--c", "0.97"], "generate-covering-rings-window-30"),
+            (["disjoint-rings", "--window", "150", "--c", "0.97"], "generate-disjoint-rings-window-150"),
+            (["lattice", "--alpha", "2", "--spacing", "0.7", "--mult", "2", "--window", "4.5"],
+             "generate-lattice-alpha2-spacing-mult2"),
+        ],
+        ids=["lattice", "covering-rings", "disjoint-rings", "lattice-alpha-2"],
+    )
+    def test_generate(self, argv, entry, tmp_path, capsys):
+        out = tmp_path / "divisor.json"
+        assert cli.main(["generate", *argv, "--out", str(out)]) == 0
+        assert _sha256(capsys.readouterr().out) == _stored_sha256(entry, "stdout")
+        assert _sha256(out.read_bytes()) == _stored_sha256(entry, "files/d.json")
+
+    def test_check_geometry_with_defects(self, tmp_path, capsys):
+        lattice, prefix = tmp_path / "lat.json", tmp_path / "defects"
+        assert cli.main(["generate", "lattice", "--window", "4", "--out", str(lattice)]) == 0
+        capsys.readouterr()
+        argv = ["check-geometry", str(lattice), "--window", "4", "--grid-step", "0.02",
+                "--c-list", "0.25,0.5,1", "--defects-csv", str(prefix)]
+        assert cli.main(argv) == 0
+        entry = "check-geometry-lattice-fine-defects"
+        assert _sha256(capsys.readouterr().out) == _stored_sha256(entry, "stdout")
+        for c in ("0.25", "0.5", "1"):
+            name = f"defects_c{c}.csv"
+            assert _sha256((tmp_path / name).read_bytes()) == _stored_sha256(entry, f"files/{name}")
+
+    # covering rings: a padded-cover witness and a hole; disjoint rings:
+    # disjointness witnesses and uncovered points
+    @pytest.mark.parametrize(
+        "family,window,options,entry",
+        [
+            ("covering-rings", "8",
+             ["--grid-step", "0.05", "--c-list", "0.25,0.5,1", "--hole-radius", "2", "--defects-csv"],
+             "ci-check-geometry-rings"),
+            ("disjoint-rings", "10", ["--grid-step", "0.1"], "check-geometry-disjoint-rings-window-10"),
+            # the default grid step, radius/100
+            ("lattice", "8", ["--hole-radius", "2"], "check-geometry-lattice-default-step-hole"),
+        ],
+        ids=["covering-rings", "disjoint-rings", "lattice-default-step"],
+    )
+    def test_check_geometry_rings(self, family, window, options, entry, tmp_path, capsys):
+        divisor, prefix = tmp_path / "rings.json", tmp_path / "defects"
+        assert cli.main(["generate", family, "--window", window, "--out", str(divisor)]) == 0
+        capsys.readouterr()
+        csvs = options[-1] == "--defects-csv"
+        if csvs:
+            options = [*options, str(prefix)]
+        assert cli.main(["check-geometry", str(divisor), "--window", window, *options]) == 0
+        assert _sha256(capsys.readouterr().out) == _stored_sha256(entry, "stdout")
+        if csvs:
+            for c in ("0.25", "0.5", "1"):
+                stored = _stored_sha256(entry, f"files/rings-defects_c{c}.csv")
+                assert _sha256((tmp_path / f"defects_c{c}.csv").read_bytes()) == stored
 
 
 class TestSpectralReportShapes:
