@@ -336,7 +336,7 @@ def theorem_verdicts(divisor: Divisor, window: Window, c_list, hole_radius: floa
 
     Existential quantifiers over C > 0 are probed on the finite ascending
     c_list of positive finite values; universal ones are recorded per tested
-    C.  One sweep builds three level grids however long c_list is.
+    C.  One sweep builds two level grids however long c_list is.
     Deterministic: the same inputs always produce identical verdicts.
     """
     cs = [float(c) for c in c_list]
@@ -349,34 +349,34 @@ def theorem_verdicts(divisor: Divisor, window: Window, c_list, hole_radius: floa
 
     _require_hole(hole_radius, window)
 
-    # cs is finite and ascending, so each entry's discs are nested (padded
-    # radii grow with C, shrunk ones shrink and, once absent, stay absent):
-    # at cs[i] the padded discs cover a point where padded >= len(cs) - i,
-    # the shrunk ones where shrunk > i.
-    families = [
-        _overlap_family(divisor),
-        _nested_family(divisor, [0.0, *cs], +1),
-        _nested_family(divisor, cs, -1),
-    ]
-    z, modulus, inside, (counts, padded, shrunk) = _disc_sweep(divisor, window, families)
+    # cs ascends and each radius is one sqrt then -C or +C, so an entry's shrunk
+    # discs at descending C (absent ones left out), then its padded discs at 0
+    # and each C, ascend: the last `level` of them hold a point.  With k =
+    # len(cs), the bare discs cover it where level > k, and at cs[i] the padded
+    # ones where level >= k - i, the shrunk ones where level >= k + 2 + i.
+    k = len(cs)
+    _, padded = _nested_family(divisor, [0.0, *cs], +1)
+    _, shrunk = _nested_family(divisor, cs, -1)
+    families = [_overlap_family(divisor), (np.maximum, lambda m: shrunk(m)[::-1] + padded(m))]
+    z, modulus, inside, (counts, level) = _disc_sweep(divisor, window, families)
     annulus = inside & (modulus >= hole_radius)
 
     bound = int(counts[inside].max())
-    least = int(padded[inside].min())
-    padded_witness = cs[max(len(cs) - least, 0)] if least else None
+    least = int(level[inside].min())
+    padded_witness = cs[max(k - least, 0)] if least else None
     uncovered = []
-    for i in range(len(cs)):  # each list may hold the whole disc, so their total is budgeted
-        uncovered.append(z[annulus & (shrunk <= i)])
+    for i in range(k):  # each list may hold the whole disc, so their total is budgeted
+        uncovered.append(z[annulus & (level < k + 2 + i)])
         if sum(u.size for u in uncovered) > MAX_GRID_CELLS:
             raise ValueError(f"the uncovered lists would hold more than {MAX_GRID_CELLS} grid points")
 
     # the -C discs only shrink with C, and an entry absent at some C stays
     # absent, so the first C that keeps them disjoint is found by bisection
     first = bisect.bisect_left(cs, True, key=lambda c: pairwise_disjoint(divisor, c, -1)[0])
-    shrunk_disjoint_witness = cs[first] if first < len(cs) else None
+    shrunk_disjoint_witness = cs[first] if first < k else None
     # the +C discs only grow with C: if any tested C keeps them disjoint, cs[0] does
     padded_disjoint_witness = cs[0] if pairwise_disjoint(divisor, cs[0], +1)[0] else None
-    bare_cover = not (annulus & (padded <= len(cs))).any()
+    bare_cover = not (annulus & (level <= k)).any()
 
     # np.hypot rounds |lam| as Python's abs does; np.abs may not
     windowed = int(np.sum(np.hypot(divisor.points.real, divisor.points.imag) <= window.radius))

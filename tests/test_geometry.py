@@ -634,6 +634,48 @@ class TestNestedLevels:
         assert_verdicts_match_reference(divisor, Window(4.0, 0.1), c_list, hole)
 
 
+class _Handed(Exception):
+    """Raised in place of the sweep once theorem_verdicts has handed it its families."""
+
+
+# tiny Cs that leave a radius unchanged, and Cs past every sqrt(m/alpha) drawn
+_any_c = st.one_of(
+    st.sampled_from([5e-324, 1e-300, 1e-9, 0.5, 1.0, 3.0, 1e9, 1e150, 1e200]), st.floats(1e-3, 20.0)
+)
+
+
+@pytest.mark.bitwise
+class TestNestedDiscOrder:
+    """theorem_verdicts reads every cover verdict off one nested level, the
+    number of an entry's discs holding a cell, which counts the last discs of
+    its list only if that list ascends."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.one_of(st.integers(1, 64), st.integers(1, 2**62)), min_size=1, max_size=6, unique=True),
+        st.sampled_from([1e-6, 0.3, 0.5, 2.0, 7.5, 1e6]),
+        st.lists(_any_c, min_size=1, max_size=12),
+    )
+    def test_disc_list_ascends(self, mults, alpha, c_list):
+        cs, handed = sorted(c_list), []
+
+        def sweep(divisor, window, families):
+            handed.extend(families)
+            raise _Handed
+
+        divisor = Divisor(FockParams(alpha), [(complex(i), m) for i, m in enumerate(mults)])
+        with mock.patch.object(geometry, "_disc_sweep", sweep), pytest.raises(_Handed):
+            theorem_verdicts(divisor, Window(1.0, 0.1), cs)
+        assert len(handed) == 2 and handed[1][0] is np.maximum
+        _, padded = geometry._nested_family(divisor, [0.0, *cs], +1)
+        _, shrunk = geometry._nested_family(divisor, cs, -1)
+        for m in mults:
+            discs = handed[1][1](m)
+            assert all(a <= b for a, b in zip(discs, discs[1:]))
+            # the shrunk discs at descending C, absent ones left out, then the padded ones
+            assert discs == shrunk(m)[::-1] + padded(m)
+
+
 def sweep_families(divisor, c_list):
     """The disc families of theorem_verdicts: overlap, padded and shrunk."""
     return [
