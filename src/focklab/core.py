@@ -49,7 +49,7 @@ class FockParams:
 
 
 # Most cells of a probe square (sides of at most 2047 points).  Its complex grid
-# takes 16 bytes a cell and a geometric check adds three small-integer grids,
+# takes 16 bytes a cell and a geometric check adds two small-integer grids,
 # however many C it tests, so this bounds every grid before numpy allocates it.
 MAX_GRID_CELLS = 2**22
 # A label (lam, n): a point and an integer, such as a degree or a multiplicity.

@@ -5,6 +5,7 @@ Run with `pytest tests/test_acceptance.py -v -s`.  Experiment baselines
 guard against silent regressions.
 """
 
+import cmath
 import json
 import math
 import subprocess
@@ -89,37 +90,41 @@ def test_translation_isometry():
 
 def test_displacement_closed_form_vs_quadrature():
     # quadrature_inner_oracle's rule (48 x 96 polar nodes), restated on one
-    # node grid per (alpha, z, max(j, k)), on which its default radius
-    # depends alone: each basis function and displaced atom is evaluated
-    # once per grid, not once per pair
+    # node grid per (alpha, |z|, max(j, k)), on which its default radius
+    # depends alone: each basis function is evaluated once per grid, each
+    # displaced atom once per z and grid, not once per pair
     nodes, weights = np.polynomial.legendre.leggauss(48)
     turn = np.exp(1j * (2.0 * np.pi * np.arange(96) / 96))
     # (alpha, z, j, k) at which the restated rule is checked against the oracle
     spot_checks = {(0.5, 2.5 - 1.25j, 12, 3), (1.0, 0j, 5, 5), (2.0, -2.5 + 2.5j, 0, 12)}
     grid = [-2.5, -1.25, 0.0, 1.25, 2.5]
+    by_modulus = {}  # the 25 points z fall on 6 values of |z|
+    for re in grid:
+        for im in grid:
+            by_modulus.setdefault(abs(complex(re, im)), []).append(complex(re, im))
     worst = spot_worst = 0.0
     for alpha in (0.5, 1.0, 2.0):
         params = FockParams(alpha)
-        for re in grid:
-            for im in grid:
-                z = complex(re, im)
-                # entry [j, k] is displacement_element(z, j, k, params), bit for bit
-                closed = overlap_matrix(
-                    [(0.0, j) for j in range(13)], [(z, k) for k in range(13)], params
+        for zs in by_modulus.values():
+            # entry [j, k] is displacement_element(z, j, k, params), bit for bit
+            closed = {
+                z: overlap_matrix([(0.0, j) for j in range(13)], [(z, k) for k in range(13)], params)
+                for z in zs
+            }
+            for top in range(13):
+                radius = default_oracle_radius(
+                    displaced_basis(zs[0], top, params), basis_function(top, params)
                 )
-                for top in range(13):
-                    radius = default_oracle_radius(
-                        displaced_basis(z, top, params), basis_function(top, params)
-                    )
-                    r = 0.5 * radius * (nodes + 1.0)
-                    zgrid = r[:, None] * turn[None, :]
-                    radial = np.exp(-alpha * r**2) * r * (0.5 * radius * weights)
+                r = 0.5 * radius * (nodes + 1.0)
+                zgrid = r[:, None] * turn[None, :]
+                radial = np.exp(-alpha * r**2) * r * (0.5 * radius * weights)
+                basis = [np.conj(basis_function(j, params).evaluate(zgrid)) for j in range(top + 1)]
+                for z in zs:
                     displaced = [displaced_basis(z, k, params).evaluate(zgrid) for k in range(top + 1)]
-                    basis = [np.conj(basis_function(j, params).evaluate(zgrid)) for j in range(top + 1)]
                     for j, k in {(top, k) for k in range(top + 1)} | {(j, top) for j in range(top)}:
                         integral = (2.0 * np.pi / 96) * np.sum(displaced[k] * basis[j] * radial[:, None])
                         value = complex(alpha / np.pi * integral)
-                        worst = max(worst, abs(closed[j, k] - value))
+                        worst = max(worst, abs(closed[z][j, k] - value))
                         if (alpha, z, j, k) in spot_checks:
                             oracle = quadrature_inner_oracle(
                                 displaced_basis(z, k, params), basis_function(j, params),
@@ -292,6 +297,59 @@ def test_alpha_rescaling_invariance():
         assert original["exclusivity_consistent"] == rescaled["exclusivity_consistent"]
     print("PASS alpha-rescaling invariance: 20 random divisors, verdicts identical "
           "after the unit-alpha change of variable")
+
+
+def _pair_block_norm(m, gap):
+    """2-norm of the overlap block between the atoms (lam, k), k < m, of two
+    points at distance 2*sqrt(m) + gap (alpha = 1): the discs D(lam, sqrt(m))
+    are tangent at gap 0."""
+    rows = Divisor(P1, ((0.0, m),)).atom_labels()
+    cols = Divisor(P1, ((2.0 * math.sqrt(m) + gap, m),)).atom_labels()
+    return float(np.linalg.norm(overlap_matrix(rows, cols, P1), 2))
+
+
+def test_two_disc_block_norm_law():
+    # one atom each: |<k_0, k_2>| = exp(-alpha*|2|^2/2)
+    assert abs(_pair_block_norm(1, 0.0) - math.exp(-2.0)) <= 1e-15
+    # FIXTURE (probe): the pair separates on the scale m^(-1/6), the Airy
+    # scale of Laguerre polynomials at their turning point, and the norm at
+    # tangency rises towards about 0.175
+    tangent = []
+    for m in (16, 64, 256):
+        assert 0.45 <= _pair_block_norm(m, -0.75 * m ** (-1 / 6)) <= 0.55
+        tangent.append(_pair_block_norm(m, 0.0))
+    assert 0.165 <= tangent[0] < tangent[1] < tangent[2] <= 0.176
+    # the norm crosses 0.9 and 0.1 between fixed gaps in units of m^(-1/6),
+    # which bound the width of the transition times m^(1/6)
+    above, below = (-1.67, -1.64), (0.28, 0.31)
+    for m in (64, 256):
+        scale = m ** (-1 / 6)
+        assert _pair_block_norm(m, above[0] * scale) > 0.9 > _pair_block_norm(m, above[1] * scale)
+        assert _pair_block_norm(m, below[0] * scale) > 0.1 > _pair_block_norm(m, below[1] * scale)
+    narrowest, widest = below[0] - above[1], below[1] - above[0]
+    assert 0.98 * 1.95 <= narrowest < widest <= 1.02 * 1.95
+    print(f"PASS two-disc law: tangent block norms {', '.join(f'{t:.4f}' for t in tangent)} "
+          f"(m = 16, 64, 256); width * m^(1/6) in [{narrowest:.2f}, {widest:.2f}] for m = 64, 256")
+
+
+def test_tangent_cluster_bounds():
+    # FIXTURE (probe): a centre and six neighbours at distance 2*sqrt(m) + g
+    # (alpha = 1), a patch of the tangent hexagonal packing at g = 0, keep
+    # Riesz bounds that do not decay in m, as a C independent of m asks
+    lows = []
+    for m in (4, 16, 64):
+        for gap in (0.0, 1.0):
+            d = 2.0 * math.sqrt(m) + gap
+            points = [0.0, *(d * cmath.exp(1j * math.pi / 3 * k) for k in range(6))]
+            family = Divisor(P1, tuple((p, m) for p in points)).atom_labels()
+            bounds = riesz_bounds(gram_matrix(family, P1))
+            if gap == 0.0:
+                assert 0.55 <= bounds["smin"] <= 0.80 and bounds["smax"] <= 1.40
+                lows.append(bounds["smin"])
+            else:
+                assert bounds["smin"] >= 0.98
+    print(f"PASS tangent clusters: smin {', '.join(f'{s:.3f}' for s in lows)} at g = 0 "
+          "(m = 4, 16, 64), >= 0.98 at g = 1")
 
 
 def test_cli_determinism_and_round_trip(tmp_path):

@@ -677,7 +677,7 @@ class TestNestedDiscOrder:
 
 
 def sweep_families(divisor, c_list):
-    """The disc families of theorem_verdicts: overlap, padded and shrunk."""
+    """Three disc families for one sweep: the overlap count, padded and shrunk discs."""
     return [
         geometry._overlap_family(divisor),
         geometry._nested_family(divisor, [0.0, *c_list], +1),
