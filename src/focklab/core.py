@@ -183,15 +183,19 @@ def atom_eval(atom: Atom, zeta, params: FockParams):
 
 
 def scalar_math(fn, *args) -> np.ndarray:
-    """Apply a `math` function elementwise, exactly as scalar Python does;
-    numpy's own exp, log, atan2 and power round some arguments differently
-    from the C library, and differently on different CPUs.  The function is
-    mapped over the Python floats of the broadcast arguments (`tolist`), and
-    np.fromiter collects its results into an array of their shape.  It serves
-    lgamma, pow, log and atan2, and the inputs libm_exp and libm_cis route."""
+    """Apply a `math` function elementwise, exactly as scalar Python does, over
+    the Python floats of the broadcast arguments (`tolist`).  It serves lgamma
+    and the inputs whose C loop in a libm_* route below is not `math`'s."""
     args = np.broadcast_arrays(*args)
     values = map(fn, *(a.ravel().tolist() for a in args))
     return np.fromiter(values, float, args[0].size).reshape(args[0].shape)
+
+
+def _route(out, routed, fn, v, *rest) -> np.ndarray:
+    """out, its routed entries replaced by scalar_math(fn, v, *rest) at theirs."""
+    if routed.any():
+        out[routed] = scalar_math(fn, v[routed], *rest)
+    return out
 
 
 def libm_exp(v) -> np.ndarray:
@@ -204,10 +208,7 @@ def libm_exp(v) -> np.ndarray:
     z = v.astype(complex)
     with np.errstate(all="ignore"):  # the routed inputs' flags
         out = np.exp(z, out=z).real
-    routed = ~(v <= 709)
-    if routed.any():
-        out[routed] = scalar_math(math.exp, v[routed])
-    return out
+    return _route(out, ~(v <= 709), math.exp, v)
 
 
 def libm_cis(angle) -> np.ndarray:
@@ -221,15 +222,39 @@ def libm_cis(angle) -> np.ndarray:
     with np.errstate(all="ignore"):  # the routed angles' flags
         np.exp(out, out=out)
     routed = ~np.isfinite(angle)
-    if routed.any():
-        out.real[routed] = scalar_math(math.cos, angle[routed])
-        out.imag[routed] = scalar_math(math.sin, angle[routed])
+    _route(out.real, routed, math.cos, angle)
+    _route(out.imag, routed, math.sin, angle)
     return out
 
 
-def scalar_square(v) -> np.ndarray:
-    """v ** 2 elementwise, as a Python float computes it: by the C library's pow."""
-    return scalar_math(math.pow, v, 2.0)
+def libm_square(v) -> np.ndarray:
+    """math.pow(v, 2.0) elementwise, with its bits, from one C loop: numpy's
+    float_power calls the C library's pow (np.power does not).  A finite v whose
+    square overflows goes through scalar_math, which raises as math.pow does."""
+    v = np.asarray(v, float)
+    with np.errstate(all="ignore"):  # the overflows' flags
+        out = np.float_power(v, 2.0, out=np.empty(v.shape))
+    return _route(out, np.isinf(out) & np.isfinite(v), math.pow, v, 2.0)
+
+
+def libm_log(v) -> np.ndarray:
+    """math.log elementwise, with its bits, from one C loop: the real part of the
+    C library's clog (numpy's complex log) at v + 0i.  A v outside [DBL_MIN, 0.5)
+    and [2, DBL_MAX/2] goes through scalar_math: clog rescales it or takes log1p."""
+    v, tiny, half_max = np.asarray(v, float), np.finfo(float).tiny, np.finfo(float).max / 2
+    z = v.astype(complex)
+    with np.errstate(all="ignore"):  # the routed inputs' flags
+        out = np.log(z, out=z).real
+    return _route(out, ~((v >= tiny) & (v < 0.5) | (v >= 2) & (v <= half_max)), math.log, v)
+
+
+def libm_atan2(y, x) -> np.ndarray:
+    """math.atan2(y, x) elementwise, with its bits, from one C loop: the imaginary
+    part of the C library's clog (numpy's complex log) at x + iy, which is atan2."""
+    z = np.empty(np.broadcast(y, x).shape, complex)
+    z.real, z.imag = x, y
+    with np.errstate(all="ignore"):  # clog's division by zero at 0
+        return np.log(z, out=z).imag
 
 
 def scalar_mul(a, re, im) -> np.ndarray:

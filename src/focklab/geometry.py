@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LABEL, MAX_GRID_CELLS, FockParams, disc_grid, label_digest, label_records, require_positive, scalar_square
+from .core import LABEL, MAX_GRID_CELLS, FockParams, disc_grid, label_digest, label_records, libm_square, require_positive
 
 __all__ = [
     "Divisor",
@@ -131,7 +131,7 @@ def overlap_count_at(divisor: Divisor, z) -> int:
     """Number of open discs D(lam, sqrt(m/alpha)) containing z."""
     with np.errstate(invalid="ignore"):  # a NaN probe, signalling ones too, is in no disc
         d = complex(z) - divisor.points
-    d2 = scalar_square(d.real) + scalar_square(d.imag)
+    d2 = libm_square(d.real) + libm_square(d.imag)
     return int(np.count_nonzero(d2 < divisor.mults * (1.0 / divisor.params.alpha)))
 
 

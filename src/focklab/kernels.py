@@ -15,8 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import FockFunction, FockParams, ParameterMismatchError, compose_phase, libm_cis, libm_exp
-from .core import label_array, label_digest, require_index, require_positive, scalar_math, scalar_mul, scalar_square
+from .core import FockFunction, FockParams, ParameterMismatchError, compose_phase, label_array, label_digest
+from .core import libm_atan2, libm_cis, libm_exp, libm_log, libm_square, require_index, require_positive, scalar_math, scalar_mul
 
 __all__ = [
     "GramMatrix",
@@ -44,15 +44,15 @@ _RESCALE, _LOG_RESCALE = 2.0**-512, 512 * math.log(2)
 
 
 def overlap_matrix(rows, cols, params: FockParams) -> np.ndarray:
-    """Matrix of <T_{lam_q} e_{k_q}, T_{mu_p} e_{j_p}> for row labels
-    (mu_p, j_p) and column labels (lam_q, k_q), as pairs or LABEL arrays
-    (core.label_array); labels may repeat and either family may be empty.
+    """Matrix of <T_{lam_q} e_{k_q}, T_{mu_p} e_{j_p}> for row labels (mu_p,
+    j_p) and column labels (lam_q, k_q), as pairs or LABEL arrays at finite
+    points (core.label_array); labels may repeat and either family may be empty.
 
     An entry is phase * <T_z e_k, e_j> with (phase, z) = compose_phase(-mu,
     lam) and the closed form of displacement_element, bit-identical to scalar
-    Python floats (libm through scalar_math, libm_exp and libm_cis, complex
-    products in CPython's operation order).  Points are told apart by their
-    bits, since a signed zero can move the phase and the atan2 branch.
+    Python floats (libm's bits, complex products in CPython's order).  Points
+    are told apart by their bits, since a signed zero can move the phase and
+    the atan2 branch.
 
     Each family is sorted once into runs, maximal stretches of consecutive
     degrees at one point.  A pair of runs of lengths a and b holds a + b - 1
@@ -73,6 +73,8 @@ def overlap_matrix(rows, cols, params: FockParams) -> np.ndarray:
     entry's mirror keeps +0j), so the matrix is Hermitian exactly.
     """
     rows, cols = label_array(rows), label_array(cols)
+    if not (np.isfinite(rows["point"]).all() and np.isfinite(cols["point"]).all()):
+        raise ValueError("atom points must be finite")
     out = np.zeros((len(rows), len(cols)), dtype=complex)
     if not rows.size or not cols.size:
         return out
@@ -205,16 +207,14 @@ def _point_factors(mu, lam, params: FockParams):
     mask of z == 0, where z = lam - mu."""
     phase, z = compose_phase(-mu, lam, params)
     sa = math.sqrt(params.alpha)
-    x = params.alpha * (scalar_square(z.real) + scalar_square(z.imag))
+    x = params.alpha * (libm_square(z.real) + libm_square(z.imag))
     # w = sa*conj(z) if j >= k, else -sa*z with the opposite real part; the zero
     # term signs a zero Im w as CPython does, which decides the atan2 branch
     wr, wi = sa * z.real, -(sa * z.imag) + 0.0 * z.real
-    r2 = scalar_square(wr) + scalar_square(wi)
+    r2 = libm_square(wr) + libm_square(wi)
     at_zero = r2 == 0
-    log_w = 0.5 * scalar_math(math.log, np.where(at_zero, 1.0, r2))
-    arg_ge = scalar_math(math.atan2, wi, wr)
-    arg_lt = scalar_math(math.atan2, wi, -wr)
-    return phase, x, log_w, arg_ge, arg_lt, at_zero
+    log_w = 0.5 * libm_log(np.where(at_zero, 1.0, r2))
+    return phase, x, log_w, libm_atan2(wi, wr), libm_atan2(wi, -wr), at_zero
 
 
 def displacement_element(z, j: int, k: int, params: FockParams) -> complex:

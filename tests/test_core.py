@@ -26,7 +26,8 @@ from focklab import (
     overlap_matrix,
     quadrature_inner_oracle,
 )
-from focklab.core import LABEL, basis_labels, label_array, label_digest, libm_cis, libm_exp, scalar_math
+from focklab.core import LABEL, basis_labels, label_array, label_digest, libm_atan2, libm_cis, libm_exp, libm_log, libm_square
+from focklab.core import scalar_math
 
 P1 = FockParams(1.0)
 
@@ -238,21 +239,28 @@ _EDGES = np.concatenate([
 _EDGE_IDS = ["zero", "minus-zero", "5e-324", "709", "after-709", "709.78", "inf", "minus-inf", "qnan", "snan"]
 
 
-def check_bridge(name, x):
-    """libm_exp or libm_cis at the floats x against scalar_math of the math
+_ROUTES = {
+    "square": (lambda v: math.pow(v, 2.0), libm_square),
+    "log": (math.log, libm_log),
+    "atan2": (math.atan2, libm_atan2),
+}
+
+
+def check_bridge(name, *x):
+    """A libm bridge or route at the floats x against scalar_math of the math
     function: its bits, or a NaN where it gives a NaN; where math raises, the
     same exception type."""
-    fn, spelling = _BRIDGE[name]
+    fn, spelling = {**_BRIDGE, **_ROUTES}[name]
     try:
-        want = scalar_math(fn, x)
+        want = scalar_math(fn, *x)
     except (OverflowError, ValueError) as error:
         with pytest.raises(type(error)):
-            spelling(x)
+            spelling(*x)
         return
-    got = np.asarray(spelling(x))
+    got = np.asarray(spelling(*x))
     assert got.shape == want.shape
     same = (got.view(np.int64) == want.view(np.int64)) | (np.isnan(got) & np.isnan(want))
-    assert same.all(), (x[~same], got[~same], want[~same])
+    assert same.all(), ([a[~same] for a in np.broadcast_arrays(*x)], got[~same], want[~same])
 
 
 @pytest.mark.bitwise
@@ -298,6 +306,115 @@ class TestLibmBridge:
     @given(st.lists(st.one_of(st.floats(), st.floats(709, 709.79)), min_size=1, max_size=8))
     def test_drawn_floats(self, name, values):
         check_bridge(name, np.array(values))
+
+
+_DBL_MIN, _DBL_MAX = np.finfo(float).tiny, np.finfo(float).max
+_ROUTE_EDGES = {
+    "zero": 0.0, "minus-zero": -0.0, "5e-324": 5e-324, "dbl-min": _DBL_MIN,
+    "before-half": np.nextafter(0.5, 0), "half": 0.5, "after-half": np.nextafter(0.5, 1),
+    "before-one": np.nextafter(1.0, 0), "one": 1.0, "after-one": np.nextafter(1.0, 2),
+    "before-two": np.nextafter(2.0, 0), "two": 2.0, "after-two": np.nextafter(2.0, 3),
+    "sqrt-max": math.sqrt(_DBL_MAX), "after-sqrt-max": np.nextafter(math.sqrt(_DBL_MAX), np.inf),
+    "half-max": _DBL_MAX / 2, "after-half-max": np.nextafter(_DBL_MAX / 2, np.inf), "dbl-max": _DBL_MAX,
+    "inf": np.inf, "minus-inf": -np.inf,
+}
+_ROUTE_EDGE_IDS = [*_ROUTE_EDGES, "qnan", "snan"]
+_ROUTE_EDGE_VALUES = np.concatenate([list(_ROUTE_EDGES.values()), _floats_from_bits(0x7FF8000000000000, 0x7FF0000000000001)])
+# each value and its negative, so that the sign of a zero, an infinity and a NaN is covered too
+_ROUTE_EDGE_VALUES = np.concatenate([_ROUTE_EDGE_VALUES, -_ROUTE_EDGE_VALUES])
+_ROUTE_EDGE_IDS += [f"neg-{name}" for name in _ROUTE_EDGE_IDS]
+
+
+def check_route(name, *x):
+    """check_bridge of the route at the floats x, each argument 1-d of one
+    length: where some entries make math raise, every entry on its own."""
+    try:
+        scalar_math(_ROUTES[name][0], *x)
+    except (OverflowError, ValueError):
+        for one in zip(*x):
+            check_bridge(name, *(np.array([v]) for v in one))
+        return
+    check_bridge(name, *x)
+
+
+@pytest.mark.bitwise
+@pytest.mark.parametrize("name", sorted(_ROUTES))
+class TestLibmRoutes:
+    """libm_square, libm_log and libm_atan2 give the bits of math.pow(v, 2.0),
+    math.log and math.atan2 as scalar_math maps them, NaNs as NaNs, and raise
+    where math raises: the inputs where float_power or clog are not math's go
+    through scalar_math."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @staticmethod
+    def args(name, x, y):
+        return (y, x) if name == "atan2" else (x,)
+
+    def test_random_bit_patterns(self, name):
+        # every exponent, both signs, NaNs and infinities among them, and a
+        # strided view such as the kernel's real and imaginary parts
+        rng = np.random.default_rng(39)
+        x, y = rng.integers(0, 2**64, (2, 10**5), np.uint64).view(float)
+        fn = _ROUTES[name][0]
+        raises = np.zeros(x.size, bool)
+        for i, v in enumerate(zip(*self.args(name, x, y))):
+            try:
+                fn(*(float(a) for a in v))
+            except (OverflowError, ValueError):
+                raises[i] = True
+        check_bridge(name, *self.args(name, x[~raises], y[~raises]))
+        z = np.empty(np.count_nonzero(~raises), complex)
+        z.real, z.imag = x[~raises], y[~raises]
+        check_bridge(name, *self.args(name, z.real, z.imag))
+        # the first 5,000 that raise (half of log's, a quarter of square's), each on its own
+        for one in zip(*self.args(name, x[raises][:5000], y[raises][:5000])):
+            check_bridge(name, *(np.array([v]) for v in one))
+
+    def test_routed_bands(self, name):
+        # dense draws across the bands clog and float_power treat apart, and
+        # their borders: [0.5, 2), subnormals, (DBL_MAX/2, DBL_MAX], squares near overflow
+        rng = np.random.default_rng(39)
+        bands = [rng.uniform(0.25, 4, 10**4), rng.uniform(0, 1, 10**3) * _DBL_MIN,
+                 _DBL_MAX / 4 * rng.uniform(1, 4, 10**3), math.sqrt(_DBL_MAX) * rng.uniform(0.99, 1.01, 10**3)]
+        for x in bands:
+            check_route(name, *self.args(name, x, rng.permutation(x)))
+
+    @pytest.mark.parametrize("value", _ROUTE_EDGE_VALUES, ids=_ROUTE_EDGE_IDS)
+    def test_edge_case(self, name, value):
+        # 0-d and 1-d, and for atan2 against every edge value in both places
+        if name == "atan2":
+            check_route(name, np.full(_ROUTE_EDGE_VALUES.size, value), _ROUTE_EDGE_VALUES)
+            check_route(name, _ROUTE_EDGE_VALUES, np.full(_ROUTE_EDGE_VALUES.size, value))
+            check_bridge(name, np.asarray(value), np.asarray(1.0))
+            check_bridge(name, np.asarray(value), np.array([value, 0.5]))
+            return
+        check_bridge(name, np.asarray(value))
+        check_bridge(name, np.array([value, 3.0]))
+
+    def test_raises_wherever_math_raises(self, name):
+        # math.pow overflows on a finite square, math.log refuses v <= 0; math.atan2 never raises
+        values = np.concatenate([_ROUTE_EDGE_VALUES, np.nextafter(math.sqrt(_DBL_MAX), np.inf) * np.arange(1, 9)])
+        fn, spelling = _ROUTES[name]
+        for v in values:
+            try:
+                fn(*(float(v),) * (2 if name == "atan2" else 1))
+            except (OverflowError, ValueError) as error:
+                assert name != "atan2"
+                with pytest.raises(type(error)):
+                    spelling(np.array([3.0, v, 4.0]))
+                with pytest.raises(type(error)):
+                    spelling(np.asarray(v))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.one_of(st.floats(), st.floats(0.25, 4)), st.floats()), min_size=1, max_size=8))
+    def test_drawn_floats(self, name, pairs):
+        x, y = np.array(pairs, float).reshape(-1, 2).T
+        check_route(name, *self.args(name, x, y))
 
 
 class TestTranslate:

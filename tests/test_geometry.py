@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from focklab import core, geometry
-from focklab.kernels import DuplicateLabelError, gram_matrix
+from focklab.kernels import DuplicateLabelError, gram_matrix, overlap_matrix
 from focklab import (
     Divisor,
     FockParams,
@@ -906,10 +906,9 @@ def _signalling_nan_point():
 
 
 class TestSignallingNanPoint:
-    """A point with a signalling-NaN part is refused as a divisor point; as a
-    probe it lies in no disc, and as a label it equals nothing and makes NaN
-    matrix entries only in its own rows and columns, quietly: no numpy
-    warning is raised on its way."""
+    """A point with a signalling-NaN part is refused as a divisor point and
+    as a kernel label; as a probe it lies in no disc, and it equals no label,
+    quietly: no numpy warning is raised on its way."""
 
     snan = _signalling_nan_point()
     others = ((1.0, 2), (0j, 1), (-1.5 + 1j, 3))
@@ -955,8 +954,17 @@ class TestSignallingNanPoint:
         assert np.isnan(phases[0]) and np.isnan(shifts[0])
         assert same_bits(phases[1:], np.array([compose_phase(1.0, 2.0, P1)[0]])) and shifts[1] == 3.0
 
-    def test_gram_matrix_as_without_the_point(self):
-        got = gram_matrix([(self.snan, 0), (1.0, 0)], P1).entries
-        want = gram_matrix([(1.0, 0)], P1).entries
-        assert np.isnan(got[0]).all() and np.isnan(got[:, 0]).all()
-        assert same_bits(got[1:, 1:], want)
+    @pytest.mark.parametrize("point", [snan, complex(math.inf, 0.0), complex(1.0, -math.inf), complex(math.nan, 1.0)],
+                             ids=["snan", "inf", "1-infj", "qnan"])
+    @pytest.mark.parametrize("source", ["pairs", "records"])
+    def test_gram_matrix_refuses_the_point(self, point, source):
+        # refused before the kernel sorts, multiplies or calls math on the point
+        entries = ((point, 0), (1.0, 0))
+        if source == "records":
+            entries = np.array(list(entries), LABEL)
+        with pytest.raises(ValueError, match="^atom points must be finite$"):
+            gram_matrix(entries, P1)
+        with pytest.raises(ValueError, match="^atom points must be finite$"):
+            overlap_matrix(entries[1:], entries, P1)
+        with pytest.raises(ValueError, match="^atom points must be finite$"):
+            overlap_matrix(entries, entries[1:], P1)
