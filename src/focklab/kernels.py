@@ -207,11 +207,11 @@ def _point_factors(mu, lam, params: FockParams):
     mask of z == 0, where z = lam - mu."""
     phase, z = compose_phase(-mu, lam, params)
     sa = math.sqrt(params.alpha)
-    x = params.alpha * (libm_square(z.real) + libm_square(z.imag))
     # w = sa*conj(z) if j >= k, else -sa*z with the opposite real part; the zero
     # term signs a zero Im w as CPython does, which decides the atan2 branch
     wr, wi = sa * z.real, -(sa * z.imag) + 0.0 * z.real
-    r2 = libm_square(wr) + libm_square(wi)
+    square = libm_square(np.stack((z.real, z.imag, wr, wi)))  # one C loop for the four squares
+    x, r2 = params.alpha * (square[0] + square[1]), square[2] + square[3]
     at_zero = r2 == 0
     log_w = 0.5 * libm_log(np.where(at_zero, 1.0, r2))
     return phase, x, log_w, libm_atan2(wi, wr), libm_atan2(wi, -wr), at_zero
