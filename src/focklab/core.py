@@ -183,16 +183,16 @@ def atom_eval(atom: Atom, zeta, params: FockParams):
 
 
 def scalar_math(fn, *args) -> np.ndarray:
-    """Apply a `math` function elementwise, exactly as scalar Python does, over
-    the Python floats of the broadcast arguments (`tolist`).  It serves lgamma
-    and the inputs whose C loop in a libm_* route below is not `math`'s."""
+    """Apply a `math` function elementwise over the Python floats of the broadcast
+    arguments, exactly as scalar Python does; numpy's own exp, log, atan2 and power
+    round some inputs otherwise.  It serves lgamma and the libm_* routes' inputs."""
     args = np.broadcast_arrays(*args)
     values = map(fn, *(a.ravel().tolist() for a in args))
     return np.fromiter(values, float, args[0].size).reshape(args[0].shape)
 
 
 def _route(out, routed, fn, v, *rest) -> np.ndarray:
-    """out, its routed entries replaced by scalar_math(fn, v, *rest) at theirs."""
+    """out with its routed entries set to scalar_math(fn, v[routed], *rest)."""
     if routed.any():
         out[routed] = scalar_math(fn, v[routed], *rest)
     return out
