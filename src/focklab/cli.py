@@ -308,7 +308,3 @@ def main(argv=None) -> int:
             return EXIT_PRECONDITION
     sys.stdout.write(canonical_json(payload) + "\n")
     return EXIT_OK
-
-
-if __name__ == "__main__":
-    sys.exit(main())

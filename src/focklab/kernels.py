@@ -205,6 +205,9 @@ def _point_factors(mu, lam, params: FockParams):
     """Factors of the point pairs (mu, lam), elementwise: the composition
     phase, x = alpha*|z|^2, log|w|, arg w for j >= k and for j < k, and the
     mask of z == 0, where z = lam - mu."""
+    with np.errstate(over="ignore"):  # the shift compose_phase forms
+        if not np.isfinite(lam - mu).all():
+            raise OverflowError("a point difference leaves the double range")
     phase, z = compose_phase(-mu, lam, params)
     sa = math.sqrt(params.alpha)
     # w = sa*conj(z) if j >= k, else -sa*z with the opposite real part; the zero

@@ -122,22 +122,7 @@ def frame_bounds(matrix: AnalysisMatrix) -> dict:
     columns the map has a kernel by construction: smin is reported as 0 and
     rank_deficient is set.  divisor_digest is the divisor's.
     """
-    rows, cols = matrix.entries.shape
-    if rows == 0:
-        raise ValueError("analysis matrix has no measurement rows")
-    return _singular_summary(matrix.entries, rows < cols, matrix.degree, matrix.divisor_digest)
-
-
-def _singular_summary(block, rank_deficient: bool, degree: int, digest: str) -> dict:
-    s = np.linalg.svd(block, compute_uv=False)
-    smax = float(s[0])
-    smin = 0.0 if rank_deficient else float(s[-1])
-    try:
-        ratio = (smax / smin) ** 2
-    except (ZeroDivisionError, OverflowError):  # smin = 0, or a quotient past 1.3e154
-        ratio = math.inf
-    return {"degree": degree, "smin": smin, "smax": smax, "ratio": ratio,
-            "rank_deficient": rank_deficient, "divisor_digest": digest}
+    return _sweep_frame_bounds(matrix, [matrix.degree])[0]
 
 
 # LAPACK crossovers: zgesdd QR-factors a rows x p matrix first when rows >=
@@ -154,16 +139,25 @@ def _sweep_frame_bounds(matrix: AnalysisMatrix, degrees) -> list[dict]:
     That keeps every bit under single-threaded BLAS; on more threads the
     svd's last bits move with the thread count, and the shared R moves them
     differently, mostly where smin is at rounding level.  Fewer than two
-    such prefixes make no QR."""
+    such prefixes make no QR, so a single degree takes the svd of its block."""
     rows, (num, den) = matrix.entries.shape[0], _QR_FIRST
+    if rows == 0:
+        raise ValueError("analysis matrix has no measurement rows")
     shared = [d for d in degrees if d < _QR_UNBLOCKED_COLS and rows >= num * (d + 1) // den]
     r = np.linalg.qr(matrix.entries[:, : shared[-1] + 1], mode="r") if len(shared) > 1 else None
-    return [
-        _singular_summary(r[: d + 1, : d + 1], False, d, matrix.divisor_digest)
-        if r is not None and d <= shared[-1]
-        else frame_bounds(matrix.prefix(d))
-        for d in degrees
-    ]
+    summaries = []
+    for d in degrees:
+        p = d + 1
+        block = r[:p, :p] if r is not None and d <= shared[-1] else matrix.entries[:, :p]
+        s = np.linalg.svd(block, compute_uv=False)
+        smax, smin = float(s[0]), 0.0 if rows < p else float(s[-1])
+        try:
+            ratio = (smax / smin) ** 2
+        except (ZeroDivisionError, OverflowError):  # smin = 0, or a quotient past 1.3e154
+            ratio = math.inf
+        summaries.append({"degree": d, "smin": smin, "smax": smax, "ratio": ratio,
+                          "rank_deficient": rows < p, "divisor_digest": matrix.divisor_digest})
+    return summaries
 
 
 def riesz_bounds(gram: GramMatrix) -> dict:

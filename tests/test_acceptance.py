@@ -88,11 +88,22 @@ def test_translation_isometry():
     print(f"PASS isometry: worst relative norm deviation {worst:.2e} <= 1e-9 over 200 trials")
 
 
+def basis_from_log(log_u, at_zero, top, alpha):
+    """e_0..e_top at the points u with logarithms log_u, bit for bit as
+    core.basis_eval forms them: exp(log coefficient + k log u), 0 where u = 0."""
+    values = [np.ones_like(log_u)]
+    for k in range(1, top + 1):
+        log_coeff = 0.5 * (k * math.log(alpha) - math.lgamma(k + 1))
+        values.append(np.where(at_zero, 0j, np.exp(log_coeff + k * log_u)))
+    return values
+
+
 def test_displacement_closed_form_vs_quadrature():
     # quadrature_inner_oracle's rule (48 x 96 polar nodes), restated on one
     # node grid per (alpha, |z|, max(j, k)), on which its default radius
-    # depends alone: each basis function is evaluated once per grid, each
-    # displaced atom once per z and grid, not once per pair
+    # depends alone.  T_z e_k(w) = factor(w) e_k(w - z), as core.atom_eval
+    # forms it: log w once per grid, and the factor and log(w - z) once per
+    # z and grid, give every e_j(w) and T_z e_k(w) with the bits of evaluate
     nodes, weights = np.polynomial.legendre.leggauss(48)
     turn = np.exp(1j * (2.0 * np.pi * np.arange(96) / 96))
     # (alpha, z, j, k) at which the restated rule is checked against the oracle
@@ -118,9 +129,14 @@ def test_displacement_closed_form_vs_quadrature():
                 r = 0.5 * radius * (nodes + 1.0)
                 zgrid = r[:, None] * turn[None, :]
                 radial = np.exp(-alpha * r**2) * r * (0.5 * radius * weights)
-                basis = [np.conj(basis_function(j, params).evaluate(zgrid)) for j in range(top + 1)]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    log_w = np.log(zgrid)
+                basis = [np.conj(e) for e in basis_from_log(log_w, zgrid == 0, top, alpha)]
                 for z in zs:
-                    displaced = [displaced_basis(z, k, params).evaluate(zgrid) for k in range(top + 1)]
+                    factor = np.exp(alpha * z.conjugate() * zgrid - 0.5 * alpha * (z.real**2 + z.imag**2))
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        log_shift = np.log(zgrid - z)
+                    displaced = [factor * e for e in basis_from_log(log_shift, zgrid == z, top, alpha)]
                     for j, k in {(top, k) for k in range(top + 1)} | {(j, top) for j in range(top)}:
                         integral = (2.0 * np.pi / 96) * np.sum(displaced[k] * basis[j] * radial[:, None])
                         value = complex(alpha / np.pi * integral)

@@ -217,6 +217,18 @@ class TestGramMatrix:
         assert np.max(np.abs(gram.entries - gram.entries.conj().T)) <= 1e-10
         assert np.linalg.eigvalsh(gram.entries)[0] >= -1e-9
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_point_difference_past_the_double_range_refused(self):
+        # 1e308 - (-1e308) overflows: refused before any factor is formed, with no warning
+        labels = Divisor(P1, ((1e308, 1), (-1e308, 1))).atom_labels()
+        for call in (
+            lambda: gram_matrix(labels, P1),
+            lambda: overlap_matrix(labels[:1], labels[1:], P1),
+            lambda: overlap_matrix(labels[1:], labels[:1], P1),
+        ):
+            with pytest.raises(OverflowError, match="a point difference leaves the double range"):
+                call()
+
     def test_duplicate_labels_rejected(self):
         with pytest.raises(DuplicateLabelError):
             gram_matrix([(0.0, 0), (0.0, 0)], P1)
