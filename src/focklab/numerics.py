@@ -71,15 +71,6 @@ class AnalysisMatrix:
     entries: np.ndarray
     divisor_digest: str
 
-    def prefix(self, degree: int) -> "AnalysisMatrix":
-        """The analysis map on span(e_0..e_degree): the first degree + 1
-        columns, equal to analysis_matrix(divisor, degree) entry for entry."""
-        degree = require_index("degree", degree)
-        if degree > self.degree:
-            raise ValueError(f"degree must be <= {self.degree}")
-        entries = self.entries[:, : degree + 1]
-        return AnalysisMatrix(self.params, self.labels, degree, entries, self.divisor_digest)
-
 
 @dataclass(frozen=True, eq=False)
 class InterpolationSolution:
@@ -132,13 +123,13 @@ _QR_FIRST, _QR_UNBLOCKED_COLS = (17, 9), 128
 
 
 def _sweep_frame_bounds(matrix: AnalysisMatrix, degrees) -> list[dict]:
-    """frame_bounds(matrix.prefix(d)) for the ascending degrees, by the R-SVD
-    (Chan 1982): each prefix of p = d + 1 <= 128 columns with rows >=
-    int(17p / 9) takes its singular values from R[:p, :p] of one QR of the
-    widest such prefix, the R that reference LAPACK's zgesdd factors first.
-    That keeps every bit under single-threaded BLAS; on more threads the
-    svd's last bits move with the thread count, and the shared R moves them
-    differently, mostly where smin is at rounding level.  Fewer than two
+    """frame_bounds(analysis_matrix(divisor, d)) for the ascending degrees d,
+    read off the matrix's column prefixes by the R-SVD (Chan 1982): each
+    prefix of p = d + 1 <= 128 columns with rows >= int(17p / 9) takes its
+    singular values from R[:p, :p] of one QR of the widest such prefix, the R
+    that reference LAPACK's zgesdd factors first, which keeps every bit under
+    single-threaded BLAS (on more threads the shared R moves the svd's last
+    bits differently, mostly where smin is at rounding level).  Fewer than two
     such prefixes make no QR, so a single degree takes the svd of its block."""
     rows, (num, den) = matrix.entries.shape[0], _QR_FIRST
     if rows == 0:
@@ -184,11 +175,12 @@ def min_norm_interpolate(
 ) -> InterpolationSolution:
     """Solve <f, T_lam e_k> = v for the minimal-norm f in the atom span.
 
-    Solves G c = v through the eigendecomposition of the Gram matrix G;
-    eigenvalues below rcond times the largest are truncated (pseudo-inverse),
-    which handles near-coincident points without perturbing any input.  The
-    reported norm is sqrt(Re(conj(c) . v)); the interpolant keeps <f, f> =
-    conj(c) . G c, the bits its inner() gives, so its norm() builds no Gram.
+    A Gram G with a Cholesky factor whose eigvalsh spectrum, riesz_bounds',
+    lies above rcond times the largest is inverted by np.linalg.solve; any
+    other G goes through eigh, eigenvalues at or below rcond times the largest
+    truncated (pseudo-inverse), so near-coincident points need no perturbed
+    input.  gram_condition is that of the spectrum taken.  The norm is
+    sqrt(Re(conj(c) . v)); <f, f> = conj(c) . G c is kept with the interpolant.
     """
     require_positive("rcond", rcond)
     labels = divisor.atom_labels()
@@ -197,12 +189,20 @@ def min_norm_interpolate(
     if not np.array_equal(data.labels, labels):  # by value: 0j equals -0j, a NaN equals nothing
         raise ValueError("measurement labels do not match the divisor")
     gram = gram_matrix(labels, divisor.params)
-    w, u = np.linalg.eigh(gram.entries)
-    _, wmax, condition = eigenvalue_bounds(w)
-    keep = w > rcond * wmax
-    truncated = not bool(keep.all())
-    inv = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
-    coeffs = u @ (inv * (u.conj().T @ data.values))
+    try:  # a cheap screen: a Gram that is not positive definite has no Cholesky factor
+        np.linalg.cholesky(gram.entries)
+    except np.linalg.LinAlgError:
+        w = None
+    else:
+        w = np.linalg.eigvalsh(gram.entries)
+    if w is not None and w[0] > rcond * w[-1]:
+        coeffs, truncated = np.linalg.solve(gram.entries, data.values), False
+    else:
+        w, u = np.linalg.eigh(gram.entries)
+        keep = w > rcond * w[-1]
+        truncated = not bool(keep.all())
+        inv = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
+        coeffs = u @ (inv * (u.conj().T @ data.values))
     atoms = map(Atom, labels["point"].tolist(), labels["n"].tolist(), coeffs)
     function = FockFunction(divisor.params, atoms)
     product = gram.entries @ coeffs
@@ -210,7 +210,7 @@ def min_norm_interpolate(
     # <f, f> as f.inner(f) evaluates it, on the same Gram bits
     object.__setattr__(function, "_norm_sq", complex(np.vdot(coeffs, product)).real)
     norm = math.sqrt(max(float(np.real(np.vdot(coeffs, data.values))), 0.0))
-    return InterpolationSolution(function, residual, norm, condition, truncated)
+    return InterpolationSolution(function, residual, norm, eigenvalue_bounds(w)[2], truncated)
 
 
 def _window_masses(degree: int, radius: float, params: FockParams) -> np.ndarray:

@@ -88,3 +88,50 @@ class TestHostRule:
         (got / "case" / "files").mkdir()
         (got / "case" / "files" / "x.csv").write_text("re,im\n")
         assert _rejected(want, got) == {"case": ["stderr: not written", "files/x.csv: not expected"]}
+
+
+def _stored_report(name: str):
+    """The stored stdout report of an invocation that exited 0, or None."""
+    stored = corpus.EXPECTED / name
+    if (stored / "exit_code").read_text() != "0\n":
+        return None
+    if (stored / "stdout").is_file():
+        return json.loads((stored / "stdout").read_text())
+    return json.loads((stored / "stdout.sha256").read_text())["reduced"]
+
+
+def test_untruncated_interpolation_condition_is_gram_condition_bitwise(tmp_path):
+    """On every corpus divisor that `gram` and an untruncated `interpolate`
+    both read, the interpolation takes gram's eigvalsh spectrum: the library
+    conditions agree bit for bit and the stored reports print one value."""
+    from focklab import gram_matrix, load_divisor, min_norm_interpolate, riesz_bounds
+    from focklab.reports import load_values
+
+    def divisor_recipe(entry, command):
+        argv, inputs = entry["argv"], entry.get("inputs", {})
+        if argv[:1] == [command] and len(argv) > 1 and argv[1] in inputs:
+            return json.dumps(inputs[argv[1]])
+        return None
+
+    entries = corpus.load_manifest()
+    gram_reports = {recipe: report for e in entries
+                    if (recipe := divisor_recipe(e, "gram")) and (report := _stored_report(e["name"]))}
+    checked = []
+    for entry in entries:
+        name, argv, recipe = entry["name"], entry["argv"], divisor_recipe(entry, "interpolate")
+        report = _stored_report(name) if recipe else None
+        if report is None or report["solution"]["truncated"] or recipe not in gram_reports:
+            continue
+        assert report["solution"]["gram_condition"] == gram_reports[recipe]["spectrum"]["condition"]
+        work = tmp_path / name
+        work.mkdir()
+        corpus._write_inputs(entry["inputs"], work, {})
+        divisor = load_divisor(work / argv[1])
+        labels = divisor.atom_labels()
+        rcond = float(argv[argv.index("--rcond") + 1]) if "--rcond" in argv else 1e-12
+        solution = min_norm_interpolate(divisor, load_values(work / argv[2], labels), rcond)
+        condition = riesz_bounds(gram_matrix(labels, divisor.params))["condition"]
+        assert (name, solution.gram_condition.hex()) == (name, condition.hex())
+        checked.append(name)
+    assert checked == ["ci-interpolate", "interpolate-two-points", "interpolate-rcond", "interpolate-one-point",
+                       "interpolate-two-far-points"]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import gammainc
 
 from focklab import (
+    AnalysisMatrix,
     Atom,
     Divisor,
     FockFunction,
@@ -100,24 +101,18 @@ class TestAnalysisPrefix:
         ids=["covering-rings", "lattice"],
     )
     def test_prefixes_equal_fresh_builds_bitwise(self, generate):
+        # the column-prefix property the frame-bounds sweep relies on
         divisor, _ = generate()
         full = analysis_matrix(divisor, 120)
         for degree in range(10, 121, 10):
-            prefix, fresh = full.prefix(degree), analysis_matrix(divisor, degree)
+            fresh = analysis_matrix(divisor, degree)
+            prefix = AnalysisMatrix(full.params, full.labels, degree, full.entries[:, : degree + 1],
+                                    full.divisor_digest)
             assert prefix.entries.shape == fresh.entries.shape
             assert np.array_equal(prefix.entries.view(np.int64), fresh.entries.view(np.int64))
             assert np.array_equal(prefix.labels, fresh.labels)
-            assert (prefix.degree, prefix.divisor_digest) == (fresh.degree, fresh.divisor_digest)
+            assert prefix.divisor_digest == fresh.divisor_digest
             assert frame_bounds(prefix) == frame_bounds(fresh)
-
-    def test_degree_outside_the_matrix_rejected(self):
-        matrix = analysis_matrix(Divisor(P1, ((0.5j, 2),)), 6)
-        assert matrix.prefix(0).entries.shape == (2, 1)
-        assert matrix.prefix(6).entries.shape == (2, 7)
-        with pytest.raises(ValueError, match="degree must be >= 0"):
-            matrix.prefix(-1)
-        with pytest.raises(ValueError, match="degree must be <= 6"):
-            matrix.prefix(7)
 
 
 class TestFrameBounds:
@@ -304,6 +299,76 @@ class TestMinNormInterpolate:
             min_norm_interpolate(Divisor(P1, ()), data)
 
 
+def pseudo_inverse_coeffs(gram: np.ndarray, values: np.ndarray, rcond: float):
+    """The eigh and pseudo-inverse solve of G c = v, written out, and the
+    spectrum it takes."""
+    w, u = np.linalg.eigh(gram)
+    keep = w > rcond * w[-1]
+    inv = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
+    return u @ (inv * (u.conj().T @ values)), w
+
+
+def random_data(labels, seed: int) -> MeasurementVector:
+    rng = np.random.default_rng(seed)
+    return MeasurementVector(labels, rng.standard_normal(len(labels)) + 1j * rng.standard_normal(len(labels)))
+
+
+class TestInterpolationPaths:
+    """A positive definite Gram with nothing to truncate is solved directly;
+    a truncated or indefinite one by eigh and the pseudo-inverse, bit for bit."""
+
+    def test_definite_but_truncated_gram_takes_the_pseudo_inverse(self):
+        divisor, _ = generate_disjoint_rings(1.0, 1.0, 10.0)
+        labels, rcond = divisor.atom_labels(), 0.99999
+        gram = gram_matrix(labels, P1).entries
+        np.linalg.cholesky(gram)  # positive definite
+        spectrum = np.linalg.eigvalsh(gram)
+        assert spectrum[0] / spectrum[-1] < rcond < 1
+        data = random_data(labels, 3)
+        solution = min_norm_interpolate(divisor, data, rcond=rcond)
+        want, w = pseudo_inverse_coeffs(gram, data.values, rcond)
+        assert solution.truncated
+        assert _bits(solution.function.atom_coeffs()) == _bits(want)
+        assert _bits(solution.gram_condition) == _bits(w[-1] / w[0])
+
+    def test_gram_without_cholesky_factor_takes_the_pseudo_inverse(self):
+        divisor, _ = generate_covering_rings(1.0, 1.0, 6.0)
+        labels = divisor.atom_labels()
+        gram = gram_matrix(labels, P1).entries
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(gram)
+        data = random_data(labels, 4)
+        solution = min_norm_interpolate(divisor, data)
+        want, w = pseudo_inverse_coeffs(gram, data.values, 1e-12)
+        assert solution.truncated
+        assert _bits(solution.function.atom_coeffs()) == _bits(want)
+        assert solution.gram_condition == math.inf and w[0] <= 0
+
+    @pytest.mark.parametrize("c", [1.0, 0.5])
+    def test_untruncated_solve_agrees_with_the_pseudo_inverse(self, c):
+        divisor, _ = generate_disjoint_rings(1.0, c, 10.0)
+        labels = divisor.atom_labels()
+        gram = gram_matrix(labels, P1)
+        data = random_data(labels, 5)
+        solution = min_norm_interpolate(divisor, data)
+        want, _ = pseudo_inverse_coeffs(gram.entries, data.values, 1e-12)
+        condition = riesz_bounds(gram)["condition"]
+        # c·n·ε·condition with c = 1, fixed before the first run, on the largest coefficient
+        tol = len(labels) * np.finfo(float).eps * condition * np.max(np.abs(want))
+        assert not solution.truncated
+        assert np.max(np.abs(solution.function.atom_coeffs() - want)) <= tol
+        assert solution.residual <= 1e-12
+        assert _bits(solution.gram_condition) == _bits(condition)
+
+    def test_gram_condition_is_riesz_condition_bitwise(self):
+        # eigh and eigvalsh differed here in the last bits: 1.0090075793927806 against ...809
+        divisor, _ = generate_disjoint_rings(1.0, 0.5, 35.0)
+        labels = divisor.atom_labels()
+        solution = min_norm_interpolate(divisor, random_data(labels, 6))
+        assert not solution.truncated
+        assert _bits(solution.gram_condition) == _bits(riesz_bounds(gram_matrix(labels, P1))["condition"])
+
+
 class TestHoleMass:
     def test_empty_divisor_baseline(self):
         # unconstrained: the vacuum concentrates in any window containing 0
@@ -453,7 +518,6 @@ def _rule_refusals() -> dict:
     e0 = basis_function(0, P1)
     index = {
         "analysis-degree": ("degree", 0, lambda v: analysis_matrix(one, v)),
-        "prefix-degree": ("degree", 0, lambda v: analysis_matrix(one, 4).prefix(v)),
         "hole-mass-degree": ("degree", 0, lambda v: hole_mass_experiment(one, v, 1.0)),
         "to-basis-n-max": ("n_max", 0, lambda v: e0.to_basis_coeffs(v)),
         "basis-eval-k": ("basis index k", 0, lambda v: basis_eval(v, 0.5, P1)),
@@ -526,7 +590,6 @@ def _index_entry_points() -> dict:
         "basis-eval": lambda n: basis_eval(n, z, P1).tobytes(),
         "to-basis-coeffs": lambda n: coefficients(f.to_basis_coeffs(n)),
         "analysis-matrix": lambda n: spectrum(analysis_matrix(d, n)),
-        "prefix": lambda n: spectrum(analysis_matrix(d, 8).prefix(n)),
         "hole-mass": lambda n: np.float64(hole_mass_experiment(d, n + 3, 1.5)).tobytes(),
         "oracle": lambda n: np.complex128(kernels.quadrature_inner_oracle(f, f, 6.0, n + 13, n + 29)).tobytes(),
     }
