@@ -27,7 +27,6 @@ __all__ = [
     "compose_phase",
     "basis_function",
     "displaced_basis",
-    "from_basis_coeffs",
 ]
 
 
@@ -318,9 +317,6 @@ class FockFunction:
         self._check_params(other)
         return FockFunction(self.params, self.atoms + other.atoms)
 
-    def __sub__(self, other: "FockFunction") -> "FockFunction":
-        return self + (-1.0) * other
-
     def __mul__(self, scalar) -> "FockFunction":
         c = complex(scalar)
         return FockFunction(self.params, tuple(Atom(a.lam, a.k, a.coeff * c) for a in self.atoms))
@@ -407,19 +403,6 @@ class FockFunction:
         live = weight > 0  # the origin weighs 1; f may overflow where its weight underflows
         return float((np.abs(self.evaluate(z[live])) * weight[live]).max())
 
-    def merged(self) -> "FockFunction":
-        """Merge duplicate (lam, k) atoms by summing coefficients.
-
-        Keys compare by exact stored values; atoms whose merged coefficient is
-        exactly zero are dropped.  Evaluation is invariant under merging.
-        """
-        acc: dict[tuple[complex, int], complex] = {}
-        for a in self.atoms:
-            key = (a.lam, a.k)
-            acc[key] = acc.get(key, 0j) + a.coeff
-        atoms = tuple(Atom(lam, k, coeff) for (lam, k), coeff in acc.items() if coeff != 0)
-        return FockFunction(self.params, atoms)
-
 
 def basis_function(k: int, params: FockParams) -> FockFunction:
     """The basis state e_k as a one-atom function."""
@@ -429,9 +412,3 @@ def basis_function(k: int, params: FockParams) -> FockFunction:
 def displaced_basis(lam, k: int, params: FockParams, coeff=1.0) -> FockFunction:
     """coeff * T_lam e_k as a one-atom function."""
     return FockFunction(params, (Atom(lam, k, coeff),))
-
-
-def from_basis_coeffs(coeffs, params: FockParams) -> FockFunction:
-    """Function with the given coefficients on the undisplaced basis."""
-    cs = np.asarray(coeffs, dtype=complex)
-    return FockFunction(params, tuple(Atom(0.0, n, c) for n, c in enumerate(cs) if c != 0))

@@ -26,7 +26,6 @@ __all__ = [
     "coverage_defect",
     "pairwise_disjoint",
     "theorem_verdicts",
-    "rescale_to_unit_alpha",
 ]
 
 
@@ -396,16 +395,3 @@ def theorem_verdicts(divisor: Divisor, window: Window, c_list, hole_radius: floa
         "exclusivity_consistent": exclusive,
         "scope": "window estimates; overlap bound is a lower estimate of the plane supremum",
     }
-
-
-def rescale_to_unit_alpha(divisor: Divisor) -> Divisor:
-    """Change of variable z -> sqrt(alpha)*z, mapping to alpha = 1.
-
-    Disc radii map to sqrt(alpha) times the originals, so verdicts computed
-    with C, window radius and grid step scaled by sqrt(alpha) coincide with
-    the originals.
-    """
-    if divisor.params.alpha == 1.0:
-        return divisor
-    points = divisor.points * math.sqrt(divisor.params.alpha)
-    return Divisor(FockParams(1.0), label_records(points, divisor.mults))

@@ -11,7 +11,8 @@ estimates of the frame and Riesz constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -74,13 +75,26 @@ class AnalysisMatrix:
 
 @dataclass(frozen=True, eq=False)
 class InterpolationSolution:
-    """Minimal-norm interpolant in the span of the divisor atoms."""
+    """Minimal-norm interpolant in the span of the divisor atoms.  `spectrum` is
+    the ascending Gram spectrum the solve took or, from a solve that took none,
+    the Gram, kept until gram_condition's first read takes its eigvalsh spectrum."""
 
     function: FockFunction
     residual: float
     norm: float
-    gram_condition: float
     truncated: bool
+    spectrum: InitVar[np.ndarray]
+
+    def __post_init__(self, spectrum):
+        if spectrum.ndim == 1:
+            self.__dict__["gram_condition"] = eigenvalue_bounds(spectrum)[2]
+        else:
+            self.__dict__["_gram"] = spectrum
+
+    @cached_property
+    def gram_condition(self) -> float:
+        """smax/smin of the Gram's spectrum, inf unless smin > 0."""
+        return eigenvalue_bounds(np.linalg.eigvalsh(self._gram))[2]
 
 
 def measurements(f: FockFunction, divisor: Divisor) -> MeasurementVector:
@@ -170,17 +184,36 @@ def eigenvalue_bounds(w: np.ndarray) -> tuple[float, float, float]:
     return smin, smax, math.inf if smin <= 0 else smax / smin
 
 
+def _disc_bounds(entries: np.ndarray) -> tuple[float, float]:
+    """[lower, upper] holding the spectrum of a Hermitian G, exact or as eigvalsh
+    finds it: Gershgorin's (1931) discs [g_ii - r_i, g_ii + r_i], r_i the sum of
+    |g_ij| over j != i, widened by kappa·n·ε·upper, kappa = 8: n·ε for the row
+    sums' rounding (n terms, each rounded by abs and by the sum), the rest for
+    eigvalsh's backward error, p(n)·ε·||G|| with p(n) a modest function of n
+    (LAPACK), and ||G|| <= upper.  g_ii - r_i is row i's dominance margin, which
+    no Schur complement lowers: lower > 0 keeps every Cholesky pivot above it."""
+    centre = entries.diagonal().real
+    radius = np.abs(entries).sum(axis=1) - np.abs(centre)  # |G| is freed here
+    lower, upper = float(np.min(centre - radius)), float(np.max(centre + radius))
+    margin = 8 * len(centre) * np.finfo(float).eps * upper
+    return lower - margin, upper + margin
+
+
 def min_norm_interpolate(
     divisor: Divisor, data: MeasurementVector, rcond: float = 1e-12
 ) -> InterpolationSolution:
     """Solve <f, T_lam e_k> = v for the minimal-norm f in the atom span.
 
-    A Gram G with a Cholesky factor whose eigvalsh spectrum, riesz_bounds',
-    lies above rcond times the largest is inverted by np.linalg.solve; any
-    other G goes through eigh, eigenvalues at or below rcond times the largest
-    truncated (pseudo-inverse), so near-coincident points need no perturbed
-    input.  gram_condition is that of the spectrum taken.  The norm is
-    sqrt(Re(conj(c) . v)); <f, f> = conj(c) . G c is kept with the interpolant.
+    Three routes.  A Gram G whose Gershgorin enclosure (_disc_bounds) lies
+    above rcond times its top is inverted by np.linalg.solve at once, with no
+    factor or spectrum.  Any other G is screened by a Cholesky factor: if it
+    has one and its eigvalsh spectrum lies above rcond times the largest,
+    solve inverts it; else eigh's eigenvalues at or below rcond times the
+    largest are truncated (pseudo-inverse), so near-coincident points need no
+    perturbed input.  gram_condition is that of eigh's spectrum or of
+    riesz_bounds' eigvalsh one, taken on its first read on the first route.
+    The norm is sqrt(Re(conj(c) . v)); <f, f> = conj(c) . G c is kept with
+    the interpolant.
     """
     require_positive("rcond", rcond)
     labels = divisor.atom_labels()
@@ -189,13 +222,16 @@ def min_norm_interpolate(
     if not np.array_equal(data.labels, labels):  # by value: 0j equals -0j, a NaN equals nothing
         raise ValueError("measurement labels do not match the divisor")
     gram = gram_matrix(labels, divisor.params)
-    try:  # a cheap screen: a Gram that is not positive definite has no Cholesky factor
-        np.linalg.cholesky(gram.entries)
-    except np.linalg.LinAlgError:
-        w = None
-    else:
-        w = np.linalg.eigvalsh(gram.entries)
-    if w is not None and w[0] > rcond * w[-1]:
+    lower, upper = _disc_bounds(gram.entries)
+    certified, w = lower > rcond * upper, None
+    if not certified:
+        try:  # a cheap screen: a Gram that is not positive definite has no Cholesky factor
+            np.linalg.cholesky(gram.entries)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            w = np.linalg.eigvalsh(gram.entries)
+    if certified or w is not None and w[0] > rcond * w[-1]:
         coeffs, truncated = np.linalg.solve(gram.entries, data.values), False
     else:
         w, u = np.linalg.eigh(gram.entries)
@@ -210,7 +246,7 @@ def min_norm_interpolate(
     # <f, f> as f.inner(f) evaluates it, on the same Gram bits
     object.__setattr__(function, "_norm_sq", complex(np.vdot(coeffs, product)).real)
     norm = math.sqrt(max(float(np.real(np.vdot(coeffs, data.values))), 0.0))
-    return InterpolationSolution(function, residual, norm, eigenvalue_bounds(w)[2], truncated)
+    return InterpolationSolution(function, residual, norm, truncated, gram.entries if certified else w)
 
 
 def _window_masses(degree: int, radius: float, params: FockParams) -> np.ndarray:

@@ -37,13 +37,19 @@ from focklab import (
     pairwise_disjoint,
     quadrature_inner_oracle,
     riesz_bounds,
-    rescale_to_unit_alpha,
     save_divisor,
     theorem_verdicts,
 )
-from focklab.core import basis_labels
+from focklab.core import basis_labels, label_records
 
 P1 = FockParams(1.0)
+
+
+def rescale_to_unit_alpha(divisor: Divisor) -> Divisor:
+    # the change of variable z -> sqrt(alpha)*z, which maps alpha to 1 and
+    # each disc radius sqrt(m/alpha) to sqrt(m)
+    points = divisor.points * math.sqrt(divisor.params.alpha)
+    return Divisor(FockParams(1.0), label_records(points, divisor.mults))
 
 
 def random_function(rng, params, max_atoms, max_k=6, spread=3.0):

@@ -23,13 +23,19 @@ from focklab import (
     max_overlap,
     overlap_count_at,
     pairwise_disjoint,
-    rescale_to_unit_alpha,
     theorem_verdicts,
 )
-from focklab.core import LABEL, compose_phase, label_digest
+from focklab.core import LABEL, compose_phase, label_digest, label_records
 from focklab.reports import save_divisor
 
 P1 = FockParams(1.0)
+
+
+def rescale_to_unit_alpha(divisor: Divisor) -> Divisor:
+    # the change of variable z -> sqrt(alpha)*z, which maps alpha to 1 and
+    # each disc radius sqrt(m/alpha) to sqrt(m)
+    points = divisor.points * math.sqrt(divisor.params.alpha)
+    return Divisor(FockParams(1.0), label_records(points, divisor.mults))
 
 
 def unit_lattice(radius=5.0):
@@ -364,22 +370,6 @@ class TestExclusivity:
 
 
 class TestRescaling:
-    def test_identity_at_unit_alpha(self):
-        divisor = unit_lattice(3.0)
-        assert rescale_to_unit_alpha(divisor) is divisor
-
-    def test_coordinates_scaled(self):
-        divisor = Divisor(FockParams(4.0), ((1.0, 4),))
-        rescaled = rescale_to_unit_alpha(divisor)
-        assert rescaled.params.alpha == 1.0
-        assert rescaled.entries == ((2.0 + 0j, 4),)
-
-    def test_points_past_the_double_range_refused(self):
-        divisor = Divisor(FockParams(4.0), ((1e308, 1), (0j, 1)))
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            with pytest.raises(ValueError, match="^divisor points must be finite$"):
-                rescale_to_unit_alpha(divisor)
-
     def test_verdicts_invariant(self):
         rng = np.random.default_rng(13)
         for _ in range(5):

@@ -448,7 +448,8 @@ class TestOverlapMatrix:
         atom = Atom(1.0 - 0.5j, 2, 0.5 + 1j)
         doubled = FockFunction(P1, (atom, atom))
         g = FockFunction(P1, (Atom(0.3j, 1, 1.0), Atom(0.3j, 1, -2j), Atom(-1.0, 0, 0.7)))
-        expected = 2 * displaced_basis(atom.lam, atom.k, P1, atom.coeff).inner(g.merged())
+        merged = FockFunction(P1, (Atom(0.3j, 1, 1.0 - 2j), Atom(-1.0, 0, 0.7)))  # g, duplicates summed
+        expected = 2 * displaced_basis(atom.lam, atom.k, P1, atom.coeff).inner(merged)
         assert abs(doubled.inner(g) - expected) <= 1e-14
         assert abs(doubled.norm() - 2 * abs(atom.coeff)) <= 1e-14
         rows = overlap_matrix([(0.3j, 1), (0.3j, 1)], [(atom.lam, atom.k)], P1)

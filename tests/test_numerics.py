@@ -23,7 +23,6 @@ from focklab import (
     basis_function,
     displaced_basis,
     frame_bounds,
-    from_basis_coeffs,
     generate_covering_rings,
     generate_disjoint_rings,
     generate_lattice,
@@ -81,7 +80,7 @@ class TestAnalysisMatrix:
         coeffs = np.zeros(9, dtype=complex)
         coeffs[2] = 1.0
         coeffs[5] = 1.0
-        f = from_basis_coeffs(coeffs, P1)
+        f = FockFunction(P1, (Atom(0.0, 2, 1.0), Atom(0.0, 5, 1.0)))
         divisor, _ = generate_lattice(1.0, 2.0, 2, 4.0)
         matrix = analysis_matrix(divisor, 8)
         direct = measurements(f, divisor)
@@ -308,6 +307,30 @@ def pseudo_inverse_coeffs(gram: np.ndarray, values: np.ndarray, rcond: float):
     return u @ (inv * (u.conj().T @ values)), w
 
 
+def screened_interpolation(gram: np.ndarray, values: np.ndarray, rcond: float = 1e-12):
+    """The solve without the disc certificate, written out: a Cholesky screen,
+    then eigvalsh and np.linalg.solve, or else eigh and the pseudo-inverse.
+    Returns the coefficients, residual, norm, condition and truncation flag."""
+    try:
+        np.linalg.cholesky(gram)
+        w = np.linalg.eigvalsh(gram)
+    except np.linalg.LinAlgError:
+        w = None
+    if w is not None and w[0] > rcond * w[-1]:
+        coeffs, truncated = np.linalg.solve(gram, values), False
+    else:
+        coeffs, w = pseudo_inverse_coeffs(gram, values, rcond)
+        truncated = not bool((w > rcond * w[-1]).all())
+    residual = float(np.max(np.abs(gram @ coeffs - values)))
+    norm = math.sqrt(max(float(np.real(np.vdot(coeffs, values))), 0.0))
+    return coeffs, residual, norm, math.inf if w[0] <= 0 else float(w[-1]) / float(w[0]), truncated
+
+
+def solution_bits(solution) -> tuple:
+    return (_bits(solution.function.atom_coeffs()), _bits(solution.residual), _bits(solution.norm),
+            _bits(solution.gram_condition), solution.truncated)
+
+
 def random_data(labels, seed: int) -> MeasurementVector:
     rng = np.random.default_rng(seed)
     return MeasurementVector(labels, rng.standard_normal(len(labels)) + 1j * rng.standard_normal(len(labels)))
@@ -367,6 +390,183 @@ class TestInterpolationPaths:
         solution = min_norm_interpolate(divisor, random_data(labels, 6))
         assert not solution.truncated
         assert _bits(solution.gram_condition) == _bits(riesz_bounds(gram_matrix(labels, P1))["condition"])
+
+
+    @pytest.mark.parametrize("window", [10.0, 14.0, 20.0, 35.0])
+    @pytest.mark.parametrize("c", [1.0, 0.5])
+    def test_certified_solve_equals_the_screened_lines_bitwise(self, c, window):
+        divisor, _ = generate_disjoint_rings(1.0, c, window)
+        labels = divisor.atom_labels()
+        gram = gram_matrix(labels, P1).entries
+        lower, upper = numerics._disc_bounds(gram)
+        assert lower > 1e-12 * upper
+        data = random_data(labels, 7)
+        coeffs, residual, norm, condition, truncated = screened_interpolation(gram, data.values)
+        assert not truncated
+        want = (_bits(coeffs), _bits(residual), _bits(norm), _bits(condition), False)
+        assert solution_bits(min_norm_interpolate(divisor, data)) == want
+
+    def spy_linalg(self, monkeypatch) -> list:
+        calls = []
+        for name in ("cholesky", "eigvalsh", "eigh", "solve"):
+            def spy(*args, _name=name, _call=getattr(np.linalg, name)):
+                calls.append(_name)
+                return _call(*args)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        return calls
+
+    def test_certified_solve_takes_its_spectrum_on_first_read(self, monkeypatch):
+        divisor, _ = generate_disjoint_rings(1.0, 0.5, 10.0)
+        labels = divisor.atom_labels()
+        want = riesz_bounds(gram_matrix(labels, P1))["condition"]
+        calls = self.spy_linalg(monkeypatch)
+        solution = min_norm_interpolate(divisor, random_data(labels, 8))
+        assert calls == ["solve"]
+        first = solution.gram_condition
+        assert _bits(solution.gram_condition) == _bits(first) == _bits(want)
+        assert calls == ["solve", "eigvalsh"]
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            ((0j, 2), (1.0, 2)),  # enclosure [-0.21, 2.21], smin 0.019
+            tuple((lam * 0.4, m) for lam, m in generate_disjoint_rings(1.0, 1.0, 10.0)[0].entries),
+        ],
+        ids=["two-points", "disjoint-rings-scaled-0.4"],
+    )
+    def test_definite_gram_outside_the_certificate_keeps_the_screened_lines(self, entries, monkeypatch):
+        divisor = Divisor(P1, entries)
+        labels = divisor.atom_labels()
+        gram = gram_matrix(labels, P1).entries
+        lower, upper = numerics._disc_bounds(gram)
+        assert lower <= 1e-12 * upper
+        data = random_data(labels, 9)
+        coeffs, residual, norm, condition, truncated = screened_interpolation(gram, data.values)
+        assert not truncated
+        calls = self.spy_linalg(monkeypatch)
+        solution = min_norm_interpolate(divisor, data)
+        assert solution_bits(solution) == (_bits(coeffs), _bits(residual), _bits(norm), _bits(condition), False)
+        assert calls == ["cholesky", "eigvalsh", "solve"]  # the condition read took no second spectrum
+
+    @pytest.mark.parametrize("rcond", [1.0, 2.0])
+    def test_rcond_at_or_above_one_truncates_everything(self, rcond):
+        divisor, _ = generate_disjoint_rings(1.0, 1.0, 10.0)
+        labels = divisor.atom_labels()
+        gram = gram_matrix(labels, P1).entries
+        data = random_data(labels, 10)
+        coeffs, residual, norm, condition, truncated = screened_interpolation(gram, data.values, rcond)
+        assert truncated
+        want = (_bits(coeffs), _bits(residual), _bits(norm), _bits(condition), True)
+        assert solution_bits(min_norm_interpolate(divisor, data, rcond=rcond)) == want
+
+
+@st.composite
+def separated_families(draw):
+    # a few points of multiplicity 1-4 on a square grid, from nearly
+    # overlapping discs to well separated ones
+    alpha = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    spacing = draw(st.floats(1.0, 7.0)) / math.sqrt(alpha)
+    cells = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=1, max_size=6, unique=True))
+    return Divisor(FockParams(alpha), tuple((complex(x, y) * spacing, draw(st.integers(1, 4))) for x, y in cells))
+
+
+@pytest.mark.bitwise
+class TestDiscCertificate:
+    """Where the disc enclosure certifies a Gram, Cholesky succeeds and the
+    eigvalsh spectrum lies above rcond times its top, so the certified route
+    gives the bits the screened route would."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(separated_families(), st.sampled_from([-1e-6, -1e-12, -1e-15, 0.0, 1e-15, 1e-12, 1e-6]))
+    def test_certificate_implies_the_screened_route(self, divisor, nudge):
+        labels = divisor.atom_labels()
+        gram = gram_matrix(labels, divisor.params).entries
+        lower, upper = numerics._disc_bounds(gram)
+        rcond = lower / upper * (1 + nudge) if lower > 0 else 1e-12  # around the enclosure's ratio
+        if lower > rcond * upper:
+            np.linalg.cholesky(gram)
+            w = np.linalg.eigvalsh(gram)
+            assert w[0] > rcond * w[-1]
+        data = random_data(labels, 11)
+        coeffs, residual, norm, condition, truncated = screened_interpolation(gram, data.values, rcond)
+        want = (_bits(coeffs), _bits(residual), _bits(norm), _bits(condition), truncated)
+        assert solution_bits(min_norm_interpolate(divisor, data, rcond=rcond)) == want
+
+
+def ring_cells(rings, count: int, params: FockParams) -> Divisor:
+    """Concentric rings of `count` points each, (radius, multiplicity, angle
+    offset) per ring, in cell order: point q of every ring, then point q + 1."""
+    entries = []
+    for q in range(count):
+        for rho, mult, offset in rings:
+            angle = 2 * math.pi * q / count + offset
+            entries.append((complex(rho * math.cos(angle), rho * math.sin(angle)), mult))
+    return Divisor(params, tuple(entries))
+
+
+def ring_symbol_spectrum(divisor: Divisor, count: int) -> np.ndarray:
+    """The Gram spectrum of a divisor invariant under the rotation by
+    theta = 2*pi/count, from its first cell's rows alone.
+
+    Rotations U f(z) = f(e^{-i theta} z) are unitary with U e_k = e^{-ik theta} e_k
+    and U T_lam U* = T_{e^{i theta} lam}, so the atom (q, k) is
+    e^{ikq theta} U^q applied to atom (0, k).  With the phase e^{-ikq theta} on
+    column (q, k) the Gram is block circulant, block (p, q) = B(q - p), and its
+    spectrum is the union of those of the symbol blocks sum_d B(d) w^{sd},
+    w = e^{-2 pi i / count}, for s = 0..count-1 (Davis, Circulant Matrices)."""
+    labels = divisor.atom_labels()
+    cell = len(labels) // count
+    row = overlap_matrix(labels[:cell], labels, divisor.params)
+    row = row * np.exp(-2j * math.pi * labels["n"] * np.repeat(np.arange(count), cell) / count)
+    symbol = np.fft.fft(row.reshape(cell, count, cell).transpose(1, 0, 2), axis=0)
+    return np.sort(np.concatenate([np.linalg.eigvalsh(block) for block in symbol]))
+
+
+# (rings, points per ring, alpha, frame-bounds degree); the 40-point ring at
+# radius 1 is overcomplete, its smallest eigenvalue at rounding level
+RING_FAMILIES = {
+    "one-ring-m1": ([(3.0, 1, 0.0)], 12, 1.0, 11),
+    "one-ring-m3": ([(4.0, 3, 0.0)], 8, 1.0, 23),
+    "one-ring-m2-alpha2": ([(2.5, 2, 0.0)], 16, 2.0, 30),
+    "overcomplete-ring": ([(1.0, 1, 0.0)], 40, 1.0, 39),
+    "two-rings": ([(3.0, 2, 0.0), (5.5, 1, math.pi / 10)], 10, 1.0, 29),
+    "two-rings-m4-alpha0.5": ([(3.0, 4, 0.0), (6.0, 4, 0.3)], 12, 0.5, 60),
+}
+
+
+class TestRingSymbol:
+    """Known answers for ring divisors: rotation invariance splits the Gram
+    into count symbol blocks and the analysis map into the n mod count column
+    classes.  Tolerance c·n·ε·||G|| with c = 1, fixed before the first run."""
+
+    @pytest.mark.parametrize("name", RING_FAMILIES)
+    def test_riesz_bounds_equal_the_symbol_spectrum(self, name):
+        rings, count, alpha, _ = RING_FAMILIES[name]
+        divisor = ring_cells(rings, count, FockParams(alpha))
+        summary = riesz_bounds(gram_matrix(divisor.atom_labels(), divisor.params))
+        symbol = ring_symbol_spectrum(divisor, count)
+        tol = summary["size"] * np.finfo(float).eps * summary["smax"]
+        assert np.max(np.abs(summary["eigenvalues"] - symbol)) <= tol
+        if name == "overcomplete-ring":
+            assert abs(summary["smin"]) <= tol
+
+    @pytest.mark.parametrize("name", RING_FAMILIES)
+    def test_frame_bounds_are_the_extremes_over_column_classes(self, name):
+        # with the row phases removed, rows of point q are the first cell's rows
+        # times e^{±inq theta}, so A*A is count times the first cell's Gram
+        # restricted to each class n = r mod count, and no two classes meet
+        rings, count, alpha, degree = RING_FAMILIES[name]
+        divisor = ring_cells(rings, count, FockParams(alpha))
+        summary = frame_bounds(analysis_matrix(divisor, degree))
+        cell = divisor.total_multiplicity() // count
+        first = analysis_matrix(Divisor(divisor.params, divisor.entries[: len(rings)]), degree).entries
+        assert all(first[:, r::count].shape[1] <= cell for r in range(count))  # no class has a kernel
+        classes = [np.linalg.svd(first[:, r::count], compute_uv=False) for r in range(count)]
+        smin = math.sqrt(count) * min(s[-1] for s in classes)
+        smax = math.sqrt(count) * max(s[0] for s in classes)
+        tol = divisor.total_multiplicity() * np.finfo(float).eps * smax
+        assert abs(summary["smin"] - smin) <= tol and abs(summary["smax"] - smax) <= tol
 
 
 class TestHoleMass:
