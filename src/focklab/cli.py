@@ -40,6 +40,7 @@ from .numerics import (
 )
 from .reports import (
     SchemaError,
+    _csv_rows_json,
     canonical_json,
     divisor_payload,
     format_float,
@@ -139,10 +140,12 @@ def _cmd_check_geometry(args, divisor) -> dict:
             raise ValueError(f"--defects-csv: C = {other!r} and C = {c!r} would both write {path}")
         _require_out_dir(path)
     verdicts = theorem_verdicts(divisor, window, c_list, args.hole_radius)
-    # each file once, with the points of the last of its repeats
+    # each file once, with its last repeat's points; the report reads the rows (grid points are finite)
     files = dict(zip(paths, (r["uncovered"] for r in verdicts["shrunk_cover"])))
     for path, uncovered in files.items():
-        write_points_csv(path, uncovered)
+        files[path] = _csv_rows_json(write_points_csv(path, uncovered))
+    for path, result in zip(paths, verdicts["shrunk_cover"]):
+        result["uncovered"] = files[path]
     return {
         "inputs": {
             "window_radius": window.radius,
@@ -306,5 +309,5 @@ def main(argv=None) -> int:
             # an input whose arithmetic leaves the double range
             print(f"precondition error: floating-point overflow: {exc.args[-1]}", file=sys.stderr)
             return EXIT_PRECONDITION
-    sys.stdout.write(canonical_json(payload) + "\n")
+    print(canonical_json(payload))  # the report, then its newline: no joined copy
     return EXIT_OK

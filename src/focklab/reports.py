@@ -47,15 +47,17 @@ def _point_rows(row: str, sep: str, z: np.ndarray, mults=None, nonfinite=None) -
     """Each complex128 point of z, with its multiplicity if mults is given,
     through row, a template whose %s fields take them, the rows joined by sep.
     Parts are written as %.12g (as nonfinite, if given, where not finite).
-    Each distinct float, keyed by its bits (0.0 and -0.0 apart), and each
-    distinct multiplicity is formatted once into its row pieces; the rows are
-    gathers of those pieces, joined in one pass."""
-    bits, inverse = np.unique(np.concatenate((z.real, z.imag)).view(np.int64), return_inverse=True)
+    Each distinct float (keyed by its bits, 0.0 and -0.0 apart, a run of equal
+    bits in a part keyed once) and multiplicity is formatted once into its row
+    pieces; the rows are gathers of those pieces, joined in one pass."""
+    keys = np.ascontiguousarray(z).view(np.int64).reshape(-1, 2).T
+    change = keys != np.concatenate((~keys[:, :1], keys[:, :-1]), axis=1)
+    bits, inverse = np.unique(keys[change], return_inverse=True)
     floats = bits.view(np.float64)
     text = np.array(("%.12g\n" * floats.size % tuple(floats.tolist())).split("\n")[:-1], dtype=object)
     if nonfinite is not None:
         text[~np.isfinite(floats)] = nonfinite
-    columns = [(text, inverse[: z.size]), (text, inverse[z.size :])]
+    columns = [(text, index) for index in inverse[np.cumsum(change).reshape(change.shape) - 1]]
     if mults is not None:
         values, index = np.unique(mults, return_inverse=True)
         columns.append((np.array([str(m) for m in values.tolist()], dtype=object), index))
@@ -70,6 +72,11 @@ def _point_rows(row: str, sep: str, z: np.ndarray, mults=None, nonfinite=None) -
 
 class _Text(str):
     """JSON text already formatted, which canonical_json writes as it stands."""
+
+
+def _csv_rows_json(rows: str) -> _Text:
+    """JSON list of finite points read off their CSV rows: exact, as %.12g writes no comma or newline."""
+    return _Text('[{"re":%s}]' % rows[:-1].replace(",", ',"im":').replace("\n", '},{"re":') if rows else "[]")
 
 
 def _write_canonical(obj, out: list[str]) -> None:
@@ -222,7 +229,8 @@ def divisor_payload(divisor: Divisor) -> dict:
 
 def save_divisor(divisor: Divisor, path) -> dict:
     payload = divisor_payload(divisor)  # returned: the caller's report reuses its rows
-    Path(path).write_text(canonical_json(payload) + "\n")
+    with open(path, "w") as out:  # the text, then its newline: no joined copy
+        out.writelines((canonical_json(payload), "\n"))
     return payload
 
 
@@ -232,8 +240,12 @@ def write_sweep_csv(path, rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_points_csv(path, points) -> None:
-    """Point list (defects and the like) as CSV with header re,im."""
+def write_points_csv(path, points) -> str:
+    """Point list (defects and the like) as CSV with header re,im, rows %.12g,%.12g
+    (inf or nan where not finite); returns the rows, which _csv_rows_json reads."""
     with np.errstate(over="ignore"):  # a wider part beyond the double range writes inf
         z = np.asarray(points if isinstance(points, np.ndarray) else list(points), dtype=complex)
-    Path(path).write_text("re,im\n" + _point_rows("%s,%s\n", "", z))
+    rows = _point_rows("%s,%s\n", "", z)
+    with open(path, "w") as out:
+        out.writelines(("re,im\n", rows))
+    return rows

@@ -36,7 +36,8 @@ from focklab import (
     save_divisor,
 )
 from focklab import core, generators
-from focklab.reports import _point_rows, complex_payload, divisor_payload, format_float, load_values
+from focklab.reports import _csv_rows_json, _point_rows, complex_payload, divisor_payload, format_float
+from focklab.reports import load_values
 from focklab.reports import write_points_csv, write_sweep_csv
 
 
@@ -344,6 +345,69 @@ class TestDivisorRows:
             '{"alpha":1,"points":[{"re":1.79769313486e+308,"im":0.5,"mult":2},'
             '{"re":-0,"im":-4.94065645841e-324,"mult":3},{"re":0,"im":1,"mult":1}]}'
         )
+
+
+# parts a point list may hold, NaNs with their sign and payload bits among them
+_NAN_PAYLOADS = [np.array(bits, np.uint64).view(np.float64).item() for bits in (
+    0x7FF8000000000001, 0xFFF8000000000002, 0x7FF0000000000003, 0xFFFFFFFFFFFFFFFF,
+)]
+_any_part = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.5e-310, 1e300, -1e300, 1e-300, -1e-300,
+                     float("inf"), -float("inf"), float("nan"), -float("nan"), *_NAN_PAYLOADS]),
+    st.floats(),
+)
+
+
+@st.composite
+def _point_arrays(draw, finite=False):
+    """complex128 point lists: grid-ordered rows (runs of one imaginary part),
+    lists drawn point by point, or both one after the other; possibly empty."""
+    part = _finite_part if finite else _any_part
+    step = draw(st.sampled_from([0.02, 0.1, 1 / 3, 2.0]) | _finite_part)
+    cols = draw(st.integers(0, 12))
+    rows = [(p, q) for q in range(-draw(st.integers(0, 6)), draw(st.integers(0, 6)))
+            for p in range(-cols, cols + 1) if draw(st.booleans())]
+    grid = [complex(step * p, step * q) for p, q in rows]
+    if not all(map(np.isfinite, grid)):  # a huge step leaves the double range
+        grid = []
+    drawn = draw(st.lists(st.builds(complex, part, part), max_size=30))
+    return np.array(draw(st.sampled_from([grid, drawn, grid + drawn, drawn + grid])), dtype=complex)
+
+
+def _part(x: float, nonfinite: str | None = None) -> str:
+    return format(x, ".12g") if nonfinite is None or math.isfinite(x) else nonfinite
+
+
+@pytest.mark.bitwise
+class TestPointRowsReference:
+    """_point_rows writes every template as a per-point format(x, ".12g")
+    does, and the JSON read off CSV rows is the JSON canonical_json writes."""
+
+    @given(_point_arrays(), st.data())
+    @example(np.array([], dtype=complex), None)
+    @example(np.array([complex(-0.0, 0.0), 0j, complex(0.0, -0.0), complex(_NAN_PAYLOADS[0], float("nan"))]), None)
+    def test_templates_match_per_point_reference(self, z, data):
+        assert _point_rows('{"re":%s,"im":%s}', ",", z, nonfinite="null") == ",".join(
+            '{"re":%s,"im":%s}' % (_part(p.real, "null"), _part(p.imag, "null")) for p in z.tolist()
+        )
+        assert _point_rows("%s,%s\n", "", z) == "".join(f"{_part(p.real)},{_part(p.imag)}\n" for p in z.tolist())
+        drawn = data.draw(st.lists(_mult, min_size=z.size, max_size=z.size)) if data else [2**63 - 1] * z.size
+        mults = np.array(drawn, np.int64)
+        mults[: z.size // 2] = mults[:1]  # a run of one multiplicity
+        assert _point_rows('{"re":%s,"im":%s,"mult":%s}', ",", z, mults) == ",".join(
+            '{"re":%s,"im":%s,"mult":%d}' % (_part(p.real), _part(p.imag), m) for p, m in zip(z.tolist(), mults.tolist())
+        )
+
+    @given(_point_arrays(finite=True))
+    @example(np.array([], dtype=complex))
+    @example(np.array([complex(-0.0, 5e-324), complex(1e300, -1e-300), complex(-2.5e-310, -0.0)]))
+    def test_json_read_off_csv_rows_equals_canonical_json(self, z):
+        with tempfile.TemporaryDirectory() as tmp:
+            rows = write_points_csv(Path(tmp) / "pts.csv", z)
+            assert (Path(tmp) / "pts.csv").read_text() == "re,im\n" + rows
+        derived = _csv_rows_json(rows)
+        assert derived == canonical_json(z)
+        assert canonical_json({"u": derived}) == canonical_json({"u": z})
 
 
 def _counting_point_rows(monkeypatch):
@@ -895,7 +959,7 @@ class TestDefectCsvs:
 
         def recording(path, points):
             written.append(path)
-            write_points_csv(path, points)
+            return write_points_csv(path, points)
 
         monkeypatch.setattr(cli, "write_points_csv", recording)
         prefix = tmp_path / "defects"
@@ -950,6 +1014,38 @@ class TestDefectCsvs:
         assert captured.out == ""
         assert captured.err == "precondition error: the uncovered lists would hold more than 4194304 grid points\n"
         assert list(tmp_path.iterdir()) == [path]
+
+
+class TestDefectRowsOnce:
+    """With --defects-csv each uncovered list is formatted once, as its CSV
+    rows, and the report reads its JSON off them: stdout is the same bytes
+    as without the option, which formats every list for the report alone."""
+
+    @pytest.mark.parametrize("family, argv, lists, files", [
+        # the benchmark's defect-emitting job, with a repeated C
+        ("lattice", ["--window", "4", "--grid-step", "0.02", "--c-list", "0.25,0.5,0.5,1"], 4, 3),
+        # an empty list beside two long ones
+        ("covering-rings", ["--window", "8", "--grid-step", "0.05", "--c-list", "1,2,3",
+                            "--hole-radius", "2"], 3, 3),
+    ])
+    def test_stdout_same_with_and_without_csvs(
+        self, family, argv, lists, files, tmp_path, monkeypatch, capsys
+    ):
+        path = tmp_path / "divisor.json"
+        assert cli.main(["generate", family, "--window", argv[1], "--out", str(path)]) == 0
+        capsys.readouterr()
+        calls = _counting_point_rows(monkeypatch)
+        assert cli.main(["check-geometry", str(path), *argv]) == 0
+        plain = capsys.readouterr()
+        assert len(calls) == 1 + lists  # the divisor echo, then each list
+        del calls[:]
+        prefix = tmp_path / "defects"
+        assert cli.main(["check-geometry", str(path), *argv, "--defects-csv", str(prefix)]) == 0
+        assert capsys.readouterr() == plain
+        assert len(calls) == files + 1  # each file's rows, then the divisor echo
+        assert len(list(tmp_path.glob("defects_c*.csv"))) == files
+        shrunk = json.loads(plain.out)["verdicts"]["shrunk_cover"]
+        assert shrunk[-1]["uncovered_count"] > 1000
 
 
 class TestFileErrors:
