@@ -41,6 +41,7 @@ from .numerics import (
 from .reports import (
     SchemaError,
     _csv_rows_json,
+    _Text,
     canonical_json,
     divisor_payload,
     format_float,
@@ -140,12 +141,15 @@ def _cmd_check_geometry(args, divisor) -> dict:
             raise ValueError(f"--defects-csv: C = {other!r} and C = {c!r} would both write {path}")
         _require_out_dir(path)
     verdicts = theorem_verdicts(divisor, window, c_list, args.hole_radius)
-    # each file once, with its last repeat's points; the report reads the rows (grid points are finite)
-    files = dict(zip(paths, (r["uncovered"] for r in verdicts["shrunk_cover"])))
-    for path, uncovered in files.items():
-        files[path] = _csv_rows_json(write_points_csv(path, uncovered))
-    for path, result in zip(paths, verdicts["shrunk_cover"]):
-        result["uncovered"] = files[path]
+    # each distinct list formatted once: per file, with its last repeat's points, as
+    # the rows the report reads (grid points are finite), or else per shared array
+    results = verdicts["shrunk_cover"]
+    keys = paths or [id(r["uncovered"]) for r in results]
+    texts = dict(zip(keys, (r["uncovered"] for r in results)))
+    for key, uncovered in texts.items():
+        texts[key] = _csv_rows_json(write_points_csv(key, uncovered)) if paths else _Text(canonical_json(uncovered))
+    for key, result in zip(keys, results):
+        result["uncovered"] = texts[key]
     return {
         "inputs": {
             "window_radius": window.radius,

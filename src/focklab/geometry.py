@@ -252,6 +252,81 @@ def _nested_family(divisor: Divisor, cs, sign: int):
     ]
 
 
+def _entry_radii(divisor: Divisor, c: float, sign: int) -> np.ndarray:
+    """Each entry's disc_radius at C, one call per distinct m; an absent radius reads NaN."""
+    distinct, inverse = np.unique(divisor.mults, return_inverse=True)
+    by_mult = [disc_radius(m, divisor.params, c, sign) for m in distinct.tolist()]
+    return np.array(by_mult, dtype=float)[inverse]
+
+
+def _covers(points: np.ndarray, radii: np.ndarray, radius: float, cells: float) -> bool:
+    """True only if every cell of a window grid of this radius is in an open
+    disc D(points[i], radii[i]) by the grid rule |z - lam|^2 < r*r; False says
+    nothing.  Tried only if the disc areas could cover the window and the
+    circles times the discs fit in `cells`; r < 2**-500 (or NaN) is left out.
+
+    Margins.  K is |z| <= R' = R(1 + 1e-9), disc i has radius rho = min(r,
+    2**500)(1 - 1e-9).  A window cell has fl(|z|) <= fl(R(1 + 1e-12)), so
+    |z| < R' even if numpy's SIMD abs, not correctly rounded, errs by 1e-12.
+    If |z - lam| < rho, the grid's subtraction (one rounding a part), abs
+    (1e-12) and squaring give below rho^2(1 + 3e-12) < r*r, normal or inf
+    (monotone rounding only lowers an underflowed square).  So it is enough
+    that these discs cover K, as the perimeter criterion (Huang & Tseng,
+    2005) proves when (1) the rim |z| = R' and (2) each circle |z - lam_i| =
+    rho_i, where it lies in K, lie in the other discs: else the uncovered
+    part of K, compact and nonempty, has a point y farthest from 0; on the
+    rim (1) fails; inside, y is a limit of covered points beyond it, so it
+    lies on a circle and in no other disc, and (2) fails.  Disc j, and K's
+    exterior, hold the open arc cos(theta - phi) > x of a circle (centre c,
+    radius s): x = (s^2 + d^2 - t^2)/2sd, d = |lam_j - c| at angle phi, and
+    x = (R'^2 - d^2 - s^2)/2sd, d = |c|.  Rounding moves x by some 2e-15
+    S/2sd, S the sum of those squares, so x + 1e-13 S/2sd bounds it above: a
+    whole circle needs it below -1, and its arccos less 1e-12 rad (above what
+    arctan2, arccos and the sums lose) is a closed half-width inside the open
+    arc; exact comparisons decide the arcs' cover of each circle.  A tangent
+    pair's open arc is empty, and a near-tangent one (x within 1e-13 of 1)
+    gives none, as d = 0 or 2sd < 2**-1000 does: leaving out an arc or a disc
+    only shrinks the union checked, so it can refuse, never certify a gap.
+    """
+    big, keep = radius * (1 + 1e-9), radii >= 2.0**-500
+    if not 2.0**-500 <= big <= 2.0**500:
+        return False
+    lams, rho = points[keep], np.minimum(radii[keep], 2.0**500) * (1 - 1e-9)
+    with np.errstate(over="ignore"):  # a centre near the double range is far from every window
+        far = np.hypot(lams.real, lams.imag)
+    if np.any(far + big < rho):  # one disc holds K (to roundings the margins absorb), before any square
+        return True
+    lams, rho = lams[far < big + rho], rho[far < big + rho]
+    if not ((rho.size + 1) ** 2 <= cells and np.sum(rho * rho) >= big * big):
+        return False
+    # rows: the rim (first: a clipped family often leaves it out), then each
+    # circle; columns: each disc, then K's exterior, those that meet the row's
+    # circle gathered first and the rest cut off
+    for centre, s in ((np.zeros((1, 1), complex), np.full((1, 1), big)), (lams[:, None], rho[:, None])):
+        v, t = np.concatenate((lams - centre, centre), axis=1), np.append(rho, big)
+        d, side = np.hypot(v.real, v.imag), np.append(np.ones(rho.size), -1.0)
+        near = (d < s + t) & (d + t > s) | (side < 0)
+        rows, pick = np.arange(near.shape[0])[:, None], np.argsort(~near, axis=1, kind="stable")
+        pick = pick[:, : near.sum(1).max()]
+        v, d, t, side = v[rows, pick], d[rows, pick], t[pick], side[pick]
+        with np.errstate(all="ignore"):  # d = 0 divides by 0: NaN and inf give no arc
+            x = (side * (s * s + d * d - t * t) + 1e-13 * (s * s + d * d + t * t)) / (2 * s * d)
+            x[~(2 * s * d >= 2.0**-1000)] = np.nan
+            half = np.arccos(np.minimum(x, 1.0)) - 1e-12
+        phi = np.arctan2(v.imag, v.real)
+        start, end = (np.where(half > 0, phi + sign * half, -np.inf) for sign in (-1, 1))
+        wrapped = 2 * np.pi * (start < -np.pi)  # each start into [-pi, pi], and a copy 2pi down
+        start, end = (np.concatenate((a + wrapped, a + wrapped - 2 * np.pi), axis=1) for a in (start, end))
+        # sorted by start, the first is a copy (at most -pi) or no arc: a gap
+        # is a later start beyond the reach of those before it, short of pi
+        order = np.argsort(start, axis=1)
+        start, reach = start[rows, order], np.maximum.accumulate(end[rows, order], axis=1)
+        gap = (start[:, 1:] > np.maximum(reach[:, :-1], -np.pi)) & (reach[:, :-1] < np.pi)
+        if not np.all((x < -1).any(1) | ~gap.any(1) & (reach[:, -1] >= np.pi)):
+            return False
+    return True
+
+
 def _require_hole(hole_radius: float, window: Window) -> None:
     if not (0 <= hole_radius < window.radius):
         raise ValueError("hole_radius must satisfy 0 <= hole_radius < window radius")
@@ -278,9 +353,13 @@ def coverage_defect(
 
     Discs are open, with radii per disc_radius; entries with absent shrunk
     radius are skipped.  An empty result means the divisor covers the probed
-    annulus at this C.  Points are reported verbatim, in grid order.
+    annulus at this C; when _covers certifies the discs, it is returned with
+    no grid built.  Points are reported verbatim, in grid order.
     """
     _require_hole(hole_radius, window)
+    radii = _entry_radii(divisor, c, sign)
+    if _covers(divisor.points, radii, window.radius, (2 * window.radius / window.grid_step) ** 2):
+        return np.empty(0, complex)
     z, modulus, inside, (held,) = _disc_sweep(divisor, window, [_nested_family(divisor, [c], sign)])
     return z[inside & (modulus >= hole_radius) & (held == 0)]
 
@@ -293,9 +372,7 @@ def pairwise_disjoint(
     Open discs: boundary tangency counts as disjoint.  Returns the flag and
     the first violating point pair in entry order, or None.
     """
-    distinct, inverse = np.unique(divisor.mults, return_inverse=True)
-    by_mult = [disc_radius(m, divisor.params, c, sign) for m in distinct.tolist()]
-    radii = np.array(by_mult, dtype=float)[inverse]  # an absent radius (None) reads NaN
+    radii = _entry_radii(divisor, c, sign)
     kept = ~np.isnan(radii)
     lams, radii = divisor.points[kept], radii[kept]
     # numpy screens each row's later points with a relative margin far above its
@@ -335,7 +412,9 @@ def theorem_verdicts(divisor: Divisor, window: Window, c_list, hole_radius: floa
 
     Existential quantifiers over C > 0 are probed on the finite ascending
     c_list of positive finite values; universal ones are recorded per tested
-    C.  One sweep builds two level grids however long c_list is.
+    C.  One sweep builds two level grids however long c_list is, or only the
+    overlap grid when _covers certifies that the -C discs at the largest C
+    cover the window: every cover verdict then holds, as the grid would say.
     Deterministic: the same inputs always produce identical verdicts.
     """
     cs = [float(c) for c in c_list]
@@ -353,21 +432,29 @@ def theorem_verdicts(divisor: Divisor, window: Window, c_list, hole_radius: floa
     # and each C, ascend: the last `level` of them hold a point.  With k =
     # len(cs), the bare discs cover it where level > k, and at cs[i] the padded
     # ones where level >= k - i, the shrunk ones where level >= k + 2 + i.
+    # If the innermost discs (-cs[-1]) certify, every window cell lies in all
+    # 2k + 1 discs of some entry: level 2k + 1 everywhere, so no level grid.
     k = len(cs)
+    innermost = _entry_radii(divisor, cs[-1], -1)
+    certified = _covers(divisor.points, innermost, window.radius, (2 * window.radius / window.grid_step) ** 2)
     _, padded = _nested_family(divisor, [0.0, *cs], +1)
     _, shrunk = _nested_family(divisor, cs, -1)
     families = [_overlap_family(divisor), (np.maximum, lambda m: shrunk(m)[::-1] + padded(m))]
-    z, modulus, inside, (counts, level) = _disc_sweep(divisor, window, families)
-    annulus = inside & (modulus >= hole_radius)
-
+    z, modulus, inside, (counts, *level) = _disc_sweep(divisor, window, families[: 2 - certified])
     bound = int(counts[inside].max())
-    least = int(level[inside].min())
-    padded_witness = cs[max(k - least, 0)] if least else None
-    uncovered = []
-    for i in range(k):  # each list may hold the whole disc, so their total is budgeted
-        uncovered.append(z[annulus & (level < k + 2 + i)])
-        if sum(u.size for u in uncovered) > MAX_GRID_CELLS:
-            raise ValueError(f"the uncovered lists would hold more than {MAX_GRID_CELLS} grid points")
+    if certified:
+        padded_witness, uncovered, bare_cover = cs[0], [np.empty(0, complex)] * k, True
+    else:
+        level, annulus = level[0], inside & (modulus >= hole_radius)
+        least = int(level[inside].min())
+        padded_witness = cs[max(k - least, 0)] if least else None
+        uncovered = []
+        for i in range(k):  # each list may hold the whole disc, so their total is budgeted
+            repeat = i and cs[i] == cs[i - 1]  # an equal C shares its list
+            uncovered.append(uncovered[-1] if repeat else z[annulus & (level < k + 2 + i)])
+            if sum(u.size for u in uncovered) > MAX_GRID_CELLS:
+                raise ValueError(f"the uncovered lists would hold more than {MAX_GRID_CELLS} grid points")
+        bare_cover = not (annulus & (level <= k)).any()
 
     # the -C discs only shrink with C, and an entry absent at some C stays
     # absent, so the first C that keeps them disjoint is found by bisection
@@ -375,7 +462,6 @@ def theorem_verdicts(divisor: Divisor, window: Window, c_list, hole_radius: floa
     shrunk_disjoint_witness = cs[first] if first < k else None
     # the +C discs only grow with C: if any tested C keeps them disjoint, cs[0] does
     padded_disjoint_witness = cs[0] if pairwise_disjoint(divisor, cs[0], +1)[0] else None
-    bare_cover = not (annulus & (level <= k)).any()
 
     # np.hypot rounds |lam| as Python's abs does; np.abs may not
     windowed = int(np.sum(np.hypot(divisor.points.real, divisor.points.imag) <= window.radius))

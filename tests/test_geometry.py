@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 import tracemalloc
 import warnings
 from unittest import mock
@@ -26,7 +27,7 @@ from focklab import (
     theorem_verdicts,
 )
 from focklab.core import LABEL, compose_phase, label_digest, label_records
-from focklab.reports import save_divisor
+from focklab.reports import canonical_json, save_divisor
 
 P1 = FockParams(1.0)
 
@@ -638,7 +639,9 @@ _any_c = st.one_of(
 class TestNestedDiscOrder:
     """theorem_verdicts reads every cover verdict off one nested level, the
     number of an entry's discs holding a cell, which counts the last discs of
-    its list only if that list ascends."""
+    its list only if that list ascends.  The certificate is refused here, so
+    that draws it would certify (such as m near 2**62 on the unit window)
+    still hand the sweep their level list."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -655,7 +658,8 @@ class TestNestedDiscOrder:
 
         divisor = Divisor(FockParams(alpha), [(complex(i), m) for i, m in enumerate(mults)])
         with mock.patch.object(geometry, "_disc_sweep", sweep), pytest.raises(_Handed):
-            theorem_verdicts(divisor, Window(1.0, 0.1), cs)
+            with mock.patch.object(geometry, "_covers", refused):
+                theorem_verdicts(divisor, Window(1.0, 0.1), cs)
         assert len(handed) == 2 and handed[1][0] is np.maximum
         _, padded = geometry._nested_family(divisor, [0.0, *cs], +1)
         _, shrunk = geometry._nested_family(divisor, cs, -1)
@@ -664,6 +668,32 @@ class TestNestedDiscOrder:
             assert all(a <= b for a, b in zip(discs, discs[1:]))
             # the shrunk discs at descending C, absent ones left out, then the padded ones
             assert discs == shrunk(m)[::-1] + padded(m)
+
+
+class TestSweepFamilies:
+    """A certified window hands the sweep the overlap family alone; one that
+    is not certified hands it the nested level family too."""
+
+    @pytest.mark.parametrize("family, window, step, c_list, handed", [
+        # the benchmark's covering check, and its window-4 lattice defect check
+        ("covering", 12.0, 0.05, [0.1455, 0.291, 0.4365, 0.582, 0.7275, 0.873], 1),
+        ("lattice", 4.0, 0.02, [0.25, 0.5, 1.0], 2),
+    ])
+    def test_families_handed(self, family, window, step, c_list, handed):
+        if family == "covering":
+            divisor, _ = generate_covering_rings(1.0, 0.97, window)
+        else:
+            divisor = unit_lattice(window)
+        counts, sweep = [], geometry._disc_sweep
+
+        def spy(divisor, window, families):
+            counts.append(len(families))
+            return sweep(divisor, window, families)
+
+        with mock.patch.object(geometry, "_disc_sweep", spy):
+            verdicts = theorem_verdicts(divisor, Window(window, step), c_list)
+        assert counts == [handed]
+        assert all(r["holds"] for r in verdicts["shrunk_cover"]) == (handed == 1)
 
 
 def sweep_families(divisor, c_list):
@@ -958,3 +988,149 @@ class TestSignallingNanPoint:
             overlap_matrix(entries[1:], entries, P1)
         with pytest.raises(ValueError, match="^atom points must be finite$"):
             overlap_matrix(entries, entries[1:], P1)
+
+
+def cover_case(rnd):
+    """(divisor, c, sign, window) near the cover threshold, drawn from rnd: random
+    discs, a jittered lattice at radius about s/sqrt(2), a few large discs, a
+    near-tangent pair among random discs, or discs past 1e154 near a small
+    window; C subnormal, tiny or a few percent of the radius; and in some cases
+    every length scaled by 1e100, or past 1e154."""
+    kind = rnd.choice(["random", "lattice", "large", "tangent", "huge"])
+    radius, r = rnd.uniform(1.0, 4.0), rnd.uniform(0.4, 1.5)
+    points, mults, scale = [], [], rnd.choice([1.0, 1.0, 1.0, 1e100, 1e155, 1e160])
+    if kind == "lattice":
+        s = r * math.sqrt(2) / (1 + rnd.choice([-1e-3, 0.0, 1e-9, 1e-6, 1e-3, 0.03, 0.1]))
+        jitter, shift = rnd.choice([0.0, 1e-9, 1e-3, 0.02]) * s, complex(rnd.random(), rnd.random()) * s
+        n = math.ceil(radius / s) + 1
+        for p in range(-n, n + 1):
+            for q in range(-n, n + 1):
+                noise = complex(rnd.uniform(-jitter, jitter), rnd.uniform(-jitter, jitter))
+                points.append(complex(p, q) * s + shift + noise)
+                mults.append(1)
+    elif kind == "huge":  # radii 1e154 to 1e160 (m = 2**62), centred at 0, near or far
+        scale, r = 1.0, 10.0 ** rnd.uniform(154, 160) / 2**31
+        for where in rnd.sample([0.0, radius, 1e150, r * 2**31, 1e300], 2):
+            points.append(cmath.rect(where, rnd.uniform(-math.pi, math.pi)))
+            mults.append(2**62)
+    else:
+        # enough random discs that the window is about covered
+        count = rnd.randrange(4, 40)
+        r = (radius + 1) * math.sqrt(rnd.uniform(1.5, 6.0) / count)
+        for _ in range(count):
+            points.append(cmath.rect((radius + r) * math.sqrt(rnd.random()), rnd.uniform(-math.pi, math.pi)))
+            mults.append(1)
+        if kind == "large":  # discs of radius 2r to 10r
+            for _ in range(rnd.randrange(1, 4)):
+                points.append(cmath.rect(radius * rnd.uniform(0, 2), rnd.uniform(-math.pi, math.pi)))
+                mults.append(rnd.choice([4, 25, 100]))
+        if kind == "tangent":  # circles at d = r1 + r2 or |r1 - r2|, to 1e-9 relative or exactly
+            m = rnd.choice([1, 4, 9])
+            gap = (1 + math.sqrt(m) * rnd.choice([1, -1])) * r * (1 + rnd.choice([0.0, 1e-12, -1e-9, 1e-6]))
+            points.append(points[0] + cmath.rect(abs(gap), rnd.uniform(-math.pi, math.pi)))
+            mults.append(m)
+    sign = rnd.choice([1, -1])
+    c = rnd.choice([5e-324, 1e-300, 1e-12, rnd.uniform(0, 0.05) * r] + [0.0] * (sign == 1))
+    entries = {p * scale: m for p, m in zip(points, mults)}  # equal points collapse
+    divisor = Divisor(FockParams((1 / (r * scale)) ** 2), tuple(entries.items()))
+    window = Window(radius * scale, radius * scale / rnd.choice([10, 20, 40]))
+    return divisor, c * scale, sign, window
+
+
+def certifies(divisor, c, sign, window):
+    return geometry._covers(divisor.points, geometry._entry_radii(divisor, c, sign), window.radius, math.inf)
+
+
+def refused(*_):
+    return False
+
+
+def grid_defect(divisor, c, sign, window, hole=0.0):
+    """coverage_defect with the certificate refused, and its full-grid reference, which agree."""
+    with mock.patch.object(geometry, "_covers", refused):
+        swept = coverage_defect(divisor, c, sign, window, hole)
+    with np.errstate(over="ignore"):  # distances past the double range lie in no disc
+        assert same_bits(swept, reference_coverage_defect(divisor, c, sign, window, hole))
+    return swept
+
+
+class TestCoversSound:
+    """The certificate _covers is sound against the grid rule: whenever it
+    certifies, no window cell lies outside the discs, so skipping the sweep
+    never changes a report."""
+
+    @pytest.mark.bitwise
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_certified_windows_have_no_grid_defect(self, rnd):
+        divisor, c, sign, window = cover_case(rnd)
+        if certifies(divisor, c, sign, window):
+            assert grid_defect(divisor, c, sign, window).size == 0
+            assert coverage_defect(divisor, c, sign, window).size == 0
+            if sign == -1 and c > 0:  # the verdicts skip their level grid, with the same report
+                cs = [x for x in (c / 2, c, c) if x > 0]
+                got = canonical_json(theorem_verdicts(divisor, window, cs))
+                with mock.patch.object(geometry, "_covers", refused):
+                    assert got == canonical_json(theorem_verdicts(divisor, window, cs))
+
+    def test_fixed_cases_certify_often(self):
+        # not vacuous: a fixed set of 300 drawn cases certifies at least a fifth of the time
+        cases = [cover_case(random.Random(seed)) for seed in range(300)]
+        shares = [certifies(*case) for case in cases]
+        assert sum(shares) >= 60
+        for case, certified in zip(cases, shares):
+            if certified:
+                assert grid_defect(*case).size == 0
+
+    def test_window_inside_one_disc_certifies(self):
+        divisor, window = Divisor(P1, ((0.1j, 9),)), Window(2.5, 0.1)
+        assert certifies(divisor, 0.0, +1, window)
+        assert certifies(divisor, 0.25, -1, window)  # radius 2.75
+        assert not certifies(divisor, 0.5, -1, window)  # radius 2.5 leaves the rim point 2.5i out
+
+    def test_tangent_discs_refused(self):
+        # unit discs tangent at 0, a grid point in neither; with two more at
+        # +-i every point near 0 but 0 itself is covered
+        window = Window(0.5, 0.05)
+        for points in ((1.0, -1.0), (1.0, -1.0, 1j, -1j)):
+            divisor = Divisor(P1, tuple((lam, 1) for lam in points))
+            assert not certifies(divisor, 0.0, +1, window)
+            assert 0j in grid_defect(divisor, 0.0, +1, window)
+        assert grid_defect(divisor, 0.0, +1, window).tolist() == [0j]
+
+    def test_gap_between_grid_points_refused(self):
+        # three discs of radius 2 whose centres lie 2 + 1e-4 from g leave a
+        # triangle about 2e-4 wide around g, between the points of a 0.1 grid
+        g = 0.05 + 0.05j
+        points = [g + cmath.rect(2 + 1e-4, math.pi / 2 + 2 * math.pi * k / 3) for k in range(3)]
+        divisor, window = Divisor(P1, tuple((lam, 4) for lam in points)), Window(1.0, 0.1)
+        assert overlap_count_at(divisor, g) == 0
+        assert not certifies(divisor, 0.0, +1, window)
+        assert coverage_defect(divisor, 0.0, +1, window).size == 0  # the grid's answer
+        assert theorem_verdicts(divisor, window, [1e-9])["bare_cover"]["holds"]
+
+    def test_lattice_rim_crescents_refused(self):
+        # the unit lattice to R = 10 leaves crescents at the rim that the
+        # default step R/100 steps over: the grid says covered, the certificate refuses
+        divisor, window = unit_lattice(10.0), Window(10.0, 0.1)
+        assert overlap_count_at(divisor, 9.888687 + 1.487905j) == 0
+        assert not certifies(divisor, 0.0, +1, window)
+        assert grid_defect(divisor, 0.0, +1, window).size == 0
+        assert theorem_verdicts(divisor, window, [0.25, 0.5, 1.0])["bare_cover"]["holds"]
+
+    def test_grid_point_on_circle_refused(self):
+        # 3 + 4i lies on the circle of the radius-5 disc around 0 (m = 25)
+        divisor, window = Divisor(P1, ((0.0, 25),)), Window(5.0, 0.5)
+        assert not certifies(divisor, 0.0, +1, window)
+        assert 3 + 4j in grid_defect(divisor, 0.0, +1, window)
+        assert certifies(divisor, 0.0, +1, Window(4.9, 0.49))
+
+    def test_mask_slack_refused(self):
+        # the window mask keeps cells up to R(1 + 1e-12): at step R(1 + 8e-13)/20
+        # the 12 cells of modulus R(1 + 8e-13) lie outside a disc of radius
+        # R(1 + 5e-13), which holds the window disc itself
+        radius, r = 5.0, 5.0 * (1 + 5e-13)
+        divisor, window = Divisor(FockParams(1 / (r * r)), ((0.0, 1),)), Window(radius, radius * (1 + 8e-13) / 20)
+        assert not certifies(divisor, 0.0, +1, window)
+        assert grid_defect(divisor, 0.0, +1, window).size == 12
