@@ -86,7 +86,7 @@ def label_digest(params: FockParams, pairs) -> str:
 def disc_grid(radius: float, step: float):
     """Builder of the square grid step*(p + iq), |p|, |q| <= floor(radius/step
     + 1e-9), its moduli and its disc mask |z| <= radius*(1 + 1e-12) (empty for
-    a negative radius).  The call refuses a square above MAX_GRID_CELLS."""
+    a negative radius), with the axis as .axis; refuses a square over MAX_GRID_CELLS."""
     half = max(radius / step, -1.0) + 1e-9
     if not half < MAX_GRID_CELLS or (2 * math.floor(half) + 1) ** 2 > MAX_GRID_CELLS:
         raise ValueError(f"step {step} on a disc of radius {radius} needs more than {MAX_GRID_CELLS} grid cells")
@@ -100,6 +100,7 @@ def disc_grid(radius: float, step: float):
         modulus = np.abs(z)
         return z, modulus, modulus <= radius * (1 + 1e-12)
 
+    build.axis = axis
     return build
 
 

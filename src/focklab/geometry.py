@@ -134,16 +134,16 @@ def overlap_count_at(divisor: Divisor, z) -> int:
     return int(np.count_nonzero(d2 < divisor.mults * (1.0 / divisor.params.alpha)))
 
 
-def _index_spans(centres: np.ndarray, reach: float, step: float, n: int) -> list[list[int]]:
-    """Per centre, the first and end indices of the grid axis step*(-n..n)
-    within reach of it, widened by one index on each side."""
+def _index_spans(centres: np.ndarray, reach, step: float, n: int) -> np.ndarray:
+    """Per centre (and reach), the first and end indices of the grid axis
+    step*(-n..n) within reach of it, widened by one index on each side."""
     with np.errstate(over="ignore"):  # a far centre's bounds are infinite: its box is empty
         lo = (centres - reach) / step + n - 1
         hi = (centres + reach) / step + n + 2
-    return [np.clip(x, 0.0, 2 * n + 1).astype(np.int64).tolist() for x in (lo, hi)]
+    return np.clip(np.stack((lo, hi)), 0.0, 2 * n + 1).astype(np.int64)
 
 
-# Cells of |z - lam|^2 held at once: the size of the sweep's buffers.
+# The sweep's cells of |z - lam|^2 held at once, and the row runs' (disc, row) pairs per band.
 _SWEEP_CELLS = 2**16
 
 
@@ -165,53 +165,41 @@ def _chunks(r0, r1, c0, c1, cells: int):
         k += 1
 
 
-def _disc_sweep(divisor: Divisor, window: Window, families):
-    """Count the discs of several families in one pass over the divisor.
-
-    families[k] = (comb, discs): discs(m), evaluated once per distinct m,
-    lists the squared radii of the open discs of an entry of multiplicity m,
-    and comb (np.add or np.maximum) folds over entries how many of an entry's
-    discs hold a point, into one small unsigned grid per family.  Each entry
-    computes |z - lam|^2 once, on the index box of its largest disc, widened
-    by one index a side so that rounding cannot leave out a point in the
-    disc, and tests each disc by the full-grid rule d2 < r^2, bit for bit.
+def _disc_sweep(divisor: Divisor, window: Window, discs):
+    """The level grid of a disc family: per cell, the most of one entry's
+    discs holding it, where discs(m), evaluated once per distinct m, lists
+    the squared radii of an entry's open discs.  Each entry computes |z -
+    lam|^2 once, on the index box of its largest disc, widened by one index a
+    side so that rounding cannot leave out a point in the disc, and tests
+    each disc by the full-grid rule d2 < r^2, bit for bit.
 
     The entries of one multiplicity share their discs, so their boxes are
     worked in chunks of at most _SWEEP_CELLS cells: a stack of whole boxes,
     or a slab of rows of one box too large for a stack.  A chunk fills
     buffers allocated once per sweep: z - lam, copied from the differences
     of the window axis and lam (the bits of z[box] - lam), its squared
-    modulus, and per family the count of an entry's discs holding each
-    cell, folded box by box into the family's grid before the next family
-    is counted.  Integer folds do not depend on order, so no grid depends on
-    the chunking.  Returns the square grid, its moduli, its window mask and
-    the family grids.
+    modulus and the count of an entry's discs holding each cell, maximised
+    box by box into the level grid, which so does not depend on the
+    chunking.  Returns the square grid, its moduli, its mask and the levels.
     """
     z, modulus, inside = window._square()
     n, axis = (z.shape[0] - 1) // 2, z.real[0].copy()
     distinct, inverse = np.unique(divisor.mults, return_inverse=True)
-    tables = [(comb, [discs(m) for m in distinct.tolist()]) for comb, discs in families]
-    counts = [np.array([len(discs) for discs in radii], dtype=np.int64) for _, radii in tables]
-    grids = [
-        np.zeros(z.shape, np.min_scalar_type(comb.reduce(c[inverse], initial=0)))
-        for (comb, _), c in zip(tables, counts)
-    ]
+    radii = [discs(m) for m in distinct.tolist()]
+    grid = np.zeros(z.shape, np.min_scalar_type(max(map(len, radii), default=0)))
     cells = max(_SWEEP_CELLS, z.shape[1])  # a row of the square always fits
     diff, d2, test = np.empty(cells, complex), np.empty(cells), np.empty(cells, bool)
     pairs = diff.view(float).reshape(-1, 2)
     # how many of one entry's discs hold a cell; a one-byte count is written
     # as bool and the tests read as bytes, which spares the ufuncs a cast
-    level = np.empty(cells, np.min_scalar_type(max((c.max(initial=0) for c in counts), default=0)))
+    level = np.empty(cells, grid.dtype)
     first, tested = (level, test) if level.itemsize > 1 else (level.view(bool), test.view(np.uint8))
     groups = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
-    for i, group in zip(range(distinct.size), groups):  # no group for an empty divisor
-        wanted = [(grid, comb, radii[i]) for grid, (comb, radii) in zip(grids, tables) if radii[i]]
-        if not wanted:
+    for held_by, group in zip(radii, groups):  # no group for an empty divisor
+        if not held_by:
             continue
-        lams = divisor.points[group]
-        reach = math.sqrt(max(max(discs) for *_, discs in wanted))
-        r0, r1 = _index_spans(lams.imag, reach, window.grid_step, n)
-        c0, c1 = _index_spans(lams.real, reach, window.grid_step, n)
+        lams, reach = divisor.points[group], math.sqrt(max(held_by))
+        (r0, r1), (c0, c1) = (_index_spans(x, reach, window.grid_step, n).tolist() for x in (lams.imag, lams.real))
         lams = lams.tolist()
         for chunk in _chunks(r0, r1, c0, c1, cells):
             boxes, total = [], 0
@@ -226,30 +214,81 @@ def _disc_sweep(divisor: Divisor, window: Window, families):
             sq = np.abs(diff[:total], out=d2[:total])
             with np.errstate(over="ignore"):  # an infinite distance lies in no disc
                 np.multiply(sq, sq, out=sq)  # what ** 2 computes
-            for grid, comb, discs in wanted:
-                np.less(sq, discs[0], out=first[:total])
-                for t in discs[1:]:
-                    np.less(sq, t, out=test[:total])
-                    np.add(level[:total], tested[:total], out=level[:total])
-                for box, held in boxes:
-                    view = grid[box]
-                    comb(view, held, out=view)
-    return z, modulus, inside, grids
+            np.less(sq, held_by[0], out=first[:total])
+            for t in held_by[1:]:
+                np.less(sq, t, out=test[:total])
+                np.add(level[:total], tested[:total], out=level[:total])
+            for box, held in boxes:
+                view = grid[box]
+                np.maximum(view, held, out=view)
+    return z, modulus, inside, grid
 
 
-def _overlap_family(divisor: Divisor):
-    """The discs D(lam, sqrt(m/alpha)), summed over entries: the overlap count."""
-    inv_alpha = 1.0 / divisor.params.alpha
-    return np.add, lambda m: [m * inv_alpha]
+def _overlap_max(divisor: Divisor, window: Window) -> int:
+    """Window maximum of the overlap count, the grid's bits, from row runs.
+
+    Row by row in its index box (the sweep's), a disc (t = m*(1/alpha), rho =
+    sqrt(t)) holds a run of cells proven in; shell cells beside it meet the
+    grid rule itself (numpy's abs of (axis[c] - lam.real, axis[r] - lam.imag),
+    squared, < t).  The mask abs <= R' = R(1 + 1e-12) is a disc at 0 that
+    outweighs all others: the summed runs peak at the windowed count plus its
+    weight.  Bands of rows hold at most _SWEEP_CELLS (disc, row) pairs, or one.
+
+    Margins.  Discs claim only if rho >= 2**-500, |lam.real| + axis[-1] <=
+    2**15 r, r = min(rho, 2**510), and |lam.real| + 2 rho < 2**1000 step (no
+    guess overflows).  The run [ceil(x - w), floor(x + w)], x = lam.real/step
+    + n, w = sqrt(r_in^2 - dy^2)/step, r_in = r(1 - 1e-9), errs by under 6u
+    2**16 r (u = 2**-53, 4.4e-11 r) and its squares by 4u r^2: its cells
+    lie within r(1 - 0.95e-9), where abs (to 1e-12) squares below t and
+    2**1021.  Past the bounds from r_out = rho(1 + 1e-9), cells lie beyond
+    rho(1 + 0.95e-9) and square to t or more, or inf (an inf r_out^2 claims
+    nothing).  The mask claims by the same bounds on R'.
+    """
+    axis, step = disc_grid(window.radius, window.grid_step).axis, window.grid_step
+    n, edge, heavy, best, b0 = (axis.size - 1) // 2, window.radius * (1 + 1e-12), divisor.points.size + 1, 0, 0
+    with np.errstate(over="ignore"):  # m/alpha past the double range is inf, as m * (1/alpha)
+        t = divisor.mults * (1.0 / divisor.params.alpha)
+        lams, rho = np.concatenate((divisor.points, [0j])), np.concatenate((np.sqrt(t), [edge]))
+        r, far = np.minimum(rho, 2.0**510), np.abs(lams.real)
+        sure = (rho >= 2.0**-500) & (far + axis[-1] <= 2.0**15 * r) & (far + 2 * rho < 2.0**1000 * step)
+        bounds = np.where(sure, np.square([r * (1 - 1e-9), rho * (1 + 1e-9)]), [[-np.inf], [np.inf]])  # in, out
+        x = np.fmin(np.fmax(lams.real / step, -(2.0**1001)), 2.0**1001) + n  # clipped: no inf - inf guess
+    (r0, r1), (c0, c1) = (_index_spans(v, rho, step, n) for v in (lams.imag, lams.real))
+    # guesses of first cells clip to [c0, c1] (the box and one past it), of last ones one lower
+    c0, c1 = (c - np.array([[0.0], [0.0], [1.0], [1.0]]) for c in (c0, c1))
+    ends = (np.bincount(r0, None, axis.size + 1) - np.bincount(r1, None, axis.size + 1)).cumsum().cumsum()
+    while b0 < axis.size:
+        b1 = max(bisect.bisect_right(ends, (ends[b0 - 1] if b0 else 0) + _SWEEP_CELLS), b0 + 1)
+        lo, count = np.maximum(r0, b0), np.maximum(np.minimum(r1, b1) - np.maximum(r0, b0), 0)
+        k = np.arange(lams.size).repeat(count)
+        row = (lo - count.cumsum() + count).repeat(count) + np.arange(k.size)
+        dy = axis[row] - lams.imag[k]
+        with np.errstate(all="ignore"):  # guesses past the double range are clipped; inf squares in no disc
+            rest = bounds.take(k, axis=1) - np.fmin(dy * dy, np.finfo(float).max)
+            half, mid = np.sqrt(np.fmax(rest, 0.0)) / step, x[k]
+            guess = np.concatenate((np.ceil(mid - half), np.floor(mid + half)))
+            a, left, b, right = np.minimum(np.maximum(guess, c0.take(k, axis=1)), c1.take(k, axis=1)).astype(np.int64)
+            b = np.where(rest[0] >= 0, b, a - 1)  # no run: an empty one, [a, a)
+            size = np.concatenate((a - left, right - b))  # shell cells [left, a) and (b, right]
+            pair = np.concatenate((np.arange(k.size),) * 2).repeat(size)
+            col = (np.concatenate((left, b + 1)) - size.cumsum() + size).repeat(size) + np.arange(pair.size)
+            disc = k[pair]
+            modulus = np.abs(np.stack((axis[col] - lams.real[disc], dy[pair]), -1).view(complex)[:, 0])
+            held = np.where(disc < t.size, modulus * modulus < np.concatenate((t, [0.0]))[disc], modulus <= edge)
+        # runs (empty too) and held shell cells weigh on [start, stop), stops first
+        line, mask = np.concatenate((row, row[pair[held]])) * (axis.size + 1), np.concatenate((k, disc[held])) == t.size
+        start, stop = np.concatenate((a, col[held])), np.concatenate((b, col[held])) + 1
+        keys = np.sort(np.concatenate(((line + start) * 4 + 2 + mask, (line + stop) * 4 + 1 - mask)))
+        best = max(best, int(np.array([-heavy, -1, 1, heavy])[keys & 3].cumsum().max(initial=0)))
+        b0 = b1
+    return best - heavy
 
 
 def _nested_family(divisor: Divisor, cs, sign: int):
     """An entry's padded (+1) or shrunk (-1) discs at every C of cs, as r*r
-    of the disc_radius r, maximised over entries; absent discs left out."""
+    of the disc_radius r; absent discs left out."""
     params = divisor.params
-    return np.maximum, lambda m: [
-        r * r for r in (disc_radius(m, params, c, sign) for c in cs) if r is not None and r > 0
-    ]
+    return lambda m: [r * r for r in (disc_radius(m, params, c, sign) for c in cs) if r is not None and r > 0]
 
 
 def _entry_radii(divisor: Divisor, c: float, sign: int) -> np.ndarray:
@@ -333,13 +372,13 @@ def _require_hole(hole_radius: float, window: Window) -> None:
 
 
 def max_overlap(divisor: Divisor, window: Window) -> int:
-    """Window maximum of the disc-overlap count.
+    """Window maximum of the disc-overlap count, read off row runs of the
+    discs with the grid's bits and no grid (_overlap_max).
 
     A lower estimate of the plane-wide supremum in the finite overlap
     condition, since only grid points inside the window are probed.
     """
-    _, _, inside, (counts,) = _disc_sweep(divisor, window, [_overlap_family(divisor)])
-    return int(counts[inside].max())
+    return _overlap_max(divisor, window)
 
 
 def coverage_defect(
@@ -360,7 +399,7 @@ def coverage_defect(
     radii = _entry_radii(divisor, c, sign)
     if _covers(divisor.points, radii, window.radius, (2 * window.radius / window.grid_step) ** 2):
         return np.empty(0, complex)
-    z, modulus, inside, (held,) = _disc_sweep(divisor, window, [_nested_family(divisor, [c], sign)])
+    z, modulus, inside, held = _disc_sweep(divisor, window, _nested_family(divisor, [c], sign))
     return z[inside & (modulus >= hole_radius) & (held == 0)]
 
 
@@ -412,9 +451,10 @@ def theorem_verdicts(divisor: Divisor, window: Window, c_list, hole_radius: floa
 
     Existential quantifiers over C > 0 are probed on the finite ascending
     c_list of positive finite values; universal ones are recorded per tested
-    C.  One sweep builds two level grids however long c_list is, or only the
-    overlap grid when _covers certifies that the -C discs at the largest C
-    cover the window: every cover verdict then holds, as the grid would say.
+    C.  Row runs give the overlap bound with no grid; one sweep builds one
+    level grid however long c_list is, and none when _covers certifies that
+    the -C discs at the largest C cover the window: every cover verdict then
+    holds, as the grid would say.
     Deterministic: the same inputs always produce identical verdicts.
     """
     cs = [float(c) for c in c_list]
@@ -436,24 +476,23 @@ def theorem_verdicts(divisor: Divisor, window: Window, c_list, hole_radius: floa
     # 2k + 1 discs of some entry: level 2k + 1 everywhere, so no level grid.
     k = len(cs)
     innermost = _entry_radii(divisor, cs[-1], -1)
-    certified = _covers(divisor.points, innermost, window.radius, (2 * window.radius / window.grid_step) ** 2)
-    _, padded = _nested_family(divisor, [0.0, *cs], +1)
-    _, shrunk = _nested_family(divisor, cs, -1)
-    families = [_overlap_family(divisor), (np.maximum, lambda m: shrunk(m)[::-1] + padded(m))]
-    z, modulus, inside, (counts, *level) = _disc_sweep(divisor, window, families[: 2 - certified])
-    bound = int(counts[inside].max())
-    if certified:
+    bound = _overlap_max(divisor, window)
+    if _covers(divisor.points, innermost, window.radius, (2 * window.radius / window.grid_step) ** 2):
         padded_witness, uncovered, bare_cover = cs[0], [np.empty(0, complex)] * k, True
     else:
-        level, annulus = level[0], inside & (modulus >= hole_radius)
+        padded, shrunk = _nested_family(divisor, [0.0, *cs], +1), _nested_family(divisor, cs, -1)
+        z, modulus, inside, level = _disc_sweep(divisor, window, lambda m: shrunk(m)[::-1] + padded(m))
+        annulus = inside & (modulus >= hole_radius)
         least = int(level[inside].min())
         padded_witness = cs[max(k - least, 0)] if least else None
+        # list i is the annulus below level k + 2 + i: one count sizes all before any is built
+        if k * np.count_nonzero(annulus) > MAX_GRID_CELLS:
+            if np.cumsum(np.bincount(level[annulus], minlength=2 * k + 1))[k + 1 : 2 * k + 1].sum() > MAX_GRID_CELLS:
+                raise ValueError(f"the uncovered lists would hold more than {MAX_GRID_CELLS} grid points")
         uncovered = []
-        for i in range(k):  # each list may hold the whole disc, so their total is budgeted
+        for i in range(k):
             repeat = i and cs[i] == cs[i - 1]  # an equal C shares its list
             uncovered.append(uncovered[-1] if repeat else z[annulus & (level < k + 2 + i)])
-            if sum(u.size for u in uncovered) > MAX_GRID_CELLS:
-                raise ValueError(f"the uncovered lists would hold more than {MAX_GRID_CELLS} grid points")
         bare_cover = not (annulus & (level <= k)).any()
 
     # the -C discs only shrink with C, and an entry absent at some C stays

@@ -300,6 +300,31 @@ class TestTheoremVerdicts:
             with pytest.raises(ValueError, match=f"^the uncovered lists would hold more than {sum(counts) - 1} grid"):
                 theorem_verdicts(*args)
 
+    def test_uncovered_lists_refused_before_any_is_built(self):
+        # the same refusal, read off one count of the levels: no list is cut
+        # from the grid; a repeated C counts its shared list again
+        args = Divisor(P1, ((0.0, 2),)), Window(3.0, 0.1), [0.25, 0.5, 0.5, 1.0]
+        cuts, sweep = [], geometry._disc_sweep
+
+        class Grid(np.ndarray):
+            def __getitem__(self, key):
+                cuts.append(key)
+                return super().__getitem__(key)
+
+        def watched(divisor, window, discs):
+            z, *rest = sweep(divisor, window, discs)
+            return z.view(Grid), *rest
+
+        total = sum(r["uncovered_count"] for r in theorem_verdicts(*args)["shrunk_cover"])
+        with mock.patch.object(geometry, "_disc_sweep", watched):
+            with mock.patch.object(geometry, "MAX_GRID_CELLS", total):
+                theorem_verdicts(*args)
+            assert len(cuts) == 3
+            cuts.clear()
+            with mock.patch.object(geometry, "MAX_GRID_CELLS", total - 1), pytest.raises(ValueError, match="^the uncovered"):
+                theorem_verdicts(*args)
+        assert cuts == []
+
     def test_far_separated_regime(self):
         divisor, _ = generate_lattice(1.0, 10.0, 1, 10.0)
         verdicts = theorem_verdicts(divisor, Window(10.0, 0.25), [1.0])
@@ -652,56 +677,91 @@ class TestNestedDiscOrder:
     def test_disc_list_ascends(self, mults, alpha, c_list):
         cs, handed = sorted(c_list), []
 
-        def sweep(divisor, window, families):
-            handed.extend(families)
+        def sweep(divisor, window, discs):
+            handed.append(discs)
             raise _Handed
 
         divisor = Divisor(FockParams(alpha), [(complex(i), m) for i, m in enumerate(mults)])
         with mock.patch.object(geometry, "_disc_sweep", sweep), pytest.raises(_Handed):
             with mock.patch.object(geometry, "_covers", refused):
                 theorem_verdicts(divisor, Window(1.0, 0.1), cs)
-        assert len(handed) == 2 and handed[1][0] is np.maximum
-        _, padded = geometry._nested_family(divisor, [0.0, *cs], +1)
-        _, shrunk = geometry._nested_family(divisor, cs, -1)
+        # the overlap count is read off row runs, so the sweep gets the nested family alone
+        assert len(handed) == 1
+        padded = geometry._nested_family(divisor, [0.0, *cs], +1)
+        shrunk = geometry._nested_family(divisor, cs, -1)
         for m in mults:
-            discs = handed[1][1](m)
+            discs = handed[0](m)
             assert all(a <= b for a, b in zip(discs, discs[1:]))
             # the shrunk discs at descending C, absent ones left out, then the padded ones
             assert discs == shrunk(m)[::-1] + padded(m)
 
 
 class TestSweepFamilies:
-    """A certified window hands the sweep the overlap family alone; one that
-    is not certified hands it the nested level family too."""
+    """A certified window counts in one pass, the row runs, and builds no
+    square nor calls the sweep.  One that is not certified adds a second
+    pass, the sweep of the nested level family alone."""
 
-    @pytest.mark.parametrize("family, window, step, c_list, handed", [
+    @pytest.mark.parametrize("family, window, step, c_list, passes", [
         # the benchmark's covering check, and its window-4 lattice defect check
         ("covering", 12.0, 0.05, [0.1455, 0.291, 0.4365, 0.582, 0.7275, 0.873], 1),
         ("lattice", 4.0, 0.02, [0.25, 0.5, 1.0], 2),
     ])
-    def test_families_handed(self, family, window, step, c_list, handed):
+    def test_families_handed(self, family, window, step, c_list, passes):
         if family == "covering":
             divisor, _ = generate_covering_rings(1.0, 0.97, window)
         else:
             divisor = unit_lattice(window)
-        counts, sweep = [], geometry._disc_sweep
+        runs, families, squares = [], [], []
+        count, sweep, square = geometry._overlap_max, geometry._disc_sweep, Window._square
 
-        def spy(divisor, window, families):
-            counts.append(len(families))
-            return sweep(divisor, window, families)
+        def counted(divisor, window):
+            runs.append(window)
+            return count(divisor, window)
 
-        with mock.patch.object(geometry, "_disc_sweep", spy):
-            verdicts = theorem_verdicts(divisor, Window(window, step), c_list)
-        assert counts == [handed]
-        assert all(r["holds"] for r in verdicts["shrunk_cover"]) == (handed == 1)
+        def spy(divisor, window, discs):
+            families.append(discs)
+            return sweep(divisor, window, discs)
+
+        def built(window):
+            squares.append(window)
+            return square(window)
+
+        with mock.patch.object(geometry, "_overlap_max", counted), mock.patch.object(geometry, "_disc_sweep", spy):
+            with mock.patch.object(Window, "_square", built):
+                verdicts = theorem_verdicts(divisor, Window(window, step), c_list)
+        assert len(runs) == 1 and len(families) == len(squares) == passes - 1
+        assert all(r["holds"] for r in verdicts["shrunk_cover"]) == (passes == 1)
+        if families:  # the nested family: the shrunk discs at descending C, then the padded ones
+            padded, shrunk = geometry._nested_family(divisor, [0.0, *c_list], +1), geometry._nested_family(divisor, c_list, -1)
+            assert families[0](1) == shrunk(1)[::-1] + padded(1)
+
+    def test_certified_check_holds_less_than_a_square(self):
+        # the benchmark's covering check: 481 x 481 cells, whose complex128
+        # square alone is 3.7 MB, while row runs hold (disc, row) pairs
+        divisor, _ = generate_covering_rings(1.0, 0.97, 12.0)
+        window, c_list = Window(12.0, 0.05), [0.1455, 0.291, 0.4365, 0.582, 0.7275, 0.873]
+        theorem_verdicts(divisor, window, c_list)
+        tracemalloc.start()
+        try:
+            verdicts = theorem_verdicts(divisor, window, c_list)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r["holds"] for r in verdicts["shrunk_cover"])
+        assert peak < 481 * 481 * 16
+
+
+def overlap_family(divisor):
+    """The discs D(lam, sqrt(m/alpha)), summed over entries: the overlap count."""
+    inv_alpha = 1.0 / divisor.params.alpha
+    return np.add, lambda m: [m * inv_alpha]
 
 
 def sweep_families(divisor, c_list):
-    """Three disc families for one sweep: the overlap count, padded and shrunk discs."""
+    """The padded and shrunk disc families, each maximised over entries."""
     return [
-        geometry._overlap_family(divisor),
-        geometry._nested_family(divisor, [0.0, *c_list], +1),
-        geometry._nested_family(divisor, c_list, -1),
+        (np.maximum, geometry._nested_family(divisor, [0.0, *c_list], +1)),
+        (np.maximum, geometry._nested_family(divisor, c_list, -1)),
     ]
 
 
@@ -723,8 +783,8 @@ def reference_levels(divisor, window, families):
 
 
 def assert_levels_match_reference(divisor, window, families):
-    *_, grids = geometry._disc_sweep(divisor, window, families)
-    for got, expected in zip(grids, reference_levels(divisor, window, families)):
+    for (_, discs), expected in zip(families, reference_levels(divisor, window, families)):
+        *_, got = geometry._disc_sweep(divisor, window, discs)
         assert got.dtype.kind == "u" and np.array_equal(got, expected)
 
 
@@ -732,7 +792,7 @@ def assert_levels_match_reference(divisor, window, families):
 # 14 x 14 cells for m = 1 (three clipped ones share a stack of 300 cells, six
 # boxes one of 1000) and 16 x 17 for m = 2; the 40 x 40 box of m = 40 takes
 # slabs of rows below 1,600 cells; the shrunk disc of m = 1 is absent at
-# C = 0.3, so that group has a family without discs
+# C = 0.3, so its shrunk family holds one disc
 CHUNK_DIVISOR = Divisor(
     FockParams(16.0),
     (
@@ -788,6 +848,84 @@ class TestSweepChunks:
         families = sweep_families(divisor, c_list)
         with mock.patch.object(geometry, "_SWEEP_CELLS", budget):
             assert_levels_match_reference(divisor, Window(4.0, 0.1), families)
+
+
+# centres on grid points, and m/alpha an integer: cells such as 3 + 4i at
+# distance 5 lie exactly on a circle
+@st.composite
+def aligned_cases(draw):
+    """(divisor, window) with grid-aligned centres and integer m/alpha, at step 0.25 or 0.5."""
+    step = draw(st.sampled_from([0.25, 0.5]))
+    spots = st.builds(complex, st.integers(-18, 18), st.integers(-18, 18)).map(lambda p: p * step)
+    points = draw(st.lists(spots, min_size=1, max_size=8, unique=True))
+    alpha = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    mults = draw(st.lists(st.integers(1, 30), min_size=len(points), max_size=len(points)))
+    return Divisor(FockParams(alpha), tuple(zip(points, mults))), Window(5.0, step)
+
+
+@st.composite
+def far_cases(draw):
+    """(divisor, window): discs with m = 2**62 at alpha near 1e-290, so m/alpha
+    is inf, centred near 1e154, where the grid's squared distances overflow."""
+    alpha = draw(st.floats(1e-291, 1e-289))
+    # |lam| around sqrt(max double) = 1.34e154: the grid's squares past it overflow
+    far = st.builds(cmath.rect, st.floats(1e154, 1.7e154), st.floats(-math.pi, math.pi))
+    points = draw(st.lists(far, min_size=1, max_size=3, unique=True))
+    near = draw(st.lists(st.builds(complex, _coordinate, _coordinate), max_size=3, unique=True))
+    return Divisor(FockParams(alpha), [(lam, 2**62) for lam in points] + [(lam, 1) for lam in near]), Window(4.0, 0.1)
+
+
+def reference_window_max(divisor, window):
+    """The overlap count's window maximum from the full-grid reference levels."""
+    (counts,) = reference_levels(divisor, window, [overlap_family(divisor)])
+    n = int(math.floor(window.radius / window.grid_step + 1e-9))
+    axis = window.grid_step * np.arange(-n, n + 1)
+    inside = np.abs(axis[None, :] + 1j * axis[:, None]) <= window.radius * (1 + 1e-12)
+    return int(counts[inside].max())
+
+
+@pytest.mark.bitwise
+class TestOverlapRuns:
+    """The row-run overlap count against the full grid, bit for bit, with
+    bands of one row and of the default budget; theorem_verdicts, certified
+    or not, reads the same bound."""
+
+    def assert_runs_match(self, divisor, window, c_list=(0.5,), hole=0.0):
+        expected = reference_window_max(divisor, window)
+        for budget in (1, geometry._SWEEP_CELLS):
+            with mock.patch.object(geometry, "_SWEEP_CELLS", budget):
+                assert max_overlap(divisor, window) == expected
+        assert theorem_verdicts(divisor, window, c_list, hole)["finite_overlap_bound"] == expected
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(
+        verdict_cases(),
+        st.lists(st.sampled_from([4.05, -3.95, 4.0, -4.1]), max_size=3),
+        st.sampled_from([None, 5e-324]),
+    )
+    # a disc on the square's edge, and a subnormal C
+    @example((Divisor(P1, ((0.3j, 2),)), [0.5], 1.5), [4.05], 5e-324)
+    def test_drawn_discs(self, case, edge_parts, tiny_c):
+        divisor, c_list, hole = case
+        entries = divisor.entries + tuple((complex(x, 0.5 * i), 1) for i, x in enumerate(edge_parts))
+        divisor = Divisor(divisor.params, dict(entries).items())  # equal points collapse
+        self.assert_runs_match(divisor, Window(4.0, 0.1), sorted(c_list + [tiny_c] * (tiny_c is not None)), hole)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(aligned_cases())
+    @example((Divisor(P1, ((0j, 25), (0.5 + 0.5j, 2))), Window(5.0, 0.5)))
+    def test_cells_on_circles(self, case):
+        self.assert_runs_match(*case)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=30, deadline=None)
+    @given(far_cases())
+    # squares of 1.44e308, in the disc, and of 2.0e308, past the double range and in no disc
+    @example((Divisor(FockParams(1e-290), ((1.2e154 + 0j, 2**62), (-1e154 - 1e154j, 2**62))), Window(4.0, 0.1)))
+    def test_squares_past_the_double_range(self, case):
+        self.assert_runs_match(*case)
 
 
 class TestPairScreen:
