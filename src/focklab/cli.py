@@ -41,7 +41,7 @@ from .numerics import (
 from .reports import (
     SchemaError,
     _csv_rows_json,
-    _Text,
+    _point_rows,
     canonical_json,
     divisor_payload,
     format_float,
@@ -141,13 +141,14 @@ def _cmd_check_geometry(args, divisor) -> dict:
             raise ValueError(f"--defects-csv: C = {other!r} and C = {c!r} would both write {path}")
         _require_out_dir(path)
     verdicts = theorem_verdicts(divisor, window, c_list, args.hole_radius)
-    # each distinct list formatted once: per file, with its last repeat's points, as
-    # the rows the report reads (grid points are finite), or else per shared array
+    # each distinct list formatted once, as the CSV rows the report reads (grid
+    # points are finite): per file, with its last repeat's points, or else per shared array
     results = verdicts["shrunk_cover"]
     keys = paths or [id(r["uncovered"]) for r in results]
     texts = dict(zip(keys, (r["uncovered"] for r in results)))
     for key, uncovered in texts.items():
-        texts[key] = _csv_rows_json(write_points_csv(key, uncovered)) if paths else _Text(canonical_json(uncovered))
+        rows = write_points_csv(key, uncovered) if paths else _point_rows("%s,%s\n", "", uncovered)
+        texts[key] = _csv_rows_json(rows)
     for key, result in zip(keys, results):
         result["uncovered"] = texts[key]
     return {

@@ -224,8 +224,10 @@ def _disc_sweep(divisor: Divisor, window: Window, discs):
     return z, modulus, inside, grid
 
 
-def _overlap_max(divisor: Divisor, window: Window) -> int:
-    """Window maximum of the overlap count, the grid's bits, from row runs.
+def max_overlap(divisor: Divisor, window: Window) -> int:
+    """Window maximum of the disc-overlap count, with the grid's bits and no
+    grid: a lower estimate of the plane-wide supremum in the finite overlap
+    condition, since only grid points inside the window are probed.
 
     Row by row in its index box (the sweep's), a disc (t = m*(1/alpha), rho =
     sqrt(t)) holds a run of cells proven in; shell cells beside it meet the
@@ -310,15 +312,19 @@ def _covers(points: np.ndarray, radii: np.ndarray, radius: float, cells: float) 
     If |z - lam| < rho, the grid's subtraction (one rounding a part), abs
     (1e-12) and squaring give below rho^2(1 + 3e-12) < r*r, normal or inf
     (monotone rounding only lowers an underflowed square).  So it is enough
-    that these discs cover K, as the perimeter criterion (Huang & Tseng,
-    2005) proves when (1) the rim |z| = R' and (2) each circle |z - lam_i| =
-    rho_i, where it lies in K, lie in the other discs: else the uncovered
-    part of K, compact and nonempty, has a point y farthest from 0; on the
-    rim (1) fails; inside, y is a limit of covered points beyond it, so it
-    lies on a circle and in no other disc, and (2) fails.  Disc j, and K's
-    exterior, hold the open arc cos(theta - phi) > x of a circle (centre c,
-    radius s): x = (s^2 + d^2 - t^2)/2sd, d = |lam_j - c| at angle phi, and
-    x = (R'^2 - d^2 - s^2)/2sd, d = |c|.  Rounding moves x by some 2e-15
+    that these discs cover K.  By the perimeter criterion (Huang & Tseng,
+    2005) they do if each circle |z - lam_i| = rho_i, where it lies in K,
+    lies in the other discs or K's exterior; K is connected, so its rim needs
+    no row of its own.  If K is not covered, some circle's row fails: (a) if
+    a kept disc meets K, an uncovered point of K is a limit of covered ones,
+    so it lies on a circle inside K and in no other disc; (b) if rounding in
+    the `far < big + rho` filter kept only discs that miss K (keeping none
+    fails the area guard), the point nearest 0 of the kept disc nearest K
+    lies within rounding of |z| = R', so in the exterior column's 1e-13
+    margin gap, and in no other disc, which would lie nearer.  Disc j, and
+    K's exterior, hold the open arc cos(theta - phi) > x of a circle (centre
+    c, radius s): x = (s^2 + d^2 - t^2)/2sd, d = |lam_j - c| at angle phi,
+    and x = (R'^2 - d^2 - s^2)/2sd, d = |c|.  Rounding moves x by some 2e-15
     S/2sd, S the sum of those squares, so x + 1e-13 S/2sd bounds it above: a
     whole circle needs it below -1, and its arccos less 1e-12 rad (above what
     arctan2, arccos and the sums lose) is a closed half-width inside the open
@@ -338,47 +344,34 @@ def _covers(points: np.ndarray, radii: np.ndarray, radius: float, cells: float) 
     lams, rho = lams[far < big + rho], rho[far < big + rho]
     if not ((rho.size + 1) ** 2 <= cells and np.sum(rho * rho) >= big * big):
         return False
-    # rows: the rim (first: a clipped family often leaves it out), then each
-    # circle; columns: each disc, then K's exterior, those that meet the row's
-    # circle gathered first and the rest cut off
-    for centre, s in ((np.zeros((1, 1), complex), np.full((1, 1), big)), (lams[:, None], rho[:, None])):
-        v, t = np.concatenate((lams - centre, centre), axis=1), np.append(rho, big)
-        d, side = np.hypot(v.real, v.imag), np.append(np.ones(rho.size), -1.0)
-        near = (d < s + t) & (d + t > s) | (side < 0)
-        rows, pick = np.arange(near.shape[0])[:, None], np.argsort(~near, axis=1, kind="stable")
-        pick = pick[:, : near.sum(1).max()]
-        v, d, t, side = v[rows, pick], d[rows, pick], t[pick], side[pick]
-        with np.errstate(all="ignore"):  # d = 0 divides by 0: NaN and inf give no arc
-            x = (side * (s * s + d * d - t * t) + 1e-13 * (s * s + d * d + t * t)) / (2 * s * d)
-            x[~(2 * s * d >= 2.0**-1000)] = np.nan
-            half = np.arccos(np.minimum(x, 1.0)) - 1e-12
-        phi = np.arctan2(v.imag, v.real)
-        start, end = (np.where(half > 0, phi + sign * half, -np.inf) for sign in (-1, 1))
-        wrapped = 2 * np.pi * (start < -np.pi)  # each start into [-pi, pi], and a copy 2pi down
-        start, end = (np.concatenate((a + wrapped, a + wrapped - 2 * np.pi), axis=1) for a in (start, end))
-        # sorted by start, the first is a copy (at most -pi) or no arc: a gap
-        # is a later start beyond the reach of those before it, short of pi
-        order = np.argsort(start, axis=1)
-        start, reach = start[rows, order], np.maximum.accumulate(end[rows, order], axis=1)
-        gap = (start[:, 1:] > np.maximum(reach[:, :-1], -np.pi)) & (reach[:, :-1] < np.pi)
-        if not np.all((x < -1).any(1) | ~gap.any(1) & (reach[:, -1] >= np.pi)):
-            return False
-    return True
+    # rows: each circle; columns: each disc, then K's exterior, those that
+    # meet the row's circle gathered first and the rest cut off
+    centre, s = lams[:, None], rho[:, None]
+    v, t = np.concatenate((lams - centre, centre), axis=1), np.append(rho, big)
+    d, side = np.hypot(v.real, v.imag), np.append(np.ones(rho.size), -1.0)
+    near = (d < s + t) & (d + t > s) | (side < 0)
+    rows, pick = np.arange(rho.size)[:, None], np.argsort(~near, axis=1, kind="stable")
+    pick = pick[:, : near.sum(1).max()]
+    v, d, t, side = v[rows, pick], d[rows, pick], t[pick], side[pick]
+    with np.errstate(all="ignore"):  # d = 0 divides by 0: NaN and inf give no arc
+        x = (side * (s * s + d * d - t * t) + 1e-13 * (s * s + d * d + t * t)) / (2 * s * d)
+        x[~(2 * s * d >= 2.0**-1000)] = np.nan
+        half = np.arccos(np.minimum(x, 1.0)) - 1e-12
+    phi = np.arctan2(v.imag, v.real)
+    start, end = (np.where(half > 0, phi + sign * half, -np.inf) for sign in (-1, 1))
+    wrapped = 2 * np.pi * (start < -np.pi)  # each start into [-pi, pi], and a copy 2pi down
+    start, end = (np.concatenate((a + wrapped, a + wrapped - 2 * np.pi), axis=1) for a in (start, end))
+    # sorted by start, the first is a copy (at most -pi) or no arc: a gap
+    # is a later start beyond the reach of those before it, short of pi
+    order = np.argsort(start, axis=1)
+    start, reach = start[rows, order], np.maximum.accumulate(end[rows, order], axis=1)
+    gap = (start[:, 1:] > np.maximum(reach[:, :-1], -np.pi)) & (reach[:, :-1] < np.pi)
+    return bool(np.all((x < -1).any(1) | ~gap.any(1) & (reach[:, -1] >= np.pi)))
 
 
 def _require_hole(hole_radius: float, window: Window) -> None:
     if not (0 <= hole_radius < window.radius):
         raise ValueError("hole_radius must satisfy 0 <= hole_radius < window radius")
-
-
-def max_overlap(divisor: Divisor, window: Window) -> int:
-    """Window maximum of the disc-overlap count, read off row runs of the
-    discs with the grid's bits and no grid (_overlap_max).
-
-    A lower estimate of the plane-wide supremum in the finite overlap
-    condition, since only grid points inside the window are probed.
-    """
-    return _overlap_max(divisor, window)
 
 
 def coverage_defect(
@@ -451,10 +444,10 @@ def theorem_verdicts(divisor: Divisor, window: Window, c_list, hole_radius: floa
 
     Existential quantifiers over C > 0 are probed on the finite ascending
     c_list of positive finite values; universal ones are recorded per tested
-    C.  Row runs give the overlap bound with no grid; one sweep builds one
-    level grid however long c_list is, and none when _covers certifies that
-    the -C discs at the largest C cover the window: every cover verdict then
-    holds, as the grid would say.
+    C.  Row runs give the overlap bound (max_overlap) with no grid; one
+    sweep builds one level grid however long c_list is, and none when _covers
+    certifies that the -C discs at the largest C cover the window: every
+    cover verdict then holds, as the grid would say.
     Deterministic: the same inputs always produce identical verdicts.
     """
     cs = [float(c) for c in c_list]
@@ -476,7 +469,7 @@ def theorem_verdicts(divisor: Divisor, window: Window, c_list, hole_radius: floa
     # 2k + 1 discs of some entry: level 2k + 1 everywhere, so no level grid.
     k = len(cs)
     innermost = _entry_radii(divisor, cs[-1], -1)
-    bound = _overlap_max(divisor, window)
+    bound = max_overlap(divisor, window)
     if _covers(divisor.points, innermost, window.radius, (2 * window.radius / window.grid_step) ** 2):
         padded_witness, uncovered, bare_cover = cs[0], [np.empty(0, complex)] * k, True
     else:

@@ -82,6 +82,8 @@ def overlap_matrix(rows, cols, params: FockParams) -> np.ndarray:
     if min(j.min(), k.min()) < 0:
         raise ValueError("basis indices must be >= 0")
     top = int(max(j.max(), k.max()))
+    if top >= 2**61:  # below it no int64 sum of the walk (2i + 1 + d, at most 3 top + 1) wraps
+        raise ValueError("basis indices must be below 2**61")
     log_fact = scalar_math(math.lgamma, np.arange(1, top + 2))
     # contiguous points, whose bits _runs views as integers
     mu, lam = np.ascontiguousarray(rows["point"]), np.ascontiguousarray(cols["point"])

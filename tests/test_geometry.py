@@ -712,7 +712,7 @@ class TestSweepFamilies:
         else:
             divisor = unit_lattice(window)
         runs, families, squares = [], [], []
-        count, sweep, square = geometry._overlap_max, geometry._disc_sweep, Window._square
+        count, sweep, square = geometry.max_overlap, geometry._disc_sweep, Window._square
 
         def counted(divisor, window):
             runs.append(window)
@@ -726,7 +726,7 @@ class TestSweepFamilies:
             squares.append(window)
             return square(window)
 
-        with mock.patch.object(geometry, "_overlap_max", counted), mock.patch.object(geometry, "_disc_sweep", spy):
+        with mock.patch.object(geometry, "max_overlap", counted), mock.patch.object(geometry, "_disc_sweep", spy):
             with mock.patch.object(Window, "_square", built):
                 verdicts = theorem_verdicts(divisor, Window(window, step), c_list)
         assert len(runs) == 1 and len(families) == len(squares) == passes - 1
@@ -1272,3 +1272,28 @@ class TestCoversSound:
         divisor, window = Divisor(FockParams(1 / (r * r)), ((0.0, 1),)), Window(radius, radius * (1 + 8e-13) / 20)
         assert not certifies(divisor, 0.0, +1, window)
         assert grid_defect(divisor, 0.0, +1, window).size == 12
+
+
+class TestCoversDiscsJustOutside:
+    """The certificate has no rim row, so discs that reach the window only by
+    rounding, or that miss it and are kept by rounding in its distance
+    filter, must fail a circle's row: the point nearest 0 of the disc nearest
+    the window is in no other disc and not in the window's exterior."""
+
+    def test_discs_just_outside_refused(self):
+        # discs whose centres lie (R' + rho)(1 +- a few ulps) from 0, R' =
+        # R(1 + 1e-9) and rho = r(1 - 1e-9) as _covers takes them, with areas
+        # above the window's; each family leaves 0 uncovered
+        rnd, kept = random.Random(47), 0
+        for _ in range(300):
+            radius = rnd.choice([1.0, 3.0, rnd.uniform(0.1, 100.0)])
+            big, n = radius * (1 + 1e-9), rnd.choice([1, 2, rnd.randint(3, 16)])
+            radii = np.array([rnd.uniform(1.01, 2.0) * big / math.sqrt(n) for _ in range(n)])
+            rho = radii * (1 - 1e-9)
+            ulps = np.array([rnd.randint(-4, 4) for _ in range(n)]) * 2.0**-52
+            angles = np.array([rnd.uniform(-math.pi, math.pi) for _ in range(n)])
+            points = (big + rho) * (1 + ulps) * np.exp(1j * angles)
+            assert np.sum(rho * rho) >= big * big
+            kept += bool(np.any(np.hypot(points.real, points.imag) < big + rho))
+            assert not geometry._covers(points, radii, radius, math.inf)
+        assert kept >= 150  # rounding kept a disc in most families

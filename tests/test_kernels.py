@@ -478,6 +478,18 @@ class TestOverlapMatrix:
         with pytest.raises(ValueError):
             overlap_matrix([(0.0, 0)], [(1.0, -1)], P1)
 
+    @pytest.mark.parametrize("n", [2**61, 2**63 - 1])
+    def test_indices_whose_sums_wrap_rejected(self, n):
+        # at 2**63 - 1 the log-factorial table was empty and the walk's end
+        # index, first + 1, wrapped, so no step ran: a zero matrix, norm 0.0
+        message = r"^basis indices must be below 2\*\*61$"
+        with pytest.raises(ValueError, match=message):
+            overlap_matrix([(0.5, n)], [(0.5, n)], P1)
+        with pytest.raises(ValueError, match=message):
+            overlap_matrix([(0.0, 0)], [(0.5, n)], P1)
+        with pytest.raises(ValueError, match=message):
+            FockFunction(P1, (Atom(0.5, n),)).norm()
+
 
 # axis coordinates of both zero signs (an imaginary part of -0.0 gives a
 # real-axis pair the same arg w in both directions), far points whose overlaps

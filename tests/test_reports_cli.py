@@ -419,6 +419,7 @@ def _counting_point_rows(monkeypatch):
         return _point_rows(*args, **kwargs)
 
     monkeypatch.setattr("focklab.reports._point_rows", counted)
+    monkeypatch.setattr("focklab.cli._point_rows", counted)  # a report's uncovered lists
     return calls
 
 
@@ -1017,10 +1018,10 @@ class TestDefectCsvs:
 
 
 class TestDefectRowsOnce:
-    """With --defects-csv each uncovered list is formatted once, as its CSV
-    rows, and the report reads its JSON off them: stdout is the same bytes
-    as without the option, which formats each distinct list for the report
-    alone (the lists of a repeated C are one array)."""
+    """Each uncovered list is formatted once, as its CSV rows, and the report
+    reads its JSON off them: stdout is the same bytes with --defects-csv,
+    which writes the rows to files, and without it, which formats each
+    distinct list alone (the lists of a repeated C are one array)."""
 
     @pytest.mark.parametrize("family, argv, lists, files", [
         # the benchmark's defect-emitting job, with a repeated C
