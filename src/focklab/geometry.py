@@ -9,7 +9,6 @@ window disc, so every verdict is an on-window estimate, never a proof.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -151,10 +150,10 @@ def _chunks(r0, r1, c0, c1, cells: int):
     """The index boxes (r0[k]:r1[k], c0[k]:c1[k]) as chunks of at most `cells`
     cells, each a list of (k, first row, end row): a stack of consecutive
     whole boxes, or a slab of rows of one box too large for a stack."""
-    ends = np.cumsum([(b - a) * (d - c) for a, b, c, d in zip(r0, r1, c0, c1)]).tolist()
+    ends = np.cumsum([(b - a) * (d - c) for a, b, c, d in zip(r0, r1, c0, c1)], dtype=np.int64)
     k = 0
     while k < len(ends):
-        stop = bisect.bisect_right(ends, ends[k - 1] + cells if k else cells, k)
+        stop = int(np.searchsorted(ends, ends[k - 1] + cells if k else cells, "right"))
         if stop > k:
             yield [(j, r0[j], r1[j]) for j in range(k, stop)]
             k = stop
@@ -260,7 +259,7 @@ def max_overlap(divisor: Divisor, window: Window) -> int:
     c0, c1 = (c - np.array([[0.0], [0.0], [1.0], [1.0]]) for c in (c0, c1))
     ends = (np.bincount(r0, None, axis.size + 1) - np.bincount(r1, None, axis.size + 1)).cumsum().cumsum()
     while b0 < axis.size:
-        b1 = max(bisect.bisect_right(ends, (ends[b0 - 1] if b0 else 0) + _SWEEP_CELLS), b0 + 1)
+        b1 = max(int(np.searchsorted(ends, (ends[b0 - 1] if b0 else 0) + _SWEEP_CELLS, "right")), b0 + 1)
         lo, count = np.maximum(r0, b0), np.maximum(np.minimum(r1, b1) - np.maximum(r0, b0), 0)
         k = np.arange(lams.size).repeat(count)
         row = (lo - count.cumsum() + count).repeat(count) + np.arange(k.size)
@@ -294,7 +293,9 @@ def _nested_family(divisor: Divisor, cs, sign: int):
 
 
 def _entry_radii(divisor: Divisor, c: float, sign: int) -> np.ndarray:
-    """Each entry's disc_radius at C, one call per distinct m; an absent radius reads NaN."""
+    """Each entry's disc_radius at C, one call per distinct m; an absent radius reads NaN (so a NaN C is refused)."""
+    if math.isnan(c) or sign not in (1, -1):
+        raise ValueError("C must not be NaN, and sign must be +1 or -1")
     distinct, inverse = np.unique(divisor.mults, return_inverse=True)
     by_mult = [disc_radius(m, divisor.params, c, sign) for m in distinct.tolist()]
     return np.array(by_mult, dtype=float)[inverse]
@@ -396,27 +397,73 @@ def coverage_defect(
     return z[inside & (modulus >= hole_radius) & (held == 0)]
 
 
-def pairwise_disjoint(
-    divisor: Divisor, c: float, sign: int
-) -> tuple[bool, tuple[complex, complex] | None]:
-    """Whether the padded/shrunk discs are pairwise disjoint.
+# Candidate pairs that one chunk of the pair screen holds; a whole screen holds
+# under 128 bytes per point and per pair of its chunk.
+_PAIR_BUDGET = 2**13
 
-    Open discs: boundary tangency counts as disjoint.  Returns the flag and
-    the first violating point pair in entry order, or None.
+
+def _near_pairs(points: np.ndarray, reach: float):
+    """Chunks (i, j) of index arrays, at most _PAIR_BUDGET pairs or one point's
+    each, listing in (i, j) order every pair i < j whose parts differ by at
+    most reach, and some farther ones, from a cell list.  Per axis, sorted
+    halved coordinates (no difference overflows; a subnormal's lost bit is
+    far below a cell, as radii are 0 or above 2**-566) split into runs at
+    gaps over reach/2; cells of side reach(1 + 2**-20)/2 count from each
+    run's least coordinate, erring by under 2n 2**-53 cells (within the slack
+    for n < 2**31), and runs lie two cells apart: parts within reach are at
+    most one cell apart, and cells stay below 2n.  A point's 3 x 3 cells are
+    three ranges of the keys.
     """
-    radii = _entry_radii(divisor, c, sign)
-    kept = ~np.isnan(radii)
-    lams, radii = divisor.points[kept], radii[kept]
-    # numpy screens each row's later points with a relative margin far above its
-    # rounding difference from the scalar rule, which alone decides each candidate
-    with np.errstate(over="ignore"):  # a distance past the double range is near no disc
-        for i, (lam, r) in enumerate(zip(lams.tolist(), radii.tolist())):
-            near = np.abs(lam - lams[i + 1 :]) < (r + radii[i + 1 :]) * (1 + 1e-9)
-            for j in near.nonzero()[0].tolist():
-                lam_j = complex(lams[i + 1 + j])
-                if abs(lam - lam_j) < r + float(radii[i + 1 + j]):
-                    return False, (lam, lam_j)
-    return True, None
+    n, half = points.size, 0.5 * reach
+    if n < 2 or not reach > 0:
+        return
+    key = np.zeros(n, np.int64)
+    for x in (points.real, points.imag):  # key = 2n col + row
+        ascending = np.argsort(x, kind="stable")
+        xs = x[ascending] * 0.5
+        run = np.concatenate(([True], np.diff(xs) > half))
+        cell = np.floor((xs - xs[np.maximum.accumulate(np.where(run, np.arange(n), 0))]) / (half * (1 + 2**-20)))
+        col = np.concatenate(([0.0], np.where(run[1:], 2.0, np.diff(cell)))).cumsum()
+        key[ascending] = key[ascending] * (2 * n) + col.astype(np.int64)
+    order = np.argsort(key, kind="stable")
+    ordered, shifts = key[order], np.array([-2 * n, 0, 2 * n])
+    ends = sum(np.searchsorted(ordered, key + s + 1, "right") - np.searchsorted(ordered, key + s - 1) for s in shifts.tolist())
+    ends, a = np.cumsum(ends), 0
+    while a < n:
+        b = max(int(np.searchsorted(ends, (ends[a - 1] if a else 0) + _PAIR_BUDGET, "right")), a + 1)
+        lo = np.searchsorted(ordered, key[a:b, None] + shifts - 1).ravel()
+        size = np.searchsorted(ordered, key[a:b, None] + shifts + 1, "right").ravel() - lo
+        j = order[np.repeat(lo - size.cumsum() + size, size) + np.arange(size.sum())]
+        i = np.repeat(np.arange(a, b), size.reshape(-1, 3).sum(1))
+        i, j = i[j > i], j[j > i]
+        by_pair = np.argsort(i * n + j, kind="stable")  # the keys' int64 sort: no other sort kernel is paged in
+        yield i[by_pair], j[by_pair]
+        a = b
+
+
+def _first_overlaps(points: np.ndarray, table) -> list:
+    """Per row of table (each entry's radius, NaN if absent), the first pair (i, j)
+    in entry order whose discs meet by the scalar rule, or None.  One screen at
+    reach 2 max r, which holds the parts of every pair that meets, serves every
+    row, and np.hypot rounds as Python's abs does."""
+    firsts = [None] * len(table)
+    with np.errstate(over="ignore"):  # a distance past the double range meets no disc
+        for i, j in _near_pairs(points, 2 * max(np.max(r[r >= 0], initial=0.0) for r in table)):
+            d = np.hypot(points.real[i] - points.real[j], points.imag[i] - points.imag[j])
+            for t in [t for t, first in enumerate(firsts) if first is None]:
+                hit = np.flatnonzero(d < table[t][i] + table[t][j])
+                if hit.size:
+                    firsts[t] = (int(i[hit[0]]), int(j[hit[0]]))
+            if None not in firsts:
+                break
+    return firsts
+
+
+def pairwise_disjoint(divisor: Divisor, c: float, sign: int) -> tuple[bool, tuple[complex, complex] | None]:
+    """Whether the padded/shrunk open discs are pairwise disjoint (tangent ones
+    are), and the first pair of points whose discs meet, in entry order, or None."""
+    (first,) = _first_overlaps(divisor.points, [_entry_radii(divisor, c, sign)])
+    return (True, None) if first is None else (False, tuple(divisor.points[list(first)].tolist()))
 
 
 def _witnessed(c: float | None) -> dict:
@@ -447,7 +494,18 @@ def theorem_verdicts(divisor: Divisor, window: Window, c_list, hole_radius: floa
     C.  Row runs give the overlap bound (max_overlap) with no grid; one
     sweep builds one level grid however long c_list is, and none when _covers
     certifies that the -C discs at the largest C cover the window: every
-    cover verdict then holds, as the grid would say.
+    cover verdict then holds, as the grid would say.  One pair screen
+    (_first_overlaps) decides the -C discs at every tested C and the +C ones
+    at cs[0] (they only grow with C), and none runs if _covers certifies and
+    two entries keeping their innermost discs (r >= 2**-500) have hypot(lam)
+    <= R, so |lam| <= R(1 + 2**-52): the kept discs of radius min(r,
+    2**500)(1 - 1e-9) meeting K' = {|z| <= R(1 + 1e-9)} cover it, and were
+    they disjoint, the disc of one of those centres and the union of the
+    others would split the connected K' into two open parts.  So two meet,
+    |lam_a - lam_b| < (r_a + r_b)(1 - 1e-9), a margin that the float rule's
+    differences, hypot and sum (a few units of 2**-53 each, no underflow
+    above 2**-500) cannot erase, at every tested C and in the padded discs,
+    all larger: no family is disjoint.
     Deterministic: the same inputs always produce identical verdicts.
     """
     cs = [float(c) for c in c_list]
@@ -470,7 +528,9 @@ def theorem_verdicts(divisor: Divisor, window: Window, c_list, hole_radius: floa
     k = len(cs)
     innermost = _entry_radii(divisor, cs[-1], -1)
     bound = max_overlap(divisor, window)
-    if _covers(divisor.points, innermost, window.radius, (2 * window.radius / window.grid_step) ** 2):
+    # np.hypot rounds |lam| as Python's abs does; np.abs may not
+    centred = np.hypot(divisor.points.real, divisor.points.imag) <= window.radius
+    if certified := _covers(divisor.points, innermost, window.radius, (2 * window.radius / window.grid_step) ** 2):
         padded_witness, uncovered, bare_cover = cs[0], [np.empty(0, complex)] * k, True
     else:
         padded, shrunk = _nested_family(divisor, [0.0, *cs], +1), _nested_family(divisor, cs, -1)
@@ -488,17 +548,15 @@ def theorem_verdicts(divisor: Divisor, window: Window, c_list, hole_radius: floa
             uncovered.append(uncovered[-1] if repeat else z[annulus & (level < k + 2 + i)])
         bare_cover = not (annulus & (level <= k)).any()
 
-    # the -C discs only shrink with C, and an entry absent at some C stays
-    # absent, so the first C that keeps them disjoint is found by bisection
-    first = bisect.bisect_left(cs, True, key=lambda c: pairwise_disjoint(divisor, c, -1)[0])
-    shrunk_disjoint_witness = cs[first] if first < k else None
-    # the +C discs only grow with C: if any tested C keeps them disjoint, cs[0] does
-    padded_disjoint_witness = cs[0] if pairwise_disjoint(divisor, cs[0], +1)[0] else None
+    shrunk_disjoint_witness = padded_disjoint_witness = None
+    if not (certified and np.count_nonzero(centred & (innermost >= 2.0**-500)) >= 2):
+        table = [_entry_radii(divisor, c, -1) for c in cs[:-1]] + [innermost, _entry_radii(divisor, cs[0], +1)]
+        *shrunk_firsts, padded_first = _first_overlaps(divisor.points, table)
+        shrunk_disjoint_witness = next((c for c, first in zip(cs, shrunk_firsts) if first is None), None)
+        padded_disjoint_witness = cs[0] if padded_first is None else None
 
-    # np.hypot rounds |lam| as Python's abs does; np.abs may not
-    windowed = int(np.sum(np.hypot(divisor.points.real, divisor.points.imag) <= window.radius))
     all_shrunk = not any(u.size for u in uncovered)
-    exclusive = windowed < 2 or not (all_shrunk and padded_disjoint_witness is not None)
+    exclusive = int(np.count_nonzero(centred)) < 2 or not (all_shrunk and padded_disjoint_witness is not None)
 
     return {
         "finite_overlap_bound": bound,

@@ -237,6 +237,15 @@ class TestCoverageDefect:
         with pytest.raises(ValueError):
             coverage_defect(unit_lattice(), 0.1, +1, Window(5.0, 0.1), hole_radius=6.0)
 
+    def test_nan_c_and_odd_sign_refused(self):
+        # a NaN C once read as no disc, so the whole grid as uncovered
+        X, window = Divisor(P1, ((0.0, 1), (1.0, 1))), Window(2.0, 0.1)
+        for sign in (+1, -1):
+            with pytest.raises(ValueError, match="NaN"):
+                coverage_defect(X, math.nan, sign, window)
+        with pytest.raises(ValueError, match="sign"):
+            coverage_defect(Divisor(P1, ()), 0.5, 0, window)
+
 
 class TestPairwiseDisjoint:
     def test_tangent_counts_as_disjoint(self):
@@ -253,6 +262,16 @@ class TestPairwiseDisjoint:
         X = Divisor(P1, ((0.0, 16), (5.0, 4)))
         assert pairwise_disjoint(X, 1.0, -1) == (True, None)
 
+    def test_nan_c_and_odd_sign_refused(self):
+        # two unit discs at distance 1 once read as disjoint at a NaN C
+        X = Divisor(P1, ((0.0, 1), (1.0, 1)))
+        for sign in (+1, -1):
+            with pytest.raises(ValueError, match="NaN"):
+                pairwise_disjoint(X, math.nan, sign)
+        for divisor in (X, Divisor(P1, ())):
+            with pytest.raises(ValueError, match="sign"):
+                pairwise_disjoint(divisor, 1.0, 2)
+
     def test_monotone_in_c(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
@@ -268,7 +287,7 @@ class TestPairwiseDisjoint:
 
 
 class TestTheoremVerdicts:
-    def test_unit_lattice_regime(self, monkeypatch):
+    def test_unit_lattice_regime(self):
         verdicts = theorem_verdicts(unit_lattice(), Window(5.0, 0.05), [0.25, 0.5, 1.0])
         assert verdicts["padded_cover"]["holds"]
         assert verdicts["padded_cover"]["witness_c"] == 0.25
@@ -276,19 +295,17 @@ class TestTheoremVerdicts:
         assert not verdicts["padded_disjoint"]["holds"]
         assert verdicts["exclusivity_consistent"]
         assert verdicts["finite_overlap_bound"] == 4
-        # the shrunk witness is bisected: 5 shrunk calls for 40 Cs, plus the padded one
-        signs = []
-        counted = geometry.pairwise_disjoint
-
-        def counting(divisor, c, sign):
-            signs.append(sign)
-            return counted(divisor, c, sign)
-
-        monkeypatch.setattr(geometry, "pairwise_disjoint", counting)
+        # one pair screen, at the padded reach, decides the shrunk discs at 40 Cs
+        # and the padded ones; the certified R = 12 covering check makes none
         many = [i / 40 for i in range(1, 41)]
-        verdicts = theorem_verdicts(unit_lattice(), Window(5.0, 0.25), many)
+        verdicts, screens = screened_verdicts(unit_lattice(), Window(5.0, 0.25), many)
         assert verdicts["shrunk_disjoint"]["witness_c"] == 0.5
-        assert sorted(signs) == [-1] * 5 + [1]
+        assert screens == [2 * (1 + 1 / 40)]
+        covering, _ = generate_covering_rings(1.0, 0.97, 12.0)
+        verdicts, screens = screened_verdicts(covering, Window(12.0, 0.05), [0.15, 0.3, 0.45, 0.6, 0.75, 0.9])
+        assert all(r["holds"] for r in verdicts["shrunk_cover"])
+        assert not verdicts["shrunk_disjoint"]["holds"] and not verdicts["padded_disjoint"]["holds"]
+        assert screens == []
 
     def test_uncovered_lists_budgeted(self):
         args = Divisor(P1, ((0.0, 2),)), Window(3.0, 0.1), [0.25, 0.5, 1.0]
@@ -1272,6 +1289,98 @@ class TestCoversSound:
         divisor, window = Divisor(FockParams(1 / (r * r)), ((0.0, 1),)), Window(radius, radius * (1 + 8e-13) / 20)
         assert not certifies(divisor, 0.0, +1, window)
         assert grid_defect(divisor, 0.0, +1, window).size == 12
+
+
+# far parts past int64 cells (x / reach > 2**63), shared so that far points can meet
+_far_part = st.sampled_from([1e20, -1e20, 2.0**63, 1e300, -1e300])
+
+
+@st.composite
+def pair_cases(draw):
+    """(divisor, c_list) for the pair screen: lattice points at a spacing of
+    1, of the screen's reach at the least C or of its cell side (so on cell
+    edges), Pythagorean ties such as 0 and 3 + 4i, and far points sharing a
+    part; m of 1 and 2 lose their shrunk discs from C = 1 and 1.42 on."""
+    alpha = draw(st.sampled_from([1.0, 0.5, 2.0]))
+    c_value = st.one_of(st.sampled_from([0.5, 1.0, 1.5, 2.0]), st.floats(0.01, 3.0))
+    c_list = sorted(draw(st.lists(c_value, min_size=1, max_size=6)))
+    count = draw(st.integers(2, 12))
+    mults = draw(st.lists(st.sampled_from([1, 2, 4, 9, 16]), min_size=count, max_size=count))
+    reach = 2 * max(disc_radius(m, FockParams(alpha), c_list[0], +1) for m in mults)
+    unit = draw(st.sampled_from([1.0, reach, reach * (1 + 2**-20)]))
+    small = st.integers(-8, 8)
+    spot = st.one_of(
+        st.builds(lambda p, q: complex(p * unit, q * unit), small, small),
+        st.sampled_from([0j, 3 + 4j, -3 + 4j, 5 + 0j, 4 - 3j]),
+        st.builds(complex, _far_part, small),
+        st.builds(complex, small, _far_part),
+    )
+    points = draw(st.lists(spot, min_size=count, max_size=count, unique=True))
+    return Divisor(FockParams(alpha), tuple(zip(points, mults))), c_list
+
+
+@pytest.mark.bitwise
+class TestOnePassWitnesses:
+    """theorem_verdicts decides both disjointness verdicts at every tested C
+    from one pair screen; its witnesses, and pairwise_disjoint's pairs, equal
+    the per-C scalar loop's.  The certificate is refused, so the screen runs."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(pair_cases())
+    # padded radii 2 and 3 at distance 5: tangent, so disjoint at C = 1 and not past it
+    @example((Divisor(P1, ((0j, 1), (3 + 4j, 4))), [1.0, 1.5]))
+    # shrunk radii 0.5 and 1.5 tangent at C = 0.5; the third entry is absent from C = 1 on
+    @example((Divisor(P1, ((0j, 1), (2.0, 4), (1e20 + 1j, 1), (1e20 + 2j, 1))), [0.5, 1.0]))
+    # radii 4 (m = 9) 8(1 - 2**-22) apart, the first just below the edge of the
+    # cell of side 8 from 0, so that cells short of the reach would part them
+    @example((Divisor(P1, ((0j, 1), (8 - 12 * 2**-20 + 0j, 9), (16 - 14 * 2**-20 + 0j, 9))), [1.0]))
+    # padded radii near 1e308: a screen's reach of inf, and parts 2e308 apart
+    @example((Divisor(P1, ((1e308 + 0j, 1), (-1e308 + 0j, 1), (0j, 1))), [1e308]))
+    def test_witnesses_match_per_c_loop(self, case):
+        divisor, c_list = case
+        with mock.patch.object(geometry, "_covers", refused):
+            v = theorem_verdicts(divisor, Window(2.0, 0.2), c_list)
+        for sign, key in ((-1, "shrunk_disjoint"), (+1, "padded_disjoint")):
+            expected = [reference_pairwise_disjoint(divisor, c, sign) for c in c_list]
+            assert [pairwise_disjoint(divisor, c, sign) for c in c_list] == expected
+            ok = [c for c, (holds, _) in zip(c_list, expected) if holds]
+            assert v[key] == {"holds": bool(ok), "witness_c": ok[0] if ok else None}
+
+
+def screened_verdicts(divisor, window, cs):
+    """theorem_verdicts, and the reach of each pair screen it made."""
+    screens, near = [], geometry._near_pairs
+
+    def counted(points, reach):
+        screens.append(reach)
+        return near(points, reach)
+
+    with mock.patch.object(geometry, "_near_pairs", counted):
+        return theorem_verdicts(divisor, window, cs), screens
+
+
+class TestCertifiedSkip:
+    """A certified check with two kept centres in the window makes no pair
+    screen: its discs meet at every tested C, as the scalar loop finds."""
+
+    @pytest.mark.bitwise
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_skipped_screens_find_overlaps(self, rnd):
+        divisor, c, _, window = cover_case(rnd)
+        cs = [x for x in (c / 2, c) if x > 0]
+        if cs and not screened_verdicts(divisor, window, cs)[1]:
+            for x in cs:
+                for sign in (+1, -1):
+                    assert not reference_pairwise_disjoint(divisor, x, sign)[0]
+
+    def test_fixed_cases_skip(self):
+        # not vacuous: a fixed set of 100 drawn cases skips the screen at least 10 times
+        cases = [cover_case(random.Random(seed)) for seed in range(100)]
+        skipped = [not screened_verdicts(d, window, [c])[1] for d, c, _, window in cases if c > 0]
+        assert sum(skipped) >= 10
 
 
 class TestCoversDiscsJustOutside:
