@@ -113,7 +113,7 @@ def disc_radius(mult: int, params: FockParams, c: float, sign: int) -> float | N
     """Disc radius sqrt(m/alpha) + C (sign +1) or sqrt(m/alpha) - C (sign -1).
 
     Under sign -1 the entry only counts when m > alpha*C^2; otherwise None,
-    meaning the entry is excluded from the check.
+    meaning the entry is excluded from the check.  Callers check C (finite, >= 0).
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -164,13 +164,13 @@ def _chunks(r0, r1, c0, c1, cells: int):
         k += 1
 
 
-def _disc_sweep(divisor: Divisor, window: Window, discs):
-    """The level grid of a disc family: per cell, the most of one entry's
-    discs holding it, where discs(m), evaluated once per distinct m, lists
-    the squared radii of an entry's open discs.  Each entry computes |z -
-    lam|^2 once, on the index box of its largest disc, widened by one index a
-    side so that rounding cannot leave out a point in the disc, and tests
-    each disc by the full-grid rule d2 < r^2, bit for bit.
+def _disc_sweep(divisor: Divisor, window: Window, table):
+    """The level grid of a disc family, rows of a radius table (_entry_radii):
+    per cell, the most of one entry's discs holding it, its column's positive
+    radii r squared as r * r, in row order (NaN is absent).  Each entry
+    computes |z - lam|^2 once, on the index box of its largest disc, widened
+    by one index a side so that rounding cannot leave out a point in the
+    disc, and tests each disc by the full-grid rule d2 < r^2, bit for bit.
 
     The entries of one multiplicity share their discs, so their boxes are
     worked in chunks of at most _SWEEP_CELLS cells: a stack of whole boxes,
@@ -183,8 +183,8 @@ def _disc_sweep(divisor: Divisor, window: Window, discs):
     """
     z, modulus, inside = window._square()
     n, axis = (z.shape[0] - 1) // 2, z.real[0].copy()
-    distinct, inverse = np.unique(divisor.mults, return_inverse=True)
-    radii = [discs(m) for m in distinct.tolist()]
+    _, firsts, inverse = np.unique(divisor.mults, return_index=True, return_inverse=True)
+    radii = [[r * r for r in column if r > 0] for column in np.transpose([row[firsts] for row in table]).tolist()]
     grid = np.zeros(z.shape, np.min_scalar_type(max(map(len, radii), default=0)))
     cells = max(_SWEEP_CELLS, z.shape[1])  # a row of the square always fits
     diff, d2, test = np.empty(cells, complex), np.empty(cells), np.empty(cells, bool)
@@ -285,20 +285,15 @@ def max_overlap(divisor: Divisor, window: Window) -> int:
     return best - heavy
 
 
-def _nested_family(divisor: Divisor, cs, sign: int):
-    """An entry's padded (+1) or shrunk (-1) discs at every C of cs, as r*r
-    of the disc_radius r; absent discs left out."""
-    params = divisor.params
-    return lambda m: [r * r for r in (disc_radius(m, params, c, sign) for c in cs) if r is not None and r > 0]
-
-
-def _entry_radii(divisor: Divisor, c: float, sign: int) -> np.ndarray:
-    """Each entry's disc_radius at C, one call per distinct m; an absent radius reads NaN (so a NaN C is refused)."""
-    if math.isnan(c) or sign not in (1, -1):
-        raise ValueError("C must not be NaN, and sign must be +1 or -1")
+def _entry_radii(divisor: Divisor, cs, sign: int) -> np.ndarray:
+    """The radius table: row i holds each entry's disc_radius at cs[i] (NaN if
+    absent), one call per distinct m and listed C.  Every C-radius in geometry
+    comes from here, and no radius is formed unless each C is finite and >= 0."""
+    if not all(0 <= c < math.inf for c in cs) or sign not in (1, -1):
+        raise ValueError("C must be finite and >= 0 (not NaN), and sign must be +1 or -1")
     distinct, inverse = np.unique(divisor.mults, return_inverse=True)
-    by_mult = [disc_radius(m, divisor.params, c, sign) for m in distinct.tolist()]
-    return np.array(by_mult, dtype=float)[inverse]
+    rows = [[disc_radius(m, divisor.params, c, sign) for m in distinct.tolist()] for c in cs]
+    return np.array(rows, dtype=float)[:, inverse]
 
 
 def _covers(points: np.ndarray, radii: np.ndarray, radius: float, cells: float) -> bool:
@@ -384,16 +379,17 @@ def coverage_defect(
 ) -> np.ndarray:
     """Grid points of the annulus hole_radius <= |z| <= radius in no disc.
 
-    Discs are open, with radii per disc_radius; entries with absent shrunk
+    Discs are open, with radii per disc_radius as a one-row radius table
+    (_entry_radii refuses a C not finite and >= 0); entries with absent shrunk
     radius are skipped.  An empty result means the divisor covers the probed
     annulus at this C; when _covers certifies the discs, it is returned with
     no grid built.  Points are reported verbatim, in grid order.
     """
     _require_hole(hole_radius, window)
-    radii = _entry_radii(divisor, c, sign)
-    if _covers(divisor.points, radii, window.radius, (2 * window.radius / window.grid_step) ** 2):
+    table = _entry_radii(divisor, [c], sign)
+    if _covers(divisor.points, table[0], window.radius, (2 * window.radius / window.grid_step) ** 2):
         return np.empty(0, complex)
-    z, modulus, inside, held = _disc_sweep(divisor, window, _nested_family(divisor, [c], sign))
+    z, modulus, inside, held = _disc_sweep(divisor, window, table)
     return z[inside & (modulus >= hole_radius) & (held == 0)]
 
 
@@ -462,7 +458,7 @@ def _first_overlaps(points: np.ndarray, table) -> list:
 def pairwise_disjoint(divisor: Divisor, c: float, sign: int) -> tuple[bool, tuple[complex, complex] | None]:
     """Whether the padded/shrunk open discs are pairwise disjoint (tangent ones
     are), and the first pair of points whose discs meet, in entry order, or None."""
-    (first,) = _first_overlaps(divisor.points, [_entry_radii(divisor, c, sign)])
+    (first,) = _first_overlaps(divisor.points, _entry_radii(divisor, [c], sign))
     return (True, None) if first is None else (False, tuple(divisor.points[list(first)].tolist()))
 
 
@@ -491,21 +487,22 @@ def theorem_verdicts(divisor: Divisor, window: Window, c_list, hole_radius: floa
 
     Existential quantifiers over C > 0 are probed on the finite ascending
     c_list of positive finite values; universal ones are recorded per tested
-    C.  Row runs give the overlap bound (max_overlap) with no grid; one
-    sweep builds one level grid however long c_list is, and none when _covers
-    certifies that the -C discs at the largest C cover the window: every
-    cover verdict then holds, as the grid would say.  One pair screen
-    (_first_overlaps) decides the -C discs at every tested C and the +C ones
-    at cs[0] (they only grow with C), and none runs if _covers certifies and
-    two entries keeping their innermost discs (r >= 2**-500) have hypot(lam)
-    <= R, so |lam| <= R(1 + 2**-52): the kept discs of radius min(r,
-    2**500)(1 - 1e-9) meeting K' = {|z| <= R(1 + 1e-9)} cover it, and were
-    they disjoint, the disc of one of those centres and the union of the
-    others would split the connected K' into two open parts.  So two meet,
-    |lam_a - lam_b| < (r_a + r_b)(1 - 1e-9), a margin that the float rule's
-    differences, hypot and sum (a few units of 2**-53 each, no underflow
-    above 2**-500) cannot erase, at every tested C and in the padded discs,
-    all larger: no family is disjoint.
+    C.  Row runs give the overlap bound (max_overlap) with no grid.  The rest
+    read rows of radius tables (_entry_radii): the innermost (-cs[-1]), and
+    only to sweep or screen the shrunk (-C, descending C) and padded (+C at 0,
+    then ascending C) ones.  One sweep builds one level grid however long c_list
+    is, and none when _covers certifies that the innermost discs cover the
+    window: every cover verdict then holds, as the grid would say.  One pair
+    screen (_first_overlaps) decides the shrunk rows and the padded one at
+    cs[0] (they only grow with C), and none runs if _covers certifies and two
+    entries keeping their innermost discs (r >= 2**-500) have hypot(lam) <= R,
+    so |lam| <= R(1 + 2**-52): the kept discs of radius min(r, 2**500)(1 -
+    1e-9) meeting K' = {|z| <= R(1 + 1e-9)} cover it, and were they disjoint,
+    the disc of one of those centres and the union of the others would split
+    the connected K' into two open parts.  So two meet, |lam_a - lam_b| < (r_a +
+    r_b)(1 - 1e-9), a margin that the float rule's differences, hypot and sum
+    (a few units of 2**-53 each, no underflow above 2**-500) cannot erase, at
+    every tested C and in the padded discs, all larger: no family is disjoint.
     Deterministic: the same inputs always produce identical verdicts.
     """
     cs = [float(c) for c in c_list]
@@ -526,15 +523,17 @@ def theorem_verdicts(divisor: Divisor, window: Window, c_list, hole_radius: floa
     # If the innermost discs (-cs[-1]) certify, every window cell lies in all
     # 2k + 1 discs of some entry: level 2k + 1 everywhere, so no level grid.
     k = len(cs)
-    innermost = _entry_radii(divisor, cs[-1], -1)
+    (innermost,) = _entry_radii(divisor, cs[-1:], -1)
     bound = max_overlap(divisor, window)
     # np.hypot rounds |lam| as Python's abs does; np.abs may not
     centred = np.hypot(divisor.points.real, divisor.points.imag) <= window.radius
-    if certified := _covers(divisor.points, innermost, window.radius, (2 * window.radius / window.grid_step) ** 2):
+    certified = _covers(divisor.points, innermost, window.radius, (2 * window.radius / window.grid_step) ** 2)
+    if screened := not (certified and np.count_nonzero(centred & (innermost >= 2.0**-500)) >= 2):
+        shrunk, padded = _entry_radii(divisor, cs[::-1], -1), _entry_radii(divisor, [0.0, *cs], +1)
+    if certified:
         padded_witness, uncovered, bare_cover = cs[0], [np.empty(0, complex)] * k, True
     else:
-        padded, shrunk = _nested_family(divisor, [0.0, *cs], +1), _nested_family(divisor, cs, -1)
-        z, modulus, inside, level = _disc_sweep(divisor, window, lambda m: shrunk(m)[::-1] + padded(m))
+        z, modulus, inside, level = _disc_sweep(divisor, window, [*shrunk, *padded])
         annulus = inside & (modulus >= hole_radius)
         least = int(level[inside].min())
         padded_witness = cs[max(k - least, 0)] if least else None
@@ -549,10 +548,9 @@ def theorem_verdicts(divisor: Divisor, window: Window, c_list, hole_radius: floa
         bare_cover = not (annulus & (level <= k)).any()
 
     shrunk_disjoint_witness = padded_disjoint_witness = None
-    if not (certified and np.count_nonzero(centred & (innermost >= 2.0**-500)) >= 2):
-        table = [_entry_radii(divisor, c, -1) for c in cs[:-1]] + [innermost, _entry_radii(divisor, cs[0], +1)]
-        *shrunk_firsts, padded_first = _first_overlaps(divisor.points, table)
-        shrunk_disjoint_witness = next((c for c, first in zip(cs, shrunk_firsts) if first is None), None)
+    if screened:
+        *shrunk_firsts, padded_first = _first_overlaps(divisor.points, [*shrunk, padded[1]])
+        shrunk_disjoint_witness = next((c for c, first in zip(cs, shrunk_firsts[::-1]) if first is None), None)
         padded_disjoint_witness = cs[0] if padded_first is None else None
 
     all_shrunk = not any(u.size for u in uncovered)

@@ -246,6 +246,14 @@ class TestCoverageDefect:
         with pytest.raises(ValueError, match="sign"):
             coverage_defect(Divisor(P1, ()), 0.5, 0, window)
 
+    @pytest.mark.parametrize("c, sign", [(-5.0, +1), (-5.0, -1), (math.inf, -1), (math.inf, +1), (-math.inf, +1)])
+    def test_negative_or_infinite_c_refused(self, c, sign):
+        # such a C once read as no disc (all 317 grid points uncovered) or as
+        # discs of negative radius; it is refused before any radius is formed
+        X = Divisor(P1, ((0.0, 1), (1.0, 1)))
+        with mock.patch.object(geometry, "disc_radius", side_effect=AssertionError), pytest.raises(ValueError, match="finite"):
+            coverage_defect(X, c, sign, Window(2.0, 0.2))
+
 
 class TestPairwiseDisjoint:
     def test_tangent_counts_as_disjoint(self):
@@ -271,6 +279,15 @@ class TestPairwiseDisjoint:
         for divisor in (X, Divisor(P1, ())):
             with pytest.raises(ValueError, match="sign"):
                 pairwise_disjoint(divisor, 1.0, 2)
+
+    @pytest.mark.parametrize("c, sign", [(-5.0, +1), (-5.0, -1), (math.inf, -1), (math.inf, +1), (-math.inf, +1)])
+    def test_negative_or_infinite_c_refused(self, c, sign):
+        # two unit discs at distance 1 once read as disjoint at such a C; it
+        # is refused before any radius is formed, for an empty divisor too
+        for divisor in (Divisor(P1, ((0.0, 1), (1.0, 1))), Divisor(P1, ())):
+            with mock.patch.object(geometry, "disc_radius", side_effect=AssertionError):
+                with pytest.raises(ValueError, match="finite"):
+                    pairwise_disjoint(divisor, c, sign)
 
     def test_monotone_in_c(self):
         rng = np.random.default_rng(4)
@@ -694,8 +711,8 @@ class TestNestedDiscOrder:
     def test_disc_list_ascends(self, mults, alpha, c_list):
         cs, handed = sorted(c_list), []
 
-        def sweep(divisor, window, discs):
-            handed.append(discs)
+        def sweep(divisor, window, table):
+            handed.append(table)
             raise _Handed
 
         divisor = Divisor(FockParams(alpha), [(complex(i), m) for i, m in enumerate(mults)])
@@ -704,10 +721,10 @@ class TestNestedDiscOrder:
                 theorem_verdicts(divisor, Window(1.0, 0.1), cs)
         # the overlap count is read off row runs, so the sweep gets the nested family alone
         assert len(handed) == 1
-        padded = geometry._nested_family(divisor, [0.0, *cs], +1)
-        shrunk = geometry._nested_family(divisor, cs, -1)
-        for m in mults:
-            discs = handed[0](m)
+        padded = nested_family(divisor, [0.0, *cs], +1)
+        shrunk = nested_family(divisor, cs, -1)
+        for i, m in enumerate(mults):
+            discs = column_discs(handed[0], i)
             assert all(a <= b for a, b in zip(discs, discs[1:]))
             # the shrunk discs at descending C, absent ones left out, then the padded ones
             assert discs == shrunk(m)[::-1] + padded(m)
@@ -735,9 +752,9 @@ class TestSweepFamilies:
             runs.append(window)
             return count(divisor, window)
 
-        def spy(divisor, window, discs):
-            families.append(discs)
-            return sweep(divisor, window, discs)
+        def spy(divisor, window, table):
+            families.append(table)
+            return sweep(divisor, window, table)
 
         def built(window):
             squares.append(window)
@@ -749,8 +766,8 @@ class TestSweepFamilies:
         assert len(runs) == 1 and len(families) == len(squares) == passes - 1
         assert all(r["holds"] for r in verdicts["shrunk_cover"]) == (passes == 1)
         if families:  # the nested family: the shrunk discs at descending C, then the padded ones
-            padded, shrunk = geometry._nested_family(divisor, [0.0, *c_list], +1), geometry._nested_family(divisor, c_list, -1)
-            assert families[0](1) == shrunk(1)[::-1] + padded(1)
+            padded, shrunk = nested_family(divisor, [0.0, *c_list], +1), nested_family(divisor, c_list, -1)
+            assert column_discs(families[0], 0) == shrunk(1)[::-1] + padded(1)
 
     def test_certified_check_holds_less_than_a_square(self):
         # the benchmark's covering check: 481 x 481 cells, whose complex128
@@ -768,6 +785,52 @@ class TestSweepFamilies:
         assert peak < 481 * 481 * 16
 
 
+class TestRadiusTable:
+    """Every C-radius of a check comes from one radius table per disc family,
+    one disc_radius call per distinct m and listed C, and a table is formed
+    only for the rows that a check reads."""
+
+    @staticmethod
+    def radius_calls(divisor, window, c_list, hole=0.0):
+        calls, radius = [], geometry.disc_radius
+
+        def counted(*args):
+            calls.append(args)
+            return radius(*args)
+
+        with mock.patch.object(geometry, "disc_radius", counted):
+            verdicts = theorem_verdicts(divisor, window, c_list, hole)
+        return len(calls), np.unique(divisor.mults).size, verdicts
+
+    def test_many_cs_form_each_row_once(self):
+        # the 130-C corpus check: the innermost row, then the shrunk (k rows)
+        # and padded (k + 1 rows) tables that its sweep and screen read
+        c_list = [round(0.0025 * i, 4) for i in range(1, 131)]
+        calls, distinct, _ = self.radius_calls(unit_lattice(3.0), Window(3.0, 0.1), c_list, 2.5)
+        assert distinct == 1 and calls <= (2 * len(c_list) + 2) * distinct
+
+    def test_certified_check_forms_the_innermost_row_alone(self):
+        # the benchmark's covering check: certified, with centres in the
+        # window, it neither sweeps nor screens
+        divisor, _ = generate_covering_rings(1.0, 0.97, 12.0)
+        calls, distinct, verdicts = self.radius_calls(divisor, Window(12.0, 0.05), [0.15, 0.3, 0.45, 0.6, 0.75, 0.9])
+        assert all(r["holds"] for r in verdicts["shrunk_cover"])
+        assert distinct == 8 and calls == distinct
+
+
+def nested_family(divisor, cs, sign):
+    """An entry's padded (+1) or shrunk (-1) discs at every C of cs, as r * r
+    of the disc_radius r, absent ones left out: what the sweep's radius table
+    must give, per multiplicity."""
+    params = divisor.params
+    return lambda m: [r * r for r in (disc_radius(m, params, c, sign) for c in cs) if r is not None and r > 0]
+
+
+def column_discs(table, i):
+    """Entry i's squared disc radii read off the rows of a radius table as the sweep reads them."""
+    return [r * r for r in np.asarray(table)[:, i].tolist() if r > 0]
+
+
 def overlap_family(divisor):
     """The discs D(lam, sqrt(m/alpha)), summed over entries: the overlap count."""
     inv_alpha = 1.0 / divisor.params.alpha
@@ -775,11 +838,8 @@ def overlap_family(divisor):
 
 
 def sweep_families(divisor, c_list):
-    """The padded and shrunk disc families, each maximised over entries."""
-    return [
-        (np.maximum, geometry._nested_family(divisor, [0.0, *c_list], +1)),
-        (np.maximum, geometry._nested_family(divisor, c_list, -1)),
-    ]
+    """The padded and shrunk disc families, each maximised over entries, as (Cs, sign)."""
+    return [([0.0, *c_list], +1), (c_list, -1)]
 
 
 def reference_levels(divisor, window, families):
@@ -800,8 +860,9 @@ def reference_levels(divisor, window, families):
 
 
 def assert_levels_match_reference(divisor, window, families):
-    for (_, discs), expected in zip(families, reference_levels(divisor, window, families)):
-        *_, got = geometry._disc_sweep(divisor, window, discs)
+    nested = [(np.maximum, nested_family(divisor, cs, sign)) for cs, sign in families]
+    for (cs, sign), expected in zip(families, reference_levels(divisor, window, nested)):
+        *_, got = geometry._disc_sweep(divisor, window, geometry._entry_radii(divisor, cs, sign))
         assert got.dtype.kind == "u" and np.array_equal(got, expected)
 
 
@@ -1193,7 +1254,7 @@ def cover_case(rnd):
 
 
 def certifies(divisor, c, sign, window):
-    return geometry._covers(divisor.points, geometry._entry_radii(divisor, c, sign), window.radius, math.inf)
+    return geometry._covers(divisor.points, geometry._entry_radii(divisor, [c], sign)[0], window.radius, math.inf)
 
 
 def refused(*_):
