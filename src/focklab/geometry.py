@@ -164,12 +164,12 @@ def _chunks(r0, r1, c0, c1, cells: int):
         k += 1
 
 
-def _disc_sweep(divisor: Divisor, window: Window, table):
-    """The level grid of a disc family, rows of a radius table (_entry_radii):
-    per cell, the most of one entry's discs holding it, its column's positive
-    radii r squared as r * r, in row order (NaN is absent).  Each entry
-    computes |z - lam|^2 once, on the index box of its largest disc, widened
-    by one index a side so that rounding cannot leave out a point in the
+def _disc_sweep(divisor: Divisor, window: Window, table, classes):
+    """The level grid of a disc family, rows of a radius table (entry e in column
+    classes[e]: _entry_radii): per cell, the most of one entry's discs holding it,
+    its column's positive radii r squared as r * r, in row order (NaN is absent).
+    Each entry computes |z - lam|^2 once, on the index box of its largest disc,
+    widened by one index a side so that rounding cannot leave out a point in the
     disc, and tests each disc by the full-grid rule d2 < r^2, bit for bit.
 
     The entries of one multiplicity share their discs, so their boxes are
@@ -183,8 +183,7 @@ def _disc_sweep(divisor: Divisor, window: Window, table):
     """
     z, modulus, inside = window._square()
     n, axis = (z.shape[0] - 1) // 2, z.real[0].copy()
-    _, firsts, inverse = np.unique(divisor.mults, return_index=True, return_inverse=True)
-    radii = [[r * r for r in column if r > 0] for column in np.transpose([row[firsts] for row in table]).tolist()]
+    radii = [[r * r for r in column if r > 0] for column in np.transpose(table).tolist()]
     grid = np.zeros(z.shape, np.min_scalar_type(max(map(len, radii), default=0)))
     cells = max(_SWEEP_CELLS, z.shape[1])  # a row of the square always fits
     diff, d2, test = np.empty(cells, complex), np.empty(cells), np.empty(cells, bool)
@@ -193,7 +192,7 @@ def _disc_sweep(divisor: Divisor, window: Window, table):
     # as bool and the tests read as bytes, which spares the ufuncs a cast
     level = np.empty(cells, grid.dtype)
     first, tested = (level, test) if level.itemsize > 1 else (level.view(bool), test.view(np.uint8))
-    groups = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
+    groups = np.split(np.argsort(classes, kind="stable"), np.cumsum(np.bincount(classes))[:-1])
     for held_by, group in zip(radii, groups):  # no group for an empty divisor
         if not held_by:
             continue
@@ -285,15 +284,15 @@ def max_overlap(divisor: Divisor, window: Window) -> int:
     return best - heavy
 
 
-def _entry_radii(divisor: Divisor, cs, sign: int) -> np.ndarray:
-    """The radius table: row i holds each entry's disc_radius at cs[i] (NaN if
-    absent), one call per distinct m and listed C.  Every C-radius in geometry
-    comes from here, and no radius is formed unless each C is finite and >= 0."""
+def _entry_radii(divisor: Divisor, cs, sign: int) -> tuple[np.ndarray, np.ndarray]:
+    """The radius table, row i holding disc_radius at cs[i] (NaN if absent) per
+    distinct m ascending, one call each, and each entry's column.  Every C-radius
+    in geometry comes from here, and none unless each C is finite and >= 0."""
     if not all(0 <= c < math.inf for c in cs) or sign not in (1, -1):
         raise ValueError("C must be finite and >= 0 (not NaN), and sign must be +1 or -1")
-    distinct, inverse = np.unique(divisor.mults, return_inverse=True)
+    distinct, classes = np.unique(divisor.mults, return_inverse=True)
     rows = [[disc_radius(m, divisor.params, c, sign) for m in distinct.tolist()] for c in cs]
-    return np.array(rows, dtype=float)[:, inverse]
+    return np.array(rows, dtype=float), classes
 
 
 def _covers(points: np.ndarray, radii: np.ndarray, radius: float, cells: float) -> bool:
@@ -379,17 +378,17 @@ def coverage_defect(
 ) -> np.ndarray:
     """Grid points of the annulus hole_radius <= |z| <= radius in no disc.
 
-    Discs are open, with radii per disc_radius as a one-row radius table
-    (_entry_radii refuses a C not finite and >= 0); entries with absent shrunk
-    radius are skipped.  An empty result means the divisor covers the probed
-    annulus at this C; when _covers certifies the discs, it is returned with
-    no grid built.  Points are reported verbatim, in grid order.
+    Discs are open, with radii per disc_radius from a one-row radius table
+    (_entry_radii refuses a C not finite and >= 0), read per entry by _covers
+    and per class by the sweep; entries with absent shrunk radius are skipped.
+    An empty result means the divisor covers the probed annulus at this C; when
+    _covers certifies it, no grid is built.  Points are verbatim, in grid order.
     """
     _require_hole(hole_radius, window)
-    table = _entry_radii(divisor, [c], sign)
-    if _covers(divisor.points, table[0], window.radius, (2 * window.radius / window.grid_step) ** 2):
+    table, classes = _entry_radii(divisor, [c], sign)
+    if _covers(divisor.points, table[0, classes], window.radius, (2 * window.radius / window.grid_step) ** 2):
         return np.empty(0, complex)
-    z, modulus, inside, held = _disc_sweep(divisor, window, table)
+    z, modulus, inside, held = _disc_sweep(divisor, window, table, classes)
     return z[inside & (modulus >= hole_radius) & (held == 0)]
 
 
@@ -437,17 +436,18 @@ def _near_pairs(points: np.ndarray, reach: float):
         a = b
 
 
-def _first_overlaps(points: np.ndarray, table) -> list:
-    """Per row of table (each entry's radius, NaN if absent), the first pair (i, j)
-    in entry order whose discs meet by the scalar rule, or None.  One screen at
-    reach 2 max r, which holds the parts of every pair that meets, serves every
-    row, and np.hypot rounds as Python's abs does."""
+def _first_overlaps(points: np.ndarray, table, classes) -> list:
+    """Per row of a radius table, in row order (entry e in column classes[e]:
+    _entry_radii), the first pair (i, j) in entry order whose discs meet by the
+    scalar rule, or None.  One screen at reach 2 max r, holding the parts of every
+    pair that meets, serves every row; np.hypot rounds as Python's abs does."""
     firsts = [None] * len(table)
     with np.errstate(over="ignore"):  # a distance past the double range meets no disc
         for i, j in _near_pairs(points, 2 * max(np.max(r[r >= 0], initial=0.0) for r in table)):
             d = np.hypot(points.real[i] - points.real[j], points.imag[i] - points.imag[j])
+            ci, cj = classes[i], classes[j]
             for t in [t for t, first in enumerate(firsts) if first is None]:
-                hit = np.flatnonzero(d < table[t][i] + table[t][j])
+                hit = np.flatnonzero(d < table[t][ci] + table[t][cj])
                 if hit.size:
                     firsts[t] = (int(i[hit[0]]), int(j[hit[0]]))
             if None not in firsts:
@@ -458,7 +458,7 @@ def _first_overlaps(points: np.ndarray, table) -> list:
 def pairwise_disjoint(divisor: Divisor, c: float, sign: int) -> tuple[bool, tuple[complex, complex] | None]:
     """Whether the padded/shrunk open discs are pairwise disjoint (tangent ones
     are), and the first pair of points whose discs meet, in entry order, or None."""
-    (first,) = _first_overlaps(divisor.points, _entry_radii(divisor, [c], sign))
+    (first,) = _first_overlaps(divisor.points, *_entry_radii(divisor, [c], sign))
     return (True, None) if first is None else (False, tuple(divisor.points[list(first)].tolist()))
 
 
@@ -488,7 +488,7 @@ def theorem_verdicts(divisor: Divisor, window: Window, c_list, hole_radius: floa
     Existential quantifiers over C > 0 are probed on the finite ascending
     c_list of positive finite values; universal ones are recorded per tested
     C.  Row runs give the overlap bound (max_overlap) with no grid.  The rest
-    read rows of radius tables (_entry_radii): the innermost (-cs[-1]), and
+    read radius tables (_entry_radii): the innermost row (-cs[-1]) per entry, and
     only to sweep or screen the shrunk (-C, descending C) and padded (+C at 0,
     then ascending C) ones.  One sweep builds one level grid however long c_list
     is, and none when _covers certifies that the innermost discs cover the
@@ -523,17 +523,17 @@ def theorem_verdicts(divisor: Divisor, window: Window, c_list, hole_radius: floa
     # If the innermost discs (-cs[-1]) certify, every window cell lies in all
     # 2k + 1 discs of some entry: level 2k + 1 everywhere, so no level grid.
     k = len(cs)
-    (innermost,) = _entry_radii(divisor, cs[-1:], -1)
+    (innermost,), classes = _entry_radii(divisor, cs[-1:], -1)
     bound = max_overlap(divisor, window)
     # np.hypot rounds |lam| as Python's abs does; np.abs may not
     centred = np.hypot(divisor.points.real, divisor.points.imag) <= window.radius
-    certified = _covers(divisor.points, innermost, window.radius, (2 * window.radius / window.grid_step) ** 2)
-    if screened := not (certified and np.count_nonzero(centred & (innermost >= 2.0**-500)) >= 2):
-        shrunk, padded = _entry_radii(divisor, cs[::-1], -1), _entry_radii(divisor, [0.0, *cs], +1)
+    certified = _covers(divisor.points, innermost[classes], window.radius, (2 * window.radius / window.grid_step) ** 2)
+    if screened := not (certified and np.count_nonzero(centred & (innermost >= 2.0**-500)[classes]) >= 2):
+        (shrunk, _), (padded, _) = _entry_radii(divisor, cs[::-1], -1), _entry_radii(divisor, [0.0, *cs], +1)
     if certified:
         padded_witness, uncovered, bare_cover = cs[0], [np.empty(0, complex)] * k, True
     else:
-        z, modulus, inside, level = _disc_sweep(divisor, window, [*shrunk, *padded])
+        z, modulus, inside, level = _disc_sweep(divisor, window, [*shrunk, *padded], classes)
         annulus = inside & (modulus >= hole_radius)
         least = int(level[inside].min())
         padded_witness = cs[max(k - least, 0)] if least else None
@@ -549,7 +549,7 @@ def theorem_verdicts(divisor: Divisor, window: Window, c_list, hole_radius: floa
 
     shrunk_disjoint_witness = padded_disjoint_witness = None
     if screened:
-        *shrunk_firsts, padded_first = _first_overlaps(divisor.points, [*shrunk, padded[1]])
+        *shrunk_firsts, padded_first = _first_overlaps(divisor.points, [*shrunk, padded[1]], classes)
         shrunk_disjoint_witness = next((c for c, first in zip(cs, shrunk_firsts[::-1]) if first is None), None)
         padded_disjoint_witness = cs[0] if padded_first is None else None
 

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import random
 import tracemalloc
@@ -345,8 +346,8 @@ class TestTheoremVerdicts:
                 cuts.append(key)
                 return super().__getitem__(key)
 
-        def watched(divisor, window, discs):
-            z, *rest = sweep(divisor, window, discs)
+        def watched(divisor, window, table, classes):
+            z, *rest = sweep(divisor, window, table, classes)
             return z.view(Grid), *rest
 
         total = sum(r["uncovered_count"] for r in theorem_verdicts(*args)["shrunk_cover"])
@@ -392,23 +393,35 @@ class TestTheoremVerdicts:
             with pytest.raises(ValueError):
                 theorem_verdicts(unit_lattice(3.0), Window(3.0, 0.1), c_list)
 
+    @staticmethod
+    def covered_peak(divisor, window, c_list):
+        """The tracemalloc peak of a check whose shrunk discs cover every grid point."""
+        tracemalloc.start()
+        try:
+            verdicts = theorem_verdicts(divisor, window, c_list)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r["holds"] for r in verdicts["shrunk_cover"])
+        return peak
+
     def test_memory_flat_in_c_list_length(self):
         # the shrunk discs cover at every C, so no uncovered list grows with C
         divisor, _ = generate_covering_rings(1.0, 1.0, 6.0)
         window = Window(6.0, 0.02)
-
-        def peak(c_list):
-            tracemalloc.start()
-            try:
-                verdicts = theorem_verdicts(divisor, window, c_list)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert all(r["holds"] for r in verdicts["shrunk_cover"])
-            return peak
-
+        peak = functools.partial(self.covered_peak, divisor, window)
         many = [0.025 * (i + 1) for i in range(40)]
         assert peak(many) <= 1.5 * peak([0.5, 1.0])
+
+    def test_memory_flat_in_c_list_length_when_swept(self):
+        # the certificate refuses the unit lattice's innermost discs, so the
+        # check sweeps and screens its radius tables; each grid point is a
+        # centre, so no uncovered list grows with C, and the tables must not
+        divisor, window = unit_lattice(15.0), Window(15.0, 1.0)
+        many = [round(0.0025 * i, 4) for i in range(1, 131)]
+        assert divisor.points.size == 709 and not certifies(divisor, many[-1], -1, window)
+        peak = functools.partial(self.covered_peak, divisor, window)
+        assert peak(many) <= 1.5 * peak([many[0], many[-1]])
 
 
 class TestExclusivity:
@@ -711,8 +724,8 @@ class TestNestedDiscOrder:
     def test_disc_list_ascends(self, mults, alpha, c_list):
         cs, handed = sorted(c_list), []
 
-        def sweep(divisor, window, table):
-            handed.append(table)
+        def sweep(divisor, window, table, classes):
+            handed.append((table, classes))
             raise _Handed
 
         divisor = Divisor(FockParams(alpha), [(complex(i), m) for i, m in enumerate(mults)])
@@ -752,9 +765,9 @@ class TestSweepFamilies:
             runs.append(window)
             return count(divisor, window)
 
-        def spy(divisor, window, table):
-            families.append(table)
-            return sweep(divisor, window, table)
+        def spy(divisor, window, table, classes):
+            families.append((table, classes))
+            return sweep(divisor, window, table, classes)
 
         def built(window):
             squares.append(window)
@@ -826,9 +839,11 @@ def nested_family(divisor, cs, sign):
     return lambda m: [r * r for r in (disc_radius(m, params, c, sign) for c in cs) if r is not None and r > 0]
 
 
-def column_discs(table, i):
-    """Entry i's squared disc radii read off the rows of a radius table as the sweep reads them."""
-    return [r * r for r in np.asarray(table)[:, i].tolist() if r > 0]
+def column_discs(handed, i):
+    """Entry i's squared disc radii read off the rows of a radius table, in
+    entry i's column, as the sweep that was handed (table, classes) reads them."""
+    table, classes = handed
+    return [r * r for r in np.asarray(table)[:, classes[i]].tolist() if r > 0]
 
 
 def overlap_family(divisor):
@@ -862,7 +877,7 @@ def reference_levels(divisor, window, families):
 def assert_levels_match_reference(divisor, window, families):
     nested = [(np.maximum, nested_family(divisor, cs, sign)) for cs, sign in families]
     for (cs, sign), expected in zip(families, reference_levels(divisor, window, nested)):
-        *_, got = geometry._disc_sweep(divisor, window, geometry._entry_radii(divisor, cs, sign))
+        *_, got = geometry._disc_sweep(divisor, window, *geometry._entry_radii(divisor, cs, sign))
         assert got.dtype.kind == "u" and np.array_equal(got, expected)
 
 
@@ -1254,7 +1269,8 @@ def cover_case(rnd):
 
 
 def certifies(divisor, c, sign, window):
-    return geometry._covers(divisor.points, geometry._entry_radii(divisor, [c], sign)[0], window.radius, math.inf)
+    table, classes = geometry._entry_radii(divisor, [c], sign)
+    return geometry._covers(divisor.points, table[0, classes], window.radius, math.inf)
 
 
 def refused(*_):
